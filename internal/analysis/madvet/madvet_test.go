@@ -62,7 +62,7 @@ func TestDetRand(t *testing.T) {
 }
 
 func TestObsNames(t *testing.T) {
-	analysistest.Run(t, testdata(t), madvet.ObsNames, "obsnames", "fwd")
+	analysistest.Run(t, testdata(t), madvet.ObsNames, "obsnames")
 }
 
 func TestTMIdent(t *testing.T) {

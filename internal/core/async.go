@@ -181,8 +181,8 @@ func (cq *CQ) post(c Completion) {
 }
 
 // op is one queued operation descriptor. Descriptors are pooled: the
-// engine (and the sync wrappers) recycle them at completion, so a steady
-// submission load allocates only Request handles.
+// engine recycles them at completion, so a steady submission load
+// allocates only Request handles.
 type op struct {
 	kind OpKind
 	buf  []byte
@@ -202,19 +202,19 @@ func putOp(o *op) {
 }
 
 // execOp runs one descriptor on the connection with the connection's
-// actor: the single-operation step of the progress engine, shared with
-// the synchronous wrappers.
+// actor: the single-operation step of the progress engine, dispatching
+// to the same Connection methods the synchronous API calls directly.
 func (cn *Connection) execOp(o *op) error {
 	switch o.kind {
 	case OpPack:
-		return cn.execPack(o.buf, o.sm, o.rm)
+		return cn.Pack(o.buf, o.sm, o.rm)
 	case OpUnpack:
-		return cn.execUnpack(o.buf, o.sm, o.rm)
+		return cn.Unpack(o.buf, o.sm, o.rm)
 	case OpEnd:
 		if cn.sending {
-			return cn.execEndPacking()
+			return cn.EndPacking()
 		}
-		return cn.execEndUnpacking()
+		return cn.EndUnpacking()
 	}
 	panic(fmt.Sprintf("core: unknown op kind %d", int(o.kind)))
 }
@@ -400,7 +400,6 @@ func (am *AsyncMsg) SubmitEnd() *Request {
 
 func (am *AsyncMsg) submit(k OpKind, buf []byte, sm SendMode, rm RecvMode) *Request {
 	am.ch.stats.asyncSubmitted.Add(1)
-	am.ch.met.submitted.Add(1)
 	am.mu.Lock()
 	am.seq++
 	r := &Request{am: am, kind: k, seq: am.seq}
@@ -443,9 +442,7 @@ func (am *AsyncMsg) deliver(c Completion) {
 	am.ch.stats.asyncCompleted.Add(1)
 	if c.Err != nil {
 		am.ch.stats.asyncErrors.Add(1)
-		am.ch.met.errors.Add(1)
 	}
-	am.ch.met.completed.Add(1)
 	if r := c.Req; r != nil {
 		r.comp = c
 		if !r.st.CompareAndSwap(reqPending, reqDone) {

@@ -351,21 +351,10 @@ func (cn *Connection) abort(err error) error {
 // closed, so the caller simply returns the error — a subsequent EndPacking
 // is a no-op reporting ErrBadState.
 //
-// Pack is a thin wrapper over the asynchronous submission path: it builds
-// an operation descriptor and drives it to completion inline, with the
-// calling actor enlisted as its own conversation's progress thread. The
-// engine workers run the same executor (execPack) for submitted
-// descriptors.
+// Pack, Unpack and the two End calls are the executors themselves: the
+// synchronous caller runs them inline on its own actor, and the progress
+// engine runs the same methods for submitted descriptors (execOp).
 func (cn *Connection) Pack(data []byte, sm SendMode, rm RecvMode) error {
-	o := getOp()
-	o.kind, o.buf, o.sm, o.rm = OpPack, data, sm, rm
-	err := cn.execOp(o)
-	putOp(o)
-	return err
-}
-
-// execPack is the Pack executor shared by the sync wrapper and the engine.
-func (cn *Connection) execPack(data []byte, sm SendMode, rm RecvMode) error {
 	if !cn.open || !cn.sending {
 		return ErrBadState
 	}
@@ -398,21 +387,8 @@ func (cn *Connection) execPack(data []byte, sm SendMode, rm RecvMode) error {
 // EndPacking finalizes the message (mad_end_packing): every delayed block
 // is flushed to the network. It always releases the send lease, so the
 // error paths (empty message, commit failure) leave the connection ready
-// for the next BeginPacking. Like Pack it is a wrapper over the shared
-// executor (execEndPacking) that the engine runs for SubmitEnd.
+// for the next BeginPacking.
 func (cn *Connection) EndPacking() error {
-	if !cn.sending {
-		// End on the wrong direction must not finalize the receive side.
-		return ErrBadState
-	}
-	o := getOp()
-	o.kind = OpEnd
-	err := cn.execOp(o)
-	putOp(o)
-	return err
-}
-
-func (cn *Connection) execEndPacking() error {
 	if !cn.open || !cn.sending {
 		return ErrBadState
 	}
@@ -470,16 +446,7 @@ func (c *Channel) BeginUnpacking(a *vclock.Actor) (*Connection, error) {
 // must mirror the sender's Pack exactly. On error the message is aborted —
 // the receive lease is released and the connection closed — mirroring the
 // Pack contract, so the caller returns the error without EndUnpacking.
-// Like Pack it is a wrapper over the shared executor (execUnpack).
 func (cn *Connection) Unpack(dst []byte, sm SendMode, rm RecvMode) error {
-	o := getOp()
-	o.kind, o.buf, o.sm, o.rm = OpUnpack, dst, sm, rm
-	err := cn.execOp(o)
-	putOp(o)
-	return err
-}
-
-func (cn *Connection) execUnpack(dst []byte, sm SendMode, rm RecvMode) error {
 	if !cn.open || cn.sending {
 		return ErrBadState
 	}
@@ -511,17 +478,6 @@ func (cn *Connection) execUnpack(dst []byte, sm SendMode, rm RecvMode) error {
 // EndUnpacking finalizes the reception (mad_end_unpacking): every deferred
 // block is extracted and available. It always releases the receive lease.
 func (cn *Connection) EndUnpacking() error {
-	if cn.sending {
-		return ErrBadState
-	}
-	o := getOp()
-	o.kind = OpEnd
-	err := cn.execOp(o)
-	putOp(o)
-	return err
-}
-
-func (cn *Connection) execEndUnpacking() error {
 	if !cn.open || cn.sending {
 		return ErrBadState
 	}

@@ -258,7 +258,19 @@ func rdmaDecodeFrame(b []byte) (kind byte, seq, val uint32, valid bool) {
 func (p *rdmaPMM) writeFrame(a *vclock.Actor, st *rdmaConn, key uint32, slot int, kind byte, seq, val uint32, size int) error {
 	buf := make([]byte, size)
 	rdmaEncodeFrame(buf, kind, seq, val)
-	_, err := st.ep.Write(a, key, (slot%rdmaCtrlSlots)*rdmaFrameSize, buf, uint64(kind)<<32|uint64(seq), model.RDMACtrl)
+	return st.write(a, key, (slot%rdmaCtrlSlots)*rdmaFrameSize, buf, uint64(kind)<<32|uint64(seq), model.RDMACtrl)
+}
+
+// write posts one RDMA write and reaps its initiator-side completion at
+// once. The PMM never waits on the send side (CTS, verdict and credit
+// frames are its flow control), so an unreaped queue would grow by one
+// entry per write for the life of the connection. Reaping with PollSend
+// leaves the actor's clock alone, which WaitSend would not.
+func (st *rdmaConn) write(a *vclock.Actor, key uint32, off int, data []byte, tag uint64, link model.Link) error {
+	_, err := st.ep.Write(a, key, off, data, tag, link)
+	if err == nil {
+		st.ep.PollSend()
+	}
 	return err
 }
 
@@ -370,7 +382,7 @@ func (t *rdmaEagerTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) er
 	seq := st.eagerSeq
 	st.eagerSeq++
 	off := int(seq%model.RDMAEagerSlots) * model.RDMAEagerMax
-	if _, err := st.ep.Write(a, st.peerEager, off, data, uint64(seq), model.RDMAWrite); err != nil {
+	if err := st.write(a, st.peerEager, off, data, uint64(seq), model.RDMAWrite); err != nil {
 		return err
 	}
 	st.credits--
@@ -461,7 +473,7 @@ func (t *rdmaRdvTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) erro
 			return fmt.Errorf("core: rdma rendezvous on %s: seq %d still rejected after %d rounds",
 				cs.ch.name, seq, round)
 		}
-		if _, err := st.ep.Write(a, st.peerRdvDst, 0, data, uint64(seq), model.RDMAWrite); err != nil {
+		if err := st.write(a, st.peerRdvDst, 0, data, uint64(seq), model.RDMAWrite); err != nil {
 			return err
 		}
 		if err := t.p.writeFrame(a, st, st.peerCtrl, st.ctrlNext, rdmaFIN, seq, sum, rdmaFrameSize); err != nil {

@@ -205,3 +205,53 @@ func TestRDMARendezvousHostileFabric(t *testing.T) {
 		}
 	}
 }
+
+// TestRDMASendCompletionsReaped is the regression test for the send-queue
+// leak: every EP.Write queues an initiator-side completion, the PMM waits
+// on none of them, and before the fix each endpoint's queue grew by one
+// entry per eager slot, control frame and credit write. After 10k mixed
+// eager/rendezvous round trips both endpoints must have nothing pending,
+// and reaping must not have moved virtual time: the end time is the one
+// the unfixed PMM produced.
+func TestRDMASendCompletionsReaped(t *testing.T) {
+	const rounds = 10000
+	const wantEnd = vclock.Time(696250000) // 696.25 ms, measured on the commit before the fix
+	chans, _ := newTestChannel(t, "rdma")
+	msg := func(i int) []block {
+		if i%2 == 0 {
+			return []block{{data: pattern(1024, byte(i)), sm: SendCheaper, rm: ReceiveCheaper}}
+		}
+		return []block{
+			{data: pattern(8, byte(i)), sm: SendCheaper, rm: ReceiveExpress},
+			{data: pattern(2*model.RDMACrossover, byte(i)), sm: SendCheaper, rm: ReceiveCheaper},
+		}
+	}
+	echoed := make(chan struct{})
+	go func() {
+		defer close(echoed)
+		a := vclock.NewActor("echo")
+		for i := 0; i < rounds; i++ {
+			recvMsg(t, chans[1], a, msg(i))
+			sendMsg(t, chans[1], a, 0, msg(i))
+		}
+	}()
+	a := vclock.NewActor("ping")
+	for i := 0; i < rounds; i++ {
+		sendMsg(t, chans[0], a, 1, msg(i))
+		recvMsg(t, chans[0], a, msg(i))
+	}
+	<-echoed
+	if a.Now() != wantEnd {
+		t.Errorf("virtual end time %v, want %v: reaping send completions must not move the clock", a.Now(), wantEnd)
+	}
+	for r, ch := range chans {
+		ep := rdmaState(ch.conns[1-r]).ep
+		pending := 0
+		for _, ok := ep.PollSend(); ok; _, ok = ep.PollSend() {
+			pending++
+		}
+		if pending != 0 {
+			t.Errorf("rank %d: %d send completions pending after %d round trips, want 0", r, pending, rounds)
+		}
+	}
+}

@@ -108,18 +108,16 @@ func (cs *chanStats) unpacked(n int) {
 // and no map lookup. Handles stay nil on channels built outside
 // Session.NewChannel (white-box tests); a nil handle is a no-op sink.
 type chanMetrics struct {
-	submitted, completed, errors, parked *metrics.Counter
-	cqDepth                              *metrics.Gauge
+	parked  *metrics.Counter
+	cqDepth *metrics.Gauge
 }
 
 // bindMetrics resolves the channel's cached handles and registers a
 // collector mapping the channel's live accounting into the
-// chan/<name>/... counter namespace. Per-rank collectors of one channel
-// emit under the same names, so snapshots show cluster-wide totals.
+// chan/<name>/... counter namespace and the async/* totals: chanStats is
+// the counters' only home, the registry pulls. Collectors emitting the
+// same name sum, so snapshots show cluster-wide totals.
 func (c *Channel) bindMetrics(reg *metrics.Registry) {
-	c.met.submitted = reg.Counter("async/submitted")
-	c.met.completed = reg.Counter("async/completed")
-	c.met.errors = reg.Counter("async/errors")
 	c.met.parked = reg.Counter("async/parked-lease")
 	c.met.cqDepth = reg.Gauge("async/cq-depth-max")
 
@@ -139,6 +137,9 @@ func (c *Channel) bindMetrics(reg *metrics.Registry) {
 		nz("bytes-in", st.bytesIn.Load())
 		nz("commits", st.commits.Load())
 		nz("checkouts", st.checkouts.Load())
+		emit("async/submitted", st.asyncSubmitted.Load())
+		emit("async/completed", st.asyncCompleted.Load())
+		emit("async/errors", st.asyncErrors.Load())
 	})
 }
 

@@ -87,40 +87,23 @@ func (v *VC) pipe(inSeg, outSeg int) *pipeline {
 	return p
 }
 
-// daemon serves one real channel of the virtual channel on this rank:
-// it reads each packet's self-description header express, then delivers
-// the payload locally or forwards it.
+// daemon serves one real channel of the virtual channel on this rank, one
+// packet per message scope.
 func (v *VC) daemon(segIdx int, ch *core.Channel) {
-	a := vclock.NewActor(fmt.Sprintf("%s/n%d/seg%d-rx", v.name, v.rank, segIdx))
 	d := &daemonState{
-		v: v, a: a, segIdx: segIdx, ch: ch,
+		v:        v,
+		a:        vclock.NewActor(fmt.Sprintf("%s/n%d/seg%d-rx", v.name, v.rank, segIdx)),
+		segIdx:   segIdx,
+		ch:       ch,
 		lastLSeq: make(map[int]uint32),
-	}
-	if v.spec.Reliable {
-		d.scratch = make([]byte, v.mtu)
-	}
-	hsize := hdrSize
-	if v.spec.Reliable {
-		hsize = rhdrSize
+		scratch:  make([]byte, v.mtu),
 	}
 	for {
-		conn, err := ch.BeginUnpacking(a)
+		conn, err := ch.BeginUnpacking(d.a)
 		if err != nil {
 			return // channel closed
 		}
-		hb := make([]byte, hsize)
-		if err := conn.Unpack(hb, core.SendCheaper, core.ReceiveExpress); err != nil {
-			v.daemonIO(a, err)
-			return
-		}
-		d.hdrAt = a.Now() // the packet's wire activity starts here
-		var keep bool
-		if v.spec.Reliable {
-			keep = d.recvReliable(conn, hb)
-		} else {
-			keep = d.recvBestEffort(conn, hb)
-		}
-		if !keep {
+		if !d.recv(conn) {
 			return
 		}
 	}
@@ -135,13 +118,12 @@ type daemonState struct {
 
 	hdrAt      vclock.Time
 	throttleAt vclock.Time
-	lastLSeq   map[int]uint32 // reliable: previous hop -> last accepted link seq
-	scratch    []byte         // reliable: drain target for packets being dropped
+	lastLSeq   map[int]uint32 // previous hop -> last accepted link seq; filled in reliable mode only
+	scratch    []byte         // one MTU: drain target for packets being dropped
 }
 
-// daemonIO classifies a channel-level failure under a daemon: shutdown is
-// quiet, anything else surfaces on the handle. Either way the daemon
-// stops.
+// daemonIO classifies a failure that stops a daemon: shutdown is quiet,
+// anything else surfaces on the handle.
 func (v *VC) daemonIO(a *vclock.Actor, err error) {
 	if !errors.Is(err, core.ErrClosed) {
 		v.fail(fmt.Errorf("fwd daemon %s: %w", a.Name(), err))
@@ -157,197 +139,174 @@ func (d *daemonState) throttle(n int) {
 	}
 }
 
-// recvBestEffort handles one packet without the reliability protocol —
-// the paper's trust-the-fabric mode, degrading gracefully instead of
-// panicking. Reports whether the daemon should keep serving.
-func (d *daemonState) recvBestEffort(conn *core.Connection, hb []byte) bool {
+// fate is what the daemon does with one packet once its header is read.
+type fate int
+
+const (
+	fateDrop    fate = iota // drain the frame and discard it
+	fateDup                 // a retransmit of the last accepted packet: discard, acknowledge again
+	fateDeliver             // this rank is the destination
+	fateForward             // hand to the pipeline toward the next hop
+)
+
+// recv serves one packet, through the same stages in both modes: decode
+// the header, classify the packet's fate, pick the buffer its frame
+// drains into, drain it, close the message scope, verify the payload
+// checksum, act on the fate, and answer the previous hop with a verdict
+// when the channel is reliable. Spec.Reliable is read only where the wire
+// format differs: the header codec, the frame length, what damage costs,
+// and the verdict. Reports whether the daemon keeps serving.
+func (d *daemonState) recv(conn *core.Connection) bool {
 	v, a := d.v, d.a
-	h, err := decodeHeader(hb)
+	rel := v.spec.Reliable
+	prev := conn.Remote()
+	hsize, decode := hdrSize, decodeHeader
+	if rel {
+		hsize, decode = rhdrSize, decodeHeaderR
+	}
+
+	var (
+		h     header
+		herr  error
+		what  = fateDrop
+		hp    hop // fateForward: the route toward h.Dst
+		p     *pipeline
+		tok   *token
+		frame []byte // the packet's payload block as drained off the wire
+	)
+	// The stages that read the wire run inside the message scope. Whatever
+	// stops them, the scope closes once, right below: a daemon on its way
+	// out must not leave the segment's receive lease wedged.
+	err := func() error {
+		hb := make([]byte, hsize)
+		if err := conn.Unpack(hb, core.SendCheaper, core.ReceiveExpress); err != nil {
+			return err
+		}
+		d.hdrAt = a.Now() // the packet's wire activity starts here
+		h, herr = decode(hb)
+
+		var damage error // the header cannot be trusted for the payload length
+		last, seen := d.lastLSeq[prev]
+		switch {
+		case herr != nil:
+			v.ctr.dropHeader.Add(1)
+			damage = herr
+		case h.Len < 0 || h.Len > v.mtu:
+			v.ctr.dropLen.Add(1)
+			damage = fmt.Errorf("packet length %d (MTU %d), corrupted header", h.Len, v.mtu)
+		case seen && h.LSeq == last:
+			// The retransmit of a packet whose acknowledgment was lost.
+			what = fateDup
+			v.ctr.dups.Add(1)
+		case h.Dst == v.rank:
+			what = fateDeliver
+		default:
+			var ok bool
+			if hp, ok = v.next[h.Dst]; ok {
+				what = fateForward
+			} else {
+				v.ctr.dropRoute.Add(1)
+			}
+		}
+		if herr == nil {
+			d.throttle(h.Len)
+		}
+
+		// A reliable packet is padded to exactly one MTU on the wire, so
+		// every fate, a damaged header included, can drain it and keep the
+		// stream aligned. A best-effort packet is as long as its header
+		// says: once that is unreadable the stream is lost, for the handle
+		// (VC.Err), not the process.
+		n := v.mtu
+		if !rel {
+			if damage != nil {
+				return fmt.Errorf("unrecoverable: %w", damage)
+			}
+			n = h.Len
+		}
+
+		switch what {
+		case fateDeliver:
+			frame = make([]byte, n) // owned by the destination stream from here on
+		case fateForward:
+			// One of the pipeline's two buffers: the dual-buffer exchange
+			// point (Fig. 9).
+			p = v.pipe(d.segIdx, hp.seg)
+			var ok bool
+			if tok, ok = p.free.Pop(); !ok {
+				return core.ErrClosed // pipeline closed mid-message
+			}
+			a.Sync(tok.stamp)
+			frame = tok.buf[:n]
+		default:
+			frame = d.scratch[:n]
+		}
+		if n == 0 {
+			return nil // a best-effort end-of-message terminator is header-only
+		}
+		return conn.Unpack(frame, core.SendCheaper, core.ReceiveCheaper)
+	}()
+	if eerr := conn.EndUnpacking(); err == nil {
+		err = eerr
+	}
 	if err != nil {
-		// The header hides the payload length; without it the byte
-		// stream cannot be resynchronized. Lose the handle, not the
-		// process — but close the message scope first, so the dead
-		// daemon does not keep the receive lease wedged.
-		_ = conn.EndUnpacking()
-		v.count("fwd/drop/header", &v.ctr.dropHeader)
-		v.fail(fmt.Errorf("fwd daemon %s: unrecoverable: %w", a.Name(), err))
+		v.daemonIO(a, err)
 		return false
 	}
-	d.throttle(h.Len)
-	if h.Len < 0 || h.Len > v.mtu {
-		_ = conn.EndUnpacking()
-		v.count("fwd/drop/len", &v.ctr.dropLen)
-		v.fail(fmt.Errorf("fwd daemon %s: unrecoverable: packet length %d (MTU %d), corrupted header", a.Name(), h.Len, v.mtu))
-		return false
+
+	var payload []byte
+	corrupt := false
+	if what == fateDeliver || what == fateForward {
+		payload = frame[:h.Len]
+		corrupt = checksum(payload) != h.CRC
 	}
-	if h.Dst == v.rank {
-		payload := make([]byte, h.Len)
-		if h.Len > 0 {
-			if err := conn.Unpack(payload, core.SendCheaper, core.ReceiveCheaper); err != nil {
-				v.daemonIO(a, err)
-				return false
+	if corrupt {
+		switch {
+		case rel:
+			// The previous hop still holds the packet: refuse it.
+			v.ctr.dropCRC.Add(1)
+			if tok != nil {
+				p.free.PushIfOpen(tok)
 			}
+			what = fateDrop
+		case what == fateDeliver:
+			// Nobody to ask for a resend: deliver flagged, for Unpack to
+			// report.
+			v.ctr.deliveredCorrupt.Add(1)
+		default:
+			// Still routable, so relay it and let the delivering edge
+			// detect it. Dropping here would silently desync the
+			// destination's stream, which cannot learn a packet died.
+			v.ctr.relayedCorrupt.Add(1)
 		}
-		if err := conn.EndUnpacking(); err != nil {
-			v.daemonIO(a, err)
+	}
+
+	switch what {
+	case fateDeliver:
+		if !d.deliver(h, payload, corrupt) {
 			return false
 		}
-		corrupt := checksum(payload) != h.CRC
-		if corrupt {
-			v.count("fwd/delivered-corrupt", &v.ctr.deliveredCorrupt)
-		}
-		return d.deliver(h, payload, corrupt)
-	}
-	hp, ok := v.next[h.Dst]
-	if !ok {
-		// A routable header with an unknown destination: drain and drop
-		// this packet, keep the stream (and the daemon) alive.
-		v.count("fwd/drop/route", &v.ctr.dropRoute)
-		if h.Len > 0 {
-			sink := make([]byte, h.Len)
-			if err := conn.Unpack(sink, core.SendCheaper, core.ReceiveCheaper); err != nil {
-				v.daemonIO(a, err)
-				return false
-			}
-		}
-		if err := conn.EndUnpacking(); err != nil {
-			v.daemonIO(a, err)
+	case fateForward:
+		// The incoming transfer's wire interval: from the header's arrival
+		// through the payload's byte time (the receive side of Fig. 9),
+		// tagged with the originating trace at this gateway's relay hop.
+		v.rec.RecordT(a.Name(), d.hdrAt, d.hdrAt+d.ch.Link(h.Len).ByteTime(h.Len), "r", h.Trace, h.Hop+1)
+		if !p.work.PushIfOpen(workItem{hdr: h, payload: payload, tok: tok, stampIn: a.Now()}) {
 			return false
 		}
+	}
+	if !rel {
 		return true
 	}
-	// Forwarding: obtain one of the pipeline's two buffers (the
-	// dual-buffer exchange point).
-	p := v.pipe(d.segIdx, hp.seg)
-	tok, ok := p.free.Pop()
-	if !ok {
-		// Pipeline closed mid-message: release the receive lease on the
-		// way out so the VC's close path is not left waiting on it.
-		_ = conn.EndUnpacking()
-		return false
-	}
-	a.Sync(tok.stamp)
-	payload := tok.buf[:h.Len]
-	if h.Len > 0 {
-		if err := conn.Unpack(payload, core.SendCheaper, core.ReceiveCheaper); err != nil {
-			v.daemonIO(a, err)
-			return false
-		}
-	}
-	if err := conn.EndUnpacking(); err != nil {
-		v.daemonIO(a, err)
-		return false
-	}
-	if checksum(payload) != h.CRC {
-		// Mid-route corruption: the packet is still routable, so relay
-		// it and let the delivering edge detect it — the gateway only
-		// counts the sighting. Dropping here would silently desync the
-		// destination's stream, which has no way to learn a packet died.
-		v.count("fwd/relayed-corrupt", &v.ctr.relayedCorrupt)
-	}
-	// The incoming transfer's wire interval: from the header's arrival
-	// through the payload's byte time (the receive side of Fig. 9),
-	// tagged with the originating trace at this gateway's relay hop.
-	v.rec.RecordT(a.Name(), d.hdrAt, d.hdrAt+d.ch.Link(h.Len).ByteTime(h.Len), "r", h.Trace, h.Hop+1)
-	return p.work.PushIfOpen(workItem{hdr: h, payload: payload, tok: tok, stampIn: a.Now()})
-}
-
-// recvReliable handles one packet under the reliability protocol: decide
-// the packet's fate from its (checksummed) header, drain exactly one MTU
-// of payload whatever the fate, then answer with exactly one verdict.
-func (d *daemonState) recvReliable(conn *core.Connection, hb []byte) bool {
-	v, a := d.v, d.a
-	prev := conn.Remote()
-	h, herr := decodeHeaderR(hb)
-
-	const (
-		frDeliver = iota
-		frForward
-		frDup
-		frDrop
-	)
-	fate := frDrop
-	var hp hop
-	switch {
-	case herr != nil:
-		v.count("fwd/drop/header", &v.ctr.dropHeader)
-	case h.Len < 0 || h.Len > v.mtu:
-		v.count("fwd/drop/len", &v.ctr.dropLen)
-	case h.LSeq == d.lastLSeq[prev]:
-		// The retransmit of a packet whose acknowledgment was lost:
-		// suppress the duplicate delivery, acknowledge again.
-		fate = frDup
-		v.count("fwd/rel/dup-suppressed", &v.ctr.dups)
-	case h.Dst == v.rank:
-		fate = frDeliver
-	default:
-		var ok bool
-		if hp, ok = v.next[h.Dst]; ok {
-			fate = frForward
-		} else {
-			v.count("fwd/drop/route", &v.ctr.dropRoute)
-		}
-	}
-	if herr == nil {
-		d.throttle(h.Len)
-	}
-
-	// Fixed framing: a reliable packet is always exactly one MTU on the
-	// wire, so every fate — even a damaged header — can drain it and
-	// keep the stream aligned.
-	var p *pipeline
-	var tok *token
-	dst := d.scratch
-	switch fate {
-	case frDeliver:
-		dst = make([]byte, v.mtu)
-	case frForward:
-		p = v.pipe(d.segIdx, hp.seg)
-		var ok bool
-		if tok, ok = p.free.Pop(); !ok {
-			// Pipeline closed mid-message: release the receive lease on
-			// the way out (see recvBestEffort).
-			_ = conn.EndUnpacking()
-			return false
-		}
-		a.Sync(tok.stamp)
-		dst = tok.buf
-	}
-	if err := conn.Unpack(dst[:v.mtu], core.SendCheaper, core.ReceiveCheaper); err != nil {
-		v.daemonIO(a, err)
-		return false
-	}
-	if err := conn.EndUnpacking(); err != nil {
-		v.daemonIO(a, err)
-		return false
-	}
-	if (fate == frDeliver || fate == frForward) && checksum(dst[:h.Len]) != h.CRC {
-		v.count("fwd/drop/crc", &v.ctr.dropCRC)
-		if tok != nil {
-			p.free.PushIfOpen(tok)
-		}
-		fate = frDrop
-	}
-
-	switch fate {
-	case frDeliver:
-		if !d.deliver(h, dst[:h.Len], false) {
-			return false
-		}
-		d.lastLSeq[prev] = h.LSeq
-	case frForward:
-		v.rec.RecordT(a.Name(), d.hdrAt, d.hdrAt+d.ch.Link(h.Len).ByteTime(h.Len), "r", h.Trace, h.Hop+1)
-		if !p.work.PushIfOpen(workItem{hdr: h, payload: tok.buf[:h.Len], tok: tok, stampIn: a.Now()}) {
-			return false
-		}
+	// Exactly one verdict per arrival, after the packet is truly taken (or
+	// refused): an acknowledged packet is never lost to a full pipeline or
+	// a closing stream.
+	if what == fateDeliver || what == fateForward {
 		d.lastLSeq[prev] = h.LSeq
 	}
-	// Exactly one verdict per arrival, after the packet is truly taken
-	// (or refused): an acknowledged packet is never lost to a full
-	// pipeline or a closing stream.
 	vAt := a.Now()
-	v.sendVerdict(a, d.segIdx, prev, fate != frDrop)
-	if fate == frDrop && herr == nil && h.Trace != 0 {
+	v.sendVerdict(a, d.segIdx, prev, what != fateDrop)
+	if what == fateDrop && herr == nil && h.Trace != 0 {
 		// A NACK interrupts a traced message's journey: tag the verdict
 		// send so the merged export shows where the loss was paid.
 		v.rec.RecordT(a.Name(), vAt, a.Now(), "n:nack", h.Trace, h.Hop+1)
@@ -361,7 +320,7 @@ func (d *daemonState) deliver(h header, payload []byte, corrupt bool) bool {
 	v := d.v
 	if h.Flags&flagFirst != 0 {
 		if !v.msgStart.PushIfOpen(h.Origin) {
-			v.count("fwd/drop/closed", &v.ctr.dropClosed)
+			v.ctr.dropClosed.Add(1)
 			return false
 		}
 	}
@@ -374,7 +333,7 @@ func (d *daemonState) deliver(h header, payload []byte, corrupt bool) bool {
 		trace:   h.Trace,
 		hop:     h.Hop + 1, // delivery hop: sorts after every relay
 	}) {
-		v.count("fwd/drop/closed", &v.ctr.dropClosed)
+		v.ctr.dropClosed.Add(1)
 		return false
 	}
 	return true

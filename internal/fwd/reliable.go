@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"madeleine2/internal/core"
-	"madeleine2/internal/metrics"
 	"madeleine2/internal/simnet"
 	"madeleine2/internal/vclock"
 )
@@ -173,30 +172,25 @@ func (s *RelStats) Add(o RelStats) {
 	s.DeliveredCorrupt += o.DeliveredCorrupt
 }
 
-// count bumps a local counter and mirrors it into the session metrics
-// registry, so the reliability events surface in the fwd/* namespace of
-// every exposition path (Observer.Report, the HTTP endpoint, madtop)
-// without bespoke printing. The handle map is read-only after New; a
-// missing name resolves to a nil counter, itself a valid no-op sink.
-func (v *VC) count(name string, c *atomic.Int64) {
-	c.Add(1)
-	v.met[name].Add(1)
-}
-
-// relMetrics resolves the virtual channel's fixed counter names against
-// the session registry once, so the hot paths pay one atomic add and no
-// map lock per event.
-func relMetrics(reg *metrics.Registry) map[string]*metrics.Counter {
-	m := make(map[string]*metrics.Counter)
-	for _, name := range []string{
-		"fwd/rel/packet", "fwd/rel/retransmit", "fwd/rel/ack", "fwd/rel/nack",
-		"fwd/rel/ctl-damaged", "fwd/rel/backoff", "fwd/rel/dup-suppressed",
-		"fwd/drop/header", "fwd/drop/len", "fwd/drop/crc", "fwd/drop/route",
-		"fwd/drop/closed", "fwd/relayed-corrupt", "fwd/delivered-corrupt",
-	} {
-		m[name] = reg.Counter(name)
-	}
-	return m
+// collect publishes the handle's counters in the fwd/* namespace of the
+// session registry. relCounters is their only home: events cost one
+// atomic add, and the registry pulls the values at snapshot time, where
+// same-name emissions of a channel's handles sum to cluster totals.
+func (c *relCounters) collect(emit func(name string, v int64)) {
+	emit("fwd/rel/packet", c.packets.Load())
+	emit("fwd/rel/retransmit", c.retransmits.Load())
+	emit("fwd/rel/ack", c.acks.Load())
+	emit("fwd/rel/nack", c.nacks.Load())
+	emit("fwd/rel/ctl-damaged", c.ctlDamaged.Load())
+	emit("fwd/rel/backoff", c.backoffs.Load())
+	emit("fwd/rel/dup-suppressed", c.dups.Load())
+	emit("fwd/drop/header", c.dropHeader.Load())
+	emit("fwd/drop/len", c.dropLen.Load())
+	emit("fwd/drop/crc", c.dropCRC.Load())
+	emit("fwd/drop/route", c.dropRoute.Load())
+	emit("fwd/drop/closed", c.dropClosed.Load())
+	emit("fwd/relayed-corrupt", c.relayedCorrupt.Load())
+	emit("fwd/delivered-corrupt", c.deliveredCorrupt.Load())
 }
 
 // Err reports the VC handle's fatal error: non-nil once retries have been
@@ -264,9 +258,9 @@ func (v *VC) sendReliable(seg int, a *vclock.Actor, next int, h header, payload 
 			return err
 		}
 		if attempt == 0 {
-			v.count("fwd/rel/packet", &v.ctr.packets)
+			v.ctr.packets.Add(1)
 		} else {
-			v.count("fwd/rel/retransmit", &v.ctr.retransmits)
+			v.ctr.retransmits.Add(1)
 			// Retransmissions carry the originating trace ID, so a merged
 			// export shows which message's journey paid the loss.
 			v.rec.RecordT(a.Name(), txAt, a.Now(), "t:retransmit", h.Trace, h.Hop)
@@ -277,13 +271,13 @@ func (v *VC) sendReliable(seg int, a *vclock.Actor, next int, h header, payload 
 		}
 		a.Sync(vd.stamp)
 		if vd.ok {
-			v.count("fwd/rel/ack", &v.ctr.acks)
+			v.ctr.acks.Add(1)
 			return nil
 		}
 		if vd.damaged {
-			v.count("fwd/rel/ctl-damaged", &v.ctr.ctlDamaged)
+			v.ctr.ctlDamaged.Add(1)
 		} else {
-			v.count("fwd/rel/nack", &v.ctr.nacks)
+			v.ctr.nacks.Add(1)
 		}
 		if attempt >= v.spec.MaxRetries {
 			err := fmt.Errorf("fwd: %s: packet for %d via %d (link seq %d) unacknowledged after %d retransmits",
@@ -294,7 +288,7 @@ func (v *VC) sendReliable(seg int, a *vclock.Actor, next int, h header, payload 
 		bt := a.Now()
 		a.Advance(backoff)
 		v.rec.RecordT(a.Name(), bt, a.Now(), "b:backoff", h.Trace, h.Hop)
-		v.count("fwd/rel/backoff", &v.ctr.backoffs)
+		v.ctr.backoffs.Add(1)
 		backoff *= 2
 	}
 }

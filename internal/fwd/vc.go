@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"madeleine2/internal/core"
-	"madeleine2/internal/metrics"
 	"madeleine2/internal/model"
 	"madeleine2/internal/simnet"
 	"madeleine2/internal/trace"
@@ -107,9 +106,8 @@ type VC struct {
 	streams  map[int]*stream
 	pipes    map[[2]int]*pipeline
 
-	rel *relState // reliable mode only
-	ctr relCounters
-	met map[string]*metrics.Counter // session-registry mirrors, read-only after New
+	rel *relState   // reliable mode only
+	ctr relCounters // published as fwd/* by a registry collector
 
 	// Distributed tracing: every message gets a cluster-wide trace ID of
 	// traceBase (a hash of the channel name and rank, never zero in the
@@ -195,7 +193,6 @@ func New(sess *core.Session, spec Spec) (map[int]*VC, error) {
 			spec:     spec,
 			sess:     sess,
 			rec:      rec,
-			met:      relMetrics(sess.Metrics()),
 			chans:    make(map[int]*core.Channel),
 			ctls:     make(map[int]*core.Channel),
 			next:     routes[r],
@@ -222,6 +219,7 @@ func New(sess *core.Session, spec Spec) (map[int]*VC, error) {
 				}
 			}
 		}
+		sess.Metrics().RegisterCollector(v.ctr.collect)
 		vcs[r] = v
 	}
 	// Daemons start after every handle exists: a gateway daemon may touch

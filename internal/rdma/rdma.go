@@ -259,6 +259,12 @@ func (e *EP) WaitSend(a *vclock.Actor) (Completion, bool) {
 	return c, true
 }
 
+// PollSend is the non-blocking WaitSend that moves no clock: it removes
+// the oldest pending initiator-side completion, if there is one. Every
+// Write queues a completion, so an initiator that never waits on its
+// writes polls after each of them to keep the queue empty.
+func (e *EP) PollSend() (Completion, bool) { return e.cq.TryPop() }
+
 // Read RDMA-reads len(dst) bytes from the remote region at off. The
 // initiator blocks for the full round trip: a control-frame request out,
 // then the data streaming back through the transmit engine of the

@@ -71,9 +71,24 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 		var zero T
 		return zero, false
 	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.take(), true
+}
+
+// take removes the head item; the caller holds q.mu and has checked the
+// queue is not empty. Taking the only item keeps the backing array where
+// reslicing past it would give it up, so a producer and a consumer trading
+// one item at a time (a lease token, a completion reaped right after it
+// is posted) do not allocate per exchange.
+func (q *Queue[T]) take() T {
+	v := q.items[0]
+	var zero T
+	q.items[0] = zero // the backing array must not keep the item alive
+	if len(q.items) == 1 {
+		q.items = q.items[:0]
+	} else {
+		q.items = q.items[1:]
+	}
+	return v
 }
 
 // TryPop removes and returns the head item without blocking.
@@ -84,9 +99,7 @@ func (q *Queue[T]) TryPop() (v T, ok bool) {
 		var zero T
 		return zero, false
 	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.take(), true
 }
 
 // Len reports the number of queued items.
