@@ -272,41 +272,54 @@ func (b *statCopy) Unpack(a *vclock.Actor, dst []byte, rm RecvMode) error {
 }
 
 func (b *statCopy) Checkout(a *vclock.Actor) error {
-	for _, dst := range b.dsts {
-		for len(dst) > 0 {
-			if b.rcur == nil || b.roff == len(b.rcur) {
-				if b.rcur != nil {
-					if err := b.tm.ReleaseStaticBuffer(a, b.cs, b.rcur); err != nil {
-						return err
-					}
-					b.rcur = nil
-				}
-				buf, err := b.tm.ReceiveStaticBuffer(a, b.cs)
-				if err != nil {
-					return err
-				}
-				b.rcur, b.roff = buf, 0
-			}
-			take := len(b.rcur) - b.roff
-			if take > len(dst) {
-				take = len(dst)
-			}
-			copy(dst, b.rcur[b.roff:b.roff+take])
-			b.roff += take
-			dst = dst[take:]
+	for i, dst := range b.dsts {
+		if err := b.extract(a, dst); err != nil {
+			// Drop what was extracted, the failing destination included:
+			// the instance outlives the aborted message, and a destination
+			// left queued would be filled from the next message's stream.
+			b.dsts = b.dsts[:copy(b.dsts, b.dsts[i+1:])]
+			return err
 		}
-		a.Advance(model.MadUnpackCost)
 	}
 	b.dsts = b.dsts[:0]
 	// Release an exactly-exhausted buffer right away: symmetric sequences
 	// always end on a buffer boundary.
 	if b.rcur != nil && b.roff == len(b.rcur) {
-		if err := b.tm.ReleaseStaticBuffer(a, b.cs, b.rcur); err != nil {
-			return err
-		}
-		b.rcur = nil
+		return b.releaseCurrent(a)
 	}
 	return nil
+}
+
+// extract fills one destination from the incoming static buffers.
+func (b *statCopy) extract(a *vclock.Actor, dst []byte) error {
+	for len(dst) > 0 {
+		if b.rcur != nil && b.roff == len(b.rcur) {
+			if err := b.releaseCurrent(a); err != nil {
+				return err
+			}
+		}
+		if b.rcur == nil {
+			buf, err := b.tm.ReceiveStaticBuffer(a, b.cs)
+			if err != nil {
+				return err
+			}
+			b.rcur, b.roff = buf, 0
+		}
+		n := copy(dst, b.rcur[b.roff:])
+		b.roff += n
+		dst = dst[n:]
+	}
+	a.Advance(model.MadUnpackCost)
+	return nil
+}
+
+// releaseCurrent hands the incoming static buffer back to the TM. The
+// reference is dropped first: whether or not the release succeeds, the
+// buffer is the protocol's again and must not be read from.
+func (b *statCopy) releaseCurrent(a *vclock.Actor) error {
+	buf := b.rcur
+	b.rcur = nil
+	return b.tm.ReleaseStaticBuffer(a, b.cs, buf)
 }
 
 // Exported BMM constructors for externally registered protocol modules

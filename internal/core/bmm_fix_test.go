@@ -18,11 +18,12 @@ type fakeTM struct {
 	sends    [][]byte // every buffer handed to SendBuffer, in order
 	failSend int      // fail the Nth SendBuffer call (1-based; 0 = never)
 
-	recvs    [][]byte // canned incoming stream, one per ReceiveBuffer
-	failRecv int      // fail the Nth ReceiveBuffer call (1-based; 0 = never)
+	recvs    [][]byte // canned incoming stream, one per ReceiveBuffer / ReceiveStaticBuffer
+	failRecv int      // fail the Nth such call (1-based; 0 = never)
 
-	obtains  int // ObtainStaticBuffer call count
-	releases int
+	obtains     int      // ObtainStaticBuffer call count
+	released    [][]byte // every buffer handed to ReleaseStaticBuffer, in order
+	failRelease int      // fail the Nth ReleaseStaticBuffer call (1-based; 0 = never)
 }
 
 var errFakeWire = errors.New("fake wire failure")
@@ -82,7 +83,8 @@ func (f *fakeTM) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, er
 	if f.static == 0 {
 		return nil, ErrNoStatic
 	}
-	if len(f.recvs) == 0 {
+	f.failRecv--
+	if f.failRecv == 0 || len(f.recvs) == 0 {
 		return nil, errFakeWire
 	}
 	buf := f.recvs[0]
@@ -91,7 +93,10 @@ func (f *fakeTM) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, er
 }
 
 func (f *fakeTM) ReleaseStaticBuffer(a *vclock.Actor, cs *ConnState, buf []byte) error {
-	f.releases++
+	f.released = append(f.released, buf)
+	if len(f.released) == f.failRelease {
+		return errFakeWire
+	}
 	return nil
 }
 
@@ -161,6 +166,77 @@ func TestEagerCheckoutNoRefillAfterError(t *testing.T) {
 	if bytes.Equal(dsts[1], want[1]) {
 		t.Error("destination 1 should have been dropped by the failing call")
 	}
+}
+
+// TestStatCopyCheckoutNoRefillAfterError is the same regression for
+// eagerDyn's static sibling: after a mid-loop failure the instance — which
+// outlives the aborted message on the connection — must hold neither the
+// destinations it already filled nor an incoming buffer it already gave
+// back.
+func TestStatCopyCheckoutNoRefillAfterError(t *testing.T) {
+	a := vclock.NewActor("t")
+	want := [][]byte{pattern(8, 1), pattern(8, 2), pattern(8, 3)}
+	unpackAll := func(t *testing.T, b *statCopy, dsts [][]byte) {
+		t.Helper()
+		for _, d := range dsts {
+			if err := b.Unpack(a, d, ReceiveCheaper); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	t.Run("receive fails", func(t *testing.T) {
+		tm := &fakeTM{static: 8, recvs: [][]byte{want[0], want[1], want[2]}, failRecv: 2}
+		b := newStatCopy(tm, nil)
+		dsts := [][]byte{make([]byte, 8), make([]byte, 8), make([]byte, 8)}
+		unpackAll(t, b, dsts)
+		if err := b.Checkout(a); !errors.Is(err, errFakeWire) {
+			t.Fatalf("Checkout error = %v, want fake wire failure", err)
+		}
+		if !bytes.Equal(dsts[0], want[0]) {
+			t.Fatal("destination 0 was not filled before the failure")
+		}
+		// The retry pulls the next stream buffer into dst 2 only: dst 0
+		// keeps its fill and dst 1 went down with the failing call.
+		if err := b.Checkout(a); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dsts[0], want[0]) {
+			t.Error("destination 0 was overwritten by a post-error Checkout")
+		}
+		if !bytes.Equal(dsts[1], make([]byte, 8)) {
+			t.Error("destination 1 should have been dropped by the failing call")
+		}
+		if !bytes.Equal(dsts[2], want[1]) {
+			t.Errorf("destination 2 = %v, want the next stream buffer", dsts[2])
+		}
+	})
+
+	t.Run("release fails", func(t *testing.T) {
+		tm := &fakeTM{static: 8, recvs: [][]byte{want[0], want[1]}, failRelease: 1}
+		b := newStatCopy(tm, nil)
+		dsts := [][]byte{make([]byte, 8), make([]byte, 8)}
+		unpackAll(t, b, dsts)
+		if err := b.Checkout(a); !errors.Is(err, errFakeWire) {
+			t.Fatalf("Checkout error = %v, want fake wire failure", err)
+		}
+		// The next message must start from the stream, not from the buffer
+		// whose release failed, and must not release that buffer again.
+		next := make([]byte, 8)
+		unpackAll(t, b, [][]byte{next})
+		if err := b.Checkout(a); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(next, want[1]) {
+			t.Errorf("next message read %v, want the next stream buffer", next)
+		}
+		if !bytes.Equal(dsts[1], make([]byte, 8)) {
+			t.Error("the aborted message's destination was filled by the next message")
+		}
+		if len(tm.released) != 2 || &tm.released[0][0] == &tm.released[1][0] {
+			t.Errorf("released %d buffers, want each of the two exactly once", len(tm.released))
+		}
+	})
 }
 
 // TestStatCopyEmptyPackLeasesNothing is the statCopy.Pack satellite

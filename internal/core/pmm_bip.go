@@ -16,8 +16,8 @@ type bipPMM struct {
 	iface   *bip.Interface
 	dataTag int
 	ctrlTag int
-	short   *bipShortTM
-	long    *bipLongTM
+	short   TM
+	long    TM
 }
 
 // bipShortTMCost is the short TM's per-buffer library cost (credit
@@ -26,18 +26,14 @@ type bipPMM struct {
 // delta of §5.2.2.
 var bipShortTMCost = vclock.Micros(0.5)
 
-// creditBatch is how many consumed buffers the receiver accumulates before
-// returning credits.
-const creditBatch = bip.ShortBufs / 2
-
 func newBIPPMM(node *simnet.Node, adapter, chanID int) (PMM, error) {
 	iface, err := bip.Attach(node, adapter)
 	if err != nil {
 		return nil, err
 	}
 	p := &bipPMM{iface: iface, dataTag: chanID * 2, ctrlTag: chanID*2 + 1}
-	p.short = &bipShortTM{p: p}
-	p.long = &bipLongTM{p: p}
+	p.short = NewStaticTM(&bipShort{p})
+	p.long = NewDynamicTM(&bipLong{p})
 	return p, nil
 }
 
@@ -52,86 +48,51 @@ func (p *bipPMM) Select(n int, sm SendMode, rm RecvMode) TM {
 	return p.long
 }
 
-func (p *bipPMM) Link(n int) model.Link {
-	if n < bip.ShortMax {
-		l := model.BIPShort
-		l.Fixed += bipShortTMCost
-		return l
-	}
-	l := model.BIPLong
-	l.Fixed += 2 * model.BIPControl.Time(0) // the rendezvous round-trip
-	return l
-}
+func (p *bipPMM) Link(n int) model.Link { return p.Select(n, SendCheaper, ReceiveCheaper).Link(n) }
 
-// bipConn is the per-connection BIP state, partitioned by direction:
-// credits belongs to the send path (send lease), consumed to the receive
-// path (receive lease).
-type bipConn struct {
-	credits  int // short-send credits toward the peer (send lease)
-	consumed int // short buffers consumed since the last credit return (receive lease)
-}
-
+// The per-connection state is the short TM's credit window over the
+// peer's preallocated short buffers.
 func (p *bipPMM) PreConnect(cs *ConnState) error {
-	cs.Priv = &bipConn{credits: bip.ShortBufs}
+	cs.Priv = newCreditWindow(bip.ShortBufs)
 	return nil
 }
 
 func (p *bipPMM) Connect(cs *ConnState) error { return nil }
 
-func bipState(cs *ConnState) *bipConn { return cs.Priv.(*bipConn) }
+func bipWindow(cs *ConnState) *creditWindow { return cs.Priv.(*creditWindow) }
 
 // --- short-message TM ---
 
-type bipShortTM struct{ p *bipPMM }
+type bipShort struct{ p *bipPMM }
 
-func (t *bipShortTM) Name() string { return "bip-short" }
+func (t *bipShort) Name() string { return "bip-short" }
 
-func (t *bipShortTM) Link(n int) model.Link {
+func (t *bipShort) Link(n int) model.Link {
 	l := model.BIPShort
 	l.Fixed += bipShortTMCost
 	return l
 }
 
-func (t *bipShortTM) NewBMM(cs *ConnState) BMM { return newStatCopy(t, cs) }
+func (t *bipShort) StaticSize() int { return bip.ShortMax - 1 }
 
-func (t *bipShortTM) StaticSize() int { return bip.ShortMax - 1 }
-
-func (t *bipShortTM) ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
+func (t *bipShort) ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
 	return make([]byte, t.StaticSize()), nil
 }
 
-func (t *bipShortTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
-	st := bipState(cs)
-	// Credit flow control: block for returned credits when exhausted, so
-	// the receiver's preallocated ring can never overrun (§5.2.2).
-	for st.credits == 0 {
-		msg, err := t.p.iface.TRecvShort(a, cs.Remote(), t.p.ctrlTag)
-		if err != nil {
-			return err
-		}
-		st.credits += int(msg[0])
+func (t *bipShort) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
+	// The credit window keeps the receiver's preallocated ring from ever
+	// overrunning (§5.2.2).
+	if err := bipWindow(cs).acquire(a, cs, t); err != nil {
+		return err
 	}
 	if err := cs.Announce(); err != nil {
 		return err
 	}
 	a.Advance(bipShortTMCost)
-	if err := t.p.iface.TSendShort(a, cs.Remote(), t.p.dataTag, data); err != nil {
-		return err
-	}
-	st.credits--
-	return nil
+	return t.p.iface.TSendShort(a, cs.Remote(), t.p.dataTag, data)
 }
 
-func (t *bipShortTM) SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]byte) error {
-	for _, g := range group {
-		if err := t.SendBuffer(a, cs, g); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *bipShortTM) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
+func (t *bipShort) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
 	buf, err := t.p.iface.TRecvShort(a, cs.Remote(), t.p.dataTag)
 	if err != nil {
 		return nil, err
@@ -140,59 +101,43 @@ func (t *bipShortTM) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte
 	return buf, nil
 }
 
-func (t *bipShortTM) ReleaseStaticBuffer(a *vclock.Actor, cs *ConnState, buf []byte) error {
-	st := bipState(cs)
-	st.consumed++
-	if st.consumed >= creditBatch {
-		if err := t.p.iface.TSendShort(a, cs.Remote(), t.p.ctrlTag, []byte{byte(st.consumed)}); err != nil {
-			return err
-		}
-		st.consumed = 0
+func (t *bipShort) ReleaseStaticBuffer(a *vclock.Actor, cs *ConnState, buf []byte) error {
+	return bipWindow(cs).release(a, cs, t)
+}
+
+// A grant is a 1-byte short message on the control tag.
+func (t *bipShort) awaitGrant(a *vclock.Actor, cs *ConnState) (int, error) {
+	msg, err := t.p.iface.TRecvShort(a, cs.Remote(), t.p.ctrlTag)
+	if err != nil {
+		return 0, err
 	}
-	return nil
+	return int(msg[0]), nil
 }
 
-func (t *bipShortTM) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) error {
-	return ErrNoStatic // the static-copy BMM owns this TM's receive path
-}
-
-func (t *bipShortTM) ReceiveSubBufferGroup(a *vclock.Actor, cs *ConnState, dsts [][]byte) error {
-	return ErrNoStatic
+func (t *bipShort) returnCredits(a *vclock.Actor, cs *ConnState, n int) error {
+	return t.p.iface.TSendShort(a, cs.Remote(), t.p.ctrlTag, []byte{byte(n)})
 }
 
 // --- long-message TM ---
 
-type bipLongTM struct{ p *bipPMM }
+type bipLong struct{ p *bipPMM }
 
-func (t *bipLongTM) Name() string { return "bip-long" }
+func (t *bipLong) Name() string { return "bip-long" }
 
-func (t *bipLongTM) Link(n int) model.Link {
+func (t *bipLong) Link(n int) model.Link {
 	l := model.BIPLong
-	l.Fixed += 2 * model.BIPControl.Time(0)
+	l.Fixed += 2 * model.BIPControl.Time(0) // the rendezvous round-trip
 	return l
 }
 
-func (t *bipLongTM) NewBMM(cs *ConnState) BMM { return newEagerDyn(t, cs) }
-
-func (t *bipLongTM) StaticSize() int { return 0 }
-
-func (t *bipLongTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
+func (t *bipLong) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
 	if err := cs.Announce(); err != nil {
 		return err
 	}
 	return t.p.iface.TSendLong(a, cs.Remote(), t.p.dataTag, data)
 }
 
-func (t *bipLongTM) SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]byte) error {
-	for _, g := range group {
-		if err := t.SendBuffer(a, cs, g); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *bipLongTM) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) error {
+func (t *bipLong) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) error {
 	n, err := t.p.iface.TRecvLong(a, cs.Remote(), t.p.dataTag, dst)
 	if err != nil {
 		return err
@@ -201,25 +146,4 @@ func (t *bipLongTM) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) er
 		return asymmetryError(fmt.Sprintf("bip long block on %s", cs.ch.name), n, len(dst))
 	}
 	return nil
-}
-
-func (t *bipLongTM) ReceiveSubBufferGroup(a *vclock.Actor, cs *ConnState, dsts [][]byte) error {
-	for _, d := range dsts {
-		if err := t.ReceiveBuffer(a, cs, d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *bipLongTM) ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
-	return nil, ErrNoStatic
-}
-
-func (t *bipLongTM) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
-	return nil, ErrNoStatic
-}
-
-func (t *bipLongTM) ReleaseStaticBuffer(a *vclock.Actor, cs *ConnState, buf []byte) error {
-	return ErrNoStatic
 }

@@ -91,8 +91,8 @@ type railPMM struct {
 	rails  []railSub
 	stripe int
 
-	stripeTM  *railStripeTM
-	expressTM *railExpressTM
+	stripeTM  TM
+	expressTM TM
 }
 
 // newRailPMM instantiates the rails of a channel on one node. Each rail
@@ -107,8 +107,8 @@ func newRailPMM(node *simnet.Node, rails []RailSpec, firstID, stripe int) (PMM, 
 		}
 		p.rails = append(p.rails, railSub{driver: r.Driver, pmm: sub})
 	}
-	p.stripeTM = &railStripeTM{p: p}
-	p.expressTM = &railExpressTM{p: p}
+	p.stripeTM = NewDynamicTM(&railStripe{p})
+	p.expressTM = NewDynamicTM(&railExpress{p})
 	return p, nil
 }
 
@@ -186,7 +186,7 @@ func (p *railPMM) PreConnect(cs *ConnState) error {
 		// on the top-level connection, and the sub-TMs' own Announce
 		// calls must not reach the peer's incoming queue again.
 		sub.sendMsg = &msgState{announced: true}
-		if err := r.pmm.(preconnector).PreConnect(sub); err != nil {
+		if err := r.pmm.PreConnect(sub); err != nil {
 			return fmt.Errorf("rail %d: %w", i, err)
 		}
 		rc.subs[i] = sub
@@ -332,11 +332,29 @@ func scatterFrom(src []byte, dsts [][]byte, off int) {
 	}
 }
 
-// stripeSend stripes the logical concatenation of group across the rails:
-// chunk k covers bytes [k·stripe, min((k+1)·stripe, total)) and rides
-// rail k mod nrails; every rail's chunks go out in order on a forked
+// railStripe is the striping transmission module: its own group bodies
+// select the aggregating BMM and fan each group out across the rails. It
+// holds no core.TM-typed field (the raw sub-TMs are resolved per frame
+// through the rail PMMs), so module identity stays with the sub-TMs.
+type railStripe struct{ p *railPMM }
+
+func (t *railStripe) Name() string          { return "rail-stripe" }
+func (t *railStripe) Link(n int) model.Link { return t.p.Link(n) }
+
+func (t *railStripe) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
+	return t.SendBufferGroup(a, cs, [][]byte{data})
+}
+
+func (t *railStripe) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) error {
+	return t.ReceiveSubBufferGroup(a, cs, [][]byte{dst})
+}
+
+// SendBufferGroup stripes the logical concatenation of group across the
+// rails: chunk k covers bytes [k·stripe, min((k+1)·stripe, total)) and
+// rides rail k mod nrails; every rail's chunks go out in order on a forked
 // clock, and the operation returns at the latest rail's completion.
-func (p *railPMM) stripeSend(a *vclock.Actor, cs *ConnState, group [][]byte) error {
+func (t *railStripe) SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]byte) error {
+	p := t.p
 	total := 0
 	for _, g := range group {
 		total += len(g)
@@ -370,12 +388,12 @@ func (p *railPMM) stripeSend(a *vclock.Actor, cs *ConnState, group [][]byte) err
 	})
 }
 
-// stripeRecv reassembles a striped operation: the chunk layout is
-// recomputed from the (symmetric) total length, each rail's frames are
-// drained in order on a forked clock, and payloads land at their
-// layout offsets. Headers are verified, not trusted — see the file
-// comment.
-func (p *railPMM) stripeRecv(a *vclock.Actor, cs *ConnState, dsts [][]byte) error {
+// ReceiveSubBufferGroup reassembles a striped operation: the chunk layout
+// is recomputed from the (symmetric) total length, each rail's frames are
+// drained in order on a forked clock, and payloads land at their layout
+// offsets. Headers are verified, not trusted — see the file comment.
+func (t *railStripe) ReceiveSubBufferGroup(a *vclock.Actor, cs *ConnState, dsts [][]byte) error {
+	p := t.p
 	total := 0
 	for _, d := range dsts {
 		total += len(d)
@@ -413,60 +431,18 @@ func (p *railPMM) stripeRecv(a *vclock.Actor, cs *ConnState, dsts [][]byte) erro
 	})
 }
 
-// railStripeTM is the ISSUE's railGroup transmission module: its buffer
-// policy aggregates blocks into groups and SendBufferGroup fans the
-// group out across the rails. It holds no core.TM-typed field (the raw
-// sub-TMs are resolved per frame through the rail PMMs), so module
-// identity stays with the sub-TMs.
-type railStripeTM struct{ p *railPMM }
-
-func (t *railStripeTM) Name() string             { return "rail-stripe" }
-func (t *railStripeTM) Link(n int) model.Link    { return t.p.Link(n) }
-func (t *railStripeTM) NewBMM(cs *ConnState) BMM { return newAggrDyn(t, cs) }
-func (t *railStripeTM) StaticSize() int          { return 0 }
-
-func (t *railStripeTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
-	return t.p.stripeSend(a, cs, [][]byte{data})
-}
-
-func (t *railStripeTM) SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]byte) error {
-	return t.p.stripeSend(a, cs, group)
-}
-
-func (t *railStripeTM) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) error {
-	return t.p.stripeRecv(a, cs, [][]byte{dst})
-}
-
-func (t *railStripeTM) ReceiveSubBufferGroup(a *vclock.Actor, cs *ConnState, dsts [][]byte) error {
-	return t.p.stripeRecv(a, cs, dsts)
-}
-
-func (t *railStripeTM) ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
-	return nil, ErrNoStatic
-}
-
-func (t *railStripeTM) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
-	return nil, ErrNoStatic
-}
-
-func (t *railStripeTM) ReleaseStaticBuffer(a *vclock.Actor, cs *ConnState, buf []byte) error {
-	return ErrNoStatic
-}
-
-// railExpressTM carries small and EXPRESS blocks whole on the
+// railExpress carries small and EXPRESS blocks whole on the
 // lowest-latency rail, headerless: a multi-rail channel's express
 // latency is exactly its best single rail's.
-type railExpressTM struct{ p *railPMM }
+type railExpress struct{ p *railPMM }
 
-func (t *railExpressTM) Name() string             { return "rail-express" }
-func (t *railExpressTM) NewBMM(cs *ConnState) BMM { return newEagerDyn(t, cs) }
-func (t *railExpressTM) StaticSize() int          { return 0 }
+func (t *railExpress) Name() string { return "rail-express" }
 
-func (t *railExpressTM) Link(n int) model.Link {
+func (t *railExpress) Link(n int) model.Link {
 	return t.p.rails[t.p.expressRail(n)].pmm.Link(n)
 }
 
-func (t *railExpressTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
+func (t *railExpress) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
 	if err := cs.Announce(); err != nil {
 		return err
 	}
@@ -486,16 +462,7 @@ func (t *railExpressTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) 
 	return nil
 }
 
-func (t *railExpressTM) SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]byte) error {
-	for _, g := range group {
-		if err := t.SendBuffer(a, cs, g); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *railExpressTM) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) error {
+func (t *railExpress) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) error {
 	if len(dst) == 0 {
 		return nil
 	}
@@ -508,25 +475,4 @@ func (t *railExpressTM) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte
 	}
 	t.p.railSpan(cs, a, t0, ri, false, tm.Name())
 	return nil
-}
-
-func (t *railExpressTM) ReceiveSubBufferGroup(a *vclock.Actor, cs *ConnState, dsts [][]byte) error {
-	for _, d := range dsts {
-		if err := t.ReceiveBuffer(a, cs, d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *railExpressTM) ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
-	return nil, ErrNoStatic
-}
-
-func (t *railExpressTM) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
-	return nil, ErrNoStatic
-}
-
-func (t *railExpressTM) ReleaseStaticBuffer(a *vclock.Actor, cs *ConnState, buf []byte) error {
-	return ErrNoStatic
 }

@@ -51,12 +51,11 @@ type rdmaPMM struct {
 	hca    *rdma.HCA
 	chanID int
 	force  string // "", "eager" or "rdv": pin Select to one TM
-	eager  *rdmaEagerTM
-	rdv    *rdmaRdvTM
+	eager  TM
+	rdv    TM
 }
 
 const (
-	rdmaCreditBatch = model.RDMAEagerSlots / 2
 	rdmaCtrlSlots   = 32 // frames per control ring
 	rdmaFrameSize   = 64 // RTS/CTS/FIN wire size (strike-eligible)
 	rdmaVerdictSize = 16 // verdict/credit wire size (below the fault floor)
@@ -87,8 +86,8 @@ func newRDMAPMM(node *simnet.Node, adapter, chanID int, force string) (PMM, erro
 		return nil, err
 	}
 	p := &rdmaPMM{hca: hca, chanID: chanID, force: force}
-	p.eager = &rdmaEagerTM{p: p}
-	p.rdv = &rdmaRdvTM{p: p}
+	p.eager = NewStaticTM(&rdmaEager{p})
+	p.rdv = NewDynamicTM(&rdmaRdv{p})
 	return p, nil
 }
 
@@ -117,14 +116,7 @@ func (p *rdmaPMM) Select(n int, sm SendMode, rm RecvMode) TM {
 	return p.rdv
 }
 
-func (p *rdmaPMM) Link(n int) model.Link {
-	if n <= model.RDMACrossover && p.force != "rdv" {
-		return model.RDMAWrite
-	}
-	l := model.RDMAWrite
-	l.Fixed += 2 * model.RDMACtrl.Fixed // the RTS/CTS legs
-	return l
-}
+func (p *rdmaPMM) Link(n int) model.Link { return p.Select(n, SendCheaper, ReceiveCheaper).Link(n) }
 
 // rdmaKey is the deterministic key schedule: both ends of a connection
 // derive the same key for each ring, so control frames never need to
@@ -180,19 +172,20 @@ type rdmaConn struct {
 	// send path
 	sendBufs [][]byte // pre-registered bounce buffers
 	sendNext int
-	credits  int    // eager slots available at the peer
 	eagerSeq uint32 // next eager slot sequence
 	ctrlNext int    // next slot in the peer's ctrl ring
 	rdvSend  uint32 // next rendezvous sequence (outbound)
 
 	// receive path
-	consumed int    // eager slots consumed since the last credit return
 	respNext int    // next slot in the peer's resp ring
 	rdvRecv  uint32 // next rendezvous sequence (inbound)
+
+	// The credit window over the peer's eager ring, split the same way.
+	slots *creditWindow
 }
 
 func (p *rdmaPMM) PreConnect(cs *ConnState) error {
-	st := &rdmaConn{credits: model.RDMAEagerSlots}
+	st := &rdmaConn{slots: newCreditWindow(model.RDMAEagerSlots)}
 	l, r := cs.Local(), cs.Remote()
 	out, in := p.connKeys(cs)
 	// Outbound data targets the peer's inbound rings (keyed, like this
@@ -282,7 +275,8 @@ func countObs(cs *ConnState, name string) {
 }
 
 // waitResp consumes the send path's answer ring until a frame of the
-// wanted kind arrives, applying credit frames along the way. For the
+// wanted kind arrives and returns its value; credit grants that overtake
+// a CTS or verdict go to the window on the way. For the
 // 64-byte CTS a damaged frame is interpreted by position (its content is
 // recomputable; see the module comment) and reported with valid=false;
 // for 16-byte verdicts — reliable by contract — damage is a hard error.
@@ -302,7 +296,7 @@ func (p *rdmaPMM) waitResp(a *vclock.Actor, cs *ConnState, want byte, wantSeq ui
 			return 0, false, fmt.Errorf("core: rdma verdict frame damaged on %s (fault plan below the 16-byte control floor?)", cs.ch.name)
 		}
 		if kind == rdmaCredit && want != rdmaCredit {
-			st.credits += int(v)
+			st.slots.grant(int(v))
 			continue
 		}
 		if kind == rdmaNACK && want == rdmaACK {
@@ -311,9 +305,6 @@ func (p *rdmaPMM) waitResp(a *vclock.Actor, cs *ConnState, want byte, wantSeq ui
 		if kind != want || (want != rdmaCredit && seq != wantSeq) {
 			return 0, false, fmt.Errorf("core: rdma protocol desync on %s: frame kind %d seq %d (want %d/%d)",
 				cs.ch.name, kind, seq, want, wantSeq)
-		}
-		if kind == rdmaCredit {
-			st.credits += int(v)
 		}
 		return v, true, nil
 	}
@@ -346,33 +337,30 @@ func (p *rdmaPMM) waitCtrl(a *vclock.Actor, cs *ConnState, want byte, wantSeq ui
 
 // --- eager TM ---
 
-// rdmaEagerTM is the RDMA-write eager protocol: the static-copy BMM
+// rdmaEager is the RDMA-write eager protocol: the static-copy BMM
 // stages user data into bounce buffers and each slot is one one-sided
 // write into the peer's eager ring. The bounce copies — free at the BMM
 // layer, where static buffers model protocol-owned memory — are charged
 // here at host memcpy rate on both ends: they are precisely the cost
 // rendezvous exists to avoid, and the crossover the Switch implements
 // emerges from them.
-type rdmaEagerTM struct{ p *rdmaPMM }
+type rdmaEager struct{ p *rdmaPMM }
 
-func (t *rdmaEagerTM) Name() string             { return "rdma-eager" }
-func (t *rdmaEagerTM) Link(n int) model.Link    { return model.RDMAWrite }
-func (t *rdmaEagerTM) NewBMM(cs *ConnState) BMM { return newStatCopy(t, cs) }
-func (t *rdmaEagerTM) StaticSize() int          { return model.RDMAEagerMax }
+func (t *rdmaEager) Name() string          { return "rdma-eager" }
+func (t *rdmaEager) Link(n int) model.Link { return model.RDMAWrite }
+func (t *rdmaEager) StaticSize() int       { return model.RDMAEagerMax }
 
-func (t *rdmaEagerTM) ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
+func (t *rdmaEager) ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
 	st := rdmaState(cs)
 	buf := st.sendBufs[st.sendNext%len(st.sendBufs)]
 	st.sendNext++
 	return buf, nil
 }
 
-func (t *rdmaEagerTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
+func (t *rdmaEager) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
 	st := rdmaState(cs)
-	for st.credits == 0 {
-		if _, _, err := t.p.waitResp(a, cs, rdmaCredit, 0); err != nil {
-			return err
-		}
+	if err := st.slots.acquire(a, cs, t); err != nil {
+		return err
 	}
 	if err := cs.Announce(); err != nil {
 		return err
@@ -382,23 +370,10 @@ func (t *rdmaEagerTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) er
 	seq := st.eagerSeq
 	st.eagerSeq++
 	off := int(seq%model.RDMAEagerSlots) * model.RDMAEagerMax
-	if err := st.write(a, st.peerEager, off, data, uint64(seq), model.RDMAWrite); err != nil {
-		return err
-	}
-	st.credits--
-	return nil
+	return st.write(a, st.peerEager, off, data, uint64(seq), model.RDMAWrite)
 }
 
-func (t *rdmaEagerTM) SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]byte) error {
-	for _, g := range group {
-		if err := t.SendBuffer(a, cs, g); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *rdmaEagerTM) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
+func (t *rdmaEager) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
 	st := rdmaState(cs)
 	c, err := st.eagerIn.WaitWrite(a)
 	if err != nil {
@@ -409,49 +384,44 @@ func (t *rdmaEagerTM) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byt
 	return st.eagerIn.Bytes()[c.Off : c.Off+c.Len], nil
 }
 
-func (t *rdmaEagerTM) ReleaseStaticBuffer(a *vclock.Actor, cs *ConnState, buf []byte) error {
+func (t *rdmaEager) ReleaseStaticBuffer(a *vclock.Actor, cs *ConnState, buf []byte) error {
+	return rdmaState(cs).slots.release(a, cs, t)
+}
+
+// A grant is a 16-byte credit frame in the send path's answer ring.
+func (t *rdmaEager) awaitGrant(a *vclock.Actor, cs *ConnState) (int, error) {
+	n, _, err := t.p.waitResp(a, cs, rdmaCredit, 0)
+	return int(n), err
+}
+
+func (t *rdmaEager) returnCredits(a *vclock.Actor, cs *ConnState, n int) error {
 	st := rdmaState(cs)
-	st.consumed++
-	if st.consumed >= rdmaCreditBatch {
-		if err := t.p.writeFrame(a, st, st.peerResp, st.respNext, rdmaCredit, 0, uint32(st.consumed), rdmaVerdictSize); err != nil {
-			return err
-		}
-		st.respNext++
-		st.consumed = 0
+	if err := t.p.writeFrame(a, st, st.peerResp, st.respNext, rdmaCredit, 0, uint32(n), rdmaVerdictSize); err != nil {
+		return err
 	}
+	st.respNext++
 	return nil
-}
-
-func (t *rdmaEagerTM) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) error {
-	return ErrNoStatic
-}
-
-func (t *rdmaEagerTM) ReceiveSubBufferGroup(a *vclock.Actor, cs *ConnState, dsts [][]byte) error {
-	return ErrNoStatic
 }
 
 // --- rendezvous TM ---
 
-// rdmaRdvTM is the zero-copy rendezvous: RTS announces the block, the
+// rdmaRdv is the zero-copy rendezvous: RTS announces the block, the
 // receiver registers the actual destination buffer under the schedule's
 // per-direction key and answers CTS, and the payload travels as one
 // RDMA write straight into application memory — the only per-byte costs
 // are the wire and the receiver's page-granular registration. FIN/ACK
 // close the block; a checksum mismatch NACKs and retransmits.
-type rdmaRdvTM struct{ p *rdmaPMM }
+type rdmaRdv struct{ p *rdmaPMM }
 
-func (t *rdmaRdvTM) Name() string { return "rdma-rdv" }
+func (t *rdmaRdv) Name() string { return "rdma-rdv" }
 
-func (t *rdmaRdvTM) Link(n int) model.Link {
+func (t *rdmaRdv) Link(n int) model.Link {
 	l := model.RDMAWrite
-	l.Fixed += 2 * model.RDMACtrl.Fixed
+	l.Fixed += 2 * model.RDMACtrl.Fixed // the RTS/CTS legs
 	return l
 }
 
-func (t *rdmaRdvTM) NewBMM(cs *ConnState) BMM { return newEagerDyn(t, cs) }
-func (t *rdmaRdvTM) StaticSize() int          { return 0 }
-
-func (t *rdmaRdvTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
+func (t *rdmaRdv) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
 	st := rdmaState(cs)
 	if err := cs.Announce(); err != nil {
 		return err
@@ -489,16 +459,7 @@ func (t *rdmaRdvTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) erro
 	}
 }
 
-func (t *rdmaRdvTM) SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]byte) error {
-	for _, g := range group {
-		if err := t.SendBuffer(a, cs, g); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *rdmaRdvTM) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) error {
+func (t *rdmaRdv) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) error {
 	st := rdmaState(cs)
 	seq := st.rdvRecv
 	st.rdvRecv++
@@ -549,25 +510,4 @@ func (t *rdmaRdvTM) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) er
 		}
 		st.respNext++
 	}
-}
-
-func (t *rdmaRdvTM) ReceiveSubBufferGroup(a *vclock.Actor, cs *ConnState, dsts [][]byte) error {
-	for _, d := range dsts {
-		if err := t.ReceiveBuffer(a, cs, d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *rdmaRdvTM) ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
-	return nil, ErrNoStatic
-}
-
-func (t *rdmaRdvTM) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
-	return nil, ErrNoStatic
-}
-
-func (t *rdmaRdvTM) ReleaseStaticBuffer(a *vclock.Actor, cs *ConnState, buf []byte) error {
-	return ErrNoStatic
 }

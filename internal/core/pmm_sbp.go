@@ -16,7 +16,7 @@ import (
 type sbpPMM struct {
 	ep   *sbp.Endpoint
 	lane int
-	tm   *sbpTM
+	tm   TM
 }
 
 func newSBPPMM(node *simnet.Node, adapter, chanID int) (PMM, error) {
@@ -25,14 +25,14 @@ func newSBPPMM(node *simnet.Node, adapter, chanID int) (PMM, error) {
 		return nil, err
 	}
 	p := &sbpPMM{ep: ep, lane: chanID}
-	p.tm = &sbpTM{p: p}
+	p.tm = NewStaticTM(&sbpMover{p})
 	return p, nil
 }
 
 func (p *sbpPMM) Name() string                              { return "sbp" }
 func (p *sbpPMM) Select(n int, sm SendMode, rm RecvMode) TM { return p.tm }
 func (p *sbpPMM) TMs() []TM                                 { return []TM{p.tm} }
-func (p *sbpPMM) Link(n int) model.Link                     { return model.SBP }
+func (p *sbpPMM) Link(n int) model.Link                     { return p.tm.Link(n) }
 func (p *sbpPMM) PreConnect(cs *ConnState) error {
 	cs.Priv = &sbpConn{
 		sendBufs: map[*byte]*sbp.Buf{},
@@ -54,12 +54,11 @@ type sbpConn struct {
 	recvBufs map[*byte]*sbp.Buf
 }
 
-type sbpTM struct{ p *sbpPMM }
+type sbpMover struct{ p *sbpPMM }
 
-func (t *sbpTM) Name() string             { return "sbp" }
-func (t *sbpTM) Link(n int) model.Link    { return model.SBP }
-func (t *sbpTM) NewBMM(cs *ConnState) BMM { return newStatCopy(t, cs) }
-func (t *sbpTM) StaticSize() int          { return sbp.BufSize }
+func (t *sbpMover) Name() string          { return "sbp" }
+func (t *sbpMover) Link(n int) model.Link { return model.SBP }
+func (t *sbpMover) StaticSize() int       { return sbp.BufSize }
 
 func sbpState(cs *ConnState) *sbpConn { return cs.Priv.(*sbpConn) }
 
@@ -81,11 +80,11 @@ func sbpLookup(bufs map[*byte]*sbp.Buf, data []byte) (*sbp.Buf, error) {
 	return b, nil
 }
 
-func (t *sbpTM) ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
+func (t *sbpMover) ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
 	return sbpTrack(sbpState(cs).sendBufs, t.p.ep.ObtainBuffer()), nil
 }
 
-func (t *sbpTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
+func (t *sbpMover) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
 	b, err := sbpLookup(sbpState(cs).sendBufs, data)
 	if err != nil {
 		return err
@@ -100,16 +99,7 @@ func (t *sbpTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
 	return t.p.ep.Send(a, cs.Remote(), t.p.lane, b, len(data))
 }
 
-func (t *sbpTM) SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]byte) error {
-	for _, g := range group {
-		if err := t.SendBuffer(a, cs, g); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *sbpTM) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
+func (t *sbpMover) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
 	b, n, err := t.p.ep.Recv(a, cs.Remote(), t.p.lane)
 	if err != nil {
 		return nil, err
@@ -117,19 +107,11 @@ func (t *sbpTM) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, err
 	return sbpTrack(sbpState(cs).recvBufs, b)[:n], nil
 }
 
-func (t *sbpTM) ReleaseStaticBuffer(a *vclock.Actor, cs *ConnState, buf []byte) error {
+func (t *sbpMover) ReleaseStaticBuffer(a *vclock.Actor, cs *ConnState, buf []byte) error {
 	b, err := sbpLookup(sbpState(cs).recvBufs, buf)
 	if err != nil {
 		return err
 	}
 	t.p.ep.Release(b)
 	return nil
-}
-
-func (t *sbpTM) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) error {
-	return ErrNoStatic
-}
-
-func (t *sbpTM) ReceiveSubBufferGroup(a *vclock.Actor, cs *ConnState, dsts [][]byte) error {
-	return ErrNoStatic
 }

@@ -23,10 +23,10 @@ type sisciPMM struct {
 	chanID     int
 	dmaEnabled bool
 	dualOff    bool // ablation: disable the adaptive dual-buffering TM
-	short      *sciSlotTM
-	pio        *sciSlotTM
-	dual       *sciStreamTM
-	dma        *sciStreamTM
+	short      TM
+	pio        TM
+	dual       TM
+	dma        TM
 }
 
 const (
@@ -40,10 +40,10 @@ func newSISCIPMM(node *simnet.Node, adapter, chanID int, dma, dualOff bool) (PMM
 		return nil, err
 	}
 	p := &sisciPMM{dev: dev, chanID: chanID, dmaEnabled: dma, dualOff: dualOff}
-	p.short = &sciSlotTM{p: p, name: "sisci-short", size: model.SISCIShortMax, link: model.SISCIShort}
-	p.pio = &sciSlotTM{p: p, name: "sisci-pio", size: sciSlotSize, link: model.SISCIPIO}
-	p.dual = &sciStreamTM{p: p, name: "sisci-dual", link: model.SISCIDual, dma: false}
-	p.dma = &sciStreamTM{p: p, name: "sisci-dma", link: model.SISCIDMA, dma: true}
+	p.short = NewStaticTM(&sciSlot{p: p, name: "sisci-short", size: model.SISCIShortMax, link: model.SISCIShort})
+	p.pio = NewStaticTM(&sciSlot{p: p, name: "sisci-pio", size: sciSlotSize, link: model.SISCIPIO})
+	p.dual = NewDynamicTM(&sciStream{p: p, name: "sisci-dual", link: model.SISCIDual, dma: false})
+	p.dma = NewDynamicTM(&sciStream{p: p, name: "sisci-dma", link: model.SISCIDMA, dma: true})
 	return p, nil
 }
 
@@ -76,8 +76,9 @@ func (p *sisciPMM) ackID(peer int) uint32  { return uint32(p.chanID)<<16 | uint3
 
 // sciConn is the per-connection SISCI state, partitioned by direction so a
 // concurrent send and receive never share a mutable field: the send path
-// (under the send lease) owns wSlot/freeSlots and drains ack; the receive
-// path (under the receive lease) owns consumed and writes ackOut.
+// (under the send lease) owns wSlot and drains ack; the receive path
+// (under the receive lease) writes ackOut. The credit window over the ring
+// slots, shared by all four TMs, is split the same way.
 type sciConn struct {
 	ring *sisci.LocalSegment // incoming data from the peer
 	ack  *sisci.LocalSegment // incoming slot credits for our sends
@@ -85,13 +86,12 @@ type sciConn struct {
 	out    *sisci.RemoteSegment // the peer's ring, mapped
 	ackOut *sisci.RemoteSegment // the peer's ack segment, mapped
 
-	wSlot     int // next slot to write (send lease)
-	freeSlots int // (send lease)
-	consumed  int // slots consumed since the last credit write (receive lease)
+	wSlot int // next slot to write (send lease)
+	slots *creditWindow
 }
 
 func (p *sisciPMM) PreConnect(cs *ConnState) error {
-	st := &sciConn{freeSlots: sciRingSlots}
+	st := &sciConn{slots: newCreditWindow(sciRingSlots)}
 	st.ring = p.dev.CreateSegment(p.ringID(cs.Remote()), sciSlotSize*sciRingSlots)
 	st.ack = p.dev.CreateSegment(p.ackID(cs.Remote()), 64)
 	cs.Priv = st
@@ -107,10 +107,7 @@ func (p *sisciPMM) Connect(cs *ConnState) error {
 		return err
 	}
 	st.ackOut, err = p.dev.ConnectSegment(cs.Remote(), p.dev.Adapter().Index(), p.ackID(cs.Local()))
-	if err != nil {
-		return err
-	}
-	return nil
+	return err
 }
 
 func sciState(cs *ConnState) *sciConn { return cs.Priv.(*sciConn) }
@@ -118,32 +115,20 @@ func sciState(cs *ConnState) *sciConn { return cs.Priv.(*sciConn) }
 // sciAckLink is the cost of a slot-credit PIO write (a header-sized write).
 var sciAckLink = model.SISCIShort
 
-// writeSlot ships one ≤ slot-sized chunk into the peer's ring, blocking on
-// slot credits when the ring is full.
-func (p *sisciPMM) writeSlot(a *vclock.Actor, cs *ConnState, data []byte, link model.Link) error {
-	if len(data) > sciSlotSize {
-		return fmt.Errorf("core: sisci chunk %d exceeds slot size %d", len(data), sciSlotSize)
-	}
+// nextSlot claims the next slot of the peer's ring for one ≤ slot-sized
+// chunk, blocking on slot credits when the ring is full, and returns its
+// offset in the ring segment.
+func (p *sisciPMM) nextSlot(a *vclock.Actor, cs *ConnState) (int, error) {
 	st := sciState(cs)
-	if err := p.waitSlotCredit(a, st); err != nil {
-		return err
-	}
-	// Harvest already-arrived credits without blocking, so long streams
-	// track the receiver instead of stuttering at the ring boundary.
-	for {
-		_, _, tag, ok := st.ack.TryWaitWrite(a)
-		if !ok {
-			break
-		}
-		st.freeSlots += int(tag)
+	if err := st.slots.acquire(a, cs, p); err != nil {
+		return 0, err
 	}
 	if err := cs.Announce(); err != nil {
-		return err
+		return 0, err
 	}
-	st.out.MemCpy(a, st.wSlot*sciSlotSize, data, link, uint64(len(data)))
+	off := st.wSlot * sciSlotSize
 	st.wSlot = (st.wSlot + 1) % sciRingSlots
-	st.freeSlots--
-	return nil
+	return off, nil
 }
 
 // readSlot blocks for the next incoming slot and returns a copy of its
@@ -159,139 +144,100 @@ func (p *sisciPMM) readSlot(a *vclock.Actor, cs *ConnState) ([]byte, error) {
 	return buf, nil
 }
 
-// releaseSlot returns ring credit to the sender, batched to half a ring.
-func (p *sisciPMM) releaseSlot(a *vclock.Actor, cs *ConnState, slots int) error {
-	st := sciState(cs)
-	st.consumed += slots
-	if st.consumed >= sciRingSlots/2 {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(st.consumed))
-		st.ackOut.MemCpy(a, 0, b[:], sciAckLink, uint64(st.consumed))
-		st.consumed = 0
+// A grant is an 8-byte PIO write into the sender's ack segment, its size
+// riding the write's tag.
+func (p *sisciPMM) awaitGrant(a *vclock.Actor, cs *ConnState) (int, error) {
+	_, _, tag, ok := sciState(cs).ack.WaitWrite(a)
+	if !ok {
+		return 0, ErrClosed
 	}
+	return int(tag), nil
+}
+
+func (p *sisciPMM) returnCredits(a *vclock.Actor, cs *ConnState, n int) error {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(n))
+	sciState(cs).ackOut.MemCpy(a, 0, b[:], sciAckLink, uint64(n))
 	return nil
 }
 
 // --- slot TMs (short-message and regular PIO) ---
 
-// sciSlotTM copies aggregated user data into ring slots: a static-buffer
+// sciSlot copies aggregated user data into ring slots: a static-buffer
 // TM whose protocol buffers are the ring slots themselves.
-type sciSlotTM struct {
+type sciSlot struct {
 	p    *sisciPMM
 	name string
 	size int
 	link model.Link
 }
 
-func (t *sciSlotTM) Name() string             { return t.name }
-func (t *sciSlotTM) Link(n int) model.Link    { return t.link }
-func (t *sciSlotTM) NewBMM(cs *ConnState) BMM { return newStatCopy(t, cs) }
-func (t *sciSlotTM) StaticSize() int          { return t.size }
+func (t *sciSlot) Name() string          { return t.name }
+func (t *sciSlot) Link(n int) model.Link { return t.link }
+func (t *sciSlot) StaticSize() int       { return t.size }
 
-func (t *sciSlotTM) ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
+func (t *sciSlot) ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
 	return make([]byte, t.size), nil
 }
 
-func (t *sciSlotTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
-	return t.p.writeSlot(a, cs, data, t.link)
-}
-
-func (t *sciSlotTM) SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]byte) error {
-	for _, g := range group {
-		if err := t.SendBuffer(a, cs, g); err != nil {
-			return err
-		}
+func (t *sciSlot) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
+	if len(data) > sciSlotSize {
+		return fmt.Errorf("core: sisci chunk %d exceeds slot size %d", len(data), sciSlotSize)
 	}
+	off, err := t.p.nextSlot(a, cs)
+	if err != nil {
+		return err
+	}
+	sciState(cs).out.MemCpy(a, off, data, t.link, uint64(len(data)))
 	return nil
 }
 
-func (t *sciSlotTM) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
+func (t *sciSlot) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
 	return t.p.readSlot(a, cs)
 }
 
-func (t *sciSlotTM) ReleaseStaticBuffer(a *vclock.Actor, cs *ConnState, buf []byte) error {
-	return t.p.releaseSlot(a, cs, 1)
-}
-
-func (t *sciSlotTM) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) error {
-	return ErrNoStatic
-}
-
-func (t *sciSlotTM) ReceiveSubBufferGroup(a *vclock.Actor, cs *ConnState, dsts [][]byte) error {
-	return ErrNoStatic
+func (t *sciSlot) ReleaseStaticBuffer(a *vclock.Actor, cs *ConnState, buf []byte) error {
+	return sciState(cs).slots.release(a, cs, t.p)
 }
 
 // --- streaming TMs (dual-buffering PIO and DMA) ---
 
-// sciStreamTM moves large dynamic buffers by chunking them through the
+// sciStream moves large dynamic buffers by chunking them through the
 // ring. The PIO variant is the paper's adaptive dual-buffering algorithm:
 // staging alternates between two buffers so the copy-in overlaps the SCI
 // transfer, which its calibrated link model reflects; the chunk fixed cost
 // applies once per message (pipeline fill). The DMA variant posts chunks
 // to the NIC's DMA engine instead.
-type sciStreamTM struct {
+type sciStream struct {
 	p    *sisciPMM
 	name string
 	link model.Link
 	dma  bool
 }
 
-func (t *sciStreamTM) Name() string             { return t.name }
-func (t *sciStreamTM) Link(n int) model.Link    { return t.link }
-func (t *sciStreamTM) NewBMM(cs *ConnState) BMM { return newEagerDyn(t, cs) }
-func (t *sciStreamTM) StaticSize() int          { return 0 }
+func (t *sciStream) Name() string          { return t.name }
+func (t *sciStream) Link(n int) model.Link { return t.link }
 
-func (t *sciStreamTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
+func (t *sciStream) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
 	link := t.link
 	for off := 0; off < len(data); off += sciSlotSize {
-		end := off + sciSlotSize
-		if end > len(data) {
-			end = len(data)
+		chunk := data[off:min(off+sciSlotSize, len(data))]
+		slot, err := t.p.nextSlot(a, cs)
+		if err != nil {
+			return err
 		}
 		if t.dma {
 			// DMA: the CPU only posts descriptors; the engine streams.
-			st := sciState(cs)
-			if err := t.p.waitSlotCredit(a, st); err != nil {
-				return err
-			}
-			if err := cs.Announce(); err != nil {
-				return err
-			}
-			st.out.DMAPost(a, st.wSlot*sciSlotSize, data[off:end], uint64(end-off))
-			st.wSlot = (st.wSlot + 1) % sciRingSlots
-			st.freeSlots--
+			sciState(cs).out.DMAPost(a, slot, chunk, uint64(len(chunk)))
 		} else {
-			if err := t.p.writeSlot(a, cs, data[off:end], link); err != nil {
-				return err
-			}
+			sciState(cs).out.MemCpy(a, slot, chunk, link, uint64(len(chunk)))
 		}
 		link.Fixed = 0 // pipeline filled: later chunks stream
 	}
 	return nil
 }
 
-// waitSlotCredit blocks until at least one ring slot is free.
-func (p *sisciPMM) waitSlotCredit(a *vclock.Actor, st *sciConn) error {
-	for st.freeSlots == 0 {
-		_, _, tag, ok := st.ack.WaitWrite(a)
-		if !ok {
-			return ErrClosed
-		}
-		st.freeSlots += int(tag)
-	}
-	return nil
-}
-
-func (t *sciStreamTM) SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]byte) error {
-	for _, g := range group {
-		if err := t.SendBuffer(a, cs, g); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *sciStreamTM) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) error {
+func (t *sciStream) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) error {
 	for off := 0; off < len(dst); {
 		chunk, err := t.p.readSlot(a, cs)
 		if err != nil {
@@ -302,30 +248,9 @@ func (t *sciStreamTM) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) 
 		}
 		copy(dst[off:], chunk)
 		off += len(chunk)
-		if err := t.p.releaseSlot(a, cs, 1); err != nil {
+		if err := sciState(cs).slots.release(a, cs, t.p); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func (t *sciStreamTM) ReceiveSubBufferGroup(a *vclock.Actor, cs *ConnState, dsts [][]byte) error {
-	for _, d := range dsts {
-		if err := t.ReceiveBuffer(a, cs, d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *sciStreamTM) ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
-	return nil, ErrNoStatic
-}
-
-func (t *sciStreamTM) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
-	return nil, ErrNoStatic
-}
-
-func (t *sciStreamTM) ReleaseStaticBuffer(a *vclock.Actor, cs *ConnState, buf []byte) error {
-	return ErrNoStatic
 }

@@ -13,7 +13,7 @@ import (
 type tcpPMM struct {
 	ep   *tcpnet.Endpoint
 	port int
-	tm   *tcpTM
+	tm   TM
 }
 
 func newTCPPMM(node *simnet.Node, adapter, chanID int) (PMM, error) {
@@ -22,14 +22,14 @@ func newTCPPMM(node *simnet.Node, adapter, chanID int) (PMM, error) {
 		return nil, err
 	}
 	p := &tcpPMM{ep: ep, port: chanID}
-	p.tm = &tcpTM{p: p}
+	p.tm = NewDynamicTM(&tcpMover{p})
 	return p, nil
 }
 
 func (p *tcpPMM) Name() string                              { return "tcp" }
 func (p *tcpPMM) Select(n int, sm SendMode, rm RecvMode) TM { return p.tm }
 func (p *tcpPMM) TMs() []TM                                 { return []TM{p.tm} }
-func (p *tcpPMM) Link(n int) model.Link                     { return model.TCPFE }
+func (p *tcpPMM) Link(n int) model.Link                     { return p.tm.Link(n) }
 func (p *tcpPMM) PreConnect(cs *ConnState) error            { cs.Priv = &tcpConn{}; return nil }
 func (p *tcpPMM) Connect(cs *ConnState) error               { return nil }
 
@@ -40,21 +40,21 @@ type tcpConn struct {
 	residue []byte
 }
 
-type tcpTM struct{ p *tcpPMM }
+// tcpMover declares its own group bodies, which is what selects the
+// aggregating BMM for it.
+type tcpMover struct{ p *tcpPMM }
 
-func (t *tcpTM) Name() string             { return "tcp" }
-func (t *tcpTM) Link(n int) model.Link    { return model.TCPFE }
-func (t *tcpTM) NewBMM(cs *ConnState) BMM { return newAggrDyn(t, cs) }
-func (t *tcpTM) StaticSize() int          { return 0 }
+func (t *tcpMover) Name() string          { return "tcp" }
+func (t *tcpMover) Link(n int) model.Link { return model.TCPFE }
 
-func (t *tcpTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
+func (t *tcpMover) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
 	if err := cs.Announce(); err != nil {
 		return err
 	}
 	return t.p.ep.Send(a, cs.Remote(), t.p.port, data)
 }
 
-func (t *tcpTM) SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]byte) error {
+func (t *tcpMover) SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]byte) error {
 	total := 0
 	for _, g := range group {
 		total += len(g)
@@ -69,8 +69,9 @@ func (t *tcpTM) SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]byte) 
 	return t.p.ep.Send(a, cs.Remote(), t.p.port, msg)
 }
 
-// fill consumes n bytes from the connection's incoming stream into dst.
-func (t *tcpTM) fill(a *vclock.Actor, cs *ConnState, dst []byte) error {
+// ReceiveBuffer consumes len(dst) bytes from the connection's incoming
+// stream.
+func (t *tcpMover) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) error {
 	st := cs.Priv.(*tcpConn)
 	for len(dst) > 0 {
 		if len(st.residue) == 0 {
@@ -87,27 +88,7 @@ func (t *tcpTM) fill(a *vclock.Actor, cs *ConnState, dst []byte) error {
 	return nil
 }
 
-func (t *tcpTM) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) error {
-	return t.fill(a, cs, dst)
-}
-
-func (t *tcpTM) ReceiveSubBufferGroup(a *vclock.Actor, cs *ConnState, dsts [][]byte) error {
-	for _, d := range dsts {
-		if err := t.fill(a, cs, d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *tcpTM) ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
-	return nil, ErrNoStatic
-}
-
-func (t *tcpTM) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
-	return nil, ErrNoStatic
-}
-
-func (t *tcpTM) ReleaseStaticBuffer(a *vclock.Actor, cs *ConnState, buf []byte) error {
-	return ErrNoStatic
+// The gather is the sender's alone: the receiver reads a byte stream.
+func (t *tcpMover) ReceiveSubBufferGroup(a *vclock.Actor, cs *ConnState, dsts [][]byte) error {
+	return eachBuffer{t}.ReceiveSubBufferGroup(a, cs, dsts)
 }

@@ -23,14 +23,13 @@ import (
 type viaPMM struct {
 	nic    *via.NIC
 	chanID int
-	short  *viaShortTM
-	large  *viaLargeTM
+	short  TM
+	large  TM
 }
 
 const (
 	viaShortCredits = 16 // pre-posted short descriptors per connection
-	viaCreditBatch  = viaShortCredits / 2
-	viaCtrlPosted   = 8 // pre-posted control descriptors
+	viaCtrlPosted   = 8  // pre-posted control descriptors
 )
 
 // Control message types on the ctrl VI.
@@ -45,8 +44,8 @@ func newVIAPMM(node *simnet.Node, adapter, chanID int) (PMM, error) {
 		return nil, err
 	}
 	p := &viaPMM{nic: nic, chanID: chanID}
-	p.short = &viaShortTM{p: p}
-	p.large = &viaLargeTM{p: p}
+	p.short = NewStaticTM(&viaShort{p})
+	p.large = NewDynamicTM(&viaLarge{p})
 	return p, nil
 }
 
@@ -61,14 +60,7 @@ func (p *viaPMM) Select(n int, sm SendMode, rm RecvMode) TM {
 	return p.large
 }
 
-func (p *viaPMM) Link(n int) model.Link {
-	if n < model.VIAShortMax {
-		return model.VIASend
-	}
-	l := model.VIARDMA
-	l.Fixed += model.VIASend.Fixed // the READY control leg
-	return l
-}
+func (p *viaPMM) Link(n int) model.Link { return p.Select(n, SendCheaper, ReceiveCheaper).Link(n) }
 
 // VI id scheme: three VIs per connection, ids unique per NIC and identical
 // on both ends of the pair.
@@ -88,9 +80,10 @@ const (
 
 // viaConn is the per-connection VIA state, partitioned by direction so a
 // concurrent send and receive on the same connection never share a field:
-// the data ring, credits and waitCtrl belong to the send path (send lease);
-// the consumed counter, control ring and sendCtrl belong to the receive
-// path (receive lease). The ctrl VI itself is shared but its two ends are
+// the data ring and waitCtrl belong to the send path (send lease); the
+// control ring and sendCtrl belong to the receive path (receive lease);
+// the credit window over the peer's short descriptors is split the same
+// way. The ctrl VI itself is shared but its two ends are
 // direction-disjoint: the send path only drains completions (credit/READY
 // arrivals) while the receive path only transmits, and via.VI queues are
 // thread-safe.
@@ -104,12 +97,11 @@ type viaConn struct {
 	ctrlBufs []*via.MemRegion // pre-registered control staging ring
 	ctrlNext int
 
-	credits  int // short descriptors available at the peer
-	consumed int // short descriptors consumed since the last credit return
+	descs *creditWindow // the peer's pre-posted short descriptors
 }
 
 func (p *viaPMM) PreConnect(cs *ConnState) error {
-	st := &viaConn{credits: viaShortCredits}
+	st := &viaConn{descs: newCreditWindow(viaShortCredits)}
 	l, r := cs.Local(), cs.Remote()
 	// Channels bind the same adapter index on every member node, so the
 	// peer's mirror endpoint lives on the peer's same-index adapter (not
@@ -154,9 +146,9 @@ func (p *viaPMM) sendCtrl(a *vclock.Actor, cs *ConnState, kind byte, val int) er
 	return st.ctrl.Send(a, buf, 2, model.VIASend)
 }
 
-// waitCtrl consumes control messages until one of the wanted kind arrives,
-// applying credit messages along the way. The consumed descriptor is
-// re-posted.
+// waitCtrl consumes control messages until one of the wanted kind arrives
+// and returns its value. Credit grants that overtake a READY go to the
+// window on the way. The consumed descriptor is re-posted.
 func (p *viaPMM) waitCtrl(a *vclock.Actor, cs *ConnState, want byte) (int, error) {
 	st := viaState(cs)
 	for {
@@ -171,30 +163,26 @@ func (p *viaPMM) waitCtrl(a *vclock.Actor, cs *ConnState, want byte) (int, error
 		if err := st.ctrl.PostRecv(region); err != nil {
 			return 0, err
 		}
-		if kind == viaCtrlCredit {
-			st.credits += val
-			if want == viaCtrlCredit {
-				return val, nil
-			}
-			continue
-		}
-		if kind != want {
+		switch kind {
+		case want:
+			return val, nil
+		case viaCtrlCredit:
+			st.descs.grant(val)
+		default:
 			return 0, fmt.Errorf("core: unexpected via control %d (want %d)", kind, want)
 		}
-		return val, nil
 	}
 }
 
 // --- short TM ---
 
-type viaShortTM struct{ p *viaPMM }
+type viaShort struct{ p *viaPMM }
 
-func (t *viaShortTM) Name() string             { return "via-short" }
-func (t *viaShortTM) Link(n int) model.Link    { return model.VIASend }
-func (t *viaShortTM) NewBMM(cs *ConnState) BMM { return newStatCopy(t, cs) }
-func (t *viaShortTM) StaticSize() int          { return model.VIAShortMax }
+func (t *viaShort) Name() string          { return "via-short" }
+func (t *viaShort) Link(n int) model.Link { return model.VIASend }
+func (t *viaShort) StaticSize() int       { return model.VIAShortMax }
 
-func (t *viaShortTM) ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
+func (t *viaShort) ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
 	st := viaState(cs)
 	buf := st.dataBufs[st.dataNext%len(st.dataBufs)]
 	st.dataNext++
@@ -202,7 +190,7 @@ func (t *viaShortTM) ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte,
 }
 
 // regionOf maps a staging buffer back to its registered region.
-func (t *viaShortTM) regionOf(cs *ConnState, buf []byte) (*via.MemRegion, error) {
+func (t *viaShort) regionOf(cs *ConnState, buf []byte) (*via.MemRegion, error) {
 	st := viaState(cs)
 	for _, r := range st.dataBufs {
 		if len(r.Bytes()) > 0 && len(buf) > 0 && &r.Bytes()[0] == &buf[0] {
@@ -212,12 +200,10 @@ func (t *viaShortTM) regionOf(cs *ConnState, buf []byte) (*via.MemRegion, error)
 	return nil, fmt.Errorf("core: via send buffer is not a registered staging buffer")
 }
 
-func (t *viaShortTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
+func (t *viaShort) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
 	st := viaState(cs)
-	for st.credits == 0 {
-		if _, err := t.p.waitCtrl(a, cs, viaCtrlCredit); err != nil {
-			return err
-		}
+	if err := st.descs.acquire(a, cs, t); err != nil {
+		return err
 	}
 	region, err := t.regionOf(cs, data)
 	if err != nil {
@@ -226,23 +212,10 @@ func (t *viaShortTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) err
 	if err := cs.Announce(); err != nil {
 		return err
 	}
-	if err := st.short.Send(a, region, len(data), model.VIASend); err != nil {
-		return err
-	}
-	st.credits--
-	return nil
+	return st.short.Send(a, region, len(data), model.VIASend)
 }
 
-func (t *viaShortTM) SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]byte) error {
-	for _, g := range group {
-		if err := t.SendBuffer(a, cs, g); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *viaShortTM) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
+func (t *viaShort) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
 	st := viaState(cs)
 	region, n, err := st.short.WaitRecv(a)
 	if err != nil {
@@ -256,42 +229,32 @@ func (t *viaShortTM) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte
 	return region.Bytes()[:n], nil
 }
 
-func (t *viaShortTM) ReleaseStaticBuffer(a *vclock.Actor, cs *ConnState, buf []byte) error {
-	st := viaState(cs)
-	st.consumed++
-	if st.consumed >= viaCreditBatch {
-		if err := t.p.sendCtrl(a, cs, viaCtrlCredit, st.consumed); err != nil {
-			return err
-		}
-		st.consumed = 0
-	}
-	return nil
+func (t *viaShort) ReleaseStaticBuffer(a *vclock.Actor, cs *ConnState, buf []byte) error {
+	return viaState(cs).descs.release(a, cs, t)
 }
 
-func (t *viaShortTM) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) error {
-	return ErrNoStatic
+// A grant is a 2-byte credit message on the control VI.
+func (t *viaShort) awaitGrant(a *vclock.Actor, cs *ConnState) (int, error) {
+	return t.p.waitCtrl(a, cs, viaCtrlCredit)
 }
 
-func (t *viaShortTM) ReceiveSubBufferGroup(a *vclock.Actor, cs *ConnState, dsts [][]byte) error {
-	return ErrNoStatic
+func (t *viaShort) returnCredits(a *vclock.Actor, cs *ConnState, n int) error {
+	return t.p.sendCtrl(a, cs, viaCtrlCredit, n)
 }
 
 // --- large TM ---
 
-type viaLargeTM struct{ p *viaPMM }
+type viaLarge struct{ p *viaPMM }
 
-func (t *viaLargeTM) Name() string { return "via-large" }
+func (t *viaLarge) Name() string { return "via-large" }
 
-func (t *viaLargeTM) Link(n int) model.Link {
+func (t *viaLarge) Link(n int) model.Link {
 	l := model.VIARDMA
-	l.Fixed += model.VIASend.Fixed
+	l.Fixed += model.VIASend.Fixed // the READY control leg
 	return l
 }
 
-func (t *viaLargeTM) NewBMM(cs *ConnState) BMM { return newEagerDyn(t, cs) }
-func (t *viaLargeTM) StaticSize() int          { return 0 }
-
-func (t *viaLargeTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
+func (t *viaLarge) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
 	st := viaState(cs)
 	if err := cs.Announce(); err != nil {
 		return err
@@ -306,16 +269,7 @@ func (t *viaLargeTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) err
 	return st.large.Send(a, region, len(data), model.VIARDMA)
 }
 
-func (t *viaLargeTM) SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]byte) error {
-	for _, g := range group {
-		if err := t.SendBuffer(a, cs, g); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *viaLargeTM) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) error {
+func (t *viaLarge) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) error {
 	st := viaState(cs)
 	// Pin the destination, post it, and release the sender.
 	region := t.p.nic.Register(a, dst)
@@ -334,25 +288,4 @@ func (t *viaLargeTM) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) e
 		return asymmetryError(fmt.Sprintf("via large block on %s", cs.ch.name), n, len(dst))
 	}
 	return nil
-}
-
-func (t *viaLargeTM) ReceiveSubBufferGroup(a *vclock.Actor, cs *ConnState, dsts [][]byte) error {
-	for _, d := range dsts {
-		if err := t.ReceiveBuffer(a, cs, d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *viaLargeTM) ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
-	return nil, ErrNoStatic
-}
-
-func (t *viaLargeTM) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
-	return nil, ErrNoStatic
-}
-
-func (t *viaLargeTM) ReleaseStaticBuffer(a *vclock.Actor, cs *ConnState, buf []byte) error {
-	return ErrNoStatic
 }

@@ -18,6 +18,12 @@ import (
 // behind optional Madeleine modules such as the MPI port ("Madeleine II
 // has also been ported quite straightforwardly on top of MPI", §5.3).
 //
+// New returns a PMM. Its TMs are normally movers — the half of Table 2 the
+// transfer method uses — wrapped once, in New, by NewDynamicTM or
+// NewStaticTM; the wrapper is the TM identity the core compares, so Select
+// must keep returning that same value. A module may instead implement all
+// of TM itself and pick its BMM with one of the New…BMM constructors.
+//
 // Ownership contract. Per-message state lives in core (each Connection
 // carries its own message descriptor); a driver's ConnState.Priv holds only
 // long-lived per-connection resources. Core serializes access per
@@ -30,8 +36,8 @@ import (
 // tolerate a send and a receive on the SAME connection running
 // concurrently (full duplex), and distinct connections of one channel being
 // driven by distinct actors in parallel. Concretely: partition any state
-// cached in Priv by direction (see the built-in PMMs — e.g. bipConn's
-// credits vs consumed, sbpConn's sendBufs vs recvBufs), and make any state
+// cached in Priv by direction (see the built-in PMMs — e.g. creditWindow's
+// avail vs consumed, sbpConn's sendBufs vs recvBufs), and make any state
 // shared across connections (the PMM instance itself, the underlying
 // fabric endpoint) safe for concurrent use.
 type DriverDef struct {

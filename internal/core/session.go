@@ -251,7 +251,7 @@ func (s *Session) NewChannel(spec ChannelSpec) (map[int]*Channel, error) {
 			}
 			cs := &ConnState{ch: chans[r], local: r, remote: peer, send: newLease(), recv: newLease()}
 			chans[r].conns[peer] = cs
-			if err := chans[r].pmm.(preconnector).PreConnect(cs); err != nil {
+			if err := chans[r].pmm.PreConnect(cs); err != nil {
 				return nil, fmt.Errorf("core: channel %q preconnect %d->%d: %w", spec.Name, r, peer, err)
 			}
 		}
@@ -274,11 +274,6 @@ func (s *Session) channelOn(name string, rank int) *Channel {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.channels[chanKey{name, rank}]
-}
-
-// preconnector is the two-phase bootstrap hook every PMM implements.
-type preconnector interface {
-	PreConnect(cs *ConnState) error
 }
 
 // validateRails rejects malformed multi-rail specs before any resource

@@ -77,8 +77,14 @@ type PMM interface {
 	// Link summarizes the protocol's best-TM one-way cost for n bytes.
 	Link(n int) model.Link
 
-	// Connect performs per-connection setup (segments, VI pairs, tags,
-	// descriptor pre-posting) for the connection state.
+	// PreConnect is the first phase of the connection bootstrap: it
+	// creates what the peer will attach to (segments, VI mirrors,
+	// pre-posted descriptors, registered rings) and installs cs.Priv.
+	// NewChannel runs it on every connection before any Connect.
+	PreConnect(cs *ConnState) error
+
+	// Connect is the second phase: attach to what the peer's PreConnect
+	// created.
 	Connect(cs *ConnState) error
 }
 
@@ -107,4 +113,132 @@ type BMM interface {
 	// Checkout completes every deferred extraction. It runs when the
 	// Switch step changes TM and at EndUnpacking (§4.2).
 	Checkout(a *vclock.Actor) error
+}
+
+// A transmission module uses only half of Table 2 ("some functions may
+// not be relevant for a specific TM"), and which half depends on whether
+// it moves dynamic or static buffers. A protocol module declares that half
+// — the mover — and DynamicTM or StaticTM supplies the rest, so the "not
+// relevant" answers and the rule "a group is each buffer in turn" are
+// written once, here. The adapter, not the mover, is the TM identity the
+// Switch step, the BMM maps and the statistics compare: build it once,
+// with the PMM.
+
+// dynamicMover is what a dynamic-buffer TM declares: its name, its cost
+// model, and how one user buffer crosses the wire in each direction.
+type dynamicMover interface {
+	Name() string
+	Link(n int) model.Link
+	SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error
+	ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) error
+}
+
+// groupMover is the scatter/gather half of a dynamic TM.
+type groupMover interface {
+	SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]byte) error
+	ReceiveSubBufferGroup(a *vclock.Actor, cs *ConnState, dsts [][]byte) error
+}
+
+// DynamicTM is a dynamic-buffer transmission module: user buffers travel
+// as they are, and the static-buffer calls answer ErrNoStatic.
+type DynamicTM struct {
+	dynamicMover
+	groupMover
+	gathers bool // the mover brought its own groupMover
+}
+
+// NewDynamicTM builds the TM around a mover. A mover that also declares
+// the groupMover methods can do better for a group than sending its
+// buffers one by one (TCP's single kernel send, the rail fan-out): it
+// keeps them and gets the aggregating BMM. Any other gets eachBuffer and
+// the eager BMM, for which grouping would only add delay.
+func NewDynamicTM(m dynamicMover) *DynamicTM {
+	g, gathers := m.(groupMover)
+	if !gathers {
+		g = eachBuffer{m}
+	}
+	return &DynamicTM{m, g, gathers}
+}
+
+func (t *DynamicTM) NewBMM(cs *ConnState) BMM {
+	if t.gathers {
+		return newAggrDyn(t, cs)
+	}
+	return newEagerDyn(t, cs)
+}
+
+func (t *DynamicTM) StaticSize() int { return 0 }
+
+func (t *DynamicTM) ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
+	return nil, ErrNoStatic
+}
+
+func (t *DynamicTM) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
+	return nil, ErrNoStatic
+}
+
+func (t *DynamicTM) ReleaseStaticBuffer(a *vclock.Actor, cs *ConnState, buf []byte) error {
+	return ErrNoStatic
+}
+
+// eachBuffer is the group rule of a TM without scatter/gather: the
+// buffers of a group cross the wire one by one, in order.
+type eachBuffer struct{ dynamicMover }
+
+func (e eachBuffer) SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]byte) error {
+	for _, g := range group {
+		if err := e.SendBuffer(a, cs, g); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (e eachBuffer) ReceiveSubBufferGroup(a *vclock.Actor, cs *ConnState, dsts [][]byte) error {
+	for _, d := range dsts {
+		if err := e.ReceiveBuffer(a, cs, d); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// staticMover is what a static-buffer TM declares: its name, its cost
+// model, the payload capacity of one protocol buffer, and that buffer's
+// life cycle on each side — obtain and send, receive and release.
+type staticMover interface {
+	Name() string
+	Link(n int) model.Link
+	StaticSize() int
+	ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error)
+	SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error
+	ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error)
+	ReleaseStaticBuffer(a *vclock.Actor, cs *ConnState, buf []byte) error
+}
+
+// StaticTM is a static-buffer transmission module: data travels in
+// buffers the protocol owns, filled and drained by the static-copy BMM,
+// so the dynamic receive calls answer ErrNoStatic.
+type StaticTM struct{ staticMover }
+
+// NewStaticTM builds the TM around a mover.
+func NewStaticTM(m staticMover) *StaticTM { return &StaticTM{m} }
+
+func (t *StaticTM) NewBMM(cs *ConnState) BMM { return newStatCopy(t, cs) }
+
+func (t *StaticTM) SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]byte) error {
+	for _, g := range group {
+		if err := t.SendBuffer(a, cs, g); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (t *StaticTM) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) error {
+	return ErrNoStatic
+}
+
+func (t *StaticTM) ReceiveSubBufferGroup(a *vclock.Actor, cs *ConnState, dsts [][]byte) error {
+	return ErrNoStatic
 }

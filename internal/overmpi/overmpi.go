@@ -8,15 +8,10 @@
 // core.RegisterDriver, demonstrating the external-module mechanism. Each
 // Madeleine channel multiplexes over one MPI tag.
 //
-// Ownership contract (see core.DriverDef): core invokes every send-path TM
-// method under the connection's send lease and every receive-path method
-// under its receive lease, so a driver sees at most one sender and one
-// receiver per connection at a time — but possibly concurrently with each
-// other, and concurrently with other connections of the same channel. This
-// module keeps no per-message state of its own (the communicator handles
-// its own locking), so it needs no Priv partitioning; drivers that do cache
-// per-connection state in Priv must split it by direction the way the
-// built-in PMMs do.
+// It is the worked example of core.DriverDef's contract: one dynamic-buffer
+// mover behind core.NewDynamicTM, and no Priv at all — the communicator
+// does its own locking, so there is no per-connection state to partition
+// by direction.
 package overmpi
 
 import (
@@ -49,41 +44,44 @@ func Install(name string, comms map[int]*mpi.Comm) error {
 			if c == nil {
 				return nil, fmt.Errorf("overmpi: node %d has no communicator", node.ID())
 			}
-			// A dedicated tag region keeps Madeleine traffic away from
-			// typical application MPI tags (still within mpi.MaxTag).
-			p := &pmm{comm: c, tag: tagBase + chanID}
-			p.tm = &tm{p: p}
-			return p, nil
+			return newPMM(c, chanID), nil
 		},
 	})
 }
 
-// tagBase is the first MPI tag used for Madeleine channels over MPI.
+// tagBase is the first MPI tag used for Madeleine channels over MPI: a
+// dedicated tag region keeps Madeleine traffic away from typical
+// application MPI tags (still within mpi.MaxTag).
 const tagBase = 30000
+
+func newPMM(c *mpi.Comm, chanID int) *pmm {
+	p := &pmm{comm: c, tag: tagBase + chanID}
+	p.tm = core.NewDynamicTM(&mover{p})
+	return p
+}
 
 // pmm is the MPI-backed protocol module: one dynamic transmission module
 // whose buffers are MPI messages.
 type pmm struct {
 	comm *mpi.Comm
 	tag  int
-	tm   *tm
+	tm   core.TM
 }
 
 func (p *pmm) Name() string                                             { return "overmpi" }
 func (p *pmm) Select(n int, sm core.SendMode, rm core.RecvMode) core.TM { return p.tm }
 func (p *pmm) TMs() []core.TM                                           { return []core.TM{p.tm} }
-func (p *pmm) Link(n int) model.Link                                    { return p.comm.Link(n) }
+func (p *pmm) Link(n int) model.Link                                    { return p.tm.Link(n) }
 func (p *pmm) PreConnect(cs *core.ConnState) error                      { return nil }
 func (p *pmm) Connect(cs *core.ConnState) error                         { return nil }
 
-type tm struct{ p *pmm }
+// mover is the module's one transfer method: a buffer is an MPI message.
+type mover struct{ p *pmm }
 
-func (t *tm) Name() string                       { return "overmpi" }
-func (t *tm) Link(n int) model.Link              { return t.p.comm.Link(n) }
-func (t *tm) NewBMM(cs *core.ConnState) core.BMM { return core.NewEagerBMM(t, cs) }
-func (t *tm) StaticSize() int                    { return 0 }
+func (t *mover) Name() string          { return "overmpi" }
+func (t *mover) Link(n int) model.Link { return t.p.comm.Link(n) }
 
-func (t *tm) rankOf(node int) (int, error) {
+func (t *mover) rankOf(node int) (int, error) {
 	r, ok := t.p.comm.RankOfNode(node)
 	if !ok {
 		return 0, fmt.Errorf("overmpi: node %d is not in the communicator", node)
@@ -91,7 +89,7 @@ func (t *tm) rankOf(node int) (int, error) {
 	return r, nil
 }
 
-func (t *tm) SendBuffer(a *vclock.Actor, cs *core.ConnState, data []byte) error {
+func (t *mover) SendBuffer(a *vclock.Actor, cs *core.ConnState, data []byte) error {
 	dst, err := t.rankOf(cs.Remote())
 	if err != nil {
 		return err
@@ -102,16 +100,7 @@ func (t *tm) SendBuffer(a *vclock.Actor, cs *core.ConnState, data []byte) error 
 	return t.p.comm.SendAs(a, dst, t.p.tag, data)
 }
 
-func (t *tm) SendBufferGroup(a *vclock.Actor, cs *core.ConnState, group [][]byte) error {
-	for _, g := range group {
-		if err := t.SendBuffer(a, cs, g); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *tm) ReceiveBuffer(a *vclock.Actor, cs *core.ConnState, dst []byte) error {
+func (t *mover) ReceiveBuffer(a *vclock.Actor, cs *core.ConnState, dst []byte) error {
 	src, err := t.rankOf(cs.Remote())
 	if err != nil {
 		return err
@@ -124,25 +113,4 @@ func (t *tm) ReceiveBuffer(a *vclock.Actor, cs *core.ConnState, dst []byte) erro
 		return fmt.Errorf("overmpi: asymmetric block: got %d bytes, want %d", st.Count, len(dst))
 	}
 	return nil
-}
-
-func (t *tm) ReceiveSubBufferGroup(a *vclock.Actor, cs *core.ConnState, dsts [][]byte) error {
-	for _, d := range dsts {
-		if err := t.ReceiveBuffer(a, cs, d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *tm) ObtainStaticBuffer(a *vclock.Actor, cs *core.ConnState) ([]byte, error) {
-	return nil, core.ErrNoStatic
-}
-
-func (t *tm) ReceiveStaticBuffer(a *vclock.Actor, cs *core.ConnState) ([]byte, error) {
-	return nil, core.ErrNoStatic
-}
-
-func (t *tm) ReleaseStaticBuffer(a *vclock.Actor, cs *core.ConnState, buf []byte) error {
-	return core.ErrNoStatic
 }

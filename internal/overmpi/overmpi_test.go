@@ -12,9 +12,9 @@ import (
 	"madeleine2/internal/vclock"
 )
 
-// stack builds: simulated SCI → Madeleine channel → MPI comms → the
-// overmpi driver registered under name → a Madeleine channel over MPI.
-func stack(t *testing.T, name string) (map[int]*core.Channel, *core.Session) {
+// baseComms builds the lower half of the stack: simulated SCI → Madeleine
+// channel → one MPI communicator per node.
+func baseComms(t *testing.T, name string) (*core.Session, map[int]*mpi.Comm) {
 	t.Helper()
 	w := simnet.NewWorld(2)
 	w.Node(0).AddAdapter(sisci.Network)
@@ -32,6 +32,14 @@ func stack(t *testing.T, name string) (map[int]*core.Channel, *core.Session) {
 		}
 		comms[r] = c
 	}
+	return sess, comms
+}
+
+// stack adds the upper half: the overmpi driver registered under name → a
+// Madeleine channel over MPI.
+func stack(t *testing.T, name string) (map[int]*core.Channel, *core.Session) {
+	t.Helper()
+	sess, comms := baseComms(t, name)
 	if err := Install(name, comms); err != nil {
 		t.Fatal(err)
 	}

@@ -161,17 +161,6 @@ func (m *MemRegion) WaitWrite(a *vclock.Actor) (Completion, error) {
 	return Completion{Off: rec.Off, Len: rec.Len, Tag: rec.Tag, Arrive: vclock.Time(rec.Arrive)}, nil
 }
 
-// TryWaitWrite is the non-blocking WaitWrite; it does not advance the
-// clock when nothing is pending.
-func (m *MemRegion) TryWaitWrite(a *vclock.Actor) (Completion, bool) {
-	rec, ok := m.seg.TryPoll()
-	if !ok {
-		return Completion{}, false
-	}
-	a.Sync(vclock.Time(rec.Arrive))
-	return Completion{Off: rec.Off, Len: rec.Len, Tag: rec.Tag, Arrive: vclock.Time(rec.Arrive)}, true
-}
-
 // EP is a one-sided endpoint toward one peer adapter. It carries no
 // connection state beyond addressing — one-sided operations name their
 // target by region key — plus the initiator-side completion queue.

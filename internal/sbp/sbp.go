@@ -71,10 +71,12 @@ func (e *Endpoint) ObtainBuffer() *Buf {
 func (e *Endpoint) Release(b *Buf) { b.home.Push(b) }
 
 // Send transmits the first n bytes of the static buffer to (dst, lane) and
-// returns the buffer to the send pool. The payload is copied into a
-// receive-side static buffer — SBP's second unavoidable copy happens on
-// Recv's consumer, not here.
+// returns the buffer to the send pool — whether or not the send succeeds:
+// the kernel owns the buffer again once Send has it. The payload is copied
+// into a receive-side static buffer — SBP's second unavoidable copy
+// happens on Recv's consumer, not here.
 func (e *Endpoint) Send(a *vclock.Actor, dst, lane int, b *Buf, n int) error {
+	defer e.Release(b)
 	if n > len(b.data) {
 		return fmt.Errorf("sbp: payload %d exceeds static buffer size %d", n, len(b.data))
 	}
@@ -87,7 +89,6 @@ func (e *Endpoint) Send(a *vclock.Actor, dst, lane int, b *Buf, n int) error {
 	cp := make([]byte, n)
 	copy(cp, b.data[:n])
 	e.adapter.Deliver(pa, lane, simnet.Packet{Data: cp, Inject: int64(start), Arrive: int64(arrive)})
-	e.Release(b)
 	return nil
 }
 

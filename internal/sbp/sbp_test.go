@@ -82,11 +82,9 @@ func TestPoolBoundsAndRecycling(t *testing.T) {
 func TestOversizedPayloadRejected(t *testing.T) {
 	e0, _ := pair(t)
 	s := vclock.NewActor("s")
-	b := e0.ObtainBuffer()
-	if err := e0.Send(s, 1, 0, b, BufSize+1); err == nil {
+	if err := e0.Send(s, 1, 0, e0.ObtainBuffer(), BufSize+1); err == nil {
 		t.Error("payload above the static buffer size must be rejected")
 	}
-	e0.Release(b)
 }
 
 func TestSendToMissingPeer(t *testing.T) {
@@ -94,8 +92,34 @@ func TestSendToMissingPeer(t *testing.T) {
 	w.Node(0).AddAdapter(Network)
 	e0, _ := Attach(w.Node(0), 0)
 	s := vclock.NewActor("s")
-	b := e0.ObtainBuffer()
-	if err := e0.Send(s, 1, 0, b, 4); err == nil {
+	if err := e0.Send(s, 1, 0, e0.ObtainBuffer(), 4); err == nil {
 		t.Error("send to a node without an adapter must fail")
+	}
+}
+
+// TestFailedSendReturnsBuffer: Send owns the buffer on every path, so
+// failed sends — more of them than the pool holds, of both kinds — leave
+// the pool exactly full.
+func TestFailedSendReturnsBuffer(t *testing.T) {
+	w := simnet.NewWorld(2)
+	w.Node(0).AddAdapter(Network)
+	e0, _ := Attach(w.Node(0), 0)
+	s := vclock.NewActor("s")
+	for i := 0; i < 2*PoolSize; i++ {
+		n := 4 // no adapter on the peer
+		if i%2 == 1 {
+			n = BufSize + 1 // oversized
+		}
+		if err := e0.Send(s, 1, 0, e0.ObtainBuffer(), n); err == nil {
+			t.Fatalf("send %d must fail", i)
+		}
+	}
+	for i := 0; i < PoolSize; i++ {
+		if _, ok := e0.txPool.TryPop(); !ok {
+			t.Fatalf("pool holds %d buffers after failed sends, want %d", i, PoolSize)
+		}
+	}
+	if _, ok := e0.txPool.TryPop(); ok {
+		t.Errorf("pool holds more than %d buffers: a failed send released twice", PoolSize)
 	}
 }

@@ -79,9 +79,6 @@ func (s *Segment) Write(off int, data []byte, rec WriteRecord) {
 // once the segment has been released and drained.
 func (s *Segment) Poll() (WriteRecord, bool) { return s.recs.Pop() }
 
-// TryPoll is the non-blocking Poll.
-func (s *Segment) TryPoll() (WriteRecord, bool) { return s.recs.TryPop() }
-
 // Read copies len(dst) bytes starting at off out of the segment.
 func (s *Segment) Read(off int, dst []byte) {
 	s.mu.Lock()

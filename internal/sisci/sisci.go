@@ -74,17 +74,6 @@ func (s *LocalSegment) WaitWrite(a *vclock.Actor) (off, n int, tag uint64, ok bo
 	return rec.Off, rec.Len, rec.Tag, true
 }
 
-// TryWaitWrite is the non-blocking WaitWrite; it does not advance the clock
-// when nothing is pending (an empty poll).
-func (s *LocalSegment) TryWaitWrite(a *vclock.Actor) (off, n int, tag uint64, ok bool) {
-	rec, ok := s.seg.TryPoll()
-	if !ok {
-		return 0, 0, 0, false
-	}
-	a.Sync(vclock.Time(rec.Arrive))
-	return rec.Off, rec.Len, rec.Tag, true
-}
-
 // Read copies segment contents out at off. The copy-out cost of pipelined
 // receive paths is folded into the transfer-method models (dual-buffering
 // overlaps it with the incoming stream), so Read itself charges no time.

@@ -77,23 +77,16 @@ func TestConnectErrors(t *testing.T) {
 	}
 }
 
-func TestTryWaitWrite(t *testing.T) {
+func TestReleasedSegmentDrains(t *testing.T) {
 	d0, d1 := pair(t)
 	local := d1.CreateSegment(3, 4096)
 	remote, _ := d0.ConnectSegment(1, 0, 3)
-	r := vclock.NewActor("r")
-	if _, _, _, ok := local.TryWaitWrite(r); ok {
-		t.Error("TryWaitWrite on an idle segment must fail")
-	}
-	if r.Now() != 0 {
-		t.Error("an empty poll must not advance the clock")
-	}
-	s := vclock.NewActor("s")
+	s, r := vclock.NewActor("s"), vclock.NewActor("r")
 	remote.MemCpy(s, 0, []byte{1, 2, 3}, model.SISCIPIO, 0)
-	if _, n, _, ok := local.TryWaitWrite(r); !ok || n != 3 {
-		t.Errorf("TryWaitWrite: n=%d ok=%v", n, ok)
-	}
 	local.Release()
+	if _, n, _, ok := local.WaitWrite(r); !ok || n != 3 {
+		t.Errorf("a write posted before Release must still drain: n=%d ok=%v", n, ok)
+	}
 	if _, _, _, ok := local.WaitWrite(r); ok {
 		t.Error("released segment must drain to !ok")
 	}
