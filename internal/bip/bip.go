@@ -60,17 +60,22 @@ type Interface struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	posted  map[key][]*postedRecv // long-path rendezvous queues
-	shortIn map[key]int           // occupied short buffers
+	posted  map[key]*simnet.Ring[*postedRecv] // long-path rendezvous queues
+	recs    []*postedRecv                     // idle posted-receive records
+	shortIn map[key]int                       // occupied short buffers
 }
 
+// postedRecv is one posted long receive. The receiver fills the first two
+// fields and posts it; the matching sender fills the rest and signals
+// done, after which the record is the receiver's again and returns to the
+// interface's idle list.
 type postedRecv struct {
 	buf      []byte
 	postedAt vclock.Time
 	n        int
 	arrive   vclock.Time
 	err      error
-	done     chan struct{}
+	done     chan struct{} // capacity 1: one signal per posting
 }
 
 var ifaceRegistry sync.Map // *simnet.Adapter -> *Interface
@@ -85,7 +90,7 @@ func Attach(n *simnet.Node, idx int) (*Interface, error) {
 	}
 	b := &Interface{
 		adapter: a,
-		posted:  make(map[key][]*postedRecv),
+		posted:  make(map[key]*simnet.Ring[*postedRecv]),
 		shortIn: make(map[key]int),
 	}
 	b.cond = sync.NewCond(&b.mu)
@@ -141,10 +146,9 @@ func (b *Interface) TSendShort(a *vclock.Actor, dst, tag int, data []byte) error
 	// Host-side per-call costs are folded into the model's fixed term.
 	start, _ := b.adapter.TxEngine().Acquire(a.Now(), model.BIPShort.ByteTime(len(data)))
 	arrive := start + model.BIPShort.Time(len(data))
-	cp := make([]byte, len(data)) // the NIC copies into its SRAM
-	copy(cp, data)
+	// The NIC copies into one of the receiver's preallocated buffers.
 	b.adapter.Deliver(p.adapter, shortLane(tag), simnet.Packet{
-		Data:   cp,
+		Data:   data,
 		Inject: int64(start),
 		Arrive: int64(arrive),
 		Tag:    uint64(tag),
@@ -157,7 +161,7 @@ func (b *Interface) TSendShort(a *vclock.Actor, dst, tag int, data []byte) error
 // receive on the same pair, as with BIP's internal buffers; callers copy
 // out what they need to keep).
 func (b *Interface) TRecvShort(a *vclock.Actor, src, tag int) ([]byte, error) {
-	pkt, ok := b.adapter.RxLane(src, shortLane(tag)).Pop()
+	pkt, ok := b.adapter.Recv(src, shortLane(tag))
 	if !ok {
 		return nil, fmt.Errorf("bip: receive lane closed")
 	}
@@ -174,18 +178,31 @@ func (b *Interface) TRecvShort(a *vclock.Actor, src, tag int) ([]byte, error) {
 // payload length. Posting the receive is what releases the matching sender
 // (BIP's receiver-acknowledgment synchronization).
 func (b *Interface) TRecvLong(a *vclock.Actor, src, tag int, buf []byte) (int, error) {
-	pr := &postedRecv{buf: buf, postedAt: a.Now(), done: make(chan struct{})}
 	k := key{src, tag}
 	b.mu.Lock()
-	b.posted[k] = append(b.posted[k], pr)
+	var pr *postedRecv
+	if i := len(b.recs) - 1; i >= 0 {
+		pr, b.recs = b.recs[i], b.recs[:i]
+	} else {
+		pr = &postedRecv{done: make(chan struct{}, 1)}
+	}
+	pr.buf, pr.postedAt = buf, a.Now()
+	q := b.posted[k]
+	if q == nil {
+		q = new(simnet.Ring[*postedRecv])
+		b.posted[k] = q
+	}
+	q.Push(pr)
 	b.mu.Unlock()
 	b.cond.Broadcast()
 	<-pr.done
-	a.Sync(pr.arrive)
-	if pr.err != nil {
-		return 0, pr.err
-	}
-	return pr.n, nil
+	n, arrive, err := pr.n, pr.arrive, pr.err
+	*pr = postedRecv{done: pr.done}
+	b.mu.Lock()
+	b.recs = append(b.recs, pr)
+	b.mu.Unlock()
+	a.Sync(arrive)
+	return n, err
 }
 
 // TSendLong sends data to (dst, tag) on the long-message path: it blocks
@@ -201,11 +218,10 @@ func (b *Interface) TSendLong(a *vclock.Actor, dst, tag int, data []byte) error 
 	// ...and we block until a matching receive is posted.
 	k := key{b.Node(), tag}
 	p.mu.Lock()
-	for len(p.posted[k]) == 0 {
+	for p.posted[k] == nil || p.posted[k].Len() == 0 {
 		p.cond.Wait()
 	}
-	pr := p.posted[k][0]
-	p.posted[k] = p.posted[k][1:]
+	pr := p.posted[k].Pop()
 	p.mu.Unlock()
 
 	// The "ready" acknowledgment leaves once both the request has arrived
@@ -218,13 +234,14 @@ func (b *Interface) TSendLong(a *vclock.Actor, dst, tag int, data []byte) error 
 	// buffer is reusable when TSendLong returns.
 	a.Sync(end)
 	if len(pr.buf) < len(data) {
-		pr.err = fmt.Errorf("bip: posted receive buffer too small (%d < %d)", len(pr.buf), len(data))
-		close(pr.done)
-		return pr.err
+		err := fmt.Errorf("bip: posted receive buffer too small (%d < %d)", len(pr.buf), len(data))
+		pr.err = err
+		pr.done <- struct{}{}
+		return err
 	}
 	copy(pr.buf, data) // zero-copy delivery into the final location
 	pr.n = len(data)
 	pr.arrive = end
-	close(pr.done)
+	pr.done <- struct{}{}
 	return nil
 }

@@ -738,7 +738,7 @@ func (e *engine) drain(am *AsyncMsg) {
 		putOp(o)
 	}
 	if ran {
-		am.ch.span(cn.actor, t0, "A:drain "+am.ch.name)
+		am.ch.span(cn.actor, t0, am.ch.lbl.drain)
 	}
 }
 

@@ -24,17 +24,12 @@ import (
 // which is this implementation's documented resolution of the
 // LATER-before-EXPRESS combination.
 
-// pendingBlock is one delayed dynamic block.
-type pendingBlock struct {
-	data []byte // reference (LATER/CHEAPER) or private copy (SAFER)
-}
-
 // eagerDyn sends each block as soon as allowed, one TM buffer per block.
 type eagerDyn struct {
 	cs      *ConnState
 	tm      TM
-	pending []pendingBlock // nonempty only while a LATER block holds the line
-	dsts    [][]byte       // deferred receive destinations
+	pending [][]byte // delayed blocks; nonempty only while a LATER block holds the line
+	dsts    [][]byte // deferred receive destinations
 }
 
 func newEagerDyn(tm TM, cs *ConnState) *eagerDyn {
@@ -48,15 +43,10 @@ func (b *eagerDyn) Pack(a *vclock.Actor, data []byte, sm SendMode, rm RecvMode) 
 	if sm == SendSafer {
 		blk = append([]byte(nil), data...)
 	}
-	switch {
-	case sm == SendLater:
-		b.pending = append(b.pending, pendingBlock{data: blk})
-	case len(b.pending) > 0:
-		// FIFO: a delayed block holds the line.
-		b.pending = append(b.pending, pendingBlock{data: blk})
-	default:
+	if sm != SendLater && len(b.pending) == 0 {
 		return b.tm.SendBuffer(a, b.cs, blk)
 	}
+	b.pending = append(b.pending, blk) // FIFO: a delayed block holds the line
 	if rm == ReceiveExpress {
 		return b.Commit(a)
 	}
@@ -64,19 +54,27 @@ func (b *eagerDyn) Pack(a *vclock.Actor, data []byte, sm SendMode, rm RecvMode) 
 }
 
 func (b *eagerDyn) Commit(a *vclock.Actor) error {
-	// Trim as we send: a mid-loop failure aborts the message, and the
-	// policy instance outlives it on the connection — a block left in
-	// pending after its SendBuffer succeeded would go out a second time
-	// on the next flush.
-	for len(b.pending) > 0 {
-		p := b.pending[0]
-		b.pending[0] = pendingBlock{}
-		b.pending = b.pending[1:]
-		if err := b.tm.SendBuffer(a, b.cs, p.data); err != nil {
+	// A mid-loop failure aborts the message, and the policy instance
+	// outlives it on the connection: a block left in pending after its
+	// SendBuffer ran would go out a second time on the next flush, so the
+	// failing block and everything before it leave the queue. The queue
+	// keeps its capacity either way.
+	for i, p := range b.pending {
+		if err := b.tm.SendBuffer(a, b.cs, p); err != nil {
+			b.pending = dropFirst(b.pending, i+1)
 			return err
 		}
 	}
+	b.pending = dropFirst(b.pending, len(b.pending))
 	return nil
+}
+
+// dropFirst removes q's first n items in place, keeping its capacity, and
+// zeroes the vacated tail so the backing array pins no user buffer.
+func dropFirst[T any](q []T, n int) []T {
+	k := copy(q, q[n:])
+	clear(q[k:])
+	return q[:k]
 }
 
 func (b *eagerDyn) Unpack(a *vclock.Actor, dst []byte, rm RecvMode) error {
@@ -88,18 +86,16 @@ func (b *eagerDyn) Unpack(a *vclock.Actor, dst []byte, rm RecvMode) error {
 }
 
 func (b *eagerDyn) Checkout(a *vclock.Actor) error {
-	// Same trim-as-extracted shape as Commit: an already-filled
-	// destination must not be filled again from the stream after a
-	// mid-loop failure.
-	for len(b.dsts) > 0 {
-		d := b.dsts[0]
-		b.dsts[0] = nil
-		b.dsts = b.dsts[1:]
+	// Same shape as Commit: an already-filled destination must not be
+	// filled again from the stream after a mid-loop failure.
+	for i, d := range b.dsts {
 		if err := b.tm.ReceiveBuffer(a, b.cs, d); err != nil {
+			b.dsts = dropFirst(b.dsts, i+1)
 			return err
 		}
 		a.Advance(model.MadUnpackCost)
 	}
+	b.dsts = dropFirst(b.dsts, len(b.dsts))
 	return nil
 }
 
@@ -134,9 +130,10 @@ func (b *aggrDyn) Commit(a *vclock.Actor) error {
 	if len(b.group) == 0 {
 		return nil
 	}
-	g := b.group
-	b.group = nil
-	return b.tm.SendBufferGroup(a, b.cs, g)
+	// Sent or failed, the group is spent: the message aborts on error.
+	err := b.tm.SendBufferGroup(a, b.cs, b.group)
+	b.group = dropFirst(b.group, len(b.group))
+	return err
 }
 
 func (b *aggrDyn) Unpack(a *vclock.Actor, dst []byte, rm RecvMode) error {
@@ -151,12 +148,13 @@ func (b *aggrDyn) Checkout(a *vclock.Actor) error {
 	if len(b.dsts) == 0 {
 		return nil
 	}
-	d := b.dsts
-	b.dsts = nil
-	if err := b.tm.ReceiveSubBufferGroup(a, b.cs, d); err != nil {
+	n := len(b.dsts)
+	err := b.tm.ReceiveSubBufferGroup(a, b.cs, b.dsts)
+	b.dsts = dropFirst(b.dsts, n)
+	if err != nil {
 		return err
 	}
-	a.Advance(vclock.Time(len(d)) * model.MadUnpackCost)
+	a.Advance(vclock.Time(n) * model.MadUnpackCost)
 	return nil
 }
 
@@ -277,11 +275,11 @@ func (b *statCopy) Checkout(a *vclock.Actor) error {
 			// Drop what was extracted, the failing destination included:
 			// the instance outlives the aborted message, and a destination
 			// left queued would be filled from the next message's stream.
-			b.dsts = b.dsts[:copy(b.dsts, b.dsts[i+1:])]
+			b.dsts = dropFirst(b.dsts, i+1)
 			return err
 		}
 	}
-	b.dsts = b.dsts[:0]
+	b.dsts = dropFirst(b.dsts, len(b.dsts))
 	// Release an exactly-exhausted buffer right away: symmetric sequences
 	// always end on a buffer boundary.
 	if b.rcur != nil && b.roff == len(b.rcur) {

@@ -26,7 +26,8 @@ type Channel struct {
 	id      int
 	rank    int
 	pmm     PMM
-	obs     *Observer // session observer at creation time; nil = unobserved
+	obs     *Observer  // session observer at creation time; nil = unobserved
+	lbl     spanLabels // built with the channel when observed; zero otherwise
 	members []int
 
 	// incoming carries message-start notifications: one rank per message,
@@ -103,7 +104,7 @@ type leaseState struct {
 	mu      sync.Mutex
 	free    bool
 	stamp   vclock.Time // release time of the last holder
-	waiters []leaseWaiter
+	waiters simnet.Ring[leaseWaiter]
 }
 
 // leaseWaiter is one parked acquirer: a channel for blocking (sync)
@@ -127,7 +128,7 @@ func (l lease) acquire(a *vclock.Actor) {
 		return
 	}
 	c := make(chan vclock.Time, 1)
-	s.waiters = append(s.waiters, leaseWaiter{c: c})
+	s.waiters.Push(leaseWaiter{c: c})
 	s.mu.Unlock()
 	a.Sync(<-c)
 }
@@ -147,7 +148,7 @@ func (l lease) acquireAsync(fn func(vclock.Time)) bool {
 		fn(t)
 		return true
 	}
-	s.waiters = append(s.waiters, leaseWaiter{fn: fn})
+	s.waiters.Push(leaseWaiter{fn: fn})
 	s.mu.Unlock()
 	return false
 }
@@ -159,9 +160,10 @@ func (l lease) release(a *vclock.Actor) {
 	s := l.s
 	s.mu.Lock()
 	s.stamp = a.Now()
-	if len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
+	if s.waiters.Len() > 0 {
+		// The ring zeroes the popped slot: a parked continuation captures
+		// its AsyncMsg, which must not stay reachable from the FIFO.
+		w := s.waiters.Pop()
 		t := s.stamp
 		s.mu.Unlock()
 		if w.c != nil {
@@ -205,6 +207,10 @@ type ConnState struct {
 	// send lease, rBMMs by the receive lease.
 	sBMMs map[TM]BMM
 	rBMMs map[TM]BMM
+
+	// Idle outgoing static buffers, per StaticTM that owns its own;
+	// lazily created, guarded by the send lease.
+	sFree map[*StaticTM]*freeList
 
 	// sendMsg binds the send-lease holder's per-message state while a
 	// message is in construction, so TMs can reach Announce's latch
@@ -267,6 +273,20 @@ func (cs *ConnState) sendBMM(tm TM) BMM {
 	return b
 }
 
+// staticBufs returns (creating lazily) t's free list on this connection.
+// Called only under the send lease.
+func (cs *ConnState) staticBufs(t *StaticTM) *freeList {
+	f := cs.sFree[t]
+	if f == nil {
+		if cs.sFree == nil {
+			cs.sFree = make(map[*StaticTM]*freeList)
+		}
+		f = new(freeList)
+		cs.sFree[t] = f
+	}
+	return f
+}
+
 // recvBMM returns (creating lazily) the BMM instance for a receive-side TM.
 // Called only under the receive lease.
 func (cs *ConnState) recvBMM(tm TM) BMM {
@@ -319,7 +339,7 @@ func (c *Channel) BeginPacking(a *vclock.Actor, remote int) (*Connection, error)
 	if a.Now() > t0 {
 		// Contended lease: the wait is the full-duplex path's queueing
 		// delay, made visible for the observer's timeline.
-		c.span(a, t0, "w:lease-send "+c.name)
+		c.span(a, t0, c.lbl.leaseSend)
 	}
 	cn := &Connection{cs: cs, actor: a, sending: true, open: true}
 	cs.sendMsg = &cn.msg
@@ -365,7 +385,7 @@ func (cn *Connection) Pack(data []byte, sm SendMode, rm RecvMode) error {
 	if m.tm != nil && m.tm != tm {
 		t0 := cn.actor.Now()
 		err := cs.sendBMM(m.tm).Commit(cn.actor)
-		cs.ch.span(cn.actor, t0, "C:commit "+m.tm.Name())
+		cs.ch.spanTM(cn.actor, t0, spanCommit, m.tm)
 		if err != nil {
 			return cn.abort(err)
 		}
@@ -373,11 +393,11 @@ func (cn *Connection) Pack(data []byte, sm SendMode, rm RecvMode) error {
 	}
 	m.tm = tm
 	m.packed = true
-	cs.ch.stats.packed(tm.Name(), len(data))
+	cs.ch.stats.packed(tm, len(data))
 	t0 := cn.actor.Now()
 	cn.actor.Advance(model.MadPackCost)
 	err := cs.sendBMM(tm).Pack(cn.actor, data, sm, rm)
-	cs.ch.span(cn.actor, t0, "P:pack "+tm.Name())
+	cs.ch.spanTM(cn.actor, t0, spanPack, tm)
 	if err != nil {
 		return cn.abort(err)
 	}
@@ -404,7 +424,7 @@ func (cn *Connection) EndPacking() error {
 	if m.tm != nil {
 		t0 := cn.actor.Now()
 		err := cs.sendBMM(m.tm).Commit(cn.actor)
-		cs.ch.span(cn.actor, t0, "C:commit "+m.tm.Name())
+		cs.ch.spanTM(cn.actor, t0, spanCommit, m.tm)
 		if err != nil {
 			return err
 		}
@@ -437,7 +457,7 @@ func (c *Channel) BeginUnpacking(a *vclock.Actor) (*Connection, error) {
 	t0 := a.Now()
 	cs.recv.acquire(a)
 	if a.Now() > t0 {
-		c.span(a, t0, "w:lease-recv "+c.name)
+		c.span(a, t0, c.lbl.leaseRecv)
 	}
 	return &Connection{cs: cs, actor: a, sending: false, open: true}, nil
 }
@@ -455,7 +475,7 @@ func (cn *Connection) Unpack(dst []byte, sm SendMode, rm RecvMode) error {
 	if m.tm != nil && m.tm != tm {
 		t0 := cn.actor.Now()
 		err := cs.recvBMM(m.tm).Checkout(cn.actor)
-		cs.ch.span(cn.actor, t0, "K:checkout "+m.tm.Name())
+		cs.ch.spanTM(cn.actor, t0, spanCheckout, m.tm)
 		if err != nil {
 			return cn.abort(err)
 		}
@@ -468,7 +488,7 @@ func (cn *Connection) Unpack(dst []byte, sm SendMode, rm RecvMode) error {
 	// data's arrival for deferred (receive_CHEAPER) blocks too.
 	t0 := cn.actor.Now()
 	err := cs.recvBMM(tm).Unpack(cn.actor, dst, rm)
-	cs.ch.span(cn.actor, t0, "U:unpack "+tm.Name())
+	cs.ch.spanTM(cn.actor, t0, spanUnpack, tm)
 	if err != nil {
 		return cn.abort(err)
 	}
@@ -487,7 +507,7 @@ func (cn *Connection) EndUnpacking() error {
 	if m.tm != nil {
 		t0 := cn.actor.Now()
 		err := cs.recvBMM(m.tm).Checkout(cn.actor)
-		cs.ch.span(cn.actor, t0, "K:checkout "+m.tm.Name())
+		cs.ch.spanTM(cn.actor, t0, spanCheckout, m.tm)
 		if err != nil {
 			return err
 		}

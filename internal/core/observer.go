@@ -186,6 +186,54 @@ func (c *Channel) span(a *vclock.Actor, start vclock.Time, label string) {
 	}
 }
 
+// spanLabels are a channel's span labels, concatenated once when an
+// observed channel is created, so neither the unobserved nor the observed
+// hot path builds a string per span.
+type spanLabels struct {
+	leaseSend, leaseRecv, drain string
+	tm                          map[TM]*[4]string // by spanKind; read-only after creation
+}
+
+// spanKind indexes a TM's four Switch-step span labels.
+type spanKind int
+
+const (
+	spanPack spanKind = iota
+	spanCommit
+	spanUnpack
+	spanCheckout
+)
+
+func tmSpanLabels(name string) *[4]string {
+	return &[4]string{"P:pack " + name, "C:commit " + name, "U:unpack " + name, "K:checkout " + name}
+}
+
+func newSpanLabels(channel string, tms []TM) spanLabels {
+	l := spanLabels{
+		leaseSend: "w:lease-send " + channel,
+		leaseRecv: "w:lease-recv " + channel,
+		drain:     "A:drain " + channel,
+		tm:        make(map[TM]*[4]string, len(tms)),
+	}
+	for _, tm := range tms {
+		l.tm[tm] = tmSpanLabels(tm.Name())
+	}
+	return l
+}
+
+// spanTM records one Switch-step interval of tm ending now. A TM the PMM
+// failed to declare in TMs() still gets its span, at a concat per call.
+func (c *Channel) spanTM(a *vclock.Actor, start vclock.Time, k spanKind, tm TM) {
+	if c.obs == nil {
+		return
+	}
+	l := c.lbl.tm[tm]
+	if l == nil {
+		l = tmSpanLabels(tm.Name())
+	}
+	c.obs.rec.Record(a.Name(), start, a.Now(), l[k])
+}
+
 // obsTM decorates a transmission module with transfer spans and per-TM
 // latency attribution. BMM constructors install it (instrumentTM), so
 // every wire operation of every PMM — built-in or externally registered —

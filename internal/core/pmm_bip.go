@@ -75,10 +75,6 @@ func (t *bipShort) Link(n int) model.Link {
 
 func (t *bipShort) StaticSize() int { return bip.ShortMax - 1 }
 
-func (t *bipShort) ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
-	return make([]byte, t.StaticSize()), nil
-}
-
 func (t *bipShort) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
 	// The credit window keeps the receiver's preallocated ring from ever
 	// overrunning (§5.2.2).

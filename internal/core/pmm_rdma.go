@@ -170,8 +170,6 @@ type rdmaConn struct {
 	ownRdvDst uint32
 
 	// send path
-	sendBufs [][]byte // pre-registered bounce buffers
-	sendNext int
 	eagerSeq uint32 // next eager slot sequence
 	ctrlNext int    // next slot in the peer's ctrl ring
 	rdvSend  uint32 // next rendezvous sequence (outbound)
@@ -182,6 +180,8 @@ type rdmaConn struct {
 
 	// The credit window over the peer's eager ring, split the same way.
 	slots *creditWindow
+
+	ctrlFrame, respFrame [rdmaFrameSize]byte // outgoing control frames (writeFrame)
 }
 
 func (p *rdmaPMM) PreConnect(cs *ConnState) error {
@@ -212,9 +212,6 @@ func (p *rdmaPMM) PreConnect(cs *ConnState) error {
 	// is keyed by the outbound direction.
 	if st.respIn, err = p.hca.Register(setup, out.resp, make([]byte, rdmaCtrlSlots*rdmaFrameSize)); err != nil {
 		return err
-	}
-	for i := 0; i < 2; i++ {
-		st.sendBufs = append(st.sendBufs, make([]byte, model.RDMAEagerMax))
 	}
 	cs.Priv = st
 	return nil
@@ -249,9 +246,14 @@ func rdmaDecodeFrame(b []byte) (kind byte, seq, val uint32, valid bool) {
 
 // writeFrame ships one control frame into slot of the peer ring at key.
 func (p *rdmaPMM) writeFrame(a *vclock.Actor, st *rdmaConn, key uint32, slot int, kind byte, seq, val uint32, size int) error {
-	buf := make([]byte, size)
-	rdmaEncodeFrame(buf, kind, seq, val)
-	return st.write(a, key, (slot%rdmaCtrlSlots)*rdmaFrameSize, buf, uint64(kind)<<32|uint64(seq), model.RDMACtrl)
+	// One block per target ring: RTS/FIN leave under the send lease,
+	// CTS/verdicts/credits under the receive lease.
+	buf := &st.ctrlFrame
+	if key == st.peerResp {
+		buf = &st.respFrame
+	}
+	rdmaEncodeFrame(buf[:], kind, seq, val)
+	return st.write(a, key, (slot%rdmaCtrlSlots)*rdmaFrameSize, buf[:size], uint64(kind)<<32|uint64(seq), model.RDMACtrl)
 }
 
 // write posts one RDMA write and reaps its initiator-side completion at
@@ -349,13 +351,6 @@ type rdmaEager struct{ p *rdmaPMM }
 func (t *rdmaEager) Name() string          { return "rdma-eager" }
 func (t *rdmaEager) Link(n int) model.Link { return model.RDMAWrite }
 func (t *rdmaEager) StaticSize() int       { return model.RDMAEagerMax }
-
-func (t *rdmaEager) ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
-	st := rdmaState(cs)
-	buf := st.sendBufs[st.sendNext%len(st.sendBufs)]
-	st.sendNext++
-	return buf, nil
-}
 
 func (t *rdmaEager) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
 	st := rdmaState(cs)

@@ -131,17 +131,16 @@ func (p *sisciPMM) nextSlot(a *vclock.Actor, cs *ConnState) (int, error) {
 	return off, nil
 }
 
-// readSlot blocks for the next incoming slot and returns a copy of its
-// payload (the slot is credited back according to the release policy).
+// readSlot blocks for the next incoming slot and returns its payload where
+// it landed, in the ring: the slot is the protocol buffer, the receiver's
+// until it credits the slot back.
 func (p *sisciPMM) readSlot(a *vclock.Actor, cs *ConnState) ([]byte, error) {
 	st := sciState(cs)
 	off, n, _, ok := st.ring.WaitWrite(a)
 	if !ok {
 		return nil, ErrClosed
 	}
-	buf := make([]byte, n)
-	st.ring.Read(off, buf)
-	return buf, nil
+	return st.ring.Window(off, n), nil
 }
 
 // A grant is an 8-byte PIO write into the sender's ack segment, its size
@@ -175,10 +174,6 @@ type sciSlot struct {
 func (t *sciSlot) Name() string          { return t.name }
 func (t *sciSlot) Link(n int) model.Link { return t.link }
 func (t *sciSlot) StaticSize() int       { return t.size }
-
-func (t *sciSlot) ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
-	return make([]byte, t.size), nil
-}
 
 func (t *sciSlot) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
 	if len(data) > sciSlotSize {

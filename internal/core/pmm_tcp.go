@@ -55,18 +55,10 @@ func (t *tcpMover) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error
 }
 
 func (t *tcpMover) SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]byte) error {
-	total := 0
-	for _, g := range group {
-		total += len(g)
-	}
-	msg := make([]byte, 0, total)
-	for _, g := range group {
-		msg = append(msg, g...)
-	}
 	if err := cs.Announce(); err != nil {
 		return err
 	}
-	return t.p.ep.Send(a, cs.Remote(), t.p.port, msg)
+	return t.p.ep.Sendv(a, cs.Remote(), t.p.port, group...)
 }
 
 // ReceiveBuffer consumes len(dst) bytes from the connection's incoming

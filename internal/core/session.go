@@ -230,6 +230,9 @@ func (s *Session) NewChannel(spec ChannelSpec) (map[int]*Channel, error) {
 		// Pre-register the PMM's TM names so per-TM accounting is
 		// lock-free once traffic starts.
 		ch.stats.registerTMs(pmm.TMs())
+		if obs != nil {
+			ch.lbl = newSpanLabels(spec.Name, pmm.TMs())
+		}
 		ch.bindMetrics(reg)
 		chans[r] = ch
 		s.mu.Lock()

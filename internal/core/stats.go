@@ -56,10 +56,10 @@ func (s ChannelStats) String() string {
 // concurrently (disjoint connections of one channel, full-duplex traffic
 // on one connection), so every counter is an atomic — including the
 // per-TM block histogram: its map is built once at channel creation from
-// the PMM's declared TMs (PMM.TMs) and never mutated afterwards, so the
-// hot send path updates a pre-registered TM with one atomic add and no
-// lock. A TM name the PMM failed to declare falls back to the
-// mutex-guarded overflow map.
+// the PMM's declared TMs (PMM.TMs), keyed by TM identity so the hot send
+// path never asks a TM for its name, and never mutated afterwards: a
+// pre-registered TM costs one atomic add and no lock. A TM the PMM failed
+// to declare falls back to the mutex-guarded overflow map.
 type chanStats struct {
 	messagesOut, messagesIn atomic.Int64
 	blocksOut, blocksIn     atomic.Int64
@@ -68,22 +68,22 @@ type chanStats struct {
 
 	asyncSubmitted, asyncCompleted, asyncErrors atomic.Int64
 
-	tmBlocks map[string]*atomic.Int64 // read-only after registerTMs
+	tmBlocks map[TM]*atomic.Int64 // read-only after registerTMs
 
 	mu       sync.Mutex
 	overflow map[string]int64
 }
 
-// registerTMs pre-registers the channel's TM names; runs once, before
-// any traffic.
+// registerTMs pre-registers the channel's TMs; runs once, before any
+// traffic.
 func (cs *chanStats) registerTMs(tms []TM) {
-	cs.tmBlocks = make(map[string]*atomic.Int64, len(tms))
+	cs.tmBlocks = make(map[TM]*atomic.Int64, len(tms))
 	for _, tm := range tms {
-		cs.tmBlocks[tm.Name()] = new(atomic.Int64)
+		cs.tmBlocks[tm] = new(atomic.Int64)
 	}
 }
 
-func (cs *chanStats) packed(tm string, n int) {
+func (cs *chanStats) packed(tm TM, n int) {
 	cs.blocksOut.Add(1)
 	cs.bytesOut.Add(int64(n))
 	if ctr := cs.tmBlocks[tm]; ctr != nil {
@@ -94,7 +94,7 @@ func (cs *chanStats) packed(tm string, n int) {
 	if cs.overflow == nil {
 		cs.overflow = make(map[string]int64)
 	}
-	cs.overflow[tm]++
+	cs.overflow[tm.Name()]++
 	cs.mu.Unlock()
 }
 
@@ -160,9 +160,9 @@ func (c *Channel) Stats() ChannelStats {
 		AsyncErrors:    c.stats.asyncErrors.Load(),
 	}
 	out.TMBlocks = make(map[string]int64, len(c.stats.tmBlocks))
-	for k, ctr := range c.stats.tmBlocks {
+	for tm, ctr := range c.stats.tmBlocks {
 		if v := ctr.Load(); v > 0 {
-			out.TMBlocks[k] = v
+			out.TMBlocks[tm.Name()] += v
 		}
 	}
 	c.stats.mu.Lock()

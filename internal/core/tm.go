@@ -204,27 +204,91 @@ func (e eachBuffer) ReceiveSubBufferGroup(a *vclock.Actor, cs *ConnState, dsts [
 }
 
 // staticMover is what a static-buffer TM declares: its name, its cost
-// model, the payload capacity of one protocol buffer, and that buffer's
-// life cycle on each side — obtain and send, receive and release.
+// model, the payload capacity of one protocol buffer, how a filled buffer
+// crosses the wire, and the incoming buffer's life cycle — receive and
+// release.
 type staticMover interface {
 	Name() string
 	Link(n int) model.Link
 	StaticSize() int
-	ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error)
 	SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error
 	ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error)
 	ReleaseStaticBuffer(a *vclock.Actor, cs *ConnState, buf []byte) error
 }
 
+// bufferOwner is a static mover whose protocol has send buffers of its
+// own (VIA's registered staging ring, SBP's kernel pool).
+type bufferOwner interface {
+	ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error)
+}
+
 // StaticTM is a static-buffer transmission module: data travels in
 // buffers the protocol owns, filled and drained by the static-copy BMM,
-// so the dynamic receive calls answer ErrNoStatic.
-type StaticTM struct{ staticMover }
+// so the dynamic receive calls answer ErrNoStatic. For a mover that is
+// not a bufferOwner — one whose wire operation copies the buffer off the
+// host — the TM owns the outgoing buffers itself: a per-connection free
+// list that ObtainStaticBuffer takes from and SendBuffer gives back to,
+// whether or not the send succeeded.
+type StaticTM struct {
+	staticMover
+	owner bufferOwner // nil: the TM's free list serves ObtainStaticBuffer
+}
 
 // NewStaticTM builds the TM around a mover.
-func NewStaticTM(m staticMover) *StaticTM { return &StaticTM{m} }
+func NewStaticTM(m staticMover) *StaticTM {
+	owner, _ := m.(bufferOwner)
+	return &StaticTM{m, owner}
+}
 
 func (t *StaticTM) NewBMM(cs *ConnState) BMM { return newStatCopy(t, cs) }
+
+func (t *StaticTM) ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
+	if t.owner != nil {
+		return t.owner.ObtainStaticBuffer(a, cs)
+	}
+	return cs.staticBufs(t).get(t.StaticSize()), nil
+}
+
+func (t *StaticTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
+	err := t.staticMover.SendBuffer(a, cs, data)
+	if t.owner == nil {
+		cs.staticBufs(t).put(data, t.StaticSize())
+	}
+	return err
+}
+
+// staticFreeMax bounds a free list. The static-copy BMM holds one outgoing
+// buffer at a time; two covers a caller that fills the next before
+// sending the last, as the smallest staging ring does.
+const staticFreeMax = 2
+
+// freeList is one connection's idle outgoing buffers of one StaticTM,
+// made on demand and guarded by the send lease.
+type freeList struct {
+	bufs [][]byte
+	out  int // obtained and not yet sent: zero between messages
+}
+
+func (f *freeList) get(size int) []byte {
+	f.out++
+	if n := len(f.bufs) - 1; n >= 0 {
+		b := f.bufs[n]
+		f.bufs = f.bufs[:n]
+		return b
+	}
+	return make([]byte, size)
+}
+
+// put takes back a buffer get handed out; anything else is the caller's.
+func (f *freeList) put(b []byte, size int) {
+	if cap(b) != size {
+		return
+	}
+	f.out--
+	if len(f.bufs) < staticFreeMax {
+		f.bufs = append(f.bufs, b[:size])
+	}
+}
 
 func (t *StaticTM) SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]byte) error {
 	for _, g := range group {

@@ -1,0 +1,74 @@
+//go:build !race
+
+package fwd
+
+import (
+	"testing"
+
+	"madeleine2/internal/core"
+	"madeleine2/internal/vclock"
+)
+
+// TestGatewayPacketAllocs gates what fwd itself allocates for one packet,
+// in both modes: injected on segment 0 by the test (so no sending VConn),
+// then either delivered on node 1, or relayed by the gateway and delivered
+// on node 3, and unpacked there. Each real-channel message costs core one
+// Connection handle per end; outside core the only allocation left is the
+// consumer's VConn handle — header blocks, the delivered frame and the
+// gateway's padded reliable wire frame are all reused.
+func TestGatewayPacketAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rel  bool
+		dst  int
+		core float64 // Connection handles: 2 per hop, 2 more per verdict
+	}{
+		{"delivered", false, 1, 2},
+		{"relayed+delivered", false, 3, 4},
+		{"reliable/delivered", true, 1, 4},
+		{"reliable/relayed+delivered", true, 3, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newFateWorld(t, tc.rel)
+			next := w.vcs[0].next[tc.dst].next
+			// Two pre-built packets with alternating link sequence numbers:
+			// duplicate suppression compares against the last one only.
+			var hbs, payloads [2][]byte
+			for i := range hbs {
+				h, payload := w.good(tc.dst, byte(i))
+				hbs[i] = w.encode(h)
+				if payloads[i] = payload; tc.rel {
+					payloads[i] = append(payload, make([]byte, fateMTU-len(payload))...)
+				}
+			}
+			consumer, got, n := vclock.NewActor("consumer"), make([]byte, 64), 0
+			onePacket := func() {
+				if err := rawSend(w.vcs[0].chans[0], w.a, next, hbs[n%2], payloads[n%2]); err != nil {
+					t.Fatal(err)
+				}
+				n++
+				if tc.rel {
+					if vd, ok := w.vcs[0].rel.link(0, next).verdicts.Pop(); !ok || !vd.ok {
+						t.Fatalf("verdict %+v, open=%v; want an ack", vd, ok)
+					}
+				}
+				conn, err := w.vcs[tc.dst].BeginUnpacking(consumer)
+				if err == nil {
+					err = conn.Unpack(got, core.SendCheaper, core.ReceiveCheaper)
+				}
+				if err == nil {
+					err = conn.EndUnpacking()
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 100; i++ {
+				onePacket()
+			}
+			if allocs := testing.AllocsPerRun(300, onePacket); allocs > tc.core+1 {
+				t.Errorf("%.2f allocs per packet, %.0f of them core's Connection handles: fwd allocates more than the consumer's VConn", allocs, tc.core)
+			}
+		})
+	}
+}

@@ -46,9 +46,9 @@ func (w *fateWorld) good(dst int, seed byte) (header, []byte) {
 // encode serializes h in the mode's header format.
 func (w *fateWorld) encode(h header) []byte {
 	if w.rel {
-		return h.encodeR()
+		return h.encodeR(new(hdrBuf))
 	}
-	return h.encode()
+	return h.encode(new(hdrBuf))
 }
 
 // send ships one packet to node 0's segment-0 neighbor. A reliable payload

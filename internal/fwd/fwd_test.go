@@ -320,7 +320,7 @@ func TestBadSpecs(t *testing.T) {
 
 func TestHeaderCodec(t *testing.T) {
 	h := header{Origin: 3, Dst: 4, Seq: 77, Len: 8192, Flags: flagFirst | flagLast, CRC: 0xDEADBEEF}
-	got, err := decodeHeader(h.encode())
+	got, err := decodeHeader(h.encode(new(hdrBuf)))
 	if err != nil || got != h {
 		t.Fatalf("round-trip = %+v, %v", got, err)
 	}

@@ -120,6 +120,7 @@ type daemonState struct {
 	throttleAt vclock.Time
 	lastLSeq   map[int]uint32 // previous hop -> last accepted link seq; filled in reliable mode only
 	scratch    []byte         // one MTU: drain target for packets being dropped
+	hb         hdrBuf         // the incoming header block, then the verdict's
 }
 
 // daemonIO classifies a failure that stops a daemon: shutdown is quiet,
@@ -178,7 +179,7 @@ func (d *daemonState) recv(conn *core.Connection) bool {
 	// stops them, the scope closes once, right below: a daemon on its way
 	// out must not leave the segment's receive lease wedged.
 	err := func() error {
-		hb := make([]byte, hsize)
+		hb := d.hb[:hsize]
 		if err := conn.Unpack(hb, core.SendCheaper, core.ReceiveExpress); err != nil {
 			return err
 		}
@@ -227,7 +228,7 @@ func (d *daemonState) recv(conn *core.Connection) bool {
 
 		switch what {
 		case fateDeliver:
-			frame = make([]byte, n) // owned by the destination stream from here on
+			frame = v.frame(n) // the destination stream's from here on; Unpack frees it
 		case fateForward:
 			// One of the pipeline's two buffers: the dual-buffer exchange
 			// point (Fig. 9).
@@ -305,7 +306,7 @@ func (d *daemonState) recv(conn *core.Connection) bool {
 		d.lastLSeq[prev] = h.LSeq
 	}
 	vAt := a.Now()
-	v.sendVerdict(a, d.segIdx, prev, what != fateDrop)
+	v.sendVerdict(a, d.segIdx, prev, what != fateDrop, &d.hb)
 	if what == fateDrop && herr == nil && h.Trace != 0 {
 		// A NACK interrupts a traced message's journey: tag the verdict
 		// send so the merged export shows where the loss was paid.
@@ -346,6 +347,7 @@ func (p *pipeline) run() {
 	bus := v.sess.World().Node(v.rank).Bus()
 	inCh, outCh := v.chans[p.inSeg], v.chans[p.outSeg]
 	var prevReady, prevSendEnd vclock.Time
+	var hb hdrBuf
 	for {
 		w, ok := p.work.Pop()
 		if !ok {
@@ -390,7 +392,7 @@ func (p *pipeline) run() {
 		}
 
 		w.hdr.Hop++ // one more relay on the message's journey
-		if err := v.sendPacketOn(p.outSeg, a, v.next[w.hdr.Dst].next, w.hdr, w.payload); err != nil {
+		if err := v.sendPacketOn(p.outSeg, a, v.next[w.hdr.Dst].next, w.hdr, &hb, w.payload); err != nil {
 			if !errors.Is(err, core.ErrClosed) {
 				v.fail(fmt.Errorf("fwd pipeline %s: %w", a.Name(), err))
 			}

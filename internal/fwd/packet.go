@@ -48,9 +48,15 @@ type header struct {
 	LSeq   uint32 // link-level sequence (reliable mode only, not in the base encoding)
 }
 
-// encode serializes the header into a fresh hdrSize-byte block.
-func (h header) encode() []byte {
-	b := make([]byte, hdrSize)
+// hdrBuf is a header block's backing store, large enough for either
+// encoding. Whoever sends owns one for as long as it sends (a VConn, a
+// pipeline's send thread, a daemon for its verdicts): the block is on the
+// wire, copied or sent, when the real channel's EndPacking returns.
+type hdrBuf [rhdrSize]byte
+
+// encode serializes the header into the first hdrSize bytes of buf.
+func (h header) encode(buf *hdrBuf) []byte {
+	b := buf[:hdrSize]
 	binary.LittleEndian.PutUint32(b[0:], uint32(h.Origin))
 	binary.LittleEndian.PutUint32(b[4:], uint32(h.Dst))
 	binary.LittleEndian.PutUint32(b[8:], h.Seq)
@@ -99,10 +105,10 @@ func decodeHeader(b []byte) (header, error) {
 // for non-reliable channels — benchmark parity is a contract.
 const rhdrSize = hdrSize + 8
 
-// encodeR serializes the reliable-mode header.
-func (h header) encodeR() []byte {
-	b := make([]byte, rhdrSize)
-	copy(b, h.encode())
+// encodeR serializes the reliable-mode header into buf.
+func (h header) encodeR(buf *hdrBuf) []byte {
+	b := buf[:]
+	h.encode(buf)
 	binary.LittleEndian.PutUint32(b[hdrSize:], h.LSeq)
 	binary.LittleEndian.PutUint32(b[hdrSize+4:], crc32.ChecksumIEEE(b[:hdrSize+4]))
 	return b

@@ -227,7 +227,7 @@ func (v *VC) errOr(def error) error {
 // one verdict — retransmitting with exponential virtual-time backoff
 // until acknowledged or out of retries. Exhaustion is fatal for the
 // whole handle (the stream behind the packet cannot advance).
-func (v *VC) sendReliable(seg int, a *vclock.Actor, next int, h header, payload []byte) error {
+func (v *VC) sendReliable(seg int, a *vclock.Actor, next int, h header, hbuf *hdrBuf, payload []byte) error {
 	lt := v.rel.link(seg, next)
 	t0 := a.Now()
 	stamp, ok := lt.lease.Pop()
@@ -242,14 +242,16 @@ func (v *VC) sendReliable(seg int, a *vclock.Actor, next int, h header, payload 
 
 	lt.lseq++
 	h.LSeq = lt.lseq
-	hb := h.encodeR()
+	hb := h.encodeR(hbuf)
 	// Fixed framing: every reliable packet occupies a full MTU on the
 	// wire, so a receiver holding a damaged header still knows how much
-	// to drain. Payloads already MTU-sized ship as-is.
+	// to drain. Payloads already MTU-sized ship as-is; a shorter one is
+	// zero-padded in a frame that goes back once the link has its verdict.
 	wire := payload
 	if len(wire) < v.mtu {
-		wire = make([]byte, v.mtu)
-		copy(wire, payload)
+		wire = v.frame(v.mtu)
+		defer v.freeFrame(wire)
+		clear(wire[copy(wire, payload):])
 	}
 	backoff := v.spec.Backoff
 	for attempt := 0; ; attempt++ {
@@ -296,7 +298,7 @@ func (v *VC) sendReliable(seg int, a *vclock.Actor, next int, h header, payload 
 // sendVerdict emits one header-only control frame on the segment's
 // control channel. Failures are shutdown races: the sender blocked on
 // this verdict is released by Close instead.
-func (v *VC) sendVerdict(a *vclock.Actor, segIdx, to int, ok bool) {
+func (v *VC) sendVerdict(a *vclock.Actor, segIdx, to int, ok bool, hb *hdrBuf) {
 	h := header{Origin: v.rank, Dst: to}
 	if ok {
 		h.Flags = flagAck
@@ -308,7 +310,7 @@ func (v *VC) sendVerdict(a *vclock.Actor, segIdx, to int, ok bool) {
 	if err != nil {
 		return
 	}
-	if err := conn.Pack(h.encodeR(), core.SendCheaper, core.ReceiveExpress); err != nil {
+	if err := conn.Pack(h.encodeR(hb), core.SendCheaper, core.ReceiveExpress); err != nil {
 		return
 	}
 	_ = conn.EndPacking()
@@ -321,13 +323,13 @@ func (v *VC) sendVerdict(a *vclock.Actor, segIdx, to int, ok bool) {
 // the resulting retransmit.
 func (v *VC) ctlDaemon(segIdx int, ch *core.Channel) {
 	a := vclock.NewActor(fmt.Sprintf("%s/n%d/seg%d-ctl", v.name, v.rank, segIdx))
+	hb := make([]byte, rhdrSize)
 	for {
 		conn, err := ch.BeginUnpacking(a)
 		if err != nil {
 			return
 		}
 		peer := conn.Remote()
-		hb := make([]byte, rhdrSize)
 		uerr := conn.Unpack(hb, core.SendCheaper, core.ReceiveExpress)
 		if uerr == nil {
 			uerr = conn.EndUnpacking()

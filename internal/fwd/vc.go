@@ -79,6 +79,34 @@ type stream struct {
 	roff    int
 }
 
+// frameFreeMax bounds a handle's idle frames: the few packets a stream
+// runs ahead of its consumer on a bulk transfer, and a gateway's padded
+// wire frame besides.
+const frameFreeMax = 4 * pipelineBuffers
+
+// frame returns n bytes for a delivered packet or a padded reliable wire
+// frame, recycled when the handle has an idle one. A handle makes at most
+// frameFreeMax MTU-sized frames in its life, the ones that circulate; a
+// stream running deeper than that gets the rest at their own size, from
+// the collector, so a slow consumer of small packets never pins MTU blocks.
+func (v *VC) frame(n int) []byte {
+	if b, ok := v.frames.TryPop(); ok {
+		return b[:n]
+	}
+	if v.framesMade.Add(1) <= frameFreeMax {
+		return make([]byte, n, v.mtu)
+	}
+	return make([]byte, n)
+}
+
+// freeFrame takes a frame back from its owner: the destination stream once
+// Unpack has consumed it, the reliable sender once the link has its verdict.
+func (v *VC) freeFrame(b []byte) {
+	if cap(b) == v.mtu && v.frames.Len() < frameFreeMax {
+		v.frames.Push(b)
+	}
+}
+
 // hop is one routing-table entry: forward over segment seg to rank next.
 type hop struct {
 	seg  int
@@ -101,10 +129,12 @@ type VC struct {
 	ctls  map[int]*core.Channel // reliable mode: segment index -> control channel
 	next  map[int]hop           // destination rank -> next hop
 
-	msgStart *simnet.Queue[int]
-	mu       sync.Mutex
-	streams  map[int]*stream
-	pipes    map[[2]int]*pipeline
+	msgStart   *simnet.Queue[int]
+	mu         sync.Mutex
+	streams    map[int]*stream
+	pipes      map[[2]int]*pipeline
+	frames     *simnet.Queue[[]byte] // idle MTU-sized frames
+	framesMade atomic.Int32
 
 	rel *relState   // reliable mode only
 	ctr relCounters // published as fwd/* by a registry collector
@@ -199,6 +229,7 @@ func New(sess *core.Session, spec Spec) (map[int]*VC, error) {
 			msgStart: simnet.NewQueue[int](),
 			streams:  make(map[int]*stream),
 			pipes:    make(map[[2]int]*pipeline),
+			frames:   simnet.NewQueue[[]byte](),
 			closed:   make(chan struct{}),
 			members:  members,
 			segs:     segMembers,
@@ -398,6 +429,7 @@ type VConn struct {
 
 	// send state
 	buf  []byte
+	hb   hdrBuf
 	seq  uint32
 	sent bool
 }
@@ -496,7 +528,7 @@ func (c *VConn) sendPacket(payload []byte, last bool) error {
 		h.Flags |= flagLast
 	}
 	hp := c.v.next[c.remote]
-	if err := c.v.sendPacketOn(hp.seg, c.actor, hp.next, h, payload); err != nil {
+	if err := c.v.sendPacketOn(hp.seg, c.actor, hp.next, h, &c.hb, payload); err != nil {
 		return err
 	}
 	c.seq++
@@ -506,14 +538,15 @@ func (c *VConn) sendPacket(payload []byte, last bool) error {
 
 // sendPacketOn transmits one Generic-TM packet toward next on a segment,
 // through the reliability protocol when the channel runs in reliable mode.
-func (v *VC) sendPacketOn(seg int, a *vclock.Actor, next int, h header, payload []byte) error {
+// hb is the caller's block for the encoded header.
+func (v *VC) sendPacketOn(seg int, a *vclock.Actor, next int, h header, hb *hdrBuf, payload []byte) error {
 	if v.chans[seg] == nil {
 		return fmt.Errorf("fwd: no local channel toward %d", next)
 	}
 	if v.spec.Reliable {
-		return v.sendReliable(seg, a, next, h, payload)
+		return v.sendReliable(seg, a, next, h, hb, payload)
 	}
-	return rawSend(v.chans[seg], a, next, h.encode(), payload)
+	return rawSend(v.chans[seg], a, next, h.encode(hb), payload)
 }
 
 // rawSend transmits one packet as a two-block message on a real channel:
@@ -559,6 +592,8 @@ func (c *VConn) Unpack(dst []byte, sm core.SendMode, rm core.RecvMode) error {
 	st := c.v.stream(c.remote)
 	for len(dst) > 0 {
 		if st.roff == len(st.residue) {
+			c.v.freeFrame(st.residue)
+			st.residue, st.roff = nil, 0
 			ck, ok := st.q.Pop()
 			if !ok {
 				return c.v.errOr(core.ErrClosed)

@@ -86,9 +86,7 @@ func (e *Endpoint) Send(a *vclock.Actor, dst, lane int, b *Buf, n int) error {
 	}
 	start, _ := e.adapter.TxEngine().Acquire(a.Now(), model.SBP.ByteTime(n))
 	arrive := start + model.SBP.Time(n)
-	cp := make([]byte, n)
-	copy(cp, b.data[:n])
-	e.adapter.Deliver(pa, lane, simnet.Packet{Data: cp, Inject: int64(start), Arrive: int64(arrive)})
+	e.adapter.Deliver(pa, lane, simnet.Packet{Data: b.data[:n], Inject: int64(start), Arrive: int64(arrive)})
 	return nil
 }
 
@@ -96,7 +94,7 @@ func (e *Endpoint) Send(a *vclock.Actor, dst, lane int, b *Buf, n int) error {
 // receive buffer, and returns that buffer and the payload length. The
 // caller must Release the buffer after consuming it.
 func (e *Endpoint) Recv(a *vclock.Actor, src, lane int) (*Buf, int, error) {
-	pkt, ok := e.adapter.RxLane(src, lane).Pop()
+	pkt, ok := e.adapter.Recv(src, lane)
 	if !ok {
 		return nil, 0, fmt.Errorf("sbp: endpoint closed")
 	}

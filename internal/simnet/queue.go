@@ -13,6 +13,49 @@ type Packet struct {
 	Kind   int // driver-specific discriminator (e.g. control vs data)
 }
 
+// Ring is a growable FIFO ring buffer: pushes and pops in steady state
+// touch no allocator, whatever the depth, and a popped slot is zeroed so
+// the ring never keeps an item alive. A ring that drains empty after a
+// burst grew it past ringKeep slots gives the memory back. It is not
+// synchronized; Queue adds the lock and the blocking Pop, and single-owner
+// FIFOs (a lease's parked waiters) embed it under their own lock.
+type Ring[T any] struct {
+	buf  []T // len is zero or a power of two
+	head int
+	n    int
+}
+
+// ringKeep is above every steady-state depth of the synchronous paths (the
+// deepest is a 32-slot credit ring).
+const ringKeep = 64
+
+// Len reports the number of queued items.
+func (r *Ring[T]) Len() int { return r.n }
+
+// Push appends v, doubling the ring when it is full.
+func (r *Ring[T]) Push(v T) {
+	if r.n == len(r.buf) {
+		grown := make([]T, max(4, 2*len(r.buf)))
+		k := copy(grown, r.buf[r.head:])
+		copy(grown[k:], r.buf[:r.head])
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.n++
+}
+
+// Pop removes and returns the head item; the ring must not be empty.
+func (r *Ring[T]) Pop() T {
+	v := r.buf[r.head]
+	var zero T
+	r.buf[r.head] = zero
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	if r.n--; r.n == 0 && len(r.buf) > ringKeep {
+		r.buf, r.head = nil, 0
+	}
+	return v
+}
+
 // Queue is an unbounded, ordered, reliable FIFO: the simulated equivalent
 // of an in-order network lane plus the NIC receive ring behind it. It is
 // unbounded so that simulated flow control (credits, rendezvous) is
@@ -21,7 +64,7 @@ type Packet struct {
 type Queue[T any] struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	items  []T
+	items  Ring[T]
 	closed bool
 }
 
@@ -35,13 +78,9 @@ func NewQueue[T any]() *Queue[T] {
 // Push appends v. Pushing to a closed queue panics: drivers own queue
 // lifetime and never race close against send.
 func (q *Queue[T]) Push(v T) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
+	if !q.PushIfOpen(v) {
 		panic("simnet: push on closed queue")
 	}
-	q.items = append(q.items, v)
-	q.cond.Signal()
 }
 
 // PushIfOpen appends v unless the queue is closed, reporting whether the
@@ -54,7 +93,7 @@ func (q *Queue[T]) PushIfOpen(v T) bool {
 	if q.closed {
 		return false
 	}
-	q.items = append(q.items, v)
+	q.items.Push(v)
 	q.cond.Signal()
 	return true
 }
@@ -64,49 +103,30 @@ func (q *Queue[T]) PushIfOpen(v T) bool {
 func (q *Queue[T]) Pop() (v T, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
+	for q.items.Len() == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.items) == 0 {
-		var zero T
-		return zero, false
+	if q.items.Len() == 0 {
+		return v, false
 	}
-	return q.take(), true
-}
-
-// take removes the head item; the caller holds q.mu and has checked the
-// queue is not empty. Taking the only item keeps the backing array where
-// reslicing past it would give it up, so a producer and a consumer trading
-// one item at a time (a lease token, a completion reaped right after it
-// is posted) do not allocate per exchange.
-func (q *Queue[T]) take() T {
-	v := q.items[0]
-	var zero T
-	q.items[0] = zero // the backing array must not keep the item alive
-	if len(q.items) == 1 {
-		q.items = q.items[:0]
-	} else {
-		q.items = q.items[1:]
-	}
-	return v
+	return q.items.Pop(), true
 }
 
 // TryPop removes and returns the head item without blocking.
 func (q *Queue[T]) TryPop() (v T, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.items) == 0 {
-		var zero T
-		return zero, false
+	if q.items.Len() == 0 {
+		return v, false
 	}
-	return q.take(), true
+	return q.items.Pop(), true
 }
 
 // Len reports the number of queued items.
 func (q *Queue[T]) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.items)
+	return q.items.Len()
 }
 
 // Close marks the queue closed; blocked and future Pops drain the remaining

@@ -90,6 +90,16 @@ func (s *Segment) Read(off int, dst []byte) {
 	copy(dst, s.buf[off:])
 }
 
+// Window returns the n bytes at off in place, without the copy Read makes.
+// Only a range no writer targets meanwhile may be read through it.
+func (s *Segment) Window(off, n int) []byte {
+	if off < 0 || n < 0 || off+n > len(s.buf) {
+		panic(fmt.Sprintf("simnet: segment %d window [%d,%d) out of range 0..%d",
+			s.id, off, off+n, len(s.buf)))
+	}
+	return s.buf[off : off+n : off+n]
+}
+
 // Release closes the segment's record stream.
 func (s *Segment) Release() { s.recs.Close() }
 

@@ -26,25 +26,6 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
-// TestQueueExchangeDoesNotAllocate pins that taking a queue's only item
-// keeps its backing array: a producer and a consumer trading one item at
-// a time (a lease token, a send completion reaped as soon as it is
-// posted) must not allocate per exchange.
-func TestQueueExchangeDoesNotAllocate(t *testing.T) {
-	q := NewQueue[int]()
-	next := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		q.Push(next)
-		if v, ok := q.TryPop(); !ok || v != next {
-			t.Fatalf("TryPop = %d,%v, want %d", v, ok, next)
-		}
-		next++
-	})
-	if allocs != 0 {
-		t.Errorf("%v allocations per push/pop exchange, want 0", allocs)
-	}
-}
-
 func TestQueueCloseDrains(t *testing.T) {
 	q := NewQueue[string]()
 	q.Push("a")

@@ -8,6 +8,7 @@ package simnet
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -83,7 +84,7 @@ func (n *Node) AddAdapter(network string) *Adapter {
 		network: network,
 		index:   len(n.adapters[network]),
 		tx:      vclock.NewResource(fmt.Sprintf("n%d/%s%d/tx", n.id, network, len(n.adapters[network]))),
-		lanes:   make(map[laneKey]*Queue[Packet]),
+		lanes:   make(map[laneKey]*rxLane),
 	}
 	n.adapters[network] = append(n.adapters[network], a)
 	return a
@@ -128,7 +129,7 @@ type Adapter struct {
 	tx      *vclock.Resource
 
 	mu       sync.Mutex
-	lanes    map[laneKey]*Queue[Packet]
+	lanes    map[laneKey]*rxLane
 	segments map[uint32]*Segment
 
 	bytesOut   atomic.Int64
@@ -154,18 +155,71 @@ func (a *Adapter) Index() int { return a.index }
 // it to serialize outgoing transfers in virtual time.
 func (a *Adapter) TxEngine() *vclock.Resource { return a.tx }
 
-// RxLane returns (creating on first use) the in-order receive lane for
-// packets arriving from srcNode on the given lane id.
-func (a *Adapter) RxLane(srcNode, lane int) *Queue[Packet] {
+// rxLane is one in-order receive lane and the NIC buffers behind it.
+// Deliver copies each payload off the host into a buffer of the
+// destination lane; the receiver may read it until its next Recv on the
+// lane, and then the buffer serves a later Deliver. The free list holds
+// only what was in flight at once, at most laneFreeMax.
+type rxLane struct {
+	q *Queue[Packet]
+
+	mu   sync.Mutex
+	free [][]byte
+	held []byte // payload of the packet the last Recv returned
+}
+
+const (
+	laneBufMax  = 32 << 10 // SBP's kernel buffer; a larger payload is allocated per packet, as a bulk transfer can afford
+	laneFreeMax = 8        // a credit window's worth; a deeper burst (async) allocates the rest
+)
+
+// buffer returns an empty buffer with room for n bytes, recycled when the
+// lane has one. Capacities are powers of two, so mixed sizes still reuse.
+func (l *rxLane) buffer(n int) []byte {
+	if n > laneBufMax {
+		return make([]byte, 0, n)
+	}
+	var b []byte
+	l.mu.Lock()
+	if k := len(l.free) - 1; k >= 0 {
+		b, l.free = l.free[k], l.free[:k]
+	}
+	l.mu.Unlock()
+	if cap(b) < n {
+		b = make([]byte, 0, max(64, 1<<bits.Len(uint(n-1))))
+	}
+	return b[:0]
+}
+
+func (a *Adapter) lane(srcNode, lane int) *rxLane {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	k := laneKey{srcNode, lane}
-	q := a.lanes[k]
-	if q == nil {
-		q = NewQueue[Packet]()
-		a.lanes[k] = q
+	l := a.lanes[k]
+	if l == nil {
+		l = &rxLane{q: NewQueue[Packet]()}
+		a.lanes[k] = l
 	}
-	return q
+	return l
+}
+
+// RxLane returns (creating on first use) the in-order receive lane for
+// packets arriving from srcNode on the given lane id.
+func (a *Adapter) RxLane(srcNode, lane int) *Queue[Packet] { return a.lane(srcNode, lane).q }
+
+// Recv blocks for the lane's next packet. Its payload is the NIC's receive
+// buffer, valid until the next Recv on the same lane: callers copy out
+// what they keep. ok is false once the lane is closed and drained.
+func (a *Adapter) Recv(srcNode, lane int) (Packet, bool) {
+	l := a.lane(srcNode, lane)
+	p, ok := l.q.Pop()
+	l.mu.Lock()
+	if cap(l.held) > 0 && cap(l.held) <= laneBufMax && len(l.free) < laneFreeMax {
+		l.free = append(l.free, l.held)
+	}
+	l.held = p.Data
+	l.mu.Unlock()
+	return p, ok
 }
 
 // Peer resolves the idx-th adapter of dstNode on this adapter's network.
@@ -175,20 +229,37 @@ func (a *Adapter) Peer(dstNode, idx int) (*Adapter, error) {
 
 // Deliver pushes a packet onto the destination adapter's lane and updates
 // both adapters' traffic counters. The caller (a driver) has already
-// stamped the packet's virtual times. Any armed single-shot fault and the
-// adapter's FaultPlan (if installed) strike here, on the way out.
-func (a *Adapter) Deliver(dst *Adapter, lane int, p Packet) {
-	a.injectFault(&p)
+// stamped the packet's virtual times. The payload — p.Data followed by
+// more, the gather of a writev — is copied into a buffer of the lane, as
+// the NIC copies it off the host: the caller's memory is its own again on
+// return. Any armed single-shot fault and the adapter's FaultPlan (if
+// installed) strike here, on the way out.
+func (a *Adapter) Deliver(dst *Adapter, lane int, p Packet, more ...[]byte) {
+	n := len(p.Data)
+	for _, m := range more {
+		n += len(m)
+	}
+	l := dst.lane(a.node.id, lane)
+	// The queued packet is built field by field: p.Data itself must not
+	// reach the queue, or every caller's payload would escape to the heap.
+	out := Packet{Inject: p.Inject, Arrive: p.Arrive, Tag: p.Tag, Kind: p.Kind}
+	if n > 0 {
+		out.Data = append(l.buffer(n), p.Data...)
+		for _, m := range more {
+			out.Data = append(out.Data, m...)
+		}
+	}
+	out.Data = a.corruptOnce(out.Data)
 	if fs := a.faults.Load(); fs != nil {
 		var extra int64
-		p.Data, extra = fs.strike(p.Data, p.Inject)
-		p.Arrive += extra
+		out.Data, extra = fs.strike(out.Data, out.Inject)
+		out.Arrive += extra
 	}
-	a.bytesOut.Add(int64(len(p.Data)))
+	a.bytesOut.Add(int64(len(out.Data)))
 	a.pktsOut.Add(1)
-	dst.bytesIn.Add(int64(len(p.Data)))
+	dst.bytesIn.Add(int64(len(out.Data)))
 	dst.pktsIn.Add(1)
-	dst.RxLane(a.node.id, lane).Push(p)
+	l.q.Push(out)
 }
 
 // Stats reports cumulative traffic through the adapter.
@@ -210,11 +281,6 @@ func (a *Adapter) CorruptNext() { a.CorruptNextMin(1) }
 func (a *Adapter) CorruptNextMin(min int) {
 	a.corruptMin.Store(int64(min))
 	a.corrupt.Store(true)
-}
-
-// injectFault applies (and disarms) a pending fault to p's payload.
-func (a *Adapter) injectFault(p *Packet) {
-	p.Data = a.corruptOnce(p.Data)
 }
 
 // corruptOnce consumes an armed single-shot fault against data, returning

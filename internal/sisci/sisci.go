@@ -79,6 +79,11 @@ func (s *LocalSegment) WaitWrite(a *vclock.Actor) (off, n int, tag uint64, ok bo
 // overlaps it with the incoming stream), so Read itself charges no time.
 func (s *LocalSegment) Read(off int, dst []byte) { s.seg.Read(off, dst) }
 
+// Window exposes n bytes of the segment at off in place — the owner reading
+// its own exported memory. The caller's protocol keeps remote writers off
+// the window while it reads (a ring slot not yet credited back).
+func (s *LocalSegment) Window(off, n int) []byte { return s.seg.Window(off, n) }
+
 // Release closes the segment's write stream.
 func (s *LocalSegment) Release() { s.seg.Release() }
 

@@ -37,27 +37,36 @@ func (e *Endpoint) Node() int { return e.adapter.Node().ID() }
 // Send transmits one framed message to (dst, port). The kernel copies the
 // payload, so the caller's buffer is immediately reusable.
 func (e *Endpoint) Send(a *vclock.Actor, dst, port int, data []byte) error {
+	return e.Sendv(a, dst, port, data)
+}
+
+// Sendv is the gathering Send (writev): the parts leave as one framed
+// message, gathered by the kernel's own copy, at one message's cost.
+func (e *Endpoint) Sendv(a *vclock.Actor, dst, port int, parts ...[]byte) error {
 	pa, err := e.adapter.Peer(dst, e.adapter.Index())
 	if err != nil {
 		return fmt.Errorf("tcpnet: %w", err)
+	}
+	n := 0
+	for _, part := range parts {
+		n += len(part)
 	}
 	// The kernel stack's per-message processing occupies the send path in
 	// addition to the wire time — that is what message aggregation (one
 	// send per buffer group) amortizes.
 	start, _ := e.adapter.TxEngine().Acquire(a.Now(),
-		model.TCPFE.ByteTime(len(data))+model.TCPFE.Fixed/2)
-	arrive := start + model.TCPFE.Time(len(data))
+		model.TCPFE.ByteTime(n)+model.TCPFE.Fixed/2)
+	arrive := start + model.TCPFE.Time(n)
 	a.Advance(model.TCPFE.Fixed / 4) // syscall + kernel copy on the sender
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	e.adapter.Deliver(pa, port, simnet.Packet{Data: cp, Inject: int64(start), Arrive: int64(arrive)})
+	e.adapter.Deliver(pa, port, simnet.Packet{Inject: int64(start), Arrive: int64(arrive)}, parts...)
 	return nil
 }
 
 // Recv blocks for the next framed message from (src, port), synchronizes
-// the actor's clock to its arrival, and returns the payload.
+// the actor's clock to its arrival, and returns the payload: the kernel's
+// receive buffer, valid until the next Recv or TryRecv on the same pair.
 func (e *Endpoint) Recv(a *vclock.Actor, src, port int) ([]byte, error) {
-	pkt, ok := e.adapter.RxLane(src, port).Pop()
+	pkt, ok := e.adapter.Recv(src, port)
 	if !ok {
 		return nil, fmt.Errorf("tcpnet: connection closed")
 	}
