@@ -35,6 +35,7 @@ type chanTransport struct {
 }
 
 type chanSend struct {
+	hdr    [wireHdrSize]byte // the envelope block; it must outlive SubmitPack
 	token  int
 	failed bool
 	err    error
@@ -74,10 +75,11 @@ func (t *chanTransport) isend(token, node int, h wireHdr, payload []byte, at vcl
 		t.inbox.Push(event{send: true, token: token, err: err})
 		return
 	}
+	st := &chanSend{token: token}
 	t.mu.Lock()
-	t.sends[am] = &chanSend{token: token}
+	t.sends[am] = st
 	t.mu.Unlock()
-	_ = am.SubmitPack(h.encode(), core.SendSafer, core.ReceiveExpress)
+	_ = am.SubmitPack(h.encodeInto(&st.hdr), core.SendSafer, core.ReceiveExpress)
 	if len(payload) > 0 {
 		_ = am.SubmitPack(payload, core.SendCheaper, core.ReceiveCheaper)
 	}

@@ -93,18 +93,19 @@ func (t *vcTransport) isend(token, node int, h wireHdr, payload []byte, at vcloc
 func (t *vcTransport) sendWorker(node int, q *simnet.Queue[vcSendJob]) {
 	defer t.sendWG.Done()
 	a := vclock.NewActor(fmt.Sprintf("coll-send/%d>%d", t.vc.Rank(), node))
+	var hdr [wireHdrSize]byte // VConn.Pack copies before it returns
 	for {
 		job, ok := q.Pop()
 		if !ok {
 			return
 		}
 		a.Sync(job.at)
-		err := t.sendOne(a, node, job)
+		err := t.sendOne(a, node, job, &hdr)
 		t.inbox.Push(event{send: true, token: job.token, stamp: a.Now(), err: err})
 	}
 }
 
-func (t *vcTransport) sendOne(a *vclock.Actor, node int, job vcSendJob) error {
+func (t *vcTransport) sendOne(a *vclock.Actor, node int, job vcSendJob, hdr *[wireHdrSize]byte) error {
 	conn, err := t.vc.BeginPacking(a, node)
 	if err != nil {
 		return err
@@ -112,7 +113,7 @@ func (t *vcTransport) sendOne(a *vclock.Actor, node int, job vcSendJob) error {
 	// Both blocks travel Cheaper/Cheaper: an express flush would split the
 	// 16-byte envelope into its own MTU-padded packet under reliable
 	// framing, and a stream receiver gains nothing from early delivery.
-	if err := conn.Pack(job.h.encode(), fwdSendMode, fwdRecvMode); err != nil {
+	if err := conn.Pack(job.h.encodeInto(hdr), fwdSendMode, fwdRecvMode); err != nil {
 		return err // abort contract: a failed Pack already closed the message
 	}
 	if len(job.payload) > 0 {

@@ -24,13 +24,14 @@ type wireHdr struct {
 	length uint32
 }
 
-func (h wireHdr) encode() []byte {
-	b := make([]byte, wireHdrSize)
+// encodeInto writes the envelope into b, which the caller owns for as long
+// as the transport may read it, and returns it as the block to pack.
+func (h wireHdr) encodeInto(b *[wireHdrSize]byte) []byte {
 	binary.LittleEndian.PutUint32(b[0:], h.seq)
 	binary.LittleEndian.PutUint32(b[4:], uint32(h.origin))
 	binary.LittleEndian.PutUint32(b[8:], h.tag)
 	binary.LittleEndian.PutUint32(b[12:], h.length)
-	return b
+	return b[:]
 }
 
 func decodeWireHdr(b []byte) wireHdr {

@@ -4,9 +4,11 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"madeleine2/internal/model"
 	"madeleine2/internal/simnet"
@@ -27,14 +29,19 @@ type table1Lane struct {
 }
 
 func newTable1Lane(t *testing.T, chans map[int]*Channel) *table1Lane {
+	return newLane(t, chans, 1024)
+}
+
+// newLane is newTable1Lane with a body of the given length.
+func newLane(t *testing.T, chans map[int]*Channel, body int) *table1Lane {
 	t.Helper()
 	l := &table1Lane{
 		send: chans[0], s: vclock.NewActor("s"),
-		hdr: pattern(8, 1), body: pattern(1024, 2),
+		hdr: pattern(8, 1), body: pattern(body, 2),
 		next: make(chan struct{}), done: make(chan error),
 	}
 	recv, r := chans[1], vclock.NewActor("r")
-	rhdr, rbody := make([]byte, 8), make([]byte, 1024)
+	rhdr, rbody := make([]byte, 8), make([]byte, body)
 	go func() {
 		for range l.next {
 			l.done <- func() error {
@@ -129,24 +136,127 @@ func TestMessagePathAllocs(t *testing.T) {
 func TestBMMAllocs(t *testing.T) {
 	for _, policy := range []string{"eager", "aggr", "static"} {
 		t.Run(policy, func(t *testing.T) {
-			name := "mem-" + policy
-			wires := &memWires{m: map[[3]int]*memWire{}}
-			err := RegisterDriver(DriverDef{
-				Name:  name,
-				Probe: func(*simnet.Node, int) error { return nil },
-				New: func(node *simnet.Node, adapter, chanID int) (PMM, error) {
-					return &memPMM{wires: wires, chanID: chanID, tm: &memTM{policy: policy}}, nil
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer UnregisterDriver(name)
-			chans, _ := newTestChannel(t, name)
+			chans, _ := newTestChannel(t, registerMemDriver(t, policy))
 			if got := newTable1Lane(t, chans).allocsPerMessage(t); got < 2 || got > 2+allocSlack {
 				t.Errorf("%s BMM: %.2f allocs per Table-1 message, want exactly 2", policy, got)
 			}
 		})
+	}
+}
+
+// registerMemDriver registers the in-memory driver with the given BMM
+// policy for the length of the test and returns its name.
+func registerMemDriver(t *testing.T, policy string) string {
+	t.Helper()
+	name := "mem-" + policy
+	wires := &memWires{m: map[[3]int]*memWire{}}
+	err := RegisterDriver(DriverDef{
+		Name:  name,
+		Probe: func(*simnet.Node, int) error { return nil },
+		New: func(node *simnet.Node, adapter, chanID int) (PMM, error) {
+			return &memPMM{wires: wires, chanID: chanID, tm: &memTM{policy: policy}}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { UnregisterDriver(name) })
+	return name
+}
+
+// asyncConvAllocs reports the steady-state allocation count of one async
+// send conversation plus its mirror receive conversation, each of `blocks`
+// 64-byte blocks and an End, drained before the next pair is opened.
+// Everything the caller owns is allocated up front.
+func asyncConvAllocs(t *testing.T, chans map[int]*Channel, blocks int) float64 {
+	t.Helper()
+	scq, rcq := NewCQ(), NewCQ()
+	src, dst := pattern(64, 5), make([]byte, 64)
+	drain := func(cq *CQ) {
+		for {
+			c, ok := cq.Wait()
+			if !ok || c.Err != nil {
+				t.Fatalf("completion %+v (ok %v)", c, ok)
+			}
+			if c.Kind == OpEnd {
+				return
+			}
+		}
+	}
+	const n = 2000
+	var before, after runtime.MemStats
+	for i := -200; i < n; i++ {
+		if i == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		send, err := chans[0].SubmitPacking(1, scq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recv := chans[1].SubmitUnpacking(rcq)
+		for b := 0; b < blocks; b++ {
+			_ = send.SubmitPack(src, SendCheaper, ReceiveCheaper)
+			_ = recv.SubmitUnpack(dst, SendCheaper, ReceiveCheaper)
+		}
+		_ = send.SubmitEnd()
+		_ = recv.SubmitEnd()
+		drain(scq)
+		drain(rcq)
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / n
+}
+
+// TestAsyncConversationAllocs gates the asynchronous path: a conversation
+// is one heap object (its actor, Connection and first inlineOps requests
+// included), so a send plus its mirror receive is two allocations, with
+// two operations each or with three, and the hand-offs (lease grant,
+// announcement, run queue, completion queue) add none.
+func TestAsyncConversationAllocs(t *testing.T) {
+	if size := unsafe.Sizeof(AsyncMsg{}); size > 512 {
+		t.Errorf("AsyncMsg is %d bytes, want at most 512", size)
+	}
+	mem := registerMemDriver(t, "eager")
+	for _, ops := range []int{2, inlineOps} {
+		chans, sess := newTestChannel(t, mem)
+		if got := asyncConvAllocs(t, chans, ops-1); got < 2 || got > 2+allocSlack {
+			t.Errorf("mem, %d ops: %.2f allocs per conversation pair, want exactly 2", ops, got)
+		}
+		sess.Shutdown()
+	}
+	// Over a real driver the lanes' buffers come on top when a burst runs
+	// deeper than a lane keeps; one pair at a time stays within it.
+	chans, sess := newTestChannel(t, "tcp")
+	defer sess.Shutdown()
+	if got := asyncConvAllocs(t, chans, 1); got < 2 || got > 4+allocSlack {
+		t.Errorf("tcp: %.2f allocs per conversation pair, want 2 to 4", got)
+	}
+}
+
+// TestRailAllocsIndependentOfChunks gates the striping TM's frames: each
+// rail keeps one per direction, so a striped message allocates the same
+// count (forkRails' per-operation actors and goroutines) however many
+// chunks it has. Nothing bounds a tcp sender's lead over the receiver, so
+// the tcp case stays within the 8 buffers a simnet lane keeps (6 frames per
+// rail, the header and the one the receiver holds); bip and sisci bound the
+// lead by their own flow control.
+func TestRailAllocsIndependentOfChunks(t *testing.T) {
+	const stripe = 1 << 10
+	for _, tc := range []struct {
+		driver    string
+		few, many int
+	}{{"tcp", 4, 12}, {"bip", 4, 64}, {"sisci", 4, 64}} {
+		perMessage := func(chunks int) float64 {
+			chans, _ := newRailTestChannel(t, fmt.Sprintf("frames-%s-%d", tc.driver, chunks), sameRails(tc.driver, 2), stripe)
+			return newLane(t, chans, chunks*stripe).allocsPerMessage(t)
+		}
+		// forkRails starts goroutines per operation, and what the runtime
+		// allocates for them varies with scheduling by a few hundredths; a
+		// frame per chunk would show as two per extra chunk.
+		if few, many := perMessage(tc.few), perMessage(tc.many); math.Abs(few-many) > 0.5 {
+			t.Errorf("2 %s rails: %.2f allocs for a %d-chunk message, %.2f for a %d-chunk one; want the same",
+				tc.driver, few, tc.few, many, tc.many)
+		}
 	}
 }
 

@@ -80,21 +80,37 @@ const (
 	reqDiscarded
 )
 
-// Request is the caller's handle on one submitted operation. Every request
-// must reach a completion queue (Poll/Wait/callback) or be explicitly
-// Discarded — the reqpair vet check enforces this — so no outcome is ever
-// silently dropped.
+// Request is the caller's handle on one submitted operation, and the
+// operation's descriptor: it carries the block and modes until the engine
+// has executed it, then the outcome. Every request must reach a completion
+// queue (Poll/Wait/callback) or be explicitly Discarded — the reqpair vet
+// check enforces this — so no outcome is ever silently dropped.
+//
+// A request is on at most one list at a time, through next: its
+// conversation's pending FIFO (under the conversation lock) until a worker
+// takes it, then, once done and not discarded, its CQ's FIFO (under the CQ
+// lock) until Poll/Wait takes it. It is never recycled: a handle the caller
+// kept stays valid, and keeps its conversation alive, for as long as the
+// caller keeps it.
 type Request struct {
 	am   *AsyncMsg
-	kind OpKind
+	next *Request
+	buf  []byte // the block; dropped at completion, so a kept handle does not pin it
+	err  error
+	time vclock.Time
 	seq  uint64
+	n    int
+	sm   SendMode
+	rm   RecvMode
 	st   atomic.Uint32
-	comp Completion
+	kind uint8 // an OpKind
 }
+
+func (r *Request) link() **Request { return &r.next }
 
 // Kind reports the request's operation kind; Seq its submission sequence
 // number within the conversation.
-func (r *Request) Kind() OpKind { return r.kind }
+func (r *Request) Kind() OpKind { return OpKind(r.kind) }
 func (r *Request) Seq() uint64  { return r.seq }
 
 // Msg reports the conversation the request belongs to, so a completion
@@ -110,16 +126,21 @@ func (r *Request) Completion() (Completion, bool) {
 	if r.st.Load() != reqDone {
 		return Completion{}, false
 	}
-	return r.comp, true
+	return r.completion(), true
+}
+
+// completion materialises the outcome of a done request.
+func (r *Request) completion() Completion {
+	return Completion{Req: r, Kind: OpKind(r.kind), Err: r.err, Time: r.time, Seq: r.seq, N: r.n}
 }
 
 // Err returns the completed operation's outcome; it reports nil while the
 // operation is still pending (check Done first when that matters).
 func (r *Request) Err() error {
-	if c, ok := r.Completion(); ok {
-		return c.Err
+	if r.st.Load() != reqDone {
+		return nil
 	}
-	return nil
+	return r.err
 }
 
 // Discard renounces the completion: if the operation has not completed
@@ -130,33 +151,102 @@ func (r *Request) Err() error {
 // completion subsumes.
 func (r *Request) Discard() { r.st.CompareAndSwap(reqPending, reqDiscarded) }
 
+// linked is a node of an intrusive FIFO: *T hands out its one link field.
+type linked[T any] interface {
+	*T
+	link() **T
+}
+
+// fifo is an intrusive FIFO: the nodes carry the link, so queueing
+// allocates nothing whatever the depth, and a popped node's link is
+// cleared, so neither the queue nor a kept node reaches the nodes behind
+// it. Not synchronized; a node is on at most one fifo at a time.
+type fifo[T any, P linked[T]] struct {
+	head, tail *T
+	n          int
+}
+
+func (q *fifo[T, P]) push(x *T) {
+	if q.tail == nil {
+		q.head = x
+	} else {
+		*P(q.tail).link() = x
+	}
+	q.tail = x
+	q.n++
+}
+
+// pop removes and returns the head node, nil when the fifo is empty.
+func (q *fifo[T, P]) pop() *T {
+	x := q.head
+	if x == nil {
+		return nil
+	}
+	next := P(x).link()
+	if q.head = *next; q.head == nil {
+		q.tail = nil
+	}
+	*next = nil
+	q.n--
+	return x
+}
+
 // CQ is a completion queue. By default completions are buffered for
 // Poll/Wait; OnCompletion switches the queue to callback delivery. A CQ
-// may be shared by any number of conversations.
+// may be shared by any number of conversations. The buffer is the done
+// requests themselves, linked in completion order.
 type CQ struct {
-	q  *simnet.Queue[Completion]
-	mu sync.Mutex
-	cb func(Completion)
+	mu     sync.Mutex
+	cond   sync.Cond // on mu
+	done   fifo[Request, *Request]
+	closed bool
+	cb     func(Completion)
 }
 
 // NewCQ returns an empty completion queue in poll mode.
-func NewCQ() *CQ { return &CQ{q: simnet.NewQueue[Completion]()} }
+func NewCQ() *CQ {
+	cq := &CQ{}
+	cq.cond.L = &cq.mu
+	return cq
+}
 
 // Poll removes and returns the oldest buffered completion without
 // blocking; ok is false when the queue is empty.
-func (cq *CQ) Poll() (Completion, bool) { return cq.q.TryPop() }
+func (cq *CQ) Poll() (Completion, bool) { return cq.take(false) }
 
 // Wait blocks until a completion is available (or the queue is closed and
 // drained, reporting ok = false).
-func (cq *CQ) Wait() (Completion, bool) { return cq.q.Pop() }
+func (cq *CQ) Wait() (Completion, bool) { return cq.take(true) }
+
+func (cq *CQ) take(wait bool) (Completion, bool) {
+	cq.mu.Lock()
+	for wait && cq.done.n == 0 && !cq.closed {
+		cq.cond.Wait()
+	}
+	r := cq.done.pop()
+	cq.mu.Unlock()
+	if r == nil {
+		return Completion{}, false
+	}
+	return r.completion(), true
+}
 
 // Len reports the number of buffered completions.
-func (cq *CQ) Len() int { return cq.q.Len() }
+func (cq *CQ) Len() int {
+	cq.mu.Lock()
+	defer cq.mu.Unlock()
+	return cq.done.n
+}
 
 // Close closes the queue: blocked and future Waits drain the remaining
 // completions and then report ok = false; completions posted afterwards
 // are dropped.
-func (cq *CQ) Close() { cq.q.Close() }
+func (cq *CQ) Close() {
+	cq.mu.Lock()
+	cq.closed = true
+	cq.mu.Unlock()
+	cq.cond.Broadcast()
+}
 
 // OnCompletion switches the queue to callback delivery: fn runs
 // synchronously on the completing goroutine (an engine worker, usually)
@@ -169,55 +259,49 @@ func (cq *CQ) OnCompletion(fn func(Completion)) {
 	cq.mu.Unlock()
 }
 
-func (cq *CQ) post(c Completion) {
+// post delivers one done request and reports the buffered depth after it
+// (0 when the completion went to the callback or the queue is closed).
+func (cq *CQ) post(r *Request) int {
 	cq.mu.Lock()
-	cb := cq.cb
-	cq.mu.Unlock()
-	if cb != nil {
-		cb(c)
-		return
+	if cb := cq.cb; cb != nil {
+		cq.mu.Unlock()
+		cb(r.completion())
+		return 0
 	}
-	cq.q.PushIfOpen(c)
+	if cq.closed {
+		cq.mu.Unlock()
+		return 0
+	}
+	cq.done.push(r)
+	depth := cq.done.n
+	cq.mu.Unlock()
+	cq.cond.Signal()
+	return depth
 }
 
-// op is one queued operation descriptor. Descriptors are pooled: the
-// engine recycles them at completion, so a steady submission load
-// allocates only Request handles.
-type op struct {
-	kind OpKind
-	buf  []byte
-	sm   SendMode
-	rm   RecvMode
-	seq  uint64
-	req  *Request
-}
-
-var opPool = sync.Pool{New: func() any { return new(op) }}
-
-func getOp() *op { return opPool.Get().(*op) }
-
-func putOp(o *op) {
-	*o = op{} // drop the buffer and request references
-	opPool.Put(o)
-}
-
-// execOp runs one descriptor on the connection with the connection's
-// actor: the single-operation step of the progress engine, dispatching
-// to the same Connection methods the synchronous API calls directly.
-func (cn *Connection) execOp(o *op) error {
-	switch o.kind {
+// exec runs one descriptor on the connection with the connection's actor:
+// the single-operation step of the progress engine, dispatching to the
+// same Connection methods the synchronous API calls directly.
+func (cn *Connection) exec(r *Request) error {
+	switch OpKind(r.kind) {
 	case OpPack:
-		return cn.Pack(o.buf, o.sm, o.rm)
+		return cn.Pack(r.buf, r.sm, r.rm)
 	case OpUnpack:
-		return cn.Unpack(o.buf, o.sm, o.rm)
+		return cn.Unpack(r.buf, r.sm, r.rm)
 	case OpEnd:
 		if cn.sending {
 			return cn.EndPacking()
 		}
 		return cn.EndUnpacking()
 	}
-	panic(fmt.Sprintf("core: unknown op kind %d", int(o.kind)))
+	panic(fmt.Sprintf("core: unknown op kind %d", r.kind))
 }
+
+// inlineOps is how many requests a conversation carries in its own
+// allocation. Every in-tree producer submits two (one block and the End)
+// or three (the collectives' envelope, payload, End) operations per
+// conversation; a longer one allocates its later requests one by one.
+const inlineOps = 3
 
 // AsyncMsg is one asynchronous conversation: the submission-path analog of
 // the Connection returned by BeginPacking/BeginUnpacking. Operations
@@ -225,25 +309,35 @@ func (cn *Connection) execOp(o *op) error {
 // and their completions are delivered to the conversation's CQ in
 // submission order.
 //
+// A conversation is one heap object: its actor, its Connection and its
+// first inlineOps requests live in it, so a request handle or a Completion
+// the caller keeps also keeps the conversation, and nothing else does once
+// it is over.
+//
 // Like a Connection, an AsyncMsg belongs to one submitting thread: Submit*
 // calls must not race each other (completion handling — CQ draining,
 // Request inspection — is free-threaded).
 type AsyncMsg struct {
-	ch *Channel
-	cq *CQ
-	e  *engine
+	ch   *Channel
+	cq   *CQ
+	runq *AsyncMsg // link on the engine's run queue, under its lock
 
 	mu      sync.Mutex
-	cn      *Connection // engine-owned; nil until the lease is granted
-	ops     []*op       // submitted, not yet executed
-	seq     uint64      // last assigned sequence number
-	queued  bool        // on a run queue or being drained by a worker
-	ready   bool        // lease held and connection bound — runnable
-	dead    bool        // message finished or conversation aborted
-	err     error       // first causal error when dead by failure
+	cn      *Connection             // &conn once the lease is granted; the engine's from then on
+	pending fifo[Request, *Request] // submitted, not yet executed
+	seq     uint64                  // last assigned sequence number
+	queued  bool                    // on a run queue or being drained by a worker
+	ready   bool                    // lease held and connection bound — runnable
+	dead    bool                    // message finished or conversation aborted; pending is empty
 	sending bool
-	remote  int // peer rank; receive conversations learn it at bind time
+	err     error // first causal error when dead by failure
+
+	actor  vclock.Actor
+	conn   Connection // conn.cs is set before the lease is requested, the rest at the grant
+	inline [inlineOps]Request
 }
+
+func (am *AsyncMsg) link() **AsyncMsg { return &am.runq }
 
 // Channel returns the owning channel.
 func (am *AsyncMsg) Channel() *Channel { return am.ch }
@@ -259,7 +353,7 @@ func (am *AsyncMsg) Remote() int {
 	if !am.sending && am.cn == nil {
 		return -1
 	}
-	return am.remote
+	return am.conn.cs.remote
 }
 
 // Err reports the conversation's first causal error (nil while healthy).
@@ -291,21 +385,12 @@ func (c *Channel) SubmitPackingFrom(remote int, cq *CQ, at vclock.Time) (*AsyncM
 	if err != nil {
 		return nil, err
 	}
-	e := c.sess.eng
-	am := &AsyncMsg{ch: c, cq: cq, e: e, sending: true, remote: remote}
-	actor := vclock.NewActor(fmt.Sprintf("async:%s:%d>%d", c.name, c.rank, remote))
-	// Floor before the grant callback can run: the conversation is not
-	// runnable until bind, so the actor has exactly one owner here.
-	if at > 0 {
-		actor.Sync(at)
-	}
-	granted := cs.send.acquireAsync(func(t vclock.Time) {
-		actor.Sync(t)
-		cn := &Connection{cs: cs, actor: actor, sending: true, open: true}
-		cs.sendMsg = &cn.msg
-		am.bind(cn)
-	})
-	if !granted {
+	am := &AsyncMsg{ch: c, cq: cq, sending: true, actor: vclock.MakeActor(cs.asyncName)}
+	// Floor before the grant can run: the conversation is not runnable
+	// until then, so the actor has exactly one owner here.
+	am.actor.Sync(at)
+	am.conn.cs = cs
+	if !cs.send.acquireAsync(am) {
 		c.met.parked.Add(1)
 	}
 	return am, nil
@@ -325,53 +410,54 @@ func (c *Channel) SubmitUnpacking(cq *CQ) *AsyncMsg {
 // SubmitUnpackingFrom is SubmitUnpacking with an explicit causality floor
 // on the conversation's virtual clock (see SubmitPackingFrom).
 func (c *Channel) SubmitUnpackingFrom(cq *CQ, at vclock.Time) *AsyncMsg {
-	e := c.sess.eng
-	am := &AsyncMsg{ch: c, cq: cq, e: e, sending: false, remote: -1}
-	actor := vclock.NewActor(fmt.Sprintf("async:%s:%d<", c.name, c.rank))
-	if at > 0 {
-		actor.Sync(at)
-	}
-	c.mux().register(func(remote int, ok bool) {
-		if !ok {
-			am.fail(ErrClosed)
-			return
-		}
-		cs, err := c.conn(remote)
-		if err != nil {
-			am.fail(err)
-			return
-		}
-		granted := cs.recv.acquireAsync(func(t vclock.Time) {
-			actor.Sync(t)
-			cn := &Connection{cs: cs, actor: actor, sending: false, open: true}
-			am.mu.Lock()
-			am.remote = remote
-			am.mu.Unlock()
-			am.bind(cn)
-		})
-		if !granted {
-			c.met.parked.Add(1)
-		}
-	})
+	am := &AsyncMsg{ch: c, cq: cq, actor: vclock.MakeActor(c.asyncName)}
+	am.actor.Sync(at)
+	c.mux().register(am)
 	return am
 }
 
-// bind installs the lease-holding connection and schedules the
-// conversation if operations are already waiting. It runs on the granting
-// goroutine (the submitter when uncontended, the releasing holder
-// otherwise) — the conversation is not runnable before it, so there is no
-// racing worker.
-func (am *AsyncMsg) bind(cn *Connection) {
+// announced binds a receive conversation to an incoming message (the
+// announcee side of announceMux) and requests that connection's receive
+// lease.
+func (am *AsyncMsg) announced(remote int, ok bool) {
+	if !ok {
+		am.fail(ErrClosed)
+		return
+	}
+	cs, err := am.ch.conn(remote)
+	if err != nil {
+		am.fail(err)
+		return
+	}
+	am.conn.cs = cs
+	if !cs.recv.acquireAsync(am) {
+		am.ch.met.parked.Add(1)
+	}
+}
+
+// granted makes the conversation the holder of its direction lease (the
+// grantee side of lease.acquireAsync): it opens the connection and
+// schedules the conversation if operations are already waiting. It runs on
+// the granting goroutine (the submitter when uncontended, the releasing
+// holder otherwise) — the conversation is not runnable before it, so there
+// is no racing worker.
+func (am *AsyncMsg) granted(t vclock.Time) {
+	am.actor.Sync(t)
+	cn := &am.conn
+	cn.actor, cn.sending, cn.open = &am.actor, am.sending, true
+	if am.sending {
+		cn.cs.sendMsg = &cn.msg
+	}
 	am.mu.Lock()
 	am.cn = cn
 	am.ready = true
-	run := len(am.ops) > 0 && !am.queued && !am.dead
+	run := am.pending.n > 0 && !am.queued && !am.dead
 	if run {
 		am.queued = true
 	}
 	am.mu.Unlock()
 	if run {
-		am.e.enqueue(am)
+		am.ch.sess.eng.enqueue(am)
 	}
 }
 
@@ -402,25 +488,31 @@ func (am *AsyncMsg) submit(k OpKind, buf []byte, sm SendMode, rm RecvMode) *Requ
 	am.ch.stats.asyncSubmitted.Add(1)
 	am.mu.Lock()
 	am.seq++
-	r := &Request{am: am, kind: k, seq: am.seq}
+	// A slot is used once, by the one operation with its sequence number,
+	// so a handle never comes to mean a different operation.
+	var r *Request
+	if am.seq <= inlineOps {
+		r = &am.inline[am.seq-1]
+	} else {
+		r = new(Request)
+	}
+	r.am, r.seq, r.kind, r.buf, r.n, r.sm, r.rm = am, am.seq, uint8(k), buf, len(buf), sm, rm
 	if am.dead {
 		// The conversation is over; completing inline (under the lock, so
 		// the completion cannot overtake the drain that killed the
 		// conversation) preserves delivery order.
-		am.deliver(Completion{Req: r, Kind: k, Err: ErrBadState, Time: am.timeLocked(), Seq: am.seq, N: len(buf)})
+		am.deliver(r, ErrBadState, am.timeLocked())
 		am.mu.Unlock()
 		return r
 	}
-	o := getOp()
-	o.kind, o.buf, o.sm, o.rm, o.seq, o.req = k, buf, sm, rm, am.seq, r
-	am.ops = append(am.ops, o)
+	am.pending.push(r)
 	run := am.ready && !am.queued
 	if run {
 		am.queued = true
 	}
 	am.mu.Unlock()
 	if run {
-		am.e.enqueue(am)
+		am.ch.sess.eng.enqueue(am)
 	}
 	return r
 }
@@ -428,30 +520,40 @@ func (am *AsyncMsg) submit(k OpKind, buf []byte, sm SendMode, rm RecvMode) *Requ
 // timeLocked reports the conversation clock for inline completions.
 func (am *AsyncMsg) timeLocked() vclock.Time {
 	if am.cn != nil {
-		return am.cn.actor.Now()
+		return am.actor.Now()
 	}
 	return 0
 }
 
-// deliver posts one completion: the request transitions to done (unless
-// discarded) and the conversation CQ, if any, receives the completion.
-// Error-path callers hold am.mu so ordering with the killing drain is
-// preserved; the draining worker calls it unlocked (it is the
-// conversation's only executor).
-func (am *AsyncMsg) deliver(c Completion) {
+// deliver completes one request, already off the pending FIFO: it stores
+// the outcome, the request transitions to done (unless discarded) and the
+// conversation CQ, if any, receives it. Error-path callers hold am.mu so
+// ordering with the killing drain is preserved; the draining worker calls
+// it unlocked (it is the conversation's only executor).
+func (am *AsyncMsg) deliver(r *Request, err error, t vclock.Time) {
 	am.ch.stats.asyncCompleted.Add(1)
-	if c.Err != nil {
+	if err != nil {
 		am.ch.stats.asyncErrors.Add(1)
 	}
-	if r := c.Req; r != nil {
-		r.comp = c
-		if !r.st.CompareAndSwap(reqPending, reqDone) {
-			return // discarded: suppress CQ delivery
-		}
+	r.buf, r.err, r.time = nil, err, t
+	if !r.st.CompareAndSwap(reqPending, reqDone) {
+		return // discarded: suppress CQ delivery
 	}
 	if am.cq != nil {
-		am.cq.post(c)
-		am.ch.met.cqDepth.SetMax(int64(am.cq.Len()))
+		if depth := am.cq.post(r); depth > 0 {
+			am.ch.met.cqDepth.SetMax(int64(depth))
+		}
+	}
+}
+
+// failPendingLocked completes every operation still pending on a dead
+// conversation, in submission order: the first with err, the rest with
+// ErrBadState. Caller holds am.mu.
+func (am *AsyncMsg) failPendingLocked(err error) {
+	t := am.timeLocked()
+	for r := am.pending.pop(); r != nil; r = am.pending.pop() {
+		am.deliver(r, err, t)
+		err = ErrBadState
 	}
 }
 
@@ -465,15 +567,7 @@ func (am *AsyncMsg) fail(err error) {
 	defer am.mu.Unlock()
 	am.dead = true
 	am.err = err
-	for i, o := range am.ops {
-		e := err
-		if i > 0 {
-			e = ErrBadState
-		}
-		am.deliver(Completion{Req: o.req, Kind: o.kind, Err: e, Time: am.timeLocked(), Seq: o.seq, N: len(o.buf)})
-		putOp(o)
-	}
-	am.ops = nil
+	am.failPendingLocked(err)
 }
 
 // announcement fan-out -------------------------------------------------
@@ -484,56 +578,60 @@ func (am *AsyncMsg) fail(err error) {
 // conversations share one FIFO, in registration order).
 type announceMux struct {
 	mu       sync.Mutex
-	buffered []int
-	waiters  []func(remote int, ok bool)
+	buffered simnet.Ring[int]
+	waiters  simnet.Ring[announcee]
 	closed   bool
 }
+
+// announcee is one registered receiver: announced runs exactly once, with
+// the sender's rank, or with ok = false when the channel closed first. An
+// interface over the receiver itself, not a closure, like grantee.
+type announcee interface{ announced(remote int, ok bool) }
 
 func (m *announceMux) run(q *simnet.Queue[int]) {
 	for {
 		r, ok := q.Pop()
+		m.mu.Lock()
 		if !ok {
-			m.mu.Lock()
+			// register refuses new waiters once closed is set, so this
+			// drains the FIFO for good.
 			m.closed = true
-			ws := m.waiters
-			m.waiters = nil
-			m.mu.Unlock()
-			for _, w := range ws {
-				w(0, false)
+			for m.waiters.Len() > 0 {
+				w := m.waiters.Pop()
+				m.mu.Unlock()
+				w.announced(0, false)
+				m.mu.Lock()
 			}
+			m.mu.Unlock()
 			return
 		}
-		m.mu.Lock()
-		if len(m.waiters) > 0 {
-			w := m.waiters[0]
-			m.waiters = m.waiters[1:]
+		if m.waiters.Len() == 0 {
+			m.buffered.Push(r)
 			m.mu.Unlock()
-			w(r, true)
 			continue
 		}
-		m.buffered = append(m.buffered, r)
+		w := m.waiters.Pop()
 		m.mu.Unlock()
+		w.announced(r, true)
 	}
 }
 
-// register enrolls one receiver for the next unclaimed announcement; fn
-// runs inline when one is already buffered (or the channel is closed).
-func (m *announceMux) register(fn func(remote int, ok bool)) {
+// register enrolls one receiver for the next unclaimed announcement; it is
+// announced inline when one is already buffered (or the channel is closed).
+func (m *announceMux) register(w announcee) {
 	m.mu.Lock()
-	if len(m.buffered) > 0 {
-		r := m.buffered[0]
-		m.buffered = m.buffered[1:]
+	switch {
+	case m.buffered.Len() > 0:
+		r := m.buffered.Pop()
 		m.mu.Unlock()
-		fn(r, true)
-		return
-	}
-	if m.closed {
+		w.announced(r, true)
+	case m.closed:
 		m.mu.Unlock()
-		fn(0, false)
-		return
+		w.announced(0, false)
+	default:
+		m.waiters.Push(w)
+		m.mu.Unlock()
 	}
-	m.waiters = append(m.waiters, fn)
-	m.mu.Unlock()
 }
 
 // mux returns the channel's announcement fan-out, starting it on first
@@ -549,6 +647,17 @@ func (c *Channel) mux() *announceMux {
 	return c.amux
 }
 
+// syncAnnouncee is a blocked BeginUnpacking: its announcement is handed
+// over a one-slot channel.
+type syncAnnouncee chan announcement
+
+type announcement struct {
+	remote int
+	ok     bool
+}
+
+func (c syncAnnouncee) announced(remote int, ok bool) { c <- announcement{remote, ok} }
+
 // nextAnnouncement claims the channel's next incoming-message
 // announcement for a synchronous receiver.
 func (c *Channel) nextAnnouncement() (int, bool) {
@@ -558,12 +667,8 @@ func (c *Channel) nextAnnouncement() (int, bool) {
 	if m == nil {
 		return c.incoming.Pop()
 	}
-	type ann struct {
-		remote int
-		ok     bool
-	}
-	ch := make(chan ann, 1)
-	m.register(func(remote int, ok bool) { ch <- ann{remote, ok} })
+	ch := make(syncAnnouncee, 1)
+	m.register(ch)
 	a := <-ch
 	return a.remote, a.ok
 }
@@ -585,16 +690,16 @@ type engine struct {
 	workers int
 	recvCap int
 
-	// Always-on scheduler gauges, resolved from the session registry on
-	// first use (the registry may not exist yet when the engine is built).
-	gOnce sync.Once
+	// Always-on scheduler gauges, resolved from the session registry when
+	// the workers start (the registry may not exist yet when the engine is
+	// built).
 	gRunq *metrics.Gauge
 	gOcc  *metrics.Gauge
 
 	mu         sync.Mutex
 	cond       *sync.Cond
-	sendq      []*AsyncMsg
-	recvq      []*AsyncMsg
+	sendq      fifo[AsyncMsg, *AsyncMsg]
+	recvq      fifo[AsyncMsg, *AsyncMsg]
 	recvActive int
 	busy       int
 	started    bool
@@ -619,34 +724,26 @@ func newEngine(s *Session, spec SessionSpec) *engine {
 	return e
 }
 
-// gauges resolves the scheduler's high-water gauges once.
-func (e *engine) gauges() {
-	e.gOnce.Do(func() {
-		reg := e.sess.Metrics()
-		e.gRunq = reg.Gauge("async/runq-max")
-		e.gOcc = reg.Gauge("async/occupancy-max")
-	})
-}
-
 // enqueue schedules a runnable conversation, starting the worker pool on
 // first use so pure-sync sessions never spawn it.
 func (e *engine) enqueue(am *AsyncMsg) {
 	e.mu.Lock()
-	if !e.started && !e.stopped {
+	if !e.started {
 		e.started = true
-		for i := 0; i < e.workers; i++ {
+		reg := e.sess.Metrics()
+		e.gRunq, e.gOcc = reg.Gauge("async/runq-max"), reg.Gauge("async/occupancy-max")
+		for i := 0; i < e.workers && !e.stopped; i++ {
 			go e.worker()
 		}
 	}
 	if am.sending {
-		e.sendq = append(e.sendq, am)
+		e.sendq.push(am)
 	} else {
-		e.recvq = append(e.recvq, am)
+		e.recvq.push(am)
 	}
-	depth := int64(len(e.sendq) + len(e.recvq))
+	depth := int64(e.sendq.n + e.recvq.n)
 	e.mu.Unlock()
 	e.cond.Broadcast()
-	e.gauges()
 	e.gRunq.SetMax(depth)
 }
 
@@ -659,23 +756,20 @@ func (e *engine) worker() {
 				e.mu.Unlock()
 				return
 			}
-			if len(e.sendq) > 0 {
-				am = e.sendq[0]
-				e.sendq = e.sendq[1:]
+			if am = e.sendq.pop(); am != nil {
 				break
 			}
-			if len(e.recvq) > 0 && e.recvActive < e.recvCap {
-				am = e.recvq[0]
-				e.recvq = e.recvq[1:]
-				e.recvActive++
-				break
+			if e.recvActive < e.recvCap {
+				if am = e.recvq.pop(); am != nil {
+					e.recvActive++
+					break
+				}
 			}
 			e.cond.Wait()
 		}
 		e.busy++
 		occ := int64(e.busy)
 		e.mu.Unlock()
-		e.gauges()
 		e.gOcc.SetMax(occ)
 
 		isRecv := !am.sending
@@ -690,7 +784,7 @@ func (e *engine) worker() {
 	}
 }
 
-// drain executes a conversation's queued descriptors FIFO until the queue
+// drain executes a conversation's pending requests FIFO until the list
 // empties or the message ends. The conversation is exclusively this
 // worker's while queued; completions are posted in submission order.
 func (e *engine) drain(am *AsyncMsg) {
@@ -699,57 +793,37 @@ func (e *engine) drain(am *AsyncMsg) {
 	ran := false
 	for {
 		am.mu.Lock()
-		if am.dead {
-			e.drainDeadLocked(am)
+		r := am.pending.pop()
+		if r == nil {
 			am.queued = false
 			am.mu.Unlock()
 			break
 		}
-		if len(am.ops) == 0 {
-			am.queued = false
-			am.mu.Unlock()
-			break
-		}
-		o := am.ops[0]
-		am.ops = am.ops[1:]
 		am.mu.Unlock()
 
 		ran = true
-		err := cn.execOp(o)
-		comp := Completion{Req: o.req, Kind: o.kind, Err: err, Time: cn.actor.Now(), Seq: o.seq, N: len(o.buf)}
+		err := cn.exec(r)
 		if !cn.open {
 			// The message ended: a successful (or failed) End, or an abort
 			// by a failed Pack/Unpack — the executor already released the
-			// lease per the sync contract. Everything still queued (and
+			// lease per the sync contract. Everything still pending (and
 			// everything submitted later) completes with ErrBadState.
 			am.mu.Lock()
 			am.dead = true
 			if err != nil && am.err == nil {
 				am.err = err
 			}
-			am.deliver(comp)
-			putOp(o)
-			e.drainDeadLocked(am)
+			am.deliver(r, err, cn.actor.Now())
+			am.failPendingLocked(ErrBadState)
 			am.queued = false
 			am.mu.Unlock()
 			break
 		}
-		am.deliver(comp)
-		putOp(o)
+		am.deliver(r, err, cn.actor.Now())
 	}
 	if ran {
 		am.ch.span(cn.actor, t0, am.ch.lbl.drain)
 	}
-}
-
-// drainDeadLocked fails every still-queued descriptor of a dead
-// conversation with ErrBadState, in submission order. Caller holds am.mu.
-func (e *engine) drainDeadLocked(am *AsyncMsg) {
-	for _, o := range am.ops {
-		am.deliver(Completion{Req: o.req, Kind: o.kind, Err: ErrBadState, Time: am.timeLocked(), Seq: o.seq, N: len(o.buf)})
-		putOp(o)
-	}
-	am.ops = nil
 }
 
 // stop shuts the worker pool down. Conversations still queued stop making

@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"madeleine2/internal/vclock"
 )
@@ -448,6 +451,208 @@ func TestAsyncManyConversations(t *testing.T) {
 	st := chans[0].Stats()
 	if st.MessagesOut != conversations {
 		t.Fatalf("MessagesOut = %d, want %d", st.MessagesOut, conversations)
+	}
+}
+
+// TestAsyncOverflowOps runs a conversation longer than its inline request
+// slots, so its later requests are allocated one by one: completions still
+// arrive in Seq order, each for the handle its Submit returned, through
+// Poll/Wait and through the callback, and so does an abort's ErrBadState
+// tail.
+func TestAsyncOverflowOps(t *testing.T) {
+	const ops = inlineOps + 5
+	for _, callback := range []bool{false, true} {
+		for _, abort := range []bool{false, true} {
+			t.Run(fmt.Sprintf("callback=%v/abort=%v", callback, abort), func(t *testing.T) {
+				// bip's eager BMM reaches the wire before EndPacking, so a
+				// closed peer fails the conversation mid-message.
+				chans, sess := newTestChannel(t, "bip")
+				defer sess.Shutdown()
+				if abort {
+					chans[1].Close()
+				}
+				cq := NewCQ()
+				next := cq.Wait
+				if callback {
+					got := make(chan Completion, ops)
+					cq.OnCompletion(func(c Completion) { got <- c })
+					next = func() (Completion, bool) { return <-got, true }
+				}
+				send, err := chans[0].SubmitPacking(1, cq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				blocks := make([]block, ops-1)
+				reqs := make([]*Request, 0, ops)
+				for i := range blocks {
+					blocks[i] = block{data: pattern(64, byte(i)), sm: SendCheaper, rm: ReceiveCheaper}
+					reqs = append(reqs, send.SubmitPack(blocks[i].data, SendCheaper, ReceiveCheaper))
+				}
+				reqs = append(reqs, send.SubmitEnd())
+				if !abort {
+					for i, got := range recvMsg(t, chans[1], vclock.NewActor("r"), blocks) {
+						if !bytes.Equal(got, blocks[i].data) {
+							t.Fatalf("block %d corrupted", i)
+						}
+					}
+				}
+				failed := false
+				for i, r := range reqs {
+					c, ok := next()
+					if !ok {
+						t.Fatal("CQ closed early")
+					}
+					if c.Req != r || c.Seq != uint64(i+1) || r.Seq() != c.Seq {
+						t.Fatalf("completion %d is seq %d of request %p, want seq %d of %p", i, c.Seq, c.Req, i+1, r)
+					}
+					switch {
+					case !abort && c.Err != nil:
+						t.Fatalf("completion %d: %v", i, c.Err)
+					case failed && !errors.Is(c.Err, ErrBadState):
+						t.Fatalf("completion %d behind the failure: %v, want ErrBadState", i, c.Err)
+					case abort && !failed && c.Err != nil:
+						failed = true
+						if !errors.Is(c.Err, ErrClosed) {
+							t.Fatalf("first failing completion %d: %v, want ErrClosed", i, c.Err)
+						}
+					}
+				}
+				if abort && !failed {
+					t.Fatal("no operation failed despite the closed peer")
+				}
+			})
+		}
+	}
+}
+
+// TestRequestReleasesBuffer pins what a finished conversation keeps alive.
+// A request handle the caller kept does not pin its block, and the lists a
+// request travelled through (its conversation's pending FIFO, the CQ) do
+// not reach it once it is polled out, even from a kept earlier request.
+// The witness for the second is the End request, allocated on its own
+// beyond the inline slots: a conversation points into itself, and the
+// runtime never finalizes an object reachable from itself.
+func TestRequestReleasesBuffer(t *testing.T) {
+	chans, sess := newTestChannel(t, "tcp")
+	defer sess.Shutdown()
+	collected := make(chan string, 2)
+	cq := NewCQ()
+	submit := func() (first *Request) {
+		blk := new([64]byte)
+		runtime.SetFinalizer(blk, func(*[64]byte) { collected <- "the first block" })
+		send, err := chans[0].SubmitPacking(1, cq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first = send.SubmitPack(blk[:], SendCheaper, ReceiveCheaper)
+		for i := 1; i < inlineOps; i++ {
+			_ = send.SubmitPack(blk[:], SendCheaper, ReceiveCheaper)
+		}
+		end := send.SubmitEnd()
+		runtime.SetFinalizer(end, func(*Request) { collected <- "the End request" })
+		return first
+	}
+	kept := submit()
+	recv := make([]block, inlineOps)
+	for i := range recv {
+		recv[i] = block{data: make([]byte, 64), sm: SendCheaper, rm: ReceiveCheaper}
+	}
+	recvMsg(t, chans[1], vclock.NewActor("r"), recv)
+	drainEnds(t, cq, 1)
+	if cq.Len() != 0 {
+		t.Fatalf("%d completions left on the CQ", cq.Len())
+	}
+	deadline := time.After(5 * time.Second)
+	for got := 0; got < 2; {
+		runtime.GC()
+		select {
+		case what := <-collected:
+			t.Logf("collected %s", what)
+			got++
+		case <-time.After(10 * time.Millisecond):
+		case <-deadline:
+			t.Fatalf("%d of 2 collected: a completed, polled-out conversation still reaches its first block or its End request", got)
+		}
+	}
+	if c, ok := kept.Completion(); !ok || c.Err != nil || c.N != 64 {
+		t.Fatalf("kept request's completion %+v (ok %v), want a clean 64-byte pack", c, ok)
+	}
+	runtime.KeepAlive(cq)
+}
+
+// TestCQContract pins the completion queue's own contract, whatever buffers
+// it, by posting done requests directly: Len counts what is buffered, Poll
+// and Wait take it oldest first, OnCompletion switches between callback and
+// buffered delivery in both directions, Close lets the buffered completions
+// drain and then reports ok = false, and a completion posted after Close is
+// dropped.
+func TestCQContract(t *testing.T) {
+	cq := NewCQ()
+	var seq uint64
+	post := func() *Request {
+		seq++
+		r := &Request{seq: seq, kind: uint8(OpEnd)}
+		r.st.Store(reqDone)
+		cq.post(r)
+		return r
+	}
+	take := func(how string, take func() (Completion, bool), want *Request, left int) {
+		t.Helper()
+		if c, ok := take(); !ok || c.Req != want || c.Seq != want.seq || c.Kind != OpEnd || cq.Len() != left {
+			t.Fatalf("%s = %+v (ok %v) with %d left; want request %d with %d left", how, c, ok, cq.Len(), want.seq, left)
+		}
+	}
+
+	if _, ok := cq.Poll(); ok || cq.Len() != 0 {
+		t.Fatal("a fresh CQ is not empty")
+	}
+	r1, r2, r3 := post(), post(), post()
+	if cq.Len() != 3 {
+		t.Fatalf("Len = %d after 3 posts, want 3", cq.Len())
+	}
+	take("Poll", cq.Poll, r1, 2)
+	take("Wait", cq.Wait, r2, 1)
+
+	// Callback mode takes the new completions and leaves the buffered one.
+	var called []*Request
+	cq.OnCompletion(func(c Completion) { called = append(called, c.Req) })
+	r4 := post()
+	if len(called) != 1 || called[0] != r4 || cq.Len() != 1 {
+		t.Fatalf("callback mode: callback saw %d completions, Len %d; want 1 and 1", len(called), cq.Len())
+	}
+	cq.OnCompletion(nil)
+	r5 := post()
+	if len(called) != 1 || cq.Len() != 2 {
+		t.Fatalf("back in poll mode: callback saw %d completions, Len %d; want 1 and 2", len(called), cq.Len())
+	}
+	take("Poll", cq.Poll, r3, 1)
+	take("Poll", cq.Poll, r5, 0)
+
+	// A Wait that finds the queue empty is woken by a post, or by Close.
+	woken := make(chan *Request)
+	wait := func(q *CQ) { c, _ := q.Wait(); woken <- c.Req }
+	go wait(cq)
+	if r6 := post(); <-woken != r6 {
+		t.Fatal("a blocked Wait did not return the completion posted under it")
+	}
+	// Close: what is buffered drains, then ok = false; later posts vanish.
+	r7 := post()
+	cq.Close()
+	take("Wait after Close", cq.Wait, r7, 0)
+	if _, ok := cq.Wait(); ok {
+		t.Fatal("Wait on a closed, drained CQ returned a completion")
+	}
+	idle := NewCQ()
+	go wait(idle)
+	idle.Close()
+	if <-woken != nil {
+		t.Fatal("a Wait blocked on an empty CQ returned a completion at Close")
+	}
+	if post(); cq.Len() != 0 {
+		t.Fatalf("a completion posted after Close was buffered (Len %d)", cq.Len())
+	}
+	if _, ok := cq.Poll(); ok {
+		t.Fatal("a completion posted after Close reached Poll")
 	}
 }
 

@@ -30,6 +30,10 @@ type Channel struct {
 	lbl     spanLabels // built with the channel when observed; zero otherwise
 	members []int
 
+	// asyncName names the actor of every async receive conversation; like
+	// ConnState.asyncName it is formatted once, when the channel is made.
+	asyncName string
+
 	// incoming carries message-start notifications: one rank per message,
 	// pushed by the sender's first wire operation. It models the receive
 	// side's "poll every connection, serve the first that fires" loop.
@@ -92,10 +96,10 @@ func (c *Channel) conn(remote int) (*ConnState, error) {
 // moves its clock.
 //
 // The async submission path never parks an engine worker on a lease:
-// acquireAsync registers a continuation that the releasing goroutine runs
-// when ownership transfers. Sync and async acquirers share one FIFO, so a
-// mixed workload keeps the same per-direction fairness as the pure-sync
-// library.
+// acquireAsync parks the conversation itself, and the releasing goroutine
+// grants it when ownership transfers. Sync and async acquirers share one
+// FIFO, so a mixed workload keeps the same per-direction fairness as the
+// pure-sync library.
 type lease struct {
 	s *leaseState
 }
@@ -104,15 +108,21 @@ type leaseState struct {
 	mu      sync.Mutex
 	free    bool
 	stamp   vclock.Time // release time of the last holder
-	waiters simnet.Ring[leaseWaiter]
+	waiters simnet.Ring[grantee]
 }
 
-// leaseWaiter is one parked acquirer: a channel for blocking (sync)
-// acquirers, a continuation for async ones. Exactly one field is set.
-type leaseWaiter struct {
-	c  chan vclock.Time
-	fn func(vclock.Time)
-}
+// grantee is one parked acquirer: granted runs exactly once, on the
+// releasing goroutine, holding the lease, with the previous holder's
+// release stamp. An interface over the acquirer itself (an async
+// conversation, a blocked caller's channel), not a closure, so parking
+// allocates nothing.
+type grantee interface{ granted(vclock.Time) }
+
+// syncGrantee is a blocked acquire: the stamp is handed over a one-slot
+// channel.
+type syncGrantee chan vclock.Time
+
+func (c syncGrantee) granted(t vclock.Time) { c <- t }
 
 func newLease() lease { return lease{s: &leaseState{free: true}} }
 
@@ -127,28 +137,27 @@ func (l lease) acquire(a *vclock.Actor) {
 		a.Sync(t)
 		return
 	}
-	c := make(chan vclock.Time, 1)
-	s.waiters.Push(leaseWaiter{c: c})
+	c := make(syncGrantee, 1)
+	s.waiters.Push(c)
 	s.mu.Unlock()
 	a.Sync(<-c)
 }
 
-// acquireAsync takes the lease without blocking. When the lease is free the
-// continuation runs inline (before acquireAsync returns) and the result is
-// true; otherwise fn is parked FIFO behind the current holder and runs on
-// the releasing goroutine at ownership transfer. Either way fn receives the
-// previous holder's release stamp and runs exactly once, holding the lease.
-func (l lease) acquireAsync(fn func(vclock.Time)) bool {
+// acquireAsync takes the lease without blocking. When the lease is free
+// g.granted runs inline (before acquireAsync returns) and the result is
+// true; otherwise g is parked FIFO behind the current holder and is granted
+// on the releasing goroutine at ownership transfer.
+func (l lease) acquireAsync(g grantee) bool {
 	s := l.s
 	s.mu.Lock()
 	if s.free {
 		s.free = false
 		t := s.stamp
 		s.mu.Unlock()
-		fn(t)
+		g.granted(t)
 		return true
 	}
-	s.waiters.Push(leaseWaiter{fn: fn})
+	s.waiters.Push(g)
 	s.mu.Unlock()
 	return false
 }
@@ -161,16 +170,12 @@ func (l lease) release(a *vclock.Actor) {
 	s.mu.Lock()
 	s.stamp = a.Now()
 	if s.waiters.Len() > 0 {
-		// The ring zeroes the popped slot: a parked continuation captures
-		// its AsyncMsg, which must not stay reachable from the FIFO.
+		// The ring zeroes the popped slot: a parked async grantee is its
+		// AsyncMsg, which must not stay reachable from the FIFO.
 		w := s.waiters.Pop()
 		t := s.stamp
 		s.mu.Unlock()
-		if w.c != nil {
-			w.c <- t
-		} else {
-			w.fn(t)
-		}
+		w.granted(t)
 		return
 	}
 	s.free = true
@@ -197,6 +202,10 @@ type ConnState struct {
 	ch     *Channel
 	local  int
 	remote int
+
+	// asyncName names the actor of every async send conversation toward
+	// remote.
+	asyncName string
 
 	// Per-direction leases: exclusive ownership of a direction for the
 	// span of one message.

@@ -172,14 +172,34 @@ func (p *railPMM) expressRail(n int) int {
 // rail plus the striped-operation sequence numbers. sendSeq is guarded by
 // the send lease, recvSeq by the receive lease; the subs slice is
 // immutable after Connect.
+//
+// sendFrames and recvFrames hold one chunk frame per rail, made on the
+// rail's first chunk at full stripe size. The direction's lease covers the
+// striped operation and each rail's goroutine touches only its own entry. A
+// send frame is the rail's again when the sub-TM's SendBuffer returns (the
+// mover has copied it off the host), a receive frame once scattered.
 type railConn struct {
-	subs    []*ConnState
-	sendSeq uint32
-	recvSeq uint32
+	subs       []*ConnState
+	sendSeq    uint32
+	recvSeq    uint32
+	sendFrames [][]byte
+	recvFrames [][]byte
+}
+
+// railFrame returns rail ri's frame sized for an n-byte chunk.
+func (p *railPMM) railFrame(frames [][]byte, ri, n int) []byte {
+	if frames[ri] == nil {
+		frames[ri] = make([]byte, railHdrSize+p.stripe)
+	}
+	return frames[ri][:railHdrSize+n]
 }
 
 func (p *railPMM) PreConnect(cs *ConnState) error {
-	rc := &railConn{subs: make([]*ConnState, len(p.rails))}
+	rc := &railConn{
+		subs:       make([]*ConnState, len(p.rails)),
+		sendFrames: make([][]byte, len(p.rails)),
+		recvFrames: make([][]byte, len(p.rails)),
+	}
 	for i, r := range p.rails {
 		sub := &ConnState{ch: cs.ch, local: cs.local, remote: cs.remote, send: newLease(), recv: newLease()}
 		// Sub-connections are born announced: the rail TMs announce once
@@ -374,7 +394,7 @@ func (t *railStripe) SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]b
 		for k := ri; k < nc; k += nr {
 			off := k * p.stripe
 			n := min(p.stripe, total-off)
-			frame := make([]byte, railHdrSize+n)
+			frame := p.railFrame(rc.sendFrames, ri, n)
 			putRailHdr(frame, seq, off, n, k == nc-1)
 			gatherInto(frame[railHdrSize:], group, off)
 			tm := p.rails[ri].pmm.Select(len(frame), SendCheaper, ReceiveCheaper)
@@ -414,7 +434,7 @@ func (t *railStripe) ReceiveSubBufferGroup(a *vclock.Actor, cs *ConnState, dsts 
 		for k := ri; k < nc; k += nr {
 			off := k * p.stripe
 			n := min(p.stripe, total-off)
-			frame := make([]byte, railHdrSize+n)
+			frame := p.railFrame(rc.recvFrames, ri, n)
 			tm := p.rails[ri].pmm.Select(len(frame), SendCheaper, ReceiveCheaper)
 			t0 := ra.Now()
 			if err := railRecvFrame(ra, rc.subs[ri], tm, frame); err != nil {

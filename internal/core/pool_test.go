@@ -177,9 +177,14 @@ func staticPoolRounds(t *testing.T, drv string, tmIdx int) {
 	}
 }
 
+// granteeFunc adapts a function to the lease's async waiter interface.
+type granteeFunc func(vclock.Time)
+
+func (f granteeFunc) granted(t vclock.Time) { f(t) }
+
 // TestLeaseReleasedWaiterCollectable is the lease FIFO's retention
-// regression: a parked async continuation captures its AsyncMsg, so once
-// it has run, the waiter queue must not keep it reachable.
+// regression: a parked grantee is its AsyncMsg (here, a closure's capture),
+// so once it has run, the waiter queue must not keep it reachable.
 func TestLeaseReleasedWaiterCollectable(t *testing.T) {
 	l := newLease()
 	a := vclock.NewActor("holder")
@@ -189,7 +194,7 @@ func TestLeaseReleasedWaiterCollectable(t *testing.T) {
 	for i := 0; i < waiters; i++ {
 		captured := new([64]byte)
 		runtime.SetFinalizer(captured, func(*[64]byte) { collected <- struct{}{} })
-		if l.acquireAsync(func(vclock.Time) { captured[0]++ }) {
+		if l.acquireAsync(granteeFunc(func(vclock.Time) { captured[0]++ })) {
 			t.Fatal("acquireAsync ran inline on a held lease")
 		}
 	}

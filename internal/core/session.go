@@ -226,6 +226,8 @@ func (s *Session) NewChannel(spec ChannelSpec) (map[int]*Channel, error) {
 			members:  append([]int(nil), members...),
 			incoming: simnet.NewQueue[int](),
 			conns:    make(map[int]*ConnState),
+
+			asyncName: fmt.Sprintf("async:%s:%d<", spec.Name, r),
 		}
 		// Pre-register the PMM's TM names so per-TM accounting is
 		// lock-free once traffic starts.
@@ -252,7 +254,8 @@ func (s *Session) NewChannel(spec ChannelSpec) (map[int]*Channel, error) {
 			if peer == r {
 				continue
 			}
-			cs := &ConnState{ch: chans[r], local: r, remote: peer, send: newLease(), recv: newLease()}
+			cs := &ConnState{ch: chans[r], local: r, remote: peer, send: newLease(), recv: newLease(),
+				asyncName: fmt.Sprintf("async:%s:%d>%d", spec.Name, r, peer)}
 			chans[r].conns[peer] = cs
 			if err := chans[r].pmm.PreConnect(cs); err != nil {
 				return nil, fmt.Errorf("core: channel %q preconnect %d->%d: %w", spec.Name, r, peer, err)

@@ -14,6 +14,10 @@ type Actor struct {
 // NewActor returns an actor starting at the session epoch.
 func NewActor(name string) *Actor { return &Actor{name: name} }
 
+// MakeActor is NewActor by value, for an actor embedded in the object that
+// owns it (an async conversation): the owner's allocation is the actor's.
+func MakeActor(name string) Actor { return Actor{name: name} }
+
 // Name reports the actor's diagnostic name.
 func (a *Actor) Name() string { return a.name }
 
