@@ -19,7 +19,7 @@ import (
 // reportPing runs a b.N-iteration ping benchmark on a warm channel.
 func reportPing(b *testing.B, driver string, size int) {
 	b.Helper()
-	_, chans, err := bench.TwoNodes(driver)
+	_, chans, err := bench.TwoNodes(driver, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func reportPing(b *testing.B, driver string, size int) {
 // BenchmarkTable1PackUnpack exercises the Table 1 primitives themselves:
 // a minimal two-block message per iteration over SISCI.
 func BenchmarkTable1PackUnpack(b *testing.B) {
-	_, chans, err := bench.TwoNodes("sisci")
+	_, chans, err := bench.TwoNodes("sisci", nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func BenchmarkTable1PackUnpack(b *testing.B) {
 // BenchmarkTable2TMSelection exercises the Switch step across every TM of
 // the SISCI PMM in one message.
 func BenchmarkTable2TMSelection(b *testing.B) {
-	_, chans, err := bench.TwoNodes("sisci")
+	_, chans, err := bench.TwoNodes("sisci", nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func benchFwd(b *testing.B, mtu int, sciToMyri bool, mutate func(*fwd.Spec)) {
 	b.Helper()
 	var bw float64
 	for i := 0; i < b.N; i++ {
-		vcs, err := bench.HetVC(bench.NextName("bench"), mtu, mutate)
+		vcs, err := bench.HetVC(bench.NextName("bench"), mtu, 1, 0, nil, false, nil, mutate)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func BenchmarkAblationPolling(b *testing.B) {
 		return func(b *testing.B) {
 			var lat float64
 			for i := 0; i < b.N; i++ {
-				_, chans, err := bench.TwoNodes("sisci")
+				_, chans, err := bench.TwoNodes("sisci", nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -148,10 +148,10 @@ func main() {
 // metricsSnapshot runs a representative instrumented workload — a
 // reliable SCI→Myrinet forwarded stream over a lossy fabric — and writes
 // the session registry's snapshot as JSON, so CI can archive the metrics
-// plane's view of a run next to the BENCH_*.json artifacts.
+// plane's view of a run.
 func metricsSnapshot(path string) error {
 	plan := &simnet.FaultPlan{Seed: 7, Corrupt: 0.01, Drop: 0.01}
-	vcs, err := bench.LossyHetVC(bench.NextName("metrics"), 4<<10, plan, nil, nil)
+	vcs, err := bench.HetVC(bench.NextName("metrics"), 4<<10, 1, 0, plan, true, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -159,16 +159,11 @@ func metricsSnapshot(path string) error {
 	if _, err := bench.ForwardedStream(vcs, 0, 4, 256<<10); err != nil {
 		return err
 	}
-	var sess *core.Session
-	for _, v := range vcs {
-		sess = v.Session()
-		break
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := sess.Metrics().Snapshot().JSON(f); err != nil {
+	if err := vcs[0].Session().Metrics().Snapshot().JSON(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -211,7 +206,7 @@ func parseCounts(s, flagName string) ([]int, error) {
 func tracedWorkload(jsonPath string) error {
 	obs := core.NewObserver(trace.New(1 << 16))
 
-	_, chans, err := bench.TwoNodesObserved("bip", obs)
+	_, chans, err := bench.TwoNodes("bip", obs)
 	if err != nil {
 		return err
 	}
@@ -220,7 +215,7 @@ func tracedWorkload(jsonPath string) error {
 		return err
 	}
 
-	vcs, err := bench.HetVCObserved(bench.NextName("traced"), 16<<10, obs, nil)
+	vcs, err := bench.HetVC(bench.NextName("traced"), 16<<10, 1, 0, nil, false, obs, nil)
 	if err != nil {
 		return err
 	}
@@ -232,26 +227,7 @@ func tracedWorkload(jsonPath string) error {
 
 	fmt.Println("traced workload: bip ping-pong (4 kB) + SCI→Myrinet forwarded stream (256 kB)")
 	fmt.Printf("  ping-pong one-way %v, forwarded stream %.1f MB/s\n\n", pp, vclock.MBps(256<<10, fw))
-	fmt.Print(obs.Recorder().Timeline(100))
-	fmt.Println()
-	fmt.Println("per-TM transfer latency (virtual time):")
-	fmt.Print(obs.Report())
-
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		if err := obs.Recorder().Chrome(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
-	return nil
+	return bench.TraceReport(os.Stdout, obs, jsonPath)
 }
 
 func banner() string {

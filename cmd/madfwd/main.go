@@ -82,18 +82,14 @@ func main() {
 		s.ForceGatewayCopy = *forceCopy
 		s.MaxRetries = *retries
 	}
-	vcs, err := bench.HetVCRails("madfwd", *mtu, *rails, stripe, plan, hostile, obs, mutate)
+	vcs, err := bench.HetVC("madfwd", *mtu, *rails, stripe, plan, hostile, obs, mutate)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "madfwd: %v\n", err)
 		os.Exit(1)
 	}
 	defer bench.CloseVCs(vcs)
 
-	var sess *core.Session
-	for _, v := range vcs {
-		sess = v.Session()
-		break
-	}
+	sess := vcs[0].Session()
 	if *metricsAddr != "" {
 		srv, err := metrics.Serve(sess.Metrics(), *metricsAddr)
 		if err != nil {
@@ -145,26 +141,9 @@ func main() {
 	}
 	if obs != nil {
 		fmt.Println()
-		fmt.Print(obs.Recorder().Timeline(100))
-		fmt.Println()
-		fmt.Println("per-TM transfer latency (virtual time):")
-		fmt.Print(obs.Report())
-		if *traceJSON != "" {
-			f, err := os.Create(*traceJSON)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "madfwd: %v\n", err)
-				os.Exit(1)
-			}
-			if err := obs.Recorder().Chrome(f); err != nil {
-				f.Close()
-				fmt.Fprintf(os.Stderr, "madfwd: %v\n", err)
-				os.Exit(1)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "madfwd: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *traceJSON)
+		if err := bench.TraceReport(os.Stdout, obs, *traceJSON); err != nil {
+			fmt.Fprintf(os.Stderr, "madfwd: %v\n", err)
+			os.Exit(1)
 		}
 	}
 }

@@ -33,7 +33,7 @@ func main() {
 	if *showTrace || *traceJSON != "" {
 		obs = core.NewObserver(trace.New(*traceLimit))
 	}
-	_, chans, err := bench.TwoNodesObserved(*driver, obs)
+	_, chans, err := bench.TwoNodes(*driver, obs)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "madping: %v\n", err)
 		os.Exit(1)
@@ -51,27 +51,10 @@ func main() {
 
 	if obs != nil {
 		fmt.Println()
-		fmt.Print(obs.Recorder().Timeline(100))
-		fmt.Println()
-		fmt.Println("per-TM transfer latency (virtual time):")
-		fmt.Print(obs.Report())
-		fmt.Printf("\nchannel stats (rank 0): %v\n", chans[0].Stats())
-		if *traceJSON != "" {
-			f, err := os.Create(*traceJSON)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "madping: %v\n", err)
-				os.Exit(1)
-			}
-			if err := obs.Recorder().Chrome(f); err != nil {
-				f.Close()
-				fmt.Fprintf(os.Stderr, "madping: %v\n", err)
-				os.Exit(1)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "madping: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *traceJSON)
+		if err := bench.TraceReport(os.Stdout, obs, *traceJSON); err != nil {
+			fmt.Fprintf(os.Stderr, "madping: %v\n", err)
+			os.Exit(1)
 		}
+		fmt.Printf("\nchannel stats (rank 0): %v\n", chans[0].Stats())
 	}
 }

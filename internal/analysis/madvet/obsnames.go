@@ -10,18 +10,17 @@ import (
 )
 
 // ObsNames enforces the metrics plane's naming convention at every
-// chokepoint that mints a metric: Observer.Count/CountMax/TM and
-// Registry.Counter/Gauge/Histogram. Names are the registry's only schema
-// — exposition, snapshots, madtop and the ratchet all key on them — so an
-// ad-hoc name ("packets", "Fwd/Rel") silently forks the namespace. Only
-// constant names are checked; dynamic names must be built from components
-// sanitized through metrics.Clean. Names a collector emits (chan/*,
+// chokepoint that mints a metric: Registry.Counter/Gauge/Histogram.
+// Names are the registry's only schema — exposition, snapshots, madtop
+// and madperf all key on them — so an ad-hoc name ("packets", "Fwd/Rel")
+// silently forks the namespace. Only constant names are checked; dynamic
+// names must be built from components sanitized through metrics.Clean. Names a collector emits (chan/*,
 // async/*, fault/*, fwd/*) pass through a func value, not a method, and
 // are checked by their packages' tests against metrics.CheckName.
 var ObsNames = &analysis.Analyzer{
 	Name: "obsnames",
 	Doc: "reject metric names that bypass the layer/subsystem/name convention\n" +
-		"at the Observer/Registry chokepoints (metrics.CheckName)",
+		"at the Registry chokepoints (metrics.CheckName)",
 	Run: runObsNames,
 }
 
@@ -30,9 +29,6 @@ var ObsNames = &analysis.Analyzer{
 // structural, like the rest of the suite, so fixtures can model the API
 // with stubs.
 var obsNameSinks = map[[3]string]bool{
-	{"core", "Observer", "Count"}:        true,
-	{"core", "Observer", "CountMax"}:     true,
-	{"core", "Observer", "TM"}:           true,
 	{"metrics", "Registry", "Counter"}:   true,
 	{"metrics", "Registry", "Gauge"}:     true,
 	{"metrics", "Registry", "Histogram"}: true,

@@ -86,13 +86,3 @@ func instrumentTM(tm TM) TM {
 }
 
 var _ = instrumentTM
-
-// Observer surface for the obsnames fixtures: the named-counter and
-// latency-histogram chokepoints whose first argument is a metric name.
-type Observer struct{}
-
-func (o *Observer) Count(name string, delta int64) {}
-func (o *Observer) CountMax(name string, v int64)  {}
-func (o *Observer) TM(name string) *Histogram      { return nil }
-
-type Histogram struct{}

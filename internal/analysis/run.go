@@ -128,19 +128,6 @@ func CalleeObject(info *types.Info, call *ast.CallExpr) types.Object {
 	return nil
 }
 
-// IsPkgCall reports whether the call targets the package-level function
-// pkgPath.name (e.g. "os", "Exit").
-func IsPkgCall(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	obj := CalleeObject(info, call)
-	if obj == nil || obj.Pkg() == nil {
-		return false
-	}
-	if _, isFunc := obj.(*types.Func); !isFunc {
-		return false
-	}
-	return obj.Pkg().Path() == pkgPath && obj.Name() == name
-}
-
 // TerminatingClassifier returns the CFG's never-returns predicate: panic
 // is built in; this adds os.Exit, runtime.Goexit, log.Fatal*/Panic*, and
 // testing's Fatal/Fatalf/Skip variants (method calls whose receiver comes

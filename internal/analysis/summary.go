@@ -96,15 +96,6 @@ type Summary struct {
 	DrainsCQ bool
 }
 
-// ReturnsOwned reports the obligation of result i ("" when none or out
-// of range).
-func (s *Summary) ReturnsOwned(i int) Obligation {
-	if s == nil || i < 0 || i >= len(s.Results) {
-		return ""
-	}
-	return s.Results[i]
-}
-
 // ParamAt returns the effect on parameter i (receiver = 0 for methods);
 // the zero Param when unknown.
 func (s *Summary) ParamAt(i int) Param {

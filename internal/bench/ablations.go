@@ -20,7 +20,7 @@ import (
 func AblationDualBuffer() (Result, error) {
 	series := make([]Series, 0, 2)
 	for _, drv := range []string{"sisci", "sisci-nodual"} {
-		_, chans, err := TwoNodes(drv)
+		_, chans, err := TwoNodes(drv, nil)
 		if err != nil {
 			return Result{}, err
 		}
@@ -48,7 +48,7 @@ func AblationDualBuffer() (Result, error) {
 func AblationDMA() (Result, error) {
 	series := make([]Series, 0, 2)
 	for _, drv := range []string{"sisci", "sisci-dma"} {
-		_, chans, err := TwoNodes(drv)
+		_, chans, err := TwoNodes(drv, nil)
 		if err != nil {
 			return Result{}, err
 		}
@@ -128,7 +128,7 @@ func AblationExpress() (Result, error) {
 func AblationMTU() (Result, error) {
 	s := Series{Name: "SCI→Myrinet, 2 MB messages"}
 	for _, mtu := range []int{2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10} {
-		vcs, err := HetVC(NextName("abl-mtu"), mtu, nil)
+		vcs, err := HetVC(NextName("abl-mtu"), mtu, 1, 0, nil, false, nil, nil)
 		if err != nil {
 			return Result{}, err
 		}
@@ -153,7 +153,7 @@ func AblationGatewayCopy() (Result, error) {
 	// bottleneck; in the other direction the copy hides under the PCI
 	// floor (the bus, not the CPU, paces the pipeline there).
 	run := func(force bool) (vclock.Time, error) {
-		vcs, err := HetVC(NextName("abl-copy"), 16<<10, func(s *fwd.Spec) { s.ForceGatewayCopy = force })
+		vcs, err := HetVC(NextName("abl-copy"), 16<<10, 1, 0, nil, false, nil, func(s *fwd.Spec) { s.ForceGatewayCopy = force })
 		if err != nil {
 			return 0, err
 		}
@@ -192,7 +192,7 @@ func AblationBandwidthControl() (Result, error) {
 	}
 	var anchors []Anchor
 	for _, c := range []cfg{{"off", 0}, {"45 MB/s", 45}, {"30 MB/s", 30}, {"15 MB/s", 15}} {
-		vcs, err := HetVC(NextName("abl-bwctl"), 128<<10, func(sp *fwd.Spec) { sp.BandwidthControl = c.rate })
+		vcs, err := HetVC(NextName("abl-bwctl"), 128<<10, 1, 0, nil, false, nil, func(sp *fwd.Spec) { sp.BandwidthControl = c.rate })
 		if err != nil {
 			return Result{}, err
 		}
@@ -240,7 +240,7 @@ func AblationPolling() (Result, error) {
 	gap := vclock.Micros(150) // sparse arrivals: the receiver waits
 
 	run := func(pol marcel.Policy) (marcel.Stats, error) {
-		_, chans, err := TwoNodes("sisci")
+		_, chans, err := TwoNodes("sisci", nil)
 		if err != nil {
 			return marcel.Stats{}, err
 		}
@@ -356,7 +356,7 @@ func AblationMadIvsII() (Result, error) {
 		}
 		v1.Points = append(v1.Points, Point{Size: n, OneWay: t})
 	}
-	_, chans, err := TwoNodes("sisci")
+	_, chans, err := TwoNodes("sisci", nil)
 	if err != nil {
 		return Result{}, err
 	}

@@ -9,7 +9,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"madeleine2/internal/core"
 	"madeleine2/internal/vclock"
@@ -71,54 +70,59 @@ var LatSizes = []int{4, 16, 64, 256, 1024, 4096}
 // BwSizes is the bandwidth-panel sweep.
 var BwSizes = []int{64, 256, 1024, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20, 2 << 20}
 
-// PingPong measures the steady-state one-way time for n-byte
-// CHEAPER/CHEAPER messages between ranks a and b of a channel: an echo
-// loop whose first warm-up iterations are excluded, exactly like the
-// paper's repeated-transmission methodology.
-func PingPong(chans map[int]*core.Channel, ra, rb, n, iters int) (vclock.Time, error) {
+// steadyOneWay is the paper's repeated-transmission methodology: iters
+// echo rounds of which the first two are warm-up and excluded, the rest
+// averaged and halved to a one-way time. round performs one round trip on
+// the initiator and reports its clock afterwards; echo, when non-nil,
+// serves one round on the other side, on its own goroutine.
+func steadyOneWay(iters int, round func() (vclock.Time, error), echo func() error) (vclock.Time, error) {
 	const warm = 2
 	if iters <= warm {
 		iters = warm + 1
 	}
-	initiator := vclock.NewActor("ping")
-	echoer := vclock.NewActor("pong")
-	payload := make([]byte, n)
-	var wg sync.WaitGroup
-	var echoErr error
-	wg.Add(1)
+	echoErr := make(chan error, 1)
 	go func() {
-		defer wg.Done()
-		buf := make([]byte, n)
-		for i := 0; i < iters; i++ {
-			if err := recvMsg(chans[rb], echoer, buf); err != nil {
-				echoErr = err
-				return
-			}
-			if err := sendMsg(chans[rb], echoer, ra, buf); err != nil {
-				echoErr = err
-				return
-			}
+		var err error
+		for i := 0; i < iters && echo != nil && err == nil; i++ {
+			err = echo()
 		}
+		echoErr <- err
 	}()
-	var tAfterWarm vclock.Time
+	var tWarm, tEnd vclock.Time
 	for i := 0; i < iters; i++ {
-		if err := sendMsg(chans[ra], initiator, rb, payload); err != nil {
-			return 0, err
-		}
-		buf := make([]byte, n)
-		if err := recvMsg(chans[ra], initiator, buf); err != nil {
+		t, err := round()
+		if err != nil {
 			return 0, err
 		}
 		if i == warm-1 {
-			tAfterWarm = initiator.Now()
+			tWarm = t
 		}
+		tEnd = t
 	}
-	wg.Wait()
-	if echoErr != nil {
-		return 0, echoErr
+	if err := <-echoErr; err != nil {
+		return 0, err
 	}
-	steady := initiator.Now() - tAfterWarm
-	return steady / vclock.Time(2*(iters-warm)), nil
+	return (tEnd - tWarm) / vclock.Time(2*(iters-warm)), nil
+}
+
+// PingPong measures the steady-state one-way time for n-byte
+// CHEAPER/CHEAPER messages between ranks a and b of a channel.
+func PingPong(chans map[int]*core.Channel, ra, rb, n, iters int) (vclock.Time, error) {
+	initiator := vclock.NewActor("ping")
+	echoer := vclock.NewActor("pong")
+	payload, in, echoBuf := make([]byte, n), make([]byte, n), make([]byte, n)
+	return steadyOneWay(iters, func() (vclock.Time, error) {
+		if err := sendMsg(chans[ra], initiator, rb, payload); err != nil {
+			return 0, err
+		}
+		err := recvMsg(chans[ra], initiator, in)
+		return initiator.Now(), err
+	}, func() error {
+		if err := recvMsg(chans[rb], echoer, echoBuf); err != nil {
+			return err
+		}
+		return sendMsg(chans[rb], echoer, ra, echoBuf)
+	})
 }
 
 // sendMsg ships one single-block CHEAPER message.

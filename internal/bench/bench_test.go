@@ -8,7 +8,7 @@ import (
 )
 
 func TestPingPongSteadyState(t *testing.T) {
-	_, chans, err := TwoNodes("sisci")
+	_, chans, err := TwoNodes("sisci", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestPingPongSteadyState(t *testing.T) {
 }
 
 func TestSweepShapes(t *testing.T) {
-	_, chans, err := TwoNodes("bip")
+	_, chans, err := TwoNodes("bip", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

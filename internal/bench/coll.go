@@ -43,10 +43,8 @@ func CollClusters(name string, plan *simnet.FaultPlan, reliable bool) (map[int]*
 		w.Node(r).AddAdapter(tcpnet.Network)
 	}
 	sess := core.NewSession(w)
-	if plan != nil {
-		for _, a := range sess.World().Adapters() {
-			a.SetFaults(plan)
-		}
+	for _, a := range w.Adapters() {
+		a.SetFaults(plan)
 	}
 	return fwd.New(sess, fwd.Spec{
 		Name:     name,
@@ -144,7 +142,7 @@ func CollFigure() (Result, error) {
 			"each point is the makespan (latest rank's virtual completion) of one broadcast from rank 0, " +
 			"on a fresh world so clocks start at the epoch. Auto derives the cluster map from the " +
 			"virtual channel and crosses the boundary once per remote cluster; Linear is the old " +
-			"one-peer-per-round loop. The x anchors are display-only ratios; the µs points ratchet.",
+			"one-peer-per-round loop. The x anchors are display-only ratios.",
 	}
 	auto := Series{Name: "bcast auto (topology-aware)"}
 	linear := Series{Name: "bcast linear baseline"}
@@ -411,7 +409,7 @@ func IncastWorld(c *coll.Comm) error {
 // LLMFigure runs the three LLM-fabric traffic worlds on the lossy
 // two-cluster fabric behind the reliable forwarding mode: every workload
 // must complete with byte-identical payloads and no poisoned
-// communicator, and the makespans ratchet.
+// communicator.
 func LLMFigure() (Result, error) {
 	res := Result{
 		ID:    "llm",

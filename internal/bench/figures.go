@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"madeleine2/internal/fwd"
 	"madeleine2/internal/model"
 	"madeleine2/internal/mpi"
 	"madeleine2/internal/vclock"
@@ -13,7 +12,7 @@ import (
 // latency panel for small messages and bandwidth panel up to 2 MB, with
 // the dual-buffering knee at 8 kB and the 3.9 µs / 82 MB/s anchors.
 func Fig4() (Result, error) {
-	_, chans, err := TwoNodes("sisci")
+	_, chans, err := TwoNodes("sisci", nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -43,7 +42,7 @@ func Fig4() (Result, error) {
 // Fig5 reproduces "Latency and bandwidth over BIP/Myrinet", including the
 // raw BIP reference curve (5 µs / 126 MB/s vs Madeleine's 7 µs / 122 MB/s).
 func Fig5() (Result, error) {
-	_, chans, err := TwoNodes("bip")
+	_, chans, err := TwoNodes("bip", nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -95,7 +94,7 @@ func Fig6() (Result, error) {
 		}
 		chmad.Points = append(chmad.Points, Point{Size: n, OneWay: t})
 	}
-	_, chans, err := TwoNodes("sisci")
+	_, chans, err := TwoNodes("sisci", nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -173,7 +172,7 @@ func forwardingFigure(id, title string, sciToMyri bool, anchors []Anchor) (Resul
 	var series []Series
 	asym := map[int]float64{}
 	for _, mtu := range fwdMTUs {
-		vcs, err := HetVC(NextName(id), mtu, nil)
+		vcs, err := HetVC(NextName(id), mtu, 1, 0, nil, false, nil, nil)
 		if err != nil {
 			return Result{}, err
 		}
@@ -226,11 +225,11 @@ func Fig11() (Result, error) {
 // Crossover reproduces the §6.2.1 packet-size analysis: at 16 kB both
 // networks deliver ≈60 MB/s in ≈250 µs, the argument behind the 16 kB MTU.
 func Crossover() (Result, error) {
-	_, sci, err := TwoNodes("sisci")
+	_, sci, err := TwoNodes("sisci", nil)
 	if err != nil {
 		return Result{}, err
 	}
-	_, myri, err := TwoNodes("bip")
+	_, myri, err := TwoNodes("bip", nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -269,5 +268,3 @@ func AllFigures() ([]Result, error) {
 	}
 	return out, nil
 }
-
-var _ = fwd.Spec{} // fwd is used via worlds.go helpers

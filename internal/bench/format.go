@@ -2,8 +2,38 @@ package bench
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"strings"
+
+	"madeleine2/internal/core"
 )
+
+// TraceReport renders what an observed run's sink caught: the virtual-time
+// span timeline and the per-TM latency histograms with the event counters.
+// With jsonPath it also writes the spans in Chrome trace-event form.
+func TraceReport(w io.Writer, obs *core.Observer, jsonPath string) error {
+	fmt.Fprint(w, obs.Recorder().Timeline(100))
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "per-TM transfer latency (virtual time):")
+	fmt.Fprint(w, obs.Report())
+	if jsonPath == "" {
+		return nil
+	}
+	f, err := os.Create(jsonPath)
+	if err != nil {
+		return err
+	}
+	if err := obs.Recorder().Chrome(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "wrote %s\n", jsonPath)
+	return nil
+}
 
 // Table renders a Result as fixed-width text: one row per size, one
 // bandwidth/latency column pair per series, followed by the paper-vs-

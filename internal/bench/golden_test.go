@@ -56,9 +56,13 @@ func TestFiguresGolden(t *testing.T) {
 		}
 		return
 	}
-	want, err := LoadResults(goldenPath)
+	data, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var want []Result
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("%s: %v", goldenPath, err)
 	}
 	flatten := func(res []Result) (keys []string, vals map[string]string) {
 		vals = map[string]string{}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"madeleine2/internal/bip"
 	"madeleine2/internal/core"
@@ -16,10 +15,6 @@ import (
 // RawBIPPingPong measures the raw driver's steady one-way time (the "raw
 // BIP" reference numbers of §5.2.2: 5 µs, 126 MB/s).
 func RawBIPPingPong(n, iters int) (vclock.Time, error) {
-	const warm = 2
-	if iters <= warm {
-		iters = warm + 1
-	}
 	w := simnet.NewWorld(2)
 	w.Node(0).AddAdapter(bip.Network)
 	w.Node(1).AddAdapter(bip.Network)
@@ -46,41 +41,19 @@ func RawBIPPingPong(n, iters int) (vclock.Time, error) {
 		return err
 	}
 	ping, pong := vclock.NewActor("raw-ping"), vclock.NewActor("raw-pong")
-	var wg sync.WaitGroup
-	var echoErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		buf := make([]byte, n)
-		for i := 0; i < iters; i++ {
-			if err := grab(b1, pong, 0, buf); err != nil {
-				echoErr = err
-				return
-			}
-			if err := xfer(b1, pong, 0, buf); err != nil {
-				echoErr = err
-				return
-			}
-		}
-	}()
-	payload := make([]byte, n)
-	var tWarm vclock.Time
-	for i := 0; i < iters; i++ {
+	payload, echoBuf := make([]byte, n), make([]byte, n)
+	return steadyOneWay(iters, func() (vclock.Time, error) {
 		if err := xfer(b0, ping, 1, payload); err != nil {
 			return 0, err
 		}
-		if err := grab(b0, ping, 1, payload); err != nil {
-			return 0, err
+		err := grab(b0, ping, 1, payload)
+		return ping.Now(), err
+	}, func() error {
+		if err := grab(b1, pong, 0, echoBuf); err != nil {
+			return err
 		}
-		if i == warm-1 {
-			tWarm = ping.Now()
-		}
-	}
-	wg.Wait()
-	if echoErr != nil {
-		return 0, echoErr
-	}
-	return (ping.Now() - tWarm) / vclock.Time(2*(iters-warm)), nil
+		return xfer(b1, pong, 0, echoBuf)
+	})
 }
 
 // ForwardedStream measures the steady per-message one-way time of
@@ -136,7 +109,7 @@ func ForwardedStream(vcs map[int]*fwd.VC, src, dst, msgBytes int) (vclock.Time, 
 // MPIPingPong measures ch_mad's steady one-way time for n-byte messages
 // over the given driver.
 func MPIPingPong(driver string, n int) (vclock.Time, error) {
-	_, chans, err := TwoNodes(driver)
+	_, chans, err := TwoNodes(driver, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -148,42 +121,22 @@ func MPIPingPong(driver string, n int) (vclock.Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	const iters, warm = 5, 2
-	errc := make(chan error, 1)
-	go func() {
-		buf := make([]byte, n)
-		for i := 0; i < iters; i++ {
-			if _, err := c1.Recv(0, 0, buf); err != nil {
-				errc <- err
-				return
-			}
-			if err := c1.Send(0, 0, buf[:n]); err != nil {
-				errc <- err
-				return
-			}
+	out, in, echoBuf := make([]byte, n), make([]byte, n), make([]byte, n)
+	return steadyOneWay(5, func() (vclock.Time, error) {
+		_, err := c0.Sendrecv(1, 0, out, 1, 0, in)
+		return c0.Actor().Now(), err
+	}, func() error {
+		if _, err := c1.Recv(0, 0, echoBuf); err != nil {
+			return err
 		}
-		errc <- nil
-	}()
-	out, in := make([]byte, n), make([]byte, n)
-	var tWarm vclock.Time
-	for i := 0; i < iters; i++ {
-		if _, err := c0.Sendrecv(1, 0, out, 1, 0, in); err != nil {
-			return 0, err
-		}
-		if i == warm-1 {
-			tWarm = c0.Actor().Now()
-		}
-	}
-	if err := <-errc; err != nil {
-		return 0, err
-	}
-	return (c0.Actor().Now() - tWarm) / vclock.Time(2*(iters-warm)), nil
+		return c1.Send(0, 0, echoBuf)
+	})
 }
 
 // NexusRSREcho measures the steady one-way RSR time for n-byte bodies over
 // the given driver (the Fig. 7 echo service).
 func NexusRSREcho(driver string, n int) (vclock.Time, error) {
-	_, chans, err := TwoNodes(driver)
+	_, chans, err := TwoNodes(driver, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -212,26 +165,20 @@ func NexusRSREcho(driver string, n int) (vclock.Time, error) {
 		return 0, err
 	}
 	a := vclock.NewActor("nexus-app")
-	const iters, warm = 5, 2
-	var tWarm, tEnd vclock.Time
-	for i := 0; i < iters; i++ {
+	return steadyOneWay(5, func() (vclock.Time, error) {
 		if err := sp01.RSR(a, 1, nexus.NewBuffer().PutBytes(make([]byte, n))); err != nil {
 			return 0, err
 		}
 		t := <-done
 		a.Sync(t)
-		if i == warm-1 {
-			tWarm = t
-		}
-		tEnd = t
-	}
-	return (tEnd - tWarm) / vclock.Time(2*(iters-warm)), nil
+		return t, nil
+	}, nil)
 }
 
 // BlocksOneWay measures one multi-block message's one-way time with every
 // block using the given modes (ablation workloads).
 func BlocksOneWay(driver string, blocks, blockSize int, sm core.SendMode, rm core.RecvMode) (vclock.Time, error) {
-	_, chans, err := TwoNodes(driver)
+	_, chans, err := TwoNodes(driver, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -29,7 +29,7 @@ func RDMACrossover() (Result, error) {
 	curves := make(map[string]Series)
 	lat := make(map[string]map[int]vclock.Time)
 	for _, drv := range []string{"rdma-eager", "rdma-rdv", "rdma"} {
-		_, chans, err := TwoNodes(drv)
+		_, chans, err := TwoNodes(drv, nil)
 		if err != nil {
 			return res, err
 		}
@@ -46,7 +46,7 @@ func RDMACrossover() (Result, error) {
 		// batches, so per-iteration time is periodic in the credit batch
 		// and the phase depends on prior traffic. A fresh channel plus an
 		// iteration count spanning whole batches measures the steady mean.
-		_, fresh, err := TwoNodes(drv)
+		_, fresh, err := TwoNodes(drv, nil)
 		if err != nil {
 			return res, err
 		}

@@ -7,13 +7,12 @@ import (
 )
 
 // BenchmarkRDMACrossover reports virtual bandwidth at 1 MB for the two
-// forced transmission modules and the switched channel, so the madratchet
-// gate can watch the crossover's throughput like every other figure.
+// forced transmission modules and the switched channel.
 func BenchmarkRDMACrossover(b *testing.B) {
 	const size = RDMAAnchorSize
 	for _, drv := range []string{"rdma-eager", "rdma-rdv", "rdma"} {
 		b.Run(drv, func(b *testing.B) {
-			_, chans, err := TwoNodes(drv)
+			_, chans, err := TwoNodes(drv, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -50,7 +50,7 @@ func TestStripeScalingAcceptance(t *testing.T) {
 		t.Errorf("2-rail speedup at 1 MB = %.2fx (1 rail %v, 2 rails %v), want >= 1.5x", speedup, t1, t2)
 	}
 
-	_, plain, err := TwoNodes("tcp")
+	_, plain, err := TwoNodes("tcp", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,5 +79,10 @@ func TestStripeScalingFigure(t *testing.T) {
 		if a.Measured <= 0 {
 			t.Errorf("anchor %q not measured: %+v", a.Name, a)
 		}
+	}
+	// The builder knows every built-in driver's fabric, ablation variants
+	// included.
+	if _, _, err := TwoNodesRails("sisci-nodual", 1, 0, nil); err != nil {
+		t.Error(err)
 	}
 }

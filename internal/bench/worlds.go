@@ -16,15 +16,10 @@ import (
 
 // TwoNodes builds a fresh two-node session with adapters for every driver
 // and a channel on the requested one — the §5.1 testbed (a pair of dual
-// PII-450 nodes on the interconnect under test).
-func TwoNodes(driver string) (*core.Session, map[int]*core.Channel, error) {
-	return TwoNodesObserved(driver, nil)
-}
-
-// TwoNodesObserved is TwoNodes with an observer installed before the
-// channel is created, so every layer of the message path reports into it.
-// A nil observer is the uninstrumented fast path.
-func TwoNodesObserved(driver string, obs *core.Observer) (*core.Session, map[int]*core.Channel, error) {
+// PII-450 nodes on the interconnect under test). The observer is installed
+// before the channel is created, so every layer of the message path
+// reports into it; nil is the uninstrumented fast path.
+func TwoNodes(driver string, obs *core.Observer) (*core.Session, map[int]*core.Channel, error) {
 	w := simnet.NewWorld(2)
 	for i := 0; i < 2; i++ {
 		w.Node(i).AddAdapter(bip.Network)
@@ -50,7 +45,7 @@ func TwoNodesObserved(driver string, obs *core.Observer) (*core.Session, map[int
 // fan-out — which is exactly what the rail-scaling figures compare
 // against.
 func TwoNodesRails(driver string, rails, stripe int, obs *core.Observer) (*core.Session, map[int]*core.Channel, error) {
-	net, err := networkOf(driver)
+	net, err := core.NetworkOf(driver)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -62,13 +57,9 @@ func TwoNodesRails(driver string, rails, stripe int, obs *core.Observer) (*core.
 	}
 	sess := core.NewSession(w)
 	sess.SetObserver(obs)
-	specs := make([]core.RailSpec, rails)
-	for i := range specs {
-		specs[i] = core.RailSpec{Driver: driver, Adapter: i}
-	}
 	chans, err := sess.NewChannel(core.ChannelSpec{
 		Name:       fmt.Sprintf("bench-%s-x%d", driver, rails),
-		Rails:      specs,
+		Rails:      railSpecs(driver, rails),
 		StripeSize: stripe,
 	})
 	if err != nil {
@@ -77,98 +68,20 @@ func TwoNodesRails(driver string, rails, stripe int, obs *core.Observer) (*core.
 	return sess, chans, nil
 }
 
-// networkOf maps a driver name to its fabric.
-func networkOf(driver string) (string, error) {
-	switch driver {
-	case "bip":
-		return bip.Network, nil
-	case "sisci", "sisci-dma":
-		return sisci.Network, nil
-	case "tcp":
-		return tcpnet.Network, nil
-	case "via":
-		return via.Network, nil
-	case "sbp":
-		return sbp.Network, nil
-	case "rdma", "rdma-eager", "rdma-rdv":
-		return rdma.Network, nil
+// railSpecs lists `rails` adapters of one driver, in adapter order.
+func railSpecs(driver string, rails int) []core.RailSpec {
+	specs := make([]core.RailSpec, rails)
+	for i := range specs {
+		specs[i] = core.RailSpec{Driver: driver, Adapter: i}
 	}
-	return "", fmt.Errorf("bench: unknown driver %q", driver)
+	return specs
 }
 
 // TwoClusters builds the §6.2 testbed: an SCI cluster {0,1,2} and a
 // Myrinet cluster {2,3,4} sharing gateway node 2, plus Fast Ethernet on
-// every node for the acknowledgment path.
-func TwoClusters() *core.Session {
-	w := simnet.NewWorld(5)
-	for _, r := range []int{0, 1, 2} {
-		w.Node(r).AddAdapter(sisci.Network)
-	}
-	for _, r := range []int{2, 3, 4} {
-		w.Node(r).AddAdapter(bip.Network)
-	}
-	for r := 0; r < 5; r++ {
-		w.Node(r).AddAdapter(tcpnet.Network)
-	}
-	return core.NewSession(w)
-}
-
-// HetVC creates the SCI+Myrinet virtual channel of the forwarding
-// experiments on a fresh two-cluster session.
-func HetVC(name string, mtu int, mutate func(*fwd.Spec)) (map[int]*fwd.VC, error) {
-	return HetVCObserved(name, mtu, nil, mutate)
-}
-
-// HetVCObserved is HetVC with an observer installed before the virtual
-// channel's segments are built: the gateway pipeline, the segments' core
-// channels and their TMs all share the observer's sink.
-func HetVCObserved(name string, mtu int, obs *core.Observer, mutate func(*fwd.Spec)) (map[int]*fwd.VC, error) {
-	sess := TwoClusters()
-	sess.SetObserver(obs)
-	spec := fwd.Spec{
-		Name: name,
-		MTU:  mtu,
-		Segments: []core.ChannelSpec{
-			{Driver: "sisci", Nodes: []int{0, 1, 2}},
-			{Driver: "bip", Nodes: []int{2, 3, 4}},
-		},
-	}
-	if mutate != nil {
-		mutate(&spec)
-	}
-	return fwd.New(sess, spec)
-}
-
-// LossyHetVC is HetVCObserved on a hostile fabric: the FaultPlan (nil for
-// a clean fabric) is installed on every adapter of the two-cluster world
-// before any channel exists, and the virtual channel runs the Generic
-// TM's reliable mode so the faults are survived, not fatal.
-func LossyHetVC(name string, mtu int, plan *simnet.FaultPlan, obs *core.Observer, mutate func(*fwd.Spec)) (map[int]*fwd.VC, error) {
-	sess := TwoClusters()
-	sess.SetObserver(obs)
-	if plan != nil {
-		for _, a := range sess.World().Adapters() {
-			a.SetFaults(plan)
-		}
-	}
-	spec := fwd.Spec{
-		Name:     name,
-		MTU:      mtu,
-		Reliable: true,
-		Segments: []core.ChannelSpec{
-			{Driver: "sisci", Nodes: []int{0, 1, 2}},
-			{Driver: "bip", Nodes: []int{2, 3, 4}},
-		},
-	}
-	if mutate != nil {
-		mutate(&spec)
-	}
-	return fwd.New(sess, spec)
-}
-
-// TwoClustersRails is TwoClusters with `rails` adapters per fabric
+// every node for the acknowledgment path — `rails` adapters per fabric
 // membership, so the forwarding experiments can stripe each segment.
-func TwoClustersRails(rails int) *core.Session {
+func TwoClusters(rails int) *core.Session {
 	w := simnet.NewWorld(5)
 	for j := 0; j < rails; j++ {
 		for _, r := range []int{0, 1, 2} {
@@ -184,38 +97,33 @@ func TwoClustersRails(rails int) *core.Session {
 	return core.NewSession(w)
 }
 
-// railSegment builds one segment spec: a plain single-adapter channel
-// for one rail, a striped multi-rail channel otherwise.
-func railSegment(driver string, nodes []int, rails, stripe int) core.ChannelSpec {
-	if rails <= 1 {
-		return core.ChannelSpec{Driver: driver, Nodes: nodes}
-	}
-	specs := make([]core.RailSpec, rails)
-	for i := range specs {
-		specs[i] = core.RailSpec{Driver: driver, Adapter: i}
-	}
-	return core.ChannelSpec{Nodes: nodes, Rails: specs, StripeSize: stripe}
-}
-
-// HetVCRails generalizes HetVCObserved/LossyHetVC: the SCI and Myrinet
-// segments each stripe across `rails` same-driver adapters (one rail is
-// the plain single-adapter channel), an optional FaultPlan arms every
-// adapter, and reliable mode is explicit.
-func HetVCRails(name string, mtu, rails, stripe int, plan *simnet.FaultPlan, reliable bool, obs *core.Observer, mutate func(*fwd.Spec)) (map[int]*fwd.VC, error) {
-	sess := TwoClustersRails(rails)
+// HetVC creates the SCI+Myrinet virtual channel of the forwarding
+// experiments on a fresh two-cluster session. Each segment stripes across
+// `rails` same-driver adapters (one rail is the plain single-adapter
+// channel). The FaultPlan (nil for a clean fabric) arms every adapter
+// before any channel exists; reliable selects the Generic TM's reliable
+// mode, which survives it. The observer is installed before the segments
+// are built, so the gateway pipeline, the segments' core channels and
+// their TMs all share its sink.
+func HetVC(name string, mtu, rails, stripe int, plan *simnet.FaultPlan, reliable bool, obs *core.Observer, mutate func(*fwd.Spec)) (map[int]*fwd.VC, error) {
+	sess := TwoClusters(rails)
 	sess.SetObserver(obs)
-	if plan != nil {
-		for _, a := range sess.World().Adapters() {
-			a.SetFaults(plan)
+	for _, a := range sess.World().Adapters() {
+		a.SetFaults(plan)
+	}
+	segment := func(driver string, nodes []int) core.ChannelSpec {
+		if rails <= 1 {
+			return core.ChannelSpec{Driver: driver, Nodes: nodes}
 		}
+		return core.ChannelSpec{Nodes: nodes, Rails: railSpecs(driver, rails), StripeSize: stripe}
 	}
 	spec := fwd.Spec{
 		Name:     name,
 		MTU:      mtu,
 		Reliable: reliable,
 		Segments: []core.ChannelSpec{
-			railSegment("sisci", []int{0, 1, 2}, rails, stripe),
-			railSegment("bip", []int{2, 3, 4}, rails, stripe),
+			segment("sisci", []int{0, 1, 2}),
+			segment("bip", []int{2, 3, 4}),
 		},
 	}
 	if mutate != nil {

@@ -78,8 +78,6 @@ type postedRecv struct {
 	done     chan struct{} // capacity 1: one signal per posting
 }
 
-var ifaceRegistry sync.Map // *simnet.Adapter -> *Interface
-
 // Attach opens BIP on the idx-th Myrinet adapter of node n. Attaching twice
 // to the same adapter returns the same Interface, as with the real driver's
 // per-process initialization.
@@ -94,8 +92,7 @@ func Attach(n *simnet.Node, idx int) (*Interface, error) {
 		shortIn: make(map[key]int),
 	}
 	b.cond = sync.NewCond(&b.mu)
-	actual, _ := ifaceRegistry.LoadOrStore(a, b)
-	return actual.(*Interface), nil
+	return a.AttachDriver(b).(*Interface), nil
 }
 
 // Adapter returns the underlying simulated NIC.
@@ -111,11 +108,11 @@ func (b *Interface) peer(dst int) (*Interface, error) {
 	if err != nil {
 		return nil, err
 	}
-	v, ok := ifaceRegistry.Load(pa)
+	p, ok := pa.Driver().(*Interface)
 	if !ok {
 		return nil, fmt.Errorf("bip: node %d has not attached to %s[%d]", dst, Network, b.adapter.Index())
 	}
-	return v.(*Interface), nil
+	return p, nil
 }
 
 // shortLane maps a BIP tag to its fabric lane: BIP maintains one ordered

@@ -130,6 +130,32 @@ func TestMessagePathAllocs(t *testing.T) {
 	}
 }
 
+// TestWorldsAreCollectable pins that no driver keeps a torn-down world
+// alive: per driver, 40 worlds each built and used for one 64 KiB message
+// may leave the heap at most 0.5 MiB larger (a retained via or rdma world
+// is ~75 KiB). A heap reading, not a finalizer: a world is cyclic.
+func TestWorldsAreCollectable(t *testing.T) {
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	blocks := []block{{data: pattern(64<<10, 3), sm: SendCheaper, rm: ReceiveCheaper}}
+	for _, drv := range Drivers() {
+		t.Run(drv, func(t *testing.T) {
+			before := heap()
+			for i := 0; i < 40; i++ {
+				roundTrip(t, drv, blocks)
+			}
+			if grew := heap() - before; grew > 512<<10 {
+				t.Errorf("%s: heap grew %d KiB over 40 abandoned worlds, want under 512", drv, grew>>10)
+			}
+		})
+	}
+}
+
 // TestBMMAllocs runs the same message over an in-memory TM, once per BMM
 // policy: with no driver underneath, the two Connection handles are all
 // that is left.

@@ -90,7 +90,7 @@ func TestSCIDMAModeIsWorse(t *testing.T) {
 }
 
 func TestBandwidthMonotoneAllDrivers(t *testing.T) {
-	for _, drv := range allDrivers() {
+	for _, drv := range Drivers() {
 		if drv == "sisci-dma" {
 			// The DMA TM *does* collapse above its threshold — that is
 			// the paper's reason for disabling it (TestSCIDMAModeIsWorse).

@@ -682,9 +682,9 @@ const DefaultWorkers = 8
 // engine is the session's progress engine: a bounded worker pool draining
 // runnable conversations. Send conversations are preferred over receive
 // ones, and the number of concurrently executing receive conversations is
-// capped below the pool size (SessionSpec.RecvReserve), so receive-side
-// operations that block inside a TM waiting for wire data can never
-// occupy every worker — the senders they wait for always find one.
+// capped below the pool size (max(1, workers/8) are withheld), so
+// receive-side operations that block inside a TM waiting for wire data can
+// never occupy every worker — the senders they wait for always find one.
 type engine struct {
 	sess    *Session
 	workers int
@@ -711,14 +711,7 @@ func newEngine(s *Session, spec SessionSpec) *engine {
 	if workers <= 0 {
 		workers = DefaultWorkers
 	}
-	reserve := spec.RecvReserve
-	if reserve <= 0 {
-		reserve = max(1, workers/8)
-	}
-	recvCap := workers - reserve
-	if recvCap < 1 {
-		recvCap = 1
-	}
+	recvCap := max(1, workers-max(1, workers/8))
 	e := &engine{sess: s, workers: workers, recvCap: recvCap}
 	e.cond = sync.NewCond(&e.mu)
 	return e

@@ -317,7 +317,7 @@ func TestAsyncLeaseFIFO(t *testing.T) {
 // versa) arrive bit-identical over every protocol module, like the pure
 // sync property test.
 func TestAsyncSyncEquivalence(t *testing.T) {
-	for _, drv := range allDrivers() {
+	for _, drv := range Drivers() {
 		drv := drv
 		t.Run(drv, func(t *testing.T) {
 			chans, sess := newTestChannel(t, drv)

@@ -200,6 +200,7 @@ type msgState struct {
 // mutable fields (full duplex).
 type ConnState struct {
 	ch     *Channel
+	peer   *Channel // remote's instance of ch, fixed at NewChannel
 	local  int
 	remote int
 
@@ -246,9 +247,8 @@ func (cs *ConnState) Remote() int { return cs.remote }
 // calls it before a message's first wire operation; only the first call per
 // message has an effect. It models the receiver's connection-polling loop
 // observing the first packet, so it carries no extra wire cost. It returns
-// ErrClosed when the peer has shut its receive side down, and a descriptive
-// error when the session is misconfigured (the peer never created the
-// channel); both are threaded back through Pack/EndPacking.
+// ErrClosed when the peer has shut its receive side down, which is threaded
+// back through Pack/EndPacking.
 func (cs *ConnState) Announce() error {
 	m := cs.sendMsg
 	if m == nil {
@@ -257,11 +257,7 @@ func (cs *ConnState) Announce() error {
 	if m.announced {
 		return nil
 	}
-	peer := cs.ch.sess.channelOn(cs.ch.name, cs.remote)
-	if peer == nil {
-		return fmt.Errorf("core: misconfigured session: channel %q missing on rank %d", cs.ch.name, cs.remote)
-	}
-	if !peer.incoming.PushIfOpen(cs.local) {
+	if !cs.peer.incoming.PushIfOpen(cs.local) {
 		return fmt.Errorf("core: channel %q on rank %d: %w", cs.ch.name, cs.remote, ErrClosed)
 	}
 	m.announced = true

@@ -122,10 +122,6 @@ func pattern(n int, seed byte) []byte {
 	return b
 }
 
-func allDrivers() []string {
-	return []string{"bip", "sisci", "tcp", "via", "sbp", "sisci-dma", "rdma", "rdma-eager", "rdma-rdv"}
-}
-
 func TestTable1Interface(t *testing.T) {
 	// Table 1: the six primitives exist with the documented roles. This
 	// test pins the public API surface.
@@ -185,7 +181,7 @@ func TestTable2Interface(t *testing.T) {
 func TestFig1ExampleAllDrivers(t *testing.T) {
 	// The paper's Fig. 1: an EXPRESS size header followed by a CHEAPER
 	// array of dynamic size.
-	for _, drv := range allDrivers() {
+	for _, drv := range Drivers() {
 		t.Run(drv, func(t *testing.T) {
 			chans, _ := newTestChannel(t, drv)
 			s, r := vclock.NewActor("s"), vclock.NewActor("r")
@@ -229,7 +225,7 @@ func TestAllModeCombinationsAllDrivers(t *testing.T) {
 	// receive modes" (§2.2).
 	sms := []SendMode{SendCheaper, SendSafer, SendLater}
 	rms := []RecvMode{ReceiveCheaper, ReceiveExpress}
-	for _, drv := range allDrivers() {
+	for _, drv := range Drivers() {
 		for _, sm := range sms {
 			for _, rm := range rms {
 				t.Run(fmt.Sprintf("%s/%v/%v", drv, sm, rm), func(t *testing.T) {
@@ -441,6 +437,34 @@ func TestChannelErrors(t *testing.T) {
 	s2 := NewSession(w)
 	if _, err := s2.NewChannel(ChannelSpec{Name: "y", Driver: "bip"}); err == nil {
 		t.Error("channel with one eligible node must fail")
+	}
+}
+
+// TestDriverTable walks the one list of built-in modules: every name
+// Drivers reports has a fabric, opens a channel on a world carrying only
+// that fabric, and cannot be shadowed by an external module.
+func TestDriverTable(t *testing.T) {
+	for _, drv := range Drivers() {
+		net, err := NetworkOf(drv)
+		if err != nil {
+			t.Errorf("NetworkOf(%q): %v", drv, err)
+			continue
+		}
+		w := simnet.NewWorld(2)
+		w.Node(0).AddAdapter(net)
+		w.Node(1).AddAdapter(net)
+		if _, err := NewSession(w).NewChannel(ChannelSpec{Name: drv, Driver: drv}); err != nil {
+			t.Errorf("channel over %s on a %s world: %v", drv, net, err)
+		}
+		err = RegisterDriver(DriverDef{
+			Name:  drv,
+			Probe: func(*simnet.Node, int) error { return nil },
+			New:   func(*simnet.Node, int, int) (PMM, error) { return nil, nil },
+		})
+		if err == nil {
+			UnregisterDriver(drv)
+			t.Errorf("RegisterDriver(%q) shadowed a built-in module", drv)
+		}
 	}
 }
 

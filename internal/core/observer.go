@@ -48,27 +48,6 @@ func (o *Observer) Metrics() *metrics.Registry {
 	return o.reg
 }
 
-// Count bumps a named event counter — the sink layers use for discrete
-// reliability events (retransmits, drops by cause, duplicate
-// suppressions) that have no duration to record as a span. Nil-safe.
-// Hot paths should resolve Metrics().Counter once and cache it.
-func (o *Observer) Count(name string, delta int64) {
-	if o == nil {
-		return
-	}
-	o.reg.Counter(name).Add(delta)
-}
-
-// CountMax records a high-water mark: the named gauge keeps the largest
-// value ever reported. The progress engine uses it for run-queue depth,
-// worker occupancy and CQ backlog. Nil-safe.
-func (o *Observer) CountMax(name string, v int64) {
-	if o == nil {
-		return
-	}
-	o.reg.Gauge(name).SetMax(v)
-}
-
 // Maxes snapshots every high-water-mark gauge that has moved.
 func (o *Observer) Maxes() map[string]int64 {
 	if o == nil {
@@ -105,16 +84,6 @@ func (o *Observer) Recorder() *trace.Recorder {
 		return nil
 	}
 	return o.rec
-}
-
-// TM returns (creating on first use) the latency histogram for one TM
-// direction, keyed like "bip-short/tx". Nil-safe: a nil observer yields
-// a nil histogram, itself a valid no-op sink.
-func (o *Observer) TM(name string) *trace.Histogram {
-	if o == nil {
-		return nil
-	}
-	return o.reg.Histogram(name)
 }
 
 // TMLatencies snapshots every histogram with at least one observation.

@@ -182,7 +182,7 @@ func TestObserverHistogramOnly(t *testing.T) {
 // no-op value.
 func TestObserverNilAccessors(t *testing.T) {
 	var obs *Observer
-	if obs.Recorder() != nil || obs.TM("x") != nil {
+	if obs.Recorder() != nil || obs.Metrics() != nil {
 		t.Error("nil observer accessors must return nil")
 	}
 	if obs.TMLatencies() != nil {
@@ -191,7 +191,7 @@ func TestObserverNilAccessors(t *testing.T) {
 	if !strings.Contains(obs.Report(), "no TM latencies") {
 		t.Errorf("nil Report = %q", obs.Report())
 	}
-	obs.Count("fwd/retransmit", 1) // nil-safe no-op
+	obs.Metrics().Counter("fwd/retransmit").Add(1) // nil-safe no-op
 	if obs.Counters() != nil {
 		t.Error("nil observer counters must be nil")
 	}
@@ -210,12 +210,12 @@ func TestObserverCounters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				obs.Count("fwd/retransmit", 1)
+				obs.Metrics().Counter("fwd/retransmit").Add(1)
 			}
 		}()
 	}
 	wg.Wait()
-	obs.Count("fwd/drop/crc", 3)
+	obs.Metrics().Counter("fwd/drop/crc").Add(3)
 	got := obs.Counters()
 	if got["fwd/retransmit"] != 800 || got["fwd/drop/crc"] != 3 {
 		t.Errorf("counters = %v", got)
@@ -314,7 +314,7 @@ func TestObserverStatsConcurrent(t *testing.T) {
 // TestPMMTMsDeclared checks every built-in PMM declares its selectable
 // TMs, the pre-registration source for the per-TM atomic counters.
 func TestPMMTMsDeclared(t *testing.T) {
-	for _, drv := range allDrivers() {
+	for _, drv := range Drivers() {
 		chans, _ := newTestChannel(t, drv)
 		pmm := chans[0].pmm
 		tms := pmm.TMs()

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"madeleine2/internal/metrics"
 	"madeleine2/internal/model"
 	"madeleine2/internal/simnet"
 	"madeleine2/internal/vclock"
@@ -30,12 +31,12 @@ import (
 // The header is redundant — pack/unpack symmetry (§2.2) lets both sides
 // compute the full chunk layout from the block sizes alone — so the
 // receiver uses it only as a cross-check: a mismatch (a scrambled header
-// on a faulty fabric) is counted on the observer ("rail/hdr-mismatch")
-// and the payload is placed at the layout's offset anyway. Placement by
-// layout rather than by header keeps a corrupted header from tearing the
-// stream or killing a forwarding daemon; end-to-end integrity on lossy
-// fabrics stays where it already lives, in the fwd layer's reliable mode.
-// Express blocks carry no header at all.
+// on a faulty fabric) is counted in the session registry
+// ("rail/hdr-mismatch") and the payload is placed at the layout's offset
+// anyway. Placement by layout rather than by header keeps a corrupted
+// header from tearing the stream or killing a forwarding daemon;
+// end-to-end integrity on lossy fabrics stays where it already lives, in
+// the fwd layer's reliable mode. Express blocks carry no header at all.
 //
 // Ordering. Chunk k of an operation goes to rail k mod nrails, and every
 // striped operation joins all rails before returning, so each rail's
@@ -93,6 +94,17 @@ type railPMM struct {
 
 	stripeTM  TM
 	expressTM TM
+
+	hdrMismatch *metrics.Counter // rail/hdr-mismatch
+}
+
+func (p *railPMM) bindMetrics(reg *metrics.Registry) {
+	p.hdrMismatch = reg.Counter("rail/hdr-mismatch")
+	for _, r := range p.rails {
+		if b, ok := r.pmm.(metricsBinder); ok {
+			b.bindMetrics(reg)
+		}
+	}
 }
 
 // newRailPMM instantiates the rails of a channel on one node. Each rail
@@ -315,7 +327,7 @@ func (p *railPMM) railSpan(cs *ConnState, a *vclock.Actor, t0 vclock.Time, ri in
 	if tx {
 		dir, lbl = "tx", "x:"
 	}
-	ch.obs.TM(fmt.Sprintf("rail%d-%s/%s", ri, sub, dir)).Observe(a.Now() - t0)
+	ch.obs.reg.Histogram(fmt.Sprintf("rail%d-%s/%s", ri, sub, dir)).Observe(a.Now() - t0)
 	ch.span(a, t0, fmt.Sprintf("%srail%d %s", lbl, ri, sub))
 }
 
@@ -426,10 +438,6 @@ func (t *railStripe) ReceiveSubBufferGroup(a *vclock.Actor, cs *ConnState, dsts 
 	rc.recvSeq++
 	nc := (total + p.stripe - 1) / p.stripe
 	nr := min(len(p.rails), nc)
-	var obs *Observer
-	if cs.ch != nil {
-		obs = cs.ch.obs
-	}
 	return forkRails(a, nr, func(ri int, ra *vclock.Actor) error {
 		for k := ri; k < nc; k += nr {
 			off := k * p.stripe
@@ -443,7 +451,7 @@ func (t *railStripe) ReceiveSubBufferGroup(a *vclock.Actor, cs *ConnState, dsts 
 			p.railSpan(cs, ra, t0, ri, false, tm.Name())
 			hseq, hoff, hn, hlast := parseRailHdr(frame)
 			if hseq != seq || hoff != off || hn != n || hlast != (k == nc-1) {
-				obs.Count("rail/hdr-mismatch", 1)
+				p.hdrMismatch.Add(1)
 			}
 			scatterFrom(frame[railHdrSize:], dsts, off)
 		}

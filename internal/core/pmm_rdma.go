@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 
+	"madeleine2/internal/metrics"
 	"madeleine2/internal/model"
 	"madeleine2/internal/rdma"
 	"madeleine2/internal/simnet"
@@ -53,6 +54,15 @@ type rdmaPMM struct {
 	force  string // "", "eager" or "rdv": pin Select to one TM
 	eager  TM
 	rdv    TM
+
+	// rdma/ctrl-damaged, rdma/rdv-retransmit, rdma/rdv-nack
+	ctrlDamaged, rdvRetransmit, rdvNack *metrics.Counter
+}
+
+func (p *rdmaPMM) bindMetrics(reg *metrics.Registry) {
+	p.ctrlDamaged = reg.Counter("rdma/ctrl-damaged")
+	p.rdvRetransmit = reg.Counter("rdma/rdv-retransmit")
+	p.rdvNack = reg.Counter("rdma/rdv-nack")
 }
 
 const (
@@ -269,13 +279,6 @@ func (st *rdmaConn) write(a *vclock.Actor, key uint32, off int, data []byte, tag
 	return err
 }
 
-// countObs bumps a channel observer counter (nil-safe).
-func countObs(cs *ConnState, name string) {
-	if cs.ch != nil && cs.ch.obs != nil {
-		cs.ch.obs.Count(name, 1)
-	}
-}
-
 // waitResp consumes the send path's answer ring until a frame of the
 // wanted kind arrives and returns its value; credit grants that overtake
 // a CTS or verdict go to the window on the way. For the
@@ -291,7 +294,7 @@ func (p *rdmaPMM) waitResp(a *vclock.Actor, cs *ConnState, want byte, wantSeq ui
 		}
 		kind, seq, v, ok := rdmaDecodeFrame(st.respIn.Bytes()[c.Off : c.Off+c.Len])
 		if !ok {
-			countObs(cs, "rdma/ctrl-damaged")
+			p.ctrlDamaged.Add(1)
 			if want == rdmaCTS {
 				return 0, false, nil // positionally, this is the CTS
 			}
@@ -327,7 +330,7 @@ func (p *rdmaPMM) waitCtrl(a *vclock.Actor, cs *ConnState, want byte, wantSeq ui
 	}
 	kind, seq, v, ok := rdmaDecodeFrame(st.ctrlIn.Bytes()[c.Off : c.Off+c.Len])
 	if !ok {
-		countObs(cs, "rdma/ctrl-damaged")
+		p.ctrlDamaged.Add(1)
 		return 0, false, nil
 	}
 	if kind != want || seq != wantSeq {
@@ -447,7 +450,7 @@ func (t *rdmaRdv) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error 
 		st.ctrlNext++
 		_, _, err := t.p.waitResp(a, cs, rdmaACK, seq)
 		if err == errRdmaNACK {
-			countObs(cs, "rdma/rdv-retransmit")
+			t.p.rdvRetransmit.Add(1)
 			continue
 		}
 		return err
@@ -499,7 +502,7 @@ func (t *rdmaRdv) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) erro
 			st.respNext++
 			return nil
 		}
-		countObs(cs, "rdma/rdv-nack")
+		t.p.rdvNack.Add(1)
 		if err := t.p.writeFrame(a, st, st.peerResp, st.respNext, rdmaNACK, seq, 0, rdmaVerdictSize); err != nil {
 			return err
 		}

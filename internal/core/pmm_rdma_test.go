@@ -164,9 +164,7 @@ func hostileRDMARun(t *testing.T, seed int64, msgs int) (counters map[string]int
 		// module's documented contract.
 		a.SetFaults(&simnet.FaultPlan{Seed: seed, Corrupt: 0.4, MinBytes: 32})
 	}
-	sess := NewSession(w)
-	obs := NewObserver(nil)
-	sess.SetObserver(obs)
+	sess := NewSession(w) // unobserved: the fault counters are always on
 	chans, err := sess.NewChannel(ChannelSpec{Name: "rdma-hostile", Driver: "rdma"})
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +179,11 @@ func hostileRDMARun(t *testing.T, seed int64, msgs int) (counters map[string]int
 			t.Fatalf("seed %d message %d: rendezvous delivered a torn destination", seed, msg)
 		}
 	}
-	return obs.Counters()
+	counters = map[string]int64{}
+	for _, c := range sess.Metrics().Snapshot().Counters {
+		counters[c.Name] = c.Value
+	}
+	return counters
 }
 
 // TestRDMARendezvousHostileFabric is the satellite scenario: corruption

@@ -14,7 +14,7 @@ import (
 // every driver, and random mode combinations — arrive bit-identical, with
 // nondecreasing receive clocks, over every protocol module.
 func TestRandomMessageSequences(t *testing.T) {
-	for _, drv := range allDrivers() {
+	for _, drv := range Drivers() {
 		drv := drv
 		t.Run(drv, func(t *testing.T) {
 			chans, _ := newTestChannel(t, drv)

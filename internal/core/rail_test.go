@@ -162,8 +162,6 @@ func TestRailExpressLatencyMatchesSingleAdapter(t *testing.T) {
 // fires on a clean fabric.
 func TestRailHeaderCleanFabric(t *testing.T) {
 	sess := NewSession(railTestWorld(2, 2))
-	obs := NewObserver(nil)
-	sess.SetObserver(obs)
 	chans, err := sess.NewChannel(ChannelSpec{Name: "clean", Rails: sameRails("tcp", 2), StripeSize: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +174,7 @@ func TestRailHeaderCleanFabric(t *testing.T) {
 	if got := <-done; !bytes.Equal(got[0], blocks[0].data) {
 		t.Fatal("clean-fabric striped block corrupted")
 	}
-	if n := obs.Counters()["rail/hdr-mismatch"]; n != 0 {
+	if n, ok := sess.Metrics().Snapshot().Counter("rail/hdr-mismatch"); !ok || n != 0 {
 		t.Errorf("rail/hdr-mismatch = %d on a clean fabric, want 0", n)
 	}
 }
@@ -192,9 +190,7 @@ func TestRailScrambledHeaderIsNotFatal(t *testing.T) {
 	for _, a := range w.Adapters() {
 		a.SetFaults(&simnet.FaultPlan{Seed: 7, Corrupt: 1, MinBytes: 64})
 	}
-	sess := NewSession(w)
-	obs := NewObserver(nil)
-	sess.SetObserver(obs)
+	sess := NewSession(w) // unobserved: the cross-check counter is always on
 	chans, err := sess.NewChannel(ChannelSpec{Name: "scrambled", Rails: sameRails("tcp", 2), StripeSize: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +203,7 @@ func TestRailScrambledHeaderIsNotFatal(t *testing.T) {
 		sendMsg(t, chans[0], s, 1, blocks)
 		<-done // payload bytes are corrupted, but length and order survive
 	}
-	if n := obs.Counters()["rail/hdr-mismatch"]; n == 0 {
+	if n, _ := sess.Metrics().Snapshot().Counter("rail/hdr-mismatch"); n == 0 {
 		t.Error("expected at least one scrambled rail header with Corrupt=1 over 768 frames")
 	}
 }

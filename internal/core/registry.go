@@ -61,7 +61,7 @@ func RegisterDriver(d DriverDef) error {
 	if d.Name == "" || d.New == nil || d.Probe == nil {
 		return fmt.Errorf("core: incomplete driver definition %q", d.Name)
 	}
-	if _, err := networkFor(d.Name); err == nil {
+	if _, err := NetworkOf(d.Name); err == nil {
 		return fmt.Errorf("core: driver %q would shadow a built-in module", d.Name)
 	}
 	extMu.Lock()
@@ -100,68 +100,63 @@ func externalNames() []string {
 	return out
 }
 
-// Drivers lists the protocol modules the library supports, matching the
-// paper's "it currently runs on top of BIP, SISCI, TCP, VIA" (§7) plus the
-// SBP static-buffer protocol of §6.1 and the one-sided RDMA module of the
-// ROADMAP. "sisci-dma" selects the SISCI PMM with its (normally disabled)
-// DMA transmission module active; "sisci-nodual" disables the adaptive
-// dual-buffering TM (ablation); "rdma-eager" and "rdma-rdv" pin the RDMA
-// PMM's Switch decision to one protocol (crossover ablation).
-func Drivers() []string {
-	builtin := []string{"bip", "sisci", "sisci-dma", "sisci-nodual", "tcp", "via", "sbp", "rdma", "rdma-eager", "rdma-rdv"}
-	return append(builtin, externalNames()...)
+// builtins is the one list of built-in protocol modules: the
+// ChannelSpec.Driver name, the fabric the module drives and its
+// constructor. They match the paper's "it currently runs on top of BIP,
+// SISCI, TCP, VIA" (§7) plus the SBP static-buffer protocol of §6.1 and
+// the one-sided RDMA module of the ROADMAP. "sisci-dma" selects the SISCI
+// PMM with its (normally disabled) DMA transmission module active;
+// "sisci-nodual" disables the adaptive dual-buffering TM (ablation);
+// "rdma-eager" and "rdma-rdv" pin the RDMA PMM's Switch decision to one
+// protocol (crossover ablation).
+var builtins = []struct {
+	name, network string
+	new           func(node *simnet.Node, adapter, chanID int) (PMM, error)
+}{
+	{"bip", bip.Network, newBIPPMM},
+	{"sisci", sisci.Network, func(n *simnet.Node, a, id int) (PMM, error) { return newSISCIPMM(n, a, id, false, false) }},
+	{"sisci-dma", sisci.Network, func(n *simnet.Node, a, id int) (PMM, error) { return newSISCIPMM(n, a, id, true, false) }},
+	{"sisci-nodual", sisci.Network, func(n *simnet.Node, a, id int) (PMM, error) { return newSISCIPMM(n, a, id, false, true) }},
+	{"tcp", tcpnet.Network, newTCPPMM},
+	{"via", via.Network, newVIAPMM},
+	{"sbp", sbp.Network, newSBPPMM},
+	{"rdma", rdma.Network, func(n *simnet.Node, a, id int) (PMM, error) { return newRDMAPMM(n, a, id, "") }},
+	{"rdma-eager", rdma.Network, func(n *simnet.Node, a, id int) (PMM, error) { return newRDMAPMM(n, a, id, "eager") }},
+	{"rdma-rdv", rdma.Network, func(n *simnet.Node, a, id int) (PMM, error) { return newRDMAPMM(n, a, id, "rdv") }},
 }
 
-// networkFor maps a driver name to its fabric name.
-func networkFor(driver string) (string, error) {
-	switch driver {
-	case "bip":
-		return bip.Network, nil
-	case "sisci", "sisci-dma", "sisci-nodual":
-		return sisci.Network, nil
-	case "tcp":
-		return tcpnet.Network, nil
-	case "via":
-		return via.Network, nil
-	case "sbp":
-		return sbp.Network, nil
-	case "rdma", "rdma-eager", "rdma-rdv":
-		return rdma.Network, nil
-	default:
-		return "", fmt.Errorf("core: unknown driver %q (have %v)", driver, Drivers())
+// Drivers lists the protocol modules the library supports: the built-in
+// ones, then the externally registered ones.
+func Drivers() []string {
+	names := make([]string, len(builtins))
+	for i, b := range builtins {
+		names[i] = b.name
 	}
+	return append(names, externalNames()...)
+}
+
+// NetworkOf maps a built-in driver name to its fabric name.
+func NetworkOf(driver string) (string, error) {
+	for _, b := range builtins {
+		if b.name == driver {
+			return b.network, nil
+		}
+	}
+	return "", fmt.Errorf("core: unknown driver %q (have %v)", driver, Drivers())
 }
 
 // newPMM instantiates the protocol module for a channel on one node.
 func newPMM(driver string, node *simnet.Node, adapter, chanID int) (PMM, error) {
-	switch driver {
-	case "bip":
-		return newBIPPMM(node, adapter, chanID)
-	case "sisci":
-		return newSISCIPMM(node, adapter, chanID, false, false)
-	case "sisci-dma":
-		return newSISCIPMM(node, adapter, chanID, true, false)
-	case "sisci-nodual":
-		return newSISCIPMM(node, adapter, chanID, false, true)
-	case "tcp":
-		return newTCPPMM(node, adapter, chanID)
-	case "via":
-		return newVIAPMM(node, adapter, chanID)
-	case "sbp":
-		return newSBPPMM(node, adapter, chanID)
-	case "rdma":
-		return newRDMAPMM(node, adapter, chanID, "")
-	case "rdma-eager":
-		return newRDMAPMM(node, adapter, chanID, "eager")
-	case "rdma-rdv":
-		return newRDMAPMM(node, adapter, chanID, "rdv")
-	default:
-		if d, ok := externalDriver(driver); ok {
-			return d.New(node, adapter, chanID)
+	for _, b := range builtins {
+		if b.name == driver {
+			return b.new(node, adapter, chanID)
 		}
-		_, err := networkFor(driver)
-		return nil, err
 	}
+	if d, ok := externalDriver(driver); ok {
+		return d.New(node, adapter, chanID)
+	}
+	_, err := NetworkOf(driver)
+	return nil, err
 }
 
 // newPMMProbe reports whether the node could host the driver (it has the
@@ -173,7 +168,7 @@ func newPMMProbe(driver string, node *simnet.Node, adapter int) (string, error) 
 		}
 		return driver, nil
 	}
-	net, err := networkFor(driver)
+	net, err := NetworkOf(driver)
 	if err != nil {
 		return "", err
 	}

@@ -36,11 +36,6 @@ type SessionSpec struct {
 	// pure-sync sessions never spawn it. Mixed send/receive asynchronous
 	// workloads need at least 2 workers.
 	Workers int
-	// RecvReserve is the number of workers withheld from receive-side
-	// conversations, guaranteeing senders always find a worker even when
-	// every admitted receive conversation is blocked waiting for wire
-	// data; 0 selects max(1, Workers/8).
-	RecvReserve int
 }
 
 // NewSession starts a session spanning every node of the world, with the
@@ -254,7 +249,7 @@ func (s *Session) NewChannel(spec ChannelSpec) (map[int]*Channel, error) {
 			if peer == r {
 				continue
 			}
-			cs := &ConnState{ch: chans[r], local: r, remote: peer, send: newLease(), recv: newLease(),
+			cs := &ConnState{ch: chans[r], peer: chans[peer], local: r, remote: peer, send: newLease(), recv: newLease(),
 				asyncName: fmt.Sprintf("async:%s:%d>%d", spec.Name, r, peer)}
 			chans[r].conns[peer] = cs
 			if err := chans[r].pmm.PreConnect(cs); err != nil {
@@ -275,13 +270,6 @@ func (s *Session) NewChannel(spec ChannelSpec) (map[int]*Channel, error) {
 	return chans, nil
 }
 
-// channelOn resolves the channel instance of the given name on a rank.
-func (s *Session) channelOn(name string, rank int) *Channel {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.channels[chanKey{name, rank}]
-}
-
 // validateRails rejects malformed multi-rail specs before any resource
 // is allocated.
 func validateRails(spec ChannelSpec) error {
@@ -299,7 +287,7 @@ func validateRails(spec ChannelSpec) error {
 	}
 	seen := make(map[RailSpec]bool, len(spec.Rails))
 	for i, r := range spec.Rails {
-		if _, err := networkFor(r.Driver); err != nil {
+		if _, err := NetworkOf(r.Driver); err != nil {
 			if _, ok := externalDriver(r.Driver); !ok {
 				return fmt.Errorf("rail %d: %w", i, err)
 			}

@@ -112,6 +112,14 @@ type chanMetrics struct {
 	cqDepth *metrics.Gauge
 }
 
+// metricsBinder is implemented by the PMMs that count fault events
+// (rail/*, rdma/*): each resolves its own handles when its channel is
+// created, so an event is one atomic add whether or not the session is
+// traced, and a session's snapshot has rows only for the modules it runs.
+type metricsBinder interface {
+	bindMetrics(reg *metrics.Registry)
+}
+
 // bindMetrics resolves the channel's cached handles and registers a
 // collector mapping the channel's live accounting into the
 // chan/<name>/... counter namespace and the async/* totals: chanStats is
@@ -120,6 +128,9 @@ type chanMetrics struct {
 func (c *Channel) bindMetrics(reg *metrics.Registry) {
 	c.met.parked = reg.Counter("async/parked-lease")
 	c.met.cqDepth = reg.Gauge("async/cq-depth-max")
+	if b, ok := c.pmm.(metricsBinder); ok {
+		b.bindMetrics(reg)
+	}
 
 	prefix := "chan/" + metrics.Clean(c.name) + "/"
 	st := &c.stats

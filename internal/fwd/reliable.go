@@ -28,6 +28,10 @@ import (
 // the receiver recognizes the retransmitted link sequence as a duplicate,
 // suppresses the delivery and acknowledges again.
 
+// firstBackoff is the first retransmit's virtual-time wait; it doubles per
+// attempt.
+const firstBackoff = 50 * vclock.Microsecond
+
 // linkKey names one outgoing link: a segment and the neighbor on it.
 type linkKey struct {
 	seg  int
@@ -253,7 +257,7 @@ func (v *VC) sendReliable(seg int, a *vclock.Actor, next int, h header, hbuf *hd
 		defer v.freeFrame(wire)
 		clear(wire[copy(wire, payload):])
 	}
-	backoff := v.spec.Backoff
+	backoff := firstBackoff
 	for attempt := 0; ; attempt++ {
 		txAt := a.Now()
 		if err := rawSend(v.chans[seg], a, next, hb, wire); err != nil {

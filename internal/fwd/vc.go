@@ -49,16 +49,6 @@ type Spec struct {
 	// MaxRetries bounds retransmissions per packet in reliable mode
 	// (0 selects 8). Exhaustion is fatal for the handle: see VC.Err.
 	MaxRetries int
-	// Backoff is the first retransmit's virtual-time wait, doubling per
-	// attempt (0 selects 50 µs).
-	Backoff vclock.Time
-	// Trace, when non-nil, overrides the session observer's recorder as
-	// the sink for the gateway pipeline's receive and send spans. Leave
-	// it nil to share the sink every other layer records into (a session
-	// observer installed with core.Session.SetObserver) — the Fig. 9
-	// overlap metric then reads off the same recorder as the pack/unpack
-	// and per-TM spans.
-	Trace *trace.Recorder
 }
 
 // chunk is one packet payload delivered to a destination's stream.
@@ -123,7 +113,7 @@ type VC struct {
 	mtu  int
 	spec Spec
 	sess *core.Session
-	rec  *trace.Recorder // Spec.Trace, or the session observer's recorder
+	rec  *trace.Recorder // the session observer's recorder, shared with every other layer
 
 	chans map[int]*core.Channel // segment index -> this rank's real channel
 	ctls  map[int]*core.Channel // reliable mode: segment index -> control channel
@@ -170,13 +160,8 @@ func New(sess *core.Session, spec Spec) (map[int]*VC, error) {
 	if spec.MTU < hdrSize || spec.MTU > maxMTU {
 		return nil, fmt.Errorf("fwd: MTU %d out of range [%d, %d]", spec.MTU, hdrSize, maxMTU)
 	}
-	if spec.Reliable {
-		if spec.MaxRetries == 0 {
-			spec.MaxRetries = 8
-		}
-		if spec.Backoff == 0 {
-			spec.Backoff = vclock.Micros(50)
-		}
+	if spec.Reliable && spec.MaxRetries == 0 {
+		spec.MaxRetries = 8
 	}
 	segChans := make([]map[int]*core.Channel, len(spec.Segments))
 	segCtls := make([]map[int]*core.Channel, len(spec.Segments))
@@ -210,10 +195,7 @@ func New(sess *core.Session, spec Spec) (map[int]*VC, error) {
 		return nil, fmt.Errorf("fwd: %s: %w", spec.Name, err)
 	}
 
-	rec := spec.Trace
-	if rec == nil {
-		rec = sess.Observer().Recorder()
-	}
+	rec := sess.Observer().Recorder()
 	vcs := make(map[int]*VC, len(members))
 	for _, r := range members {
 		v := &VC{

@@ -52,8 +52,6 @@ type HCA struct {
 	regions map[uint32]*MemRegion
 }
 
-var hcaRegistry sync.Map // *simnet.Adapter -> *HCA
-
 // Attach opens the RDMA provider on the idx-th rdma adapter of node n.
 func Attach(n *simnet.Node, idx int) (*HCA, error) {
 	a, err := n.Adapter(Network, idx)
@@ -61,8 +59,7 @@ func Attach(n *simnet.Node, idx int) (*HCA, error) {
 		return nil, fmt.Errorf("rdma: %w", err)
 	}
 	h := &HCA{adapter: a, regions: make(map[uint32]*MemRegion)}
-	actual, _ := hcaRegistry.LoadOrStore(a, h)
-	return actual.(*HCA), nil
+	return a.AttachDriver(h).(*HCA), nil
 }
 
 // Node reports the rank of the HCA's host.
@@ -182,11 +179,10 @@ func (e *EP) remote(key uint32) (*MemRegion, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rdma: %w", err)
 	}
-	val, ok := hcaRegistry.Load(pa)
+	peer, ok := pa.Driver().(*HCA)
 	if !ok {
 		return nil, fmt.Errorf("rdma: node %d has not attached to %s[%d]", e.dst, Network, e.dstIdx)
 	}
-	peer := val.(*HCA)
 	peer.mu.Lock()
 	m := peer.regions[key]
 	peer.mu.Unlock()

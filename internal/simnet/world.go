@@ -67,9 +67,6 @@ func (n *Node) ID() int { return n.id }
 // Bus returns the node's PCI bus model.
 func (n *Node) Bus() *model.PCIBus { return n.bus }
 
-// SetBus replaces the node's PCI bus model (used by ablation benches).
-func (n *Node) SetBus(b *model.PCIBus) { n.bus = b }
-
 // AddAdapter attaches a new adapter to the named network and returns it.
 // A node may have several adapters on the same network (the paper's
 // multi-adapter support) and adapters on different networks (a gateway).
@@ -139,6 +136,7 @@ type Adapter struct {
 	corrupt    atomic.Bool
 	corruptMin atomic.Int64
 	faults     atomic.Pointer[faultState]
+	driver     atomic.Value // the attached NIC driver's state; see AttachDriver
 }
 
 // Node returns the adapter's host node.
@@ -150,6 +148,19 @@ func (a *Adapter) Network() string { return a.network }
 // Index reports the adapter's index among the node's adapters on the
 // same network.
 func (a *Adapter) Index() int { return a.index }
+
+// AttachDriver installs st as the adapter's driver state unless one is
+// installed already, and returns the installed one, so attaching twice
+// yields the same state. A driver keeps its per-NIC state here and not in
+// a table of its own: the state is then collected with the world.
+func (a *Adapter) AttachDriver(st any) any {
+	a.driver.CompareAndSwap(nil, st)
+	return a.driver.Load()
+}
+
+// Driver returns the attached driver state, or nil before AttachDriver;
+// a driver resolves its peer through the peer adapter's.
+func (a *Adapter) Driver() any { return a.driver.Load() }
 
 // TxEngine returns the adapter's transmit engine resource; drivers acquire
 // it to serialize outgoing transfers in virtual time.

@@ -48,8 +48,6 @@ type NIC struct {
 	vis     map[int]*VI
 }
 
-var nicRegistry sync.Map // *simnet.Adapter -> *NIC
-
 // Attach opens the VIA provider on the idx-th VIA adapter of node n.
 func Attach(n *simnet.Node, idx int) (*NIC, error) {
 	a, err := n.Adapter(Network, idx)
@@ -57,8 +55,7 @@ func Attach(n *simnet.Node, idx int) (*NIC, error) {
 		return nil, fmt.Errorf("via: %w", err)
 	}
 	nic := &NIC{adapter: a, vis: make(map[int]*VI)}
-	actual, _ := nicRegistry.LoadOrStore(a, nic)
-	return actual.(*NIC), nil
+	return a.AttachDriver(nic).(*NIC), nil
 }
 
 // Node reports the rank of the NIC's host.
@@ -151,11 +148,10 @@ func (v *VI) peerVI() (*VI, error) {
 	if err != nil {
 		return nil, err
 	}
-	val, ok := nicRegistry.Load(pa)
+	peer, ok := pa.Driver().(*NIC)
 	if !ok {
 		return nil, fmt.Errorf("via: node %d has not attached to %s[%d]", v.dst, Network, v.dstIdx)
 	}
-	peer := val.(*NIC)
 	peer.mu.Lock()
 	defer peer.mu.Unlock()
 	pv, ok := peer.vis[v.id]
