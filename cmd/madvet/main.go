@@ -1,17 +1,11 @@
 // Command madvet is the Madeleine invariant checker: a multichecker of
-// the nine analyzers in internal/analysis/madvet, enforcing the
-// pack/lease/virtual-time contracts the type system cannot.
-//
-// Standalone (the usual way — loads the whole pattern in one run, so
-// interprocedural ownership summaries span packages):
+// the six analyzers in internal/analysis/madvet, enforcing the
+// pack/lease/virtual-time contracts the type system cannot. It loads the
+// whole pattern in one run, so interprocedural ownership summaries span
+// packages:
 //
 //	go run ./cmd/madvet ./...
 //	go run ./cmd/madvet -json ./internal/core
-//
-// As a vet tool (integrates with go vet's per-package caching; summaries
-// are per-unit only — see unitchecker.go):
-//
-//	go vet -vettool=$(which madvet) ./...
 //
 // Findings can be suppressed line by line with a justified directive —
 // `//madvet:ignore <analyzer> -- <reason>` — which is itself checked
@@ -32,29 +26,9 @@ import (
 	"madeleine2/internal/analysis/madvet"
 )
 
-func main() {
-	// go vet's vettool protocol probes with -V=full and then invokes the
-	// tool with a single *.cfg argument. Handle both before flag parsing
-	// so our own flags never collide with vet's.
-	if len(os.Args) == 2 {
-		if strings.HasPrefix(os.Args[1], "-V") {
-			fmt.Printf("%s version madvet-1.0\n", filepath.Base(os.Args[0]))
-			return
-		}
-		if os.Args[1] == "-flags" {
-			// The go command asks which flags the tool supports; madvet
-			// takes none in vettool mode.
-			fmt.Println("[]")
-			return
-		}
-		if strings.HasSuffix(os.Args[1], ".cfg") {
-			os.Exit(runUnitchecker(os.Args[1]))
-		}
-	}
-	os.Exit(runStandalone())
-}
+func main() { os.Exit(run()) }
 
-func runStandalone() int {
+func run() int {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	flag.Usage = func() {

@@ -36,8 +36,7 @@ type ignoreDirective struct {
 
 // problem reports the directive's own diagnostic, if it has one.
 // flagStale gates the unused-directive check: it is only sound when the
-// run had full-strength (whole-tree) summaries, so the unitchecker path
-// turns it off.
+// run had full-strength (whole-tree) summaries, so RunUnit turns it off.
 func (ig *ignoreDirective) problem(flagStale bool) (Diagnostic, bool) {
 	d := Diagnostic{Pos: ig.pos, Category: "ignore"}
 	switch {

@@ -7,10 +7,11 @@
 //	modeflags    statically invalid Pack/Unpack mode combinations (Table 1)
 //	leaserelease lease/token acquire paired with release on every path
 //	blockhold    no indefinite blocking while a lease or mutex is held
-//	virtualtime  no real clock in internal/ packages (vclock only)
-//	detrand      no global or time-seeded math/rand outside tests
-//	tmident      TM wrapping only at the observer chokepoint
-//	obsnames     metric names follow layer/subsystem/name (metrics.CheckName)
+//	virtualtime  no time import in internal/ packages, no math/rand anywhere
+//
+// What a type or an API shape can hold is not here: metric names are
+// checked by the registry that creates them, and a TM has one identity
+// because no library type wraps one.
 //
 // Each analyzer matches the library's API shapes structurally (package
 // named "core", method names, field names), so the analysistest fixtures
@@ -26,7 +27,6 @@ package madvet
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"madeleine2/internal/analysis"
 )
@@ -39,9 +39,6 @@ var Analyzers = []*analysis.Analyzer{
 	LeaseRelease,
 	BlockHold,
 	VirtualTime,
-	DetRand,
-	TMIdent,
-	ObsNames,
 }
 
 // isCoreMethod reports whether the call is a method call named name whose
@@ -131,10 +128,4 @@ func funcBodies(files []*ast.File, fn func(name string, body *ast.BlockStmt)) {
 			return true
 		})
 	}
-}
-
-// pkgIsInternal reports whether the package path crosses an internal/
-// element (library code as opposed to cmd/ and examples/).
-func pkgIsInternal(path string) bool {
-	return strings.HasPrefix(path, "internal/") || strings.Contains(path, "/internal/")
 }

@@ -53,20 +53,7 @@ func TestBlockHold(t *testing.T) {
 }
 
 func TestVirtualTime(t *testing.T) {
-	analysistest.Run(t, testdata(t), madvet.VirtualTime,
-		"internal/virtualtime", "internal/virtualtime/vclock")
-}
-
-func TestDetRand(t *testing.T) {
-	analysistest.Run(t, testdata(t), madvet.DetRand, "detrand")
-}
-
-func TestObsNames(t *testing.T) {
-	analysistest.Run(t, testdata(t), madvet.ObsNames, "obsnames")
-}
-
-func TestTMIdent(t *testing.T) {
-	analysistest.Run(t, testdata(t), madvet.TMIdent, "tmident", "core")
+	analysistest.Run(t, testdata(t), madvet.VirtualTime, "internal/virtualtime")
 }
 
 // TestRepositoryIsClean is the suite's own gate: the real tree must pass

@@ -19,13 +19,6 @@ const (
 	ReceiveExpress RecvMode = 1
 )
 
-// TM mirrors the transmission-module interface identity rules tmident
-// enforces.
-type TM interface {
-	Name() string
-	MTU() int
-}
-
 type Connection struct{}
 
 func (c *Connection) Pack(data []byte, sm SendMode, rm RecvMode) error  { return nil }
@@ -67,22 +60,3 @@ func (am *AsyncMsg) SubmitEnd() *Request                                        
 
 func (ch *Channel) SubmitPacking(remote int, cq *CQ) (*AsyncMsg, error) { return nil, nil }
 func (ch *Channel) SubmitUnpacking(cq *CQ) *AsyncMsg                    { return nil }
-
-// obsTM is the sanctioned observer decorator: the one type allowed to
-// wrap a TM (tmident's chokepoint).
-type obsTM struct {
-	inner TM
-}
-
-func (o *obsTM) Name() string { return o.inner.Name() }
-func (o *obsTM) MTU() int     { return o.inner.MTU() }
-
-// instrumentTM keeps obsTM referenced.
-func instrumentTM(tm TM) TM {
-	if w, ok := tm.(*obsTM); ok {
-		return w
-	}
-	return &obsTM{inner: tm}
-}
-
-var _ = instrumentTM

@@ -1,20 +1,15 @@
-// Fixtures for the virtualtime analyzer: internal/ packages must not
-// touch the wall clock.
+// Fixture for the virtualtime analyzer: a library package may import
+// neither the wall clock nor math/rand; anything else is its own business.
 package virtualtime
 
-import "time"
+import (
+	"math/rand" // want `math/rand imported outside tests`
+	"sort"
+	"time" // want `library package internal/virtualtime imports time`
+)
 
-func bad(done chan struct{}) {
-	_ = time.Now()      // want `time.Now in library package`
-	time.Sleep(1)       // want `time.Sleep in library package`
-	<-time.After(1)     // want `time.After in library package`
-	t := time.NewTimer(1) // want `time.NewTimer in library package`
-	t.Stop()
-	<-done
-}
-
-// good: the time package's types and pure arithmetic stay usable.
-func good() time.Duration {
-	const tick = 5 * time.Millisecond
-	return tick * 3
-}
+var (
+	_ = rand.Int
+	_ = sort.Ints
+	_ = time.Now
+)

@@ -1,60 +1,34 @@
 package madvet
 
 import (
-	"go/ast"
+	"strconv"
 	"strings"
 
 	"madeleine2/internal/analysis"
 )
 
-// VirtualTime keeps the real clock out of the library: every duration in
-// internal/ packages is virtual time threaded through vclock actors, so
-// simulations are deterministic and a run's timeline is reproducible.
-// Touching the wall clock (time.Now, time.Sleep, tickers, timers) would
-// silently couple results to host scheduling. The vclock package itself
-// is the one place allowed to define what time means.
+// VirtualTime keeps the wall clock and the global random source out by
+// import. Every duration in the library is virtual time threaded through
+// vclock actors and every fault plan draws from its own seed, which is
+// what makes a run's timeline reproducible; a package that cannot import
+// time or math/rand cannot couple a result to host scheduling. Analyzers
+// see non-test files only, so tests keep both.
 var VirtualTime = &analysis.Analyzer{
 	Name: "virtualtime",
-	Doc: "forbid wall-clock time (time.Now, time.Sleep, time.NewTicker, time.After, ...)\n" +
-		"in internal/ library packages: virtual time must flow through vclock",
-	Run: runVirtualTime,
-}
-
-// wallClockFuncs are the banned package-level functions of package time.
-// Types (time.Duration) and pure formatting remain usable.
-var wallClockFuncs = map[string]bool{
-	"Now":       true,
-	"Sleep":     true,
-	"After":     true,
-	"AfterFunc": true,
-	"Tick":      true,
-	"NewTicker": true,
-	"NewTimer":  true,
-	"Since":     true,
-	"Until":     true,
-}
-
-func runVirtualTime(pass *analysis.Pass) error {
-	path := pass.Pkg.Path()
-	if !pkgIsInternal(path) || strings.HasSuffix(path, "/vclock") {
+	Doc: "forbid importing time in internal/ packages and math/rand anywhere (tests exempt):\n" +
+		"virtual time flows through vclock, randomness from explicit seeds",
+	Run: func(pass *analysis.Pass) error {
+		library := strings.Contains("/"+pass.Pkg.Path(), "/internal/")
+		for _, f := range pass.Files {
+			for _, imp := range f.Imports {
+				switch path, _ := strconv.Unquote(imp.Path.Value); {
+				case path == "time" && library:
+					pass.Reportf(imp.Pos(), "library package %s imports time: virtual time must flow through vclock", pass.Pkg.Path())
+				case path == "math/rand" || path == "math/rand/v2":
+					pass.Reportf(imp.Pos(), "%s imported outside tests: draw from an explicit seed so runs repeat", path)
+				}
+			}
+		}
 		return nil
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			obj := analysis.CalleeObject(pass.TypesInfo, call)
-			if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "time" {
-				return true
-			}
-			if wallClockFuncs[obj.Name()] {
-				pass.Reportf(call.Pos(), "time.%s in library package %s: virtual time must flow through vclock (wall-clock use breaks simulation determinism)",
-					obj.Name(), path)
-			}
-			return true
-		})
-	}
-	return nil
+	},
 }

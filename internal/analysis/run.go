@@ -21,12 +21,12 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return run(pkgs, analyzers, true)
 }
 
-// RunUnit is Run for a single compilation unit whose dependencies carry
-// no function bodies (the go vet -vettool path). Interprocedural
-// summaries are per-unit there, so a directive justified by a finding
-// only the whole-tree run can see is legitimately unused in the unit —
-// the stale-directive diagnostic is skipped; everything else is checked
-// identically.
+// RunUnit is Run for a subset of the module's packages (madvet
+// ./internal/core). Packages outside the subset are loaded without
+// function bodies, so interprocedural summaries stop at its edge and a
+// directive justified by a finding only the whole-tree run can see is
+// legitimately unused — the stale-directive diagnostic is skipped;
+// everything else is checked identically.
 func RunUnit(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return run(pkgs, analyzers, false)
 }
@@ -45,10 +45,9 @@ func run(pkgs []*Package, analyzers []*Analyzer, flagStale bool) ([]Diagnostic, 
 		facts = ComputeFacts(pkgs, summarizers)
 	}
 
-	// Diagnostics are collected with their resolved positions: each
-	// package knows its own file set (shared by the loader, private in
-	// unitchecker mode), and the sort and the ignore filter both need
-	// file/line/column rather than raw offsets.
+	// Diagnostics are collected with their resolved positions: the sort
+	// and the ignore filter both need file/line/column rather than raw
+	// offsets.
 	type entry struct {
 		d   Diagnostic
 		pos token.Position

@@ -107,8 +107,8 @@ func (s *Summary) ParamAt(i int) Param {
 
 // Facts is the driver's store of per-function summaries, exposed to
 // analyzers through Pass.Facts. A nil *Facts is valid and knows nothing
-// (the unitchecker and single-package paths still work — every lookup
-// answers "unknown", restoring the old escape-exemption behavior).
+// (a run with no summarizing analyzer still works — every lookup answers
+// "unknown").
 type Facts struct {
 	cg        *CallGraph
 	summaries map[string]*Summary

@@ -425,6 +425,37 @@ func TestSizeMismatchPoisons(t *testing.T) {
 	}
 }
 
+// TestShortReductionOutputRejected hands Reduce (at root) and Allreduce an
+// out one element short of in: an argument error, as for every other
+// collective's short buffer, not a silently truncated vector.
+func TestShortReductionOutputRejected(t *testing.T) {
+	in := []float64{1, 2, 3}
+	rows := []struct {
+		name string
+		call func(c *coll.Comm, out []float64) error
+	}{
+		{"reduce", func(c *coll.Comm, out []float64) error { return c.Reduce(0, in, out, coll.Sum) }},
+		{"allreduce", func(c *coll.Comm, out []float64) error { return c.Allreduce(in, out, coll.Sum) }},
+	}
+	for _, row := range rows {
+		cs := collComms(t, 2, core.ChannelSpec{Name: "short-" + row.name, Driver: "tcp"}, coll.Options{})
+		errs := make([]error, len(cs))
+		var wg sync.WaitGroup
+		for i, c := range cs {
+			wg.Add(1)
+			go func(i int, c *coll.Comm) {
+				defer wg.Done()
+				errs[i] = row.call(c, make([]float64, len(in)-1))
+			}(i, c)
+		}
+		wg.Wait()
+		if errs[0] == nil {
+			t.Errorf("%s of %d elements into an out of %d succeeded at rank 0", row.name, len(in), len(in)-1)
+		}
+		closeAll(cs)
+	}
+}
+
 // TestMetricsPublished checks the coll/* counters move on the session
 // registry the channel belongs to.
 func TestMetricsPublished(t *testing.T) {

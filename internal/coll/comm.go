@@ -43,12 +43,10 @@ type Options struct {
 // (the ranks no longer agree on the collective sequence) and every later
 // call reports the original failure.
 type Comm struct {
+	Ops   // the collectives, run by this Comm as their executor (eventExec)
 	t     transport
-	topo  *Topology
 	actor *vclock.Actor
-	rank  int
 	nodes []int // communicator rank -> node id on the underlying channel
-	alg   Algorithm
 	name  string
 	rec   *trace.Recorder
 	met   collMet
@@ -149,13 +147,18 @@ func newComm(members []int, self int, opts Options) (*Comm, error) {
 	if topo.Size() != len(nodes) {
 		return nil, fmt.Errorf("coll: topology covers %d ranks, channel has %d", topo.Size(), len(nodes))
 	}
-	return &Comm{
-		topo:  topo,
-		rank:  rank,
-		nodes: nodes,
-		alg:   opts.Alg,
-	}, nil
+	c := &Comm{nodes: nodes}
+	c.Ops = NewOps((*eventExec)(c), topo, rank, opts.Alg)
+	return c, nil
 }
+
+// eventExec is Comm as its collectives' Executor: a type of its own, so
+// Run and Reject stay out of Comm's method set.
+type eventExec Comm
+
+func (e *eventExec) Run(op string, p Plan) error { return (*Comm)(e).run(op, p) }
+
+func (e *eventExec) Reject(op string, err error) error { return (*Comm)(e).fail(op, err) }
 
 func (c *Comm) bind(name string, sess *core.Session, opts Options) {
 	if opts.Name != "" {
@@ -227,15 +230,15 @@ type deferredFold struct {
 	data []byte
 }
 
-// run executes one collective schedule. data yields a send payload (it is
-// read asynchronously after isend, so reduction payloads must be fresh
-// snapshots); sink yields the in-place landing buffer for a plain receive
-// (nil disables claiming); got consumes a payload that had no sink —
-// Combine folds and whole-vector replacements.
-func (c *Comm) run(op string, s Schedule, data func(Xfer) []byte, sink func(Xfer) []byte, got func(Xfer, []byte) error) error {
+// run executes one collective's plan. A send's payload is read
+// asynchronously after isend; a plain receive's landing buffer is what
+// claiming delivers into (none disables it); a payload that had none —
+// Combine folds and whole-vector replacements — goes to the plan's Got.
+func (c *Comm) run(op string, p Plan) error {
 	if c.err != nil {
 		return c.err
 	}
+	s := p.Sched
 	c.seq++
 	c.met.ops.Add(1)
 	traceID := c.traceBase | uint64(c.seq)
@@ -258,8 +261,8 @@ func (c *Comm) run(op string, s Schedule, data func(Xfer) []byte, sink func(Xfer
 				return c.fail(op, fmt.Errorf("coll: %s schedule repeats expectation origin %d tag %d", op, x.Peer, x.Tag))
 			}
 			e := &exp{x: x, round: ri}
-			if !x.Combine && sink != nil {
-				e.sink = sink(x)
+			if !x.Combine {
+				e.sink = p.Sink(x)
 			}
 			c.exps[k] = e
 		}
@@ -321,12 +324,10 @@ func (c *Comm) run(op string, s Schedule, data func(Xfer) []byte, sink func(Xfer
 			c.met.claimed.Add(1)
 		case e.sink != nil:
 			copy(e.sink, ev.data)
-		case got != nil:
-			if e.round > curRound {
-				deferred[e.round] = append(deferred[e.round], deferredFold{x: e.x, data: ev.data})
-				return nil
-			}
-			return got(e.x, ev.data)
+		case e.round > curRound:
+			deferred[e.round] = append(deferred[e.round], deferredFold{x: e.x, data: ev.data})
+		default:
+			return p.Got(e.x, ev.data)
 		}
 		return nil
 	}
@@ -358,7 +359,7 @@ func (c *Comm) run(op string, s Schedule, data func(Xfer) []byte, sink func(Xfer
 		curRound = ri
 		t0 := c.actor.Now()
 		for _, x := range r.Sends {
-			payload := data(x)
+			payload := p.Data(x)
 			h := wireHdr{seq: c.seq, origin: int32(c.rank), tag: uint32(x.Tag), length: uint32(len(payload))}
 			c.met.msgsOut.Add(1)
 			c.met.bytesOut.Add(int64(len(payload)))
@@ -367,7 +368,7 @@ func (c *Comm) run(op string, s Schedule, data func(Xfer) []byte, sink func(Xfer
 			sendsOut++
 		}
 		for _, d := range deferred[ri] {
-			if err := got(d.x, d.data); err != nil {
+			if err := p.Got(d.x, d.data); err != nil {
 				return fail(err)
 			}
 		}

@@ -6,9 +6,9 @@ import (
 	"math"
 )
 
-// Op is a reduction operator over float64 vectors. coll defines its own
-// (rather than borrowing MPI's) because the MPI layer is a client of this
-// package, not the other way around.
+// Op is a reduction operator over float64 vectors. It is defined here and
+// re-exported by mpi, because the MPI layer is a client of this package,
+// not the other way around.
 type Op int
 
 const (
@@ -56,15 +56,93 @@ func decodeFloats(b []byte, out []float64) error {
 	return nil
 }
 
+// Plan is one collective call ready to run: its schedule, and where each
+// transfer's bytes live. It says so with buffers, not callbacks, so the
+// executors reach it through static calls and a call allocates nothing
+// for it. A plain transfer x is the window [x.Off-off, x.Off-off+x.Len)
+// of the send or receive buffer (off is non-zero for a tree leaf, whose
+// buffer is its own block only); a reduction has an accumulator instead:
+// every send is a snapshot of it and every arrival folds into it.
+type Plan struct {
+	Sched            Schedule
+	send, recv       []byte
+	sendOff, recvOff int
+	acc              []float64 // non-nil: a reduction with op
+	op               Op
+}
+
+// Data yields a send's payload. The executor may read it for as long as
+// the send is in flight, which is why an accumulator is copied.
+func (p *Plan) Data(x Xfer) []byte {
+	if p.acc != nil {
+		return encodeFloats(p.acc)
+	}
+	return p.send[x.Off-p.sendOff:][:x.Len]
+}
+
+// Sink yields a receive's landing buffer, or nil when the payload is for
+// Got: no receive of a reduction has one.
+func (p *Plan) Sink(x Xfer) []byte {
+	if p.recv == nil {
+		return nil
+	}
+	return p.recv[x.Off-p.recvOff:][:x.Len]
+}
+
+// Got consumes an arrived payload that had no sink: it combines with (or,
+// for the broadcast phase of a composed allreduce, replaces) the
+// accumulator. A barrier's bytes carry nothing.
+func (p *Plan) Got(x Xfer, b []byte) error {
+	if p.acc == nil {
+		return nil
+	}
+	vals := make([]float64, len(p.acc))
+	if err := decodeFloats(b, vals); err != nil {
+		return err
+	}
+	if x.Combine {
+		p.op.fold(p.acc, vals)
+	} else {
+		copy(p.acc, vals)
+	}
+	return nil
+}
+
+// Executor runs one rank's plans. There are two: this package's Comm,
+// event-driven over a transport and poisoned by its first failure, and
+// mpi's, which pulls its tag matcher on the application thread and leaves
+// the communicator usable after an abort.
+type Executor interface {
+	// Run executes the plan of one call of the named collective.
+	Run(op string, p Plan) error
+	// Reject reports arguments the named collective cannot run with and
+	// returns the error its caller gets.
+	Reject(op string, err error) error
+}
+
+// Ops is one rank's collectives, each defined once: validate the caller's
+// buffers, build the plan, hand it to the executor. Comm embeds it;
+// mpi.Comm delegates to one over its own executor.
+type Ops struct {
+	x    Executor
+	topo *Topology
+	rank int
+	alg  Algorithm
+}
+
+// NewOps binds the collectives of one rank of topo to an executor.
+func NewOps(x Executor, topo *Topology, rank int, alg Algorithm) Ops {
+	return Ops{x, topo, rank, alg}
+}
+
 // Bcast broadcasts root's buf to every rank; all callers pass equal-length
 // buffers.
-func (c *Comm) Bcast(root int, buf []byte) error {
+func (c *Ops) Bcast(root int, buf []byte) error {
 	if err := c.checkRoot(root); err != nil {
 		return err
 	}
 	s := BcastSched(c.topo, c.rank, root, len(buf), c.alg)
-	f := func(x Xfer) []byte { return buf[x.Off : x.Off+x.Len] }
-	return c.run("bcast", s, f, f, nil)
+	return c.x.Run("bcast", Plan{Sched: s, send: buf, recv: buf})
 }
 
 // Gather collects every rank's in block at root in rank order (block i at
@@ -72,94 +150,82 @@ func (c *Comm) Bcast(root int, buf []byte) error {
 // length; out is only read at root and must hold Size()*len(in) bytes.
 // Non-leaf ranks of the gather tree stage their subtree in a scratch
 // buffer, so intermediate blocks never touch caller memory.
-func (c *Comm) Gather(root int, in, out []byte) error {
+func (c *Ops) Gather(root int, in, out []byte) error {
 	if err := c.checkRoot(root); err != nil {
 		return err
 	}
 	n, blk := c.topo.Size(), len(in)
-	s := GatherSched(c.topo, c.rank, root, blk, c.alg)
-	var base []byte
+	p := Plan{Sched: GatherSched(c.topo, c.rank, root, blk, c.alg)}
 	switch {
 	case c.rank == root:
 		if len(out) < n*blk {
-			return c.fail("gather", fmt.Errorf("output holds %d bytes, need %d", len(out), n*blk))
+			return c.x.Reject("gather", fmt.Errorf("output holds %d bytes, need %d", len(out), n*blk))
 		}
-		base = out[:n*blk]
-	case s.NumRecvs() > 0: // relay: stage the subtree
-		base = make([]byte, n*blk)
+		p.recv = out[:n*blk]
+	case p.Sched.NumRecvs() > 0: // relay: stage the subtree
+		p.recv = make([]byte, n*blk)
+	default: // leaf: the only send is the own block
+		p.send, p.sendOff = in, c.rank*blk
 	}
-	if base != nil {
-		copy(base[c.rank*blk:], in)
+	if p.recv != nil {
+		copy(p.recv[c.rank*blk:], in)
+		p.send = p.recv
 	}
-	f := func(x Xfer) []byte {
-		if base == nil {
-			return in
-		}
-		return base[x.Off : x.Off+x.Len]
-	}
-	return c.run("gather", s, f, f, nil)
+	return c.x.Run("gather", p)
 }
 
 // Scatter distributes root's in (Size() blocks of len(out) bytes, rank
 // order) so each rank receives its block in out.
-func (c *Comm) Scatter(root int, in, out []byte) error {
+func (c *Ops) Scatter(root int, in, out []byte) error {
 	if err := c.checkRoot(root); err != nil {
 		return err
 	}
 	n, blk := c.topo.Size(), len(out)
-	s := ScatterSched(c.topo, c.rank, root, blk, c.alg)
-	var base []byte
+	p := Plan{Sched: ScatterSched(c.topo, c.rank, root, blk, c.alg)}
 	switch {
 	case c.rank == root:
 		if len(in) < n*blk {
-			return c.fail("scatter", fmt.Errorf("input holds %d bytes, need %d", len(in), n*blk))
+			return c.x.Reject("scatter", fmt.Errorf("input holds %d bytes, need %d", len(in), n*blk))
 		}
-		base = in[:n*blk]
-	case s.NumSends() > 0: // relay: stage the subtree before forwarding
-		base = make([]byte, n*blk)
+		p.send = in[:n*blk]
+	case p.Sched.NumSends() > 0: // relay: stage the subtree before forwarding
+		p.send = make([]byte, n*blk)
+		p.recv = p.send
+	default: // leaf: the only receive is the own block
+		p.recv, p.recvOff = out, c.rank*blk
 	}
-	data := func(x Xfer) []byte { return base[x.Off : x.Off+x.Len] }
-	sink := func(x Xfer) []byte {
-		if base == nil { // leaf: the only receive is the own block
-			return out
-		}
-		return base[x.Off : x.Off+x.Len]
-	}
-	if err := c.run("scatter", s, data, sink, nil); err != nil {
+	if err := c.x.Run("scatter", p); err != nil {
 		return err
 	}
-	if base != nil {
-		copy(out, base[c.rank*blk:c.rank*blk+blk])
+	if p.send != nil {
+		copy(out, p.send[c.rank*blk:c.rank*blk+blk])
 	}
 	return nil
 }
 
 // Allgather concatenates every rank's in block into out (canonical rank
 // order) on every rank; out must hold Size()*len(in) bytes.
-func (c *Comm) Allgather(in, out []byte) error {
+func (c *Ops) Allgather(in, out []byte) error {
 	n, blk := c.topo.Size(), len(in)
 	if len(out) < n*blk {
-		return c.fail("allgather", fmt.Errorf("output holds %d bytes, need %d", len(out), n*blk))
+		return c.x.Reject("allgather", fmt.Errorf("output holds %d bytes, need %d", len(out), n*blk))
 	}
 	copy(out[c.rank*blk:], in)
 	s := AllgatherSched(c.topo, c.rank, blk, c.alg)
-	f := func(x Xfer) []byte { return out[x.Off : x.Off+x.Len] }
-	return c.run("allgather", s, f, f, nil)
+	return c.x.Run("allgather", Plan{Sched: s, send: out, recv: out})
 }
 
 // Alltoall exchanges len(in)/Size()-byte blocks: block d of in travels to
 // rank d, landing as block Rank() of d's out.
-func (c *Comm) Alltoall(in, out []byte) error {
+func (c *Ops) Alltoall(in, out []byte) error {
 	n := c.topo.Size()
 	if len(in) != len(out) || len(in)%n != 0 {
-		return c.fail("alltoall", fmt.Errorf("buffers of %d and %d bytes are not %d equal blocks", len(in), len(out), n))
+		return c.x.Reject("alltoall", fmt.Errorf("buffers of %d and %d bytes are not %d equal blocks", len(in), len(out), n))
 	}
 	blk := len(in) / n
 	copy(out[c.rank*blk:(c.rank+1)*blk], in[c.rank*blk:])
 	s := AlltoallSched(c.topo, c.rank, blk, c.alg)
-	data := func(x Xfer) []byte { return in[x.Off : x.Off+x.Len] }
-	sink := func(x Xfer) []byte { return out[x.Off : x.Off+x.Len] }
-	return c.run("alltoall", s, data, sink, nil)
+	return c.x.Run("alltoall", Plan{Sched: s, send: in, recv: out})
 }
 
 // Alltoallv is the sparse exchange driving the MoE workloads: rank sends
@@ -167,21 +233,19 @@ func (c *Comm) Alltoall(in, out []byte) error {
 // receives recvCounts[o] bytes from each o (packed in rank order in out).
 // Both count vectors must be globally coherent: sendCounts[d] here equals
 // recvCounts[Rank()] at rank d.
-func (c *Comm) Alltoallv(in []byte, sendCounts []int, out []byte, recvCounts []int) error {
+func (c *Ops) Alltoallv(in []byte, sendCounts []int, out []byte, recvCounts []int) error {
 	n := c.topo.Size()
 	if len(sendCounts) != n || len(recvCounts) != n {
-		return c.fail("alltoallv", fmt.Errorf("count vectors of %d and %d entries, want %d", len(sendCounts), len(recvCounts), n))
+		return c.x.Reject("alltoallv", fmt.Errorf("count vectors of %d and %d entries, want %d", len(sendCounts), len(recvCounts), n))
 	}
 	soff, stot := prefix(sendCounts)
 	roff, rtot := prefix(recvCounts)
 	if len(in) < stot || len(out) < rtot {
-		return c.fail("alltoallv", fmt.Errorf("buffers hold %d/%d bytes, counts need %d/%d", len(in), len(out), stot, rtot))
+		return c.x.Reject("alltoallv", fmt.Errorf("buffers hold %d/%d bytes, counts need %d/%d", len(in), len(out), stot, rtot))
 	}
 	copy(out[roff[c.rank]:roff[c.rank]+recvCounts[c.rank]], in[soff[c.rank]:])
 	s := AlltoallvSched(c.topo, c.rank, sendCounts, recvCounts, c.alg)
-	data := func(x Xfer) []byte { return in[x.Off : x.Off+x.Len] }
-	sink := func(x Xfer) []byte { return out[x.Off : x.Off+x.Len] }
-	return c.run("alltoallv", s, data, sink, nil)
+	return c.x.Run("alltoallv", Plan{Sched: s, send: in, recv: out})
 }
 
 func prefix(counts []int) (off []int, total int) {
@@ -194,71 +258,43 @@ func prefix(counts []int) (off []int, total int) {
 }
 
 // Reduce folds every rank's in element-wise with op, delivering the
-// result in root's out (nil elsewhere). Send payloads are snapshots, so
-// the accumulator may fold concurrently with in-flight transfers.
-func (c *Comm) Reduce(root int, in, out []float64, op Op) error {
+// result in root's out (unused elsewhere), which must hold len(in)
+// elements.
+func (c *Ops) Reduce(root int, in, out []float64, op Op) error {
 	if err := c.checkRoot(root); err != nil {
 		return err
 	}
-	acc := append([]float64(nil), in...)
-	s := ReduceSched(c.topo, c.rank, root, 8*len(in), c.alg)
-	err := c.run("reduce", s,
-		func(Xfer) []byte { return encodeFloats(acc) },
-		nil,
-		func(x Xfer, b []byte) error { return c.foldInto(op, acc, x, b) })
-	if err != nil {
+	return c.reduce("reduce", ReduceSched(c.topo, c.rank, root, 8*len(in), c.alg), in, out, op, c.rank == root)
+}
+
+// Allreduce folds every rank's in element-wise with op, delivering the
+// result in every rank's out, which must hold len(in) elements.
+func (c *Ops) Allreduce(in, out []float64, op Op) error {
+	return c.reduce("allreduce", AllreduceSched(c.topo, c.rank, 8*len(in), c.alg), in, out, op, true)
+}
+
+// reduce runs a reduction schedule over a copy of in; a rank the result
+// is delivered to gets it in out.
+func (c *Ops) reduce(name string, s Schedule, in, out []float64, op Op, deliver bool) error {
+	if deliver && len(out) < len(in) {
+		return c.x.Reject(name, fmt.Errorf("output holds %d elements, need %d", len(out), len(in)))
+	}
+	acc := append(make([]float64, 0, len(in)), in...) // non-nil even for an empty in
+	if err := c.x.Run(name, Plan{Sched: s, acc: acc, op: op}); err != nil {
 		return err
 	}
-	if c.rank == root {
+	if deliver {
 		copy(out, acc)
 	}
 	return nil
 }
 
-// Allreduce folds every rank's in element-wise with op, delivering the
-// result in every rank's out.
-func (c *Comm) Allreduce(in, out []float64, op Op) error {
-	acc := append([]float64(nil), in...)
-	s := AllreduceSched(c.topo, c.rank, 8*len(in), c.alg)
-	err := c.run("allreduce", s,
-		func(Xfer) []byte { return encodeFloats(acc) },
-		nil,
-		func(x Xfer, b []byte) error { return c.foldInto(op, acc, x, b) })
-	if err != nil {
-		return err
-	}
-	copy(out, acc)
-	return nil
-}
-
-// foldInto combines (or, for the broadcast phase of a composed
-// allreduce, replaces) the accumulator with an arriving vector.
-func (c *Comm) foldInto(op Op, acc []float64, x Xfer, b []byte) error {
-	vals := make([]float64, len(acc))
-	if err := decodeFloats(b, vals); err != nil {
-		return err
-	}
-	if x.Combine {
-		op.fold(acc, vals)
-	} else {
-		copy(acc, vals)
-	}
-	return nil
-}
-
 // Barrier blocks until every rank has entered it (a one-byte allreduce).
-func (c *Comm) Barrier() error {
-	s := BarrierSched(c.topo, c.rank, c.alg)
-	return c.run("barrier", s,
-		func(Xfer) []byte { return []byte{1} },
-		nil,
-		func(Xfer, []byte) error { return nil })
+func (c *Ops) Barrier() error {
+	return c.x.Run("barrier", Plan{Sched: BarrierSched(c.topo, c.rank, c.alg), send: []byte{1}})
 }
 
-func (c *Comm) checkRoot(root int) error {
-	if c.err != nil {
-		return c.err
-	}
+func (c *Ops) checkRoot(root int) error {
 	if root < 0 || root >= c.topo.Size() {
 		return fmt.Errorf("coll: root %d outside 0..%d", root, c.topo.Size()-1)
 	}

@@ -133,10 +133,7 @@ func (t *chanTransport) stepSend(am *core.AsyncMsg, st *chanSend, comp core.Comp
 	if comp.Err != nil && !st.failed {
 		st.failed, st.err = true, comp.Err
 	}
-	if comp.Kind == core.OpEnd || (st.failed && comp.Err != nil && errors.Is(comp.Err, core.ErrBadState)) {
-		if comp.Kind != core.OpEnd {
-			return // wait for the conversation's final completion
-		}
+	if comp.Kind == core.OpEnd { // the conversation's final completion
 		delete(t.sends, am)
 		t.inbox.Push(event{send: true, token: st.token, stamp: comp.Time, err: st.err})
 	}

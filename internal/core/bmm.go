@@ -26,14 +26,13 @@ import (
 
 // eagerDyn sends each block as soon as allowed, one TM buffer per block.
 type eagerDyn struct {
-	cs      *ConnState
-	tm      TM
+	tm      tmPort
 	pending [][]byte // delayed blocks; nonempty only while a LATER block holds the line
 	dsts    [][]byte // deferred receive destinations
 }
 
 func newEagerDyn(tm TM, cs *ConnState) *eagerDyn {
-	return &eagerDyn{cs: cs, tm: instrumentTM(tm, cs)}
+	return &eagerDyn{tm: newTMPort(tm, cs)}
 }
 
 func (b *eagerDyn) Name() string { return "dyn-eager" }
@@ -44,7 +43,7 @@ func (b *eagerDyn) Pack(a *vclock.Actor, data []byte, sm SendMode, rm RecvMode) 
 		blk = append([]byte(nil), data...)
 	}
 	if sm != SendLater && len(b.pending) == 0 {
-		return b.tm.SendBuffer(a, b.cs, blk)
+		return b.tm.SendBuffer(a, blk)
 	}
 	b.pending = append(b.pending, blk) // FIFO: a delayed block holds the line
 	if rm == ReceiveExpress {
@@ -60,7 +59,7 @@ func (b *eagerDyn) Commit(a *vclock.Actor) error {
 	// failing block and everything before it leave the queue. The queue
 	// keeps its capacity either way.
 	for i, p := range b.pending {
-		if err := b.tm.SendBuffer(a, b.cs, p); err != nil {
+		if err := b.tm.SendBuffer(a, p); err != nil {
 			b.pending = dropFirst(b.pending, i+1)
 			return err
 		}
@@ -89,7 +88,7 @@ func (b *eagerDyn) Checkout(a *vclock.Actor) error {
 	// Same shape as Commit: an already-filled destination must not be
 	// filled again from the stream after a mid-loop failure.
 	for i, d := range b.dsts {
-		if err := b.tm.ReceiveBuffer(a, b.cs, d); err != nil {
+		if err := b.tm.ReceiveBuffer(a, d); err != nil {
 			b.dsts = dropFirst(b.dsts, i+1)
 			return err
 		}
@@ -102,14 +101,13 @@ func (b *eagerDyn) Checkout(a *vclock.Actor) error {
 // aggrDyn groups dynamic buffers and flushes them with one scatter/gather
 // TM operation.
 type aggrDyn struct {
-	cs    *ConnState
-	tm    TM
+	tm    tmPort
 	group [][]byte
 	dsts  [][]byte
 }
 
 func newAggrDyn(tm TM, cs *ConnState) *aggrDyn {
-	return &aggrDyn{cs: cs, tm: instrumentTM(tm, cs)}
+	return &aggrDyn{tm: newTMPort(tm, cs)}
 }
 
 func (b *aggrDyn) Name() string { return "dyn-aggregate" }
@@ -131,7 +129,7 @@ func (b *aggrDyn) Commit(a *vclock.Actor) error {
 		return nil
 	}
 	// Sent or failed, the group is spent: the message aborts on error.
-	err := b.tm.SendBufferGroup(a, b.cs, b.group)
+	err := b.tm.SendBufferGroup(a, b.group)
 	b.group = dropFirst(b.group, len(b.group))
 	return err
 }
@@ -149,7 +147,7 @@ func (b *aggrDyn) Checkout(a *vclock.Actor) error {
 		return nil
 	}
 	n := len(b.dsts)
-	err := b.tm.ReceiveSubBufferGroup(a, b.cs, b.dsts)
+	err := b.tm.ReceiveSubBufferGroup(a, b.dsts)
 	b.dsts = dropFirst(b.dsts, n)
 	if err != nil {
 		return err
@@ -170,8 +168,7 @@ type laterRegion struct {
 // across several. send_LATER blocks get their space reserved and are read
 // at flush time.
 type statCopy struct {
-	cs    *ConnState
-	tm    TM
+	tm    tmPort
 	cur   []byte // current outgoing static buffer (nil when none)
 	fill  int
 	later []laterRegion
@@ -185,7 +182,7 @@ func newStatCopy(tm TM, cs *ConnState) *statCopy {
 	if tm.StaticSize() <= 0 {
 		panic(fmt.Sprintf("core: static-copy BMM over dynamic TM %s", tm.Name()))
 	}
-	return &statCopy{cs: cs, tm: instrumentTM(tm, cs)}
+	return &statCopy{tm: newTMPort(tm, cs)}
 }
 
 func (b *statCopy) Name() string { return "static-copy" }
@@ -204,7 +201,7 @@ func (b *statCopy) Pack(a *vclock.Actor, data []byte, sm SendMode, rm RecvMode) 
 	rest := data
 	for {
 		if b.cur == nil {
-			buf, err := b.tm.ObtainStaticBuffer(a, b.cs)
+			buf, err := b.tm.ObtainStaticBuffer(a)
 			if err != nil {
 				return err
 			}
@@ -252,9 +249,9 @@ func (b *statCopy) flush(a *vclock.Actor) error {
 	buf := b.cur[:b.fill]
 	b.cur, b.fill = nil, 0
 	t0 := a.Now()
-	err := b.tm.SendBuffer(a, b.cs, buf)
-	if b.cs != nil {
-		b.cs.ch.span(a, t0, "F:flush static-copy")
+	err := b.tm.SendBuffer(a, buf)
+	if b.tm.cs != nil {
+		b.tm.cs.ch.span(a, t0, "F:flush static-copy")
 	}
 	return err
 }
@@ -297,7 +294,7 @@ func (b *statCopy) extract(a *vclock.Actor, dst []byte) error {
 			}
 		}
 		if b.rcur == nil {
-			buf, err := b.tm.ReceiveStaticBuffer(a, b.cs)
+			buf, err := b.tm.ReceiveStaticBuffer(a)
 			if err != nil {
 				return err
 			}
@@ -317,7 +314,7 @@ func (b *statCopy) extract(a *vclock.Actor, dst []byte) error {
 func (b *statCopy) releaseCurrent(a *vclock.Actor) error {
 	buf := b.rcur
 	b.rcur = nil
-	return b.tm.ReleaseStaticBuffer(a, b.cs, buf)
+	return b.tm.ReleaseStaticBuffer(a, buf)
 }
 
 // Exported BMM constructors for externally registered protocol modules

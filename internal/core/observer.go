@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"madeleine2/internal/metrics"
 	"madeleine2/internal/trace"
@@ -29,9 +28,6 @@ import (
 type Observer struct {
 	rec *trace.Recorder
 	reg *metrics.Registry
-
-	mu    sync.Mutex
-	wraps map[TM]*obsTM
 }
 
 // NewObserver returns an observer recording spans into rec (which may be
@@ -160,7 +156,18 @@ func (c *Channel) span(a *vclock.Actor, start vclock.Time, label string) {
 // hot path builds a string per span.
 type spanLabels struct {
 	leaseSend, leaseRecv, drain string
-	tm                          map[TM]*[4]string // by spanKind; read-only after creation
+	tm                          map[TM]*tmSpans // read-only after creation
+}
+
+// tmSpans is where one TM's activity goes on an observed channel: the
+// labels of its four Switch-step spans and, per side, the label of its
+// transfer spans ("x:<tm>", "v:<tm>") and its latency histogram
+// (<tm>/tx, <tm>/rx) in the session registry, which every channel running
+// a TM of that name shares.
+type tmSpans struct {
+	step [4]string // by spanKind
+	xfer [2]string // by side: tmSend, tmRecv
+	lat  [2]*trace.Histogram
 }
 
 // spanKind indexes a TM's four Switch-step span labels.
@@ -173,130 +180,117 @@ const (
 	spanCheckout
 )
 
-func tmSpanLabels(name string) *[4]string {
-	return &[4]string{"P:pack " + name, "C:commit " + name, "U:unpack " + name, "K:checkout " + name}
+const tmSend, tmRecv = 0, 1
+
+// newTMSpans builds a TM's entry. The name is the module's choice, not the
+// library's, so it enters the metric schema through metrics.Clean.
+func newTMSpans(reg *metrics.Registry, name string) *tmSpans {
+	clean := metrics.Clean(name)
+	return &tmSpans{
+		step: [4]string{"P:pack " + name, "C:commit " + name, "U:unpack " + name, "K:checkout " + name},
+		xfer: [2]string{"x:" + name, "v:" + name},
+		lat:  [2]*trace.Histogram{reg.Histogram(clean + "/tx"), reg.Histogram(clean + "/rx")},
+	}
 }
 
-func newSpanLabels(channel string, tms []TM) spanLabels {
+func newSpanLabels(channel string, reg *metrics.Registry, tms []TM) spanLabels {
 	l := spanLabels{
 		leaseSend: "w:lease-send " + channel,
 		leaseRecv: "w:lease-recv " + channel,
 		drain:     "A:drain " + channel,
-		tm:        make(map[TM]*[4]string, len(tms)),
+		tm:        make(map[TM]*tmSpans, len(tms)),
 	}
 	for _, tm := range tms {
-		l.tm[tm] = tmSpanLabels(tm.Name())
+		l.tm[tm] = newTMSpans(reg, tm.Name())
 	}
 	return l
 }
 
-// spanTM records one Switch-step interval of tm ending now. A TM the PMM
-// failed to declare in TMs() still gets its span, at a concat per call.
+// spansOf returns tm's entry on an observed channel. A TM the PMM failed
+// to declare in TMs() still gets one, built per lookup.
+func (c *Channel) spansOf(tm TM) *tmSpans {
+	if s := c.lbl.tm[tm]; s != nil {
+		return s
+	}
+	return newTMSpans(c.obs.reg, tm.Name())
+}
+
+// spanTM records one Switch-step interval of tm ending now.
 func (c *Channel) spanTM(a *vclock.Actor, start vclock.Time, k spanKind, tm TM) {
-	if c.obs == nil {
+	if c.obs != nil {
+		c.obs.rec.Record(a.Name(), start, a.Now(), c.spansOf(tm).step[k])
+	}
+}
+
+// tmPort is how a BMM reaches its transmission module: it makes the seven
+// buffer calls of Table 2 on the connection and times them, so every wire
+// operation of every PMM, built-in or externally registered, reports
+// through the same sink without per-driver wiring. It is not itself a TM:
+// no library type both holds and implements one, so a module has one
+// identity for the Switch step, the BMM maps and the statistics.
+type tmPort struct {
+	tm  TM
+	cs  *ConnState
+	obs *tmSpans // nil when unobserved
+}
+
+func newTMPort(tm TM, cs *ConnState) tmPort {
+	p := tmPort{tm: tm, cs: cs}
+	// A bare ConnState with no channel (white-box tests) is unobserved.
+	if cs != nil && cs.ch != nil && cs.ch.obs != nil {
+		p.obs = cs.ch.spansOf(tm)
+	}
+	return p
+}
+
+// observe attributes the virtual time a call consumed. A transfer counts
+// in its side's histogram, zero-width included, but only an interval that
+// cost time becomes a span, so free calls cannot flood the recorder.
+func (p tmPort) observe(a *vclock.Actor, start vclock.Time, side int, transfer bool) {
+	if p.obs == nil {
 		return
 	}
-	l := c.lbl.tm[tm]
-	if l == nil {
-		l = tmSpanLabels(tm.Name())
-	}
-	c.obs.rec.Record(a.Name(), start, a.Now(), l[k])
-}
-
-// obsTM decorates a transmission module with transfer spans and per-TM
-// latency attribution. BMM constructors install it (instrumentTM), so
-// every wire operation of every PMM — built-in or externally registered —
-// reports through the same sink without per-driver wiring. The embedded
-// TM serves Name/Link/StaticSize/NewBMM untouched.
-type obsTM struct {
-	TM
-	rec     *trace.Recorder
-	tx, rx  *trace.Histogram
-	txLabel string // "x:<tm>": send-side transfer spans
-	rxLabel string // "v:<tm>": receive-side transfer spans
-}
-
-// instrumentTM wraps tm when the channel is observed; the identity
-// function otherwise (including BMMs built over a bare ConnState with no
-// channel, as white-box tests do). Idempotent, and canonical per TM
-// identity: the observer caches one decorator per underlying TM, so the
-// sync wrappers and the progress engine — whose workers build BMM
-// instances for the same TMs concurrently — resolve the same decorator
-// and the same pair of histograms. Without the cache each BMM
-// construction would register a fresh decorator around the shared
-// histograms, and a TM reached from both paths would be wrapped twice.
-func instrumentTM(tm TM, cs *ConnState) TM {
-	if cs == nil || cs.ch == nil || cs.ch.obs == nil {
-		return tm
-	}
-	o := cs.ch.obs
-	if _, wrapped := tm.(*obsTM); wrapped {
-		return tm
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if w := o.wraps[tm]; w != nil {
-		return w
-	}
-	if o.wraps == nil {
-		o.wraps = make(map[TM]*obsTM)
-	}
-	name := tm.Name()
-	w := &obsTM{
-		TM:      tm,
-		rec:     o.rec,
-		tx:      o.reg.Histogram(name + "/tx"),
-		rx:      o.reg.Histogram(name + "/rx"),
-		txLabel: "x:" + name,
-		rxLabel: "v:" + name,
-	}
-	o.wraps[tm] = w
-	return w
-}
-
-// observe attributes the virtual time the operation consumed. Zero-width
-// intervals still count in the histogram but are not recorded as spans,
-// so free operations cannot flood the recorder's limit.
-func (w *obsTM) observe(a *vclock.Actor, start vclock.Time, h *trace.Histogram, label string) {
 	now := a.Now()
-	h.Observe(now - start)
+	if transfer {
+		p.obs.lat[side].Observe(now - start)
+	}
 	if now > start {
-		w.rec.Record(a.Name(), start, now, label)
+		p.cs.ch.obs.rec.Record(a.Name(), start, now, p.obs.xfer[side])
 	}
 }
 
-func (w *obsTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
+func (p tmPort) SendBuffer(a *vclock.Actor, data []byte) error {
 	t0 := a.Now()
-	err := w.TM.SendBuffer(a, cs, data)
-	w.observe(a, t0, w.tx, w.txLabel)
+	err := p.tm.SendBuffer(a, p.cs, data)
+	p.observe(a, t0, tmSend, true)
 	return err
 }
 
-func (w *obsTM) SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]byte) error {
+func (p tmPort) SendBufferGroup(a *vclock.Actor, group [][]byte) error {
 	t0 := a.Now()
-	err := w.TM.SendBufferGroup(a, cs, group)
-	w.observe(a, t0, w.tx, w.txLabel)
+	err := p.tm.SendBufferGroup(a, p.cs, group)
+	p.observe(a, t0, tmSend, true)
 	return err
 }
 
-func (w *obsTM) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) error {
+func (p tmPort) ReceiveBuffer(a *vclock.Actor, dst []byte) error {
 	t0 := a.Now()
-	err := w.TM.ReceiveBuffer(a, cs, dst)
-	w.observe(a, t0, w.rx, w.rxLabel)
+	err := p.tm.ReceiveBuffer(a, p.cs, dst)
+	p.observe(a, t0, tmRecv, true)
 	return err
 }
 
-func (w *obsTM) ReceiveSubBufferGroup(a *vclock.Actor, cs *ConnState, dsts [][]byte) error {
+func (p tmPort) ReceiveSubBufferGroup(a *vclock.Actor, dsts [][]byte) error {
 	t0 := a.Now()
-	err := w.TM.ReceiveSubBufferGroup(a, cs, dsts)
-	w.observe(a, t0, w.rx, w.rxLabel)
+	err := p.tm.ReceiveSubBufferGroup(a, p.cs, dsts)
+	p.observe(a, t0, tmRecv, true)
 	return err
 }
 
-func (w *obsTM) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
+func (p tmPort) ReceiveStaticBuffer(a *vclock.Actor) ([]byte, error) {
 	t0 := a.Now()
-	buf, err := w.TM.ReceiveStaticBuffer(a, cs)
-	w.observe(a, t0, w.rx, w.rxLabel)
+	buf, err := p.tm.ReceiveStaticBuffer(a, p.cs)
+	p.observe(a, t0, tmRecv, true)
 	return buf, err
 }
 
@@ -305,16 +299,16 @@ func (w *obsTM) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, err
 // when they cost time but stay out of the transfer-latency histograms,
 // which would otherwise drown in zeros.
 
-func (w *obsTM) ReleaseStaticBuffer(a *vclock.Actor, cs *ConnState, buf []byte) error {
+func (p tmPort) ReleaseStaticBuffer(a *vclock.Actor, buf []byte) error {
 	t0 := a.Now()
-	err := w.TM.ReleaseStaticBuffer(a, cs, buf)
-	w.observe(a, t0, nil, w.rxLabel)
+	err := p.tm.ReleaseStaticBuffer(a, p.cs, buf)
+	p.observe(a, t0, tmRecv, false)
 	return err
 }
 
-func (w *obsTM) ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
+func (p tmPort) ObtainStaticBuffer(a *vclock.Actor) ([]byte, error) {
 	t0 := a.Now()
-	buf, err := w.TM.ObtainStaticBuffer(a, cs)
-	w.observe(a, t0, nil, w.txLabel)
+	buf, err := p.tm.ObtainStaticBuffer(a, p.cs)
+	p.observe(a, t0, tmSend, false)
 	return buf, err
 }

@@ -327,7 +327,7 @@ func (p *railPMM) railSpan(cs *ConnState, a *vclock.Actor, t0 vclock.Time, ri in
 	if tx {
 		dir, lbl = "tx", "x:"
 	}
-	ch.obs.reg.Histogram(fmt.Sprintf("rail%d-%s/%s", ri, sub, dir)).Observe(a.Now() - t0)
+	ch.obs.reg.Histogram(fmt.Sprintf("rail%d-%s/%s", ri, metrics.Clean(sub), dir)).Observe(a.Now() - t0)
 	ch.span(a, t0, fmt.Sprintf("%srail%d %s", lbl, ri, sub))
 }
 
@@ -365,9 +365,7 @@ func scatterFrom(src []byte, dsts [][]byte, off int) {
 }
 
 // railStripe is the striping transmission module: its own group bodies
-// select the aggregating BMM and fan each group out across the rails. It
-// holds no core.TM-typed field (the raw sub-TMs are resolved per frame
-// through the rail PMMs), so module identity stays with the sub-TMs.
+// select the aggregating BMM and fan each group out across the rails.
 type railStripe struct{ p *railPMM }
 
 func (t *railStripe) Name() string          { return "rail-stripe" }

@@ -121,7 +121,7 @@ func TestRDMAEagerCreditRecycling(t *testing.T) {
 	roundTrip(t, "rdma-eager", []block{{data: pattern(24*model.RDMAEagerMax, 3), sm: SendCheaper, rm: ReceiveCheaper}})
 }
 
-// TestRDMAObservedTMs checks the obsTM decorator attributes per-TM
+// TestRDMAObservedTMs checks an observed channel attributes per-TM
 // histograms to both new transmission modules.
 func TestRDMAObservedTMs(t *testing.T) {
 	sess := NewSession(testWorld(2))

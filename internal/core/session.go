@@ -228,7 +228,7 @@ func (s *Session) NewChannel(spec ChannelSpec) (map[int]*Channel, error) {
 		// lock-free once traffic starts.
 		ch.stats.registerTMs(pmm.TMs())
 		if obs != nil {
-			ch.lbl = newSpanLabels(spec.Name, pmm.TMs())
+			ch.lbl = newSpanLabels(spec.Name, reg, pmm.TMs())
 		}
 		ch.bindMetrics(reg)
 		chans[r] = ch

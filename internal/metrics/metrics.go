@@ -10,9 +10,8 @@
 // Names follow the layer/subsystem[/name] convention: 2–4 slash-separated
 // lowercase components ("fwd/rel/retransmit", "async/runq-max",
 // "fault/dropped"). CheckName is the machine-checked form of the
-// convention; the madvet obsnames analyzer applies it to every literal
-// metric name in the tree, so ad-hoc names cannot bypass the registry's
-// namespace.
+// convention, and the registry applies it to every name it creates a
+// handle for, so ad-hoc names cannot enter its namespace.
 //
 // The hot path is lock-free: callers resolve a *Counter/*Gauge once and
 // bump it with a single atomic op. Registry lookups take a read lock and
@@ -114,6 +113,29 @@ func NewRegistry() *Registry {
 	}
 }
 
+// lookup returns m[name], creating it with mk on first use. A name's first
+// use is where it enters the schema, so that is where it is checked: one
+// that fails CheckName panics, whether a constant or built at run time.
+// Repeat lookups take the read lock and check nothing.
+func lookup[T any](r *Registry, m map[string]*T, name string, mk func() *T) *T {
+	r.mu.RLock()
+	v := m[name]
+	r.mu.RUnlock()
+	if v != nil {
+		return v
+	}
+	if err := CheckName(name); err != nil {
+		panic(err)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if v = m[name]; v == nil {
+		v = mk()
+		m[name] = v
+	}
+	return v
+}
+
 // Counter returns (creating on first use) the named counter. Resolve once
 // and cache the pointer on hot paths. Nil-safe: a nil registry yields a
 // nil counter, itself a valid no-op sink.
@@ -121,19 +143,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = new(Counter)
-		r.counters[name] = c
-	}
-	return c
+	return lookup(r, r.counters, name, func() *Counter { return new(Counter) })
 }
 
 // Gauge returns (creating on first use) the named gauge; nil-safe.
@@ -141,19 +151,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = new(Gauge)
-		r.gauges[name] = g
-	}
-	return g
+	return lookup(r, r.gauges, name, func() *Gauge { return new(Gauge) })
 }
 
 // Histogram returns (creating on first use) the named latency histogram;
@@ -162,19 +160,7 @@ func (r *Registry) Histogram(name string) *trace.Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		h = trace.NewHistogram()
-		r.hists[name] = h
-	}
-	return h
+	return lookup(r, r.hists, name, trace.NewHistogram)
 }
 
 // RegisterCollector adds a pull-source consulted at every Snapshot;
@@ -191,7 +177,8 @@ func (r *Registry) RegisterCollector(c Collector) {
 // CheckName validates a metric name against the layer/subsystem[/name]
 // convention: 2 to 4 slash-separated components, each starting with a
 // lowercase letter or digit and continuing with lowercase letters, digits
-// or one of "_.#-".
+// or one of "_.#-". Names a collector emits are the one kind the registry
+// does not check itself; their packages' tests do.
 func CheckName(name string) error {
 	parts := strings.Split(name, "/")
 	if len(parts) < 2 || len(parts) > 4 {

@@ -135,9 +135,40 @@ func TestCheckName(t *testing.T) {
 	}
 	bad := []string{"", "single", "a/b/c/d/e", "Upper/case", "a//b",
 		"-lead/x", "a/b c", "fwd/", "/fwd"}
+	// The registry applies the same check where a name enters the schema:
+	// creating a handle for a bad name panics with CheckName's error.
+	r := metrics.NewRegistry()
+	create := map[string]func(string){
+		"Counter":   func(n string) { r.Counter(n) },
+		"Gauge":     func(n string) { r.Gauge(n) },
+		"Histogram": func(n string) { r.Histogram(n) },
+	}
 	for _, n := range bad {
-		if err := metrics.CheckName(n); err == nil {
+		err := metrics.CheckName(n)
+		if err == nil {
 			t.Errorf("CheckName(%q) = nil, want error", n)
+			continue
+		}
+		for kind, mk := range create {
+			func() {
+				defer func() {
+					if got, _ := recover().(error); got == nil || got.Error() != err.Error() {
+						t.Errorf("Registry.%s(%q) panicked with %v, want %v", kind, n, got, err)
+					}
+				}()
+				mk(n)
+			}()
+		}
+	}
+	if s := r.Snapshot(); len(s.Counters)+len(s.Gauges) != 0 {
+		t.Errorf("rejected names left handles behind: %+v", s)
+	}
+	// Only creation checks: a repeat lookup of a good name allocates
+	// nothing, and CheckName allocates (it splits the name).
+	for kind, mk := range create {
+		mk(good[0])
+		if n := testing.AllocsPerRun(100, func() { mk(good[0]) }); n != 0 {
+			t.Errorf("repeat Registry.%s(%q) allocates %v times, want 0", kind, good[0], n)
 		}
 	}
 }

@@ -1,49 +1,52 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"madeleine2/internal/coll"
 )
 
-// Collectives over the point-to-point layer, rebased onto the coll
-// package's topology-aware schedules: binomial broadcast/gather/scatter/
-// reduce trees, ring allgather, a fully overlapped pairwise all-to-all,
-// recursive-doubling allreduce. Every collective runs the same executor
-// (runSchedule): per round it posts the round's sends through the engine
-// (non-blocking, so tree forwarding and ring steps overlap), then takes
-// the round's receives in schedule order — correct because both ends
-// derive the same schedule and matching is non-overtaking per (source,
-// tag). Tags in the collective range keep the traffic off the
-// application's tag space.
-const (
-	tagBcast = -1000 - iota
-	tagBarrier
-	tagReduce
-	tagAllreduce
-	tagGather
-	tagScatter
-	tagAlltoall
-	tagAllgather
-)
-
-// collTopo is the communicator's view of the fabric for schedule
-// building: one channel, one cluster.
-func (c *Comm) collTopo() *coll.Topology {
-	if c.topo == nil {
-		c.topo = coll.SingleCluster(len(c.nodes))
-	}
-	return c.topo
+// Collectives over the point-to-point layer. Their definitions are coll's
+// (coll.Ops: argument checks, topology-aware schedules, the reduction
+// fold); mpi's own is the executor, runSchedule. Tags in the collective
+// range keep the traffic off the application's tag space. A peer whose
+// block length contradicts the schedule surfaces from any of them as a
+// *coll.SizeError instead of corrupting an output.
+var collTags = map[string]int{
+	"bcast": -1000, "barrier": -1001, "reduce": -1002, "allreduce": -1003,
+	"gather": -1004, "scatter": -1005, "alltoall": -1006, "allgather": -1007,
 }
 
+// Op is a reduction operator over float64 vectors.
+type Op = coll.Op
+
+// Predefined reduction operators.
+const Sum, Max, Min = coll.Sum, coll.Max, coll.Min
+
+// bindColl ends both constructors: it binds coll's collectives to the
+// communicator. One channel is one cluster; the executor is runSchedule.
+func (c *Comm) bindColl() *Comm {
+	c.ops = coll.NewOps((*schedExec)(c), coll.SingleCluster(len(c.nodes)), c.rank, coll.Auto)
+	return c
+}
+
+// schedExec is Comm as coll.Ops' executor: a type of its own, so Run and
+// Reject stay out of Comm's method set.
+type schedExec Comm
+
+func (e *schedExec) Run(op string, p coll.Plan) error { return (*Comm)(e).runSchedule(collTags[op], p) }
+
+// Reject only names the layer: nothing was posted, so the communicator
+// stays usable.
+func (e *schedExec) Reject(op string, err error) error { return fmt.Errorf("mpi: %s: %w", op, err) }
+
 // runSchedule executes one collective: per round, every send is posted
-// through the engine and every receive is validated (Probe) before its
-// payload touches caller memory. data yields a send's payload at post
-// time (a snapshot — Isend copies it, so reduction accumulators may keep
-// folding). sink yields a receive's destination (nil for scratch), and
-// got observes each received payload (reductions fold here).
+// through the engine (non-blocking, so tree forwarding and ring steps
+// overlap, and a rendezvous transport cannot deadlock an exchange cycle),
+// then the round's receives are taken in schedule order — correct because
+// both ends derive the same schedule and matching is non-overtaking per
+// (source, tag) — each validated (Probe) before its payload touches
+// caller memory.
 //
 // Failure contract: a receive that cannot complete — peer vanished, or
 // its block length contradicts the schedule — aborts the collective
@@ -53,7 +56,8 @@ func (c *Comm) collTopo() *coll.Topology {
 // SizeError and the abort cascades), the remaining scheduled receives
 // are drained so no rendezvous sender stays wedged against us, and
 // Waitall reaps every request before the error returns.
-func (c *Comm) runSchedule(tag int, s coll.Schedule, data, sink func(coll.Xfer) []byte, got func(coll.Xfer, []byte) error) error {
+func (c *Comm) runSchedule(tag int, p coll.Plan) error {
+	s := p.Sched
 	var reqs []*Request
 	fail := func(ri, xi int, err error) error {
 		for _, r := range s.Rounds[ri+1:] {
@@ -79,7 +83,7 @@ func (c *Comm) runSchedule(tag int, s coll.Schedule, data, sink func(coll.Xfer) 
 	}
 	for ri, round := range s.Rounds {
 		for _, x := range round.Sends {
-			reqs = append(reqs, c.Isend(x.Peer, tag, data(x)))
+			reqs = append(reqs, c.Isend(x.Peer, tag, p.Data(x)))
 		}
 		for xi, x := range round.Recvs {
 			st, err := c.Probe(x.Peer, tag)
@@ -92,230 +96,48 @@ func (c *Comm) runSchedule(tag int, s coll.Schedule, data, sink func(coll.Xfer) 
 				_, _ = c.Recv(x.Peer, tag, make([]byte, st.Count))
 				return fail(ri, xi+1, &coll.SizeError{Source: x.Peer, Got: st.Count, Want: x.Len})
 			}
-			buf := []byte(nil)
-			if sink != nil {
-				buf = sink(x)
-			}
-			if buf == nil {
+			if buf := p.Sink(x); buf != nil {
+				_, err = c.Recv(x.Peer, tag, buf)
+			} else {
 				buf = make([]byte, x.Len)
-			}
-			if _, err := c.Recv(x.Peer, tag, buf[:x.Len]); err != nil {
-				return fail(ri, xi+1, err)
-			}
-			if got != nil {
-				if err := got(x, buf[:x.Len]); err != nil {
-					return fail(ri, xi+1, err)
+				if _, err = c.Recv(x.Peer, tag, buf); err == nil {
+					err = p.Got(x, buf)
 				}
+			}
+			if err != nil {
+				return fail(ri, xi+1, err)
 			}
 		}
 	}
 	return Waitall(reqs...)
 }
 
-// Bcast broadcasts buf from root to every rank (binomial tree: the root
-// posts all ceil(log2 n) forwards in one overlapped round).
-func (c *Comm) Bcast(root int, buf []byte) error {
-	size := c.Size()
-	if root < 0 || root >= size {
-		return fmt.Errorf("mpi: bad bcast root %d", root)
-	}
-	s := coll.BcastSched(c.collTopo(), c.rank, root, len(buf), coll.Auto)
-	f := func(x coll.Xfer) []byte { return buf[x.Off : x.Off+x.Len] }
-	return c.runSchedule(tagBcast, s, f, f, nil)
-}
+// Bcast broadcasts buf from root to every rank.
+func (c *Comm) Bcast(root int, buf []byte) error { return c.ops.Bcast(root, buf) }
 
-// Barrier synchronizes all ranks (recursive-doubling/tree allreduce of
-// one byte).
-func (c *Comm) Barrier() error {
-	s := coll.BarrierSched(c.collTopo(), c.rank, coll.Auto)
-	return c.runSchedule(tagBarrier, s,
-		func(coll.Xfer) []byte { return []byte{1} },
-		nil,
-		func(coll.Xfer, []byte) error { return nil })
-}
-
-// Op is a reduction operator over float64.
-type Op func(a, b float64) float64
-
-// Predefined reduction operators.
-var (
-	Sum Op = func(a, b float64) float64 { return a + b }
-	Max Op = math.Max
-	Min Op = math.Min
-)
-
-func encodeFloats(vs []float64) []byte {
-	b := make([]byte, 8*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
-	}
-	return b
-}
-
-// foldInto combines (Combine receives of the reduction trees) or
-// replaces (the broadcast phase of a composed allreduce) the accumulator
-// with an arriving vector.
-func foldInto(op Op, acc []float64, x coll.Xfer, b []byte) error {
-	if len(b) != 8*len(acc) {
-		return fmt.Errorf("mpi: reduction payload is %d bytes, want %d", len(b), 8*len(acc))
-	}
-	for i := range acc {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-		if x.Combine {
-			acc[i] = op(acc[i], v)
-		} else {
-			acc[i] = v
-		}
-	}
-	return nil
-}
+// Barrier synchronizes all ranks.
+func (c *Comm) Barrier() error { return c.ops.Barrier() }
 
 // Reduce combines each rank's vector element-wise with op into out on
-// root (binomial tree). out is only written on root and must have
-// len(in) elements there.
+// root; out is only written there and must hold len(in) elements.
 func (c *Comm) Reduce(root int, in, out []float64, op Op) error {
-	size := c.Size()
-	if root < 0 || root >= size {
-		return fmt.Errorf("mpi: bad reduce root %d", root)
-	}
-	if c.rank == root && len(out) < len(in) {
-		return fmt.Errorf("mpi: reduce output too small")
-	}
-	acc := append([]float64(nil), in...)
-	s := coll.ReduceSched(c.collTopo(), c.rank, root, 8*len(in), coll.Auto)
-	err := c.runSchedule(tagReduce, s,
-		func(coll.Xfer) []byte { return encodeFloats(acc) },
-		nil,
-		func(x coll.Xfer, b []byte) error { return foldInto(op, acc, x, b) })
-	if err != nil {
-		return err
-	}
-	if c.rank == root {
-		copy(out, acc)
-	}
-	return nil
+	return c.ops.Reduce(root, in, out, op)
 }
 
-// Allreduce folds every rank's vector element-wise with op into out on
-// every rank (recursive doubling on power-of-two sizes, reduce+broadcast
-// otherwise).
-func (c *Comm) Allreduce(in, out []float64, op Op) error {
-	if len(out) < len(in) {
-		return fmt.Errorf("mpi: allreduce output too small")
-	}
-	acc := append([]float64(nil), in...)
-	s := coll.AllreduceSched(c.collTopo(), c.rank, 8*len(in), coll.Auto)
-	err := c.runSchedule(tagAllreduce, s,
-		func(coll.Xfer) []byte { return encodeFloats(acc) },
-		nil,
-		func(x coll.Xfer, b []byte) error { return foldInto(op, acc, x, b) })
-	if err != nil {
-		return err
-	}
-	copy(out, acc)
-	return nil
-}
+// Allreduce is Reduce with the result in every rank's out.
+func (c *Comm) Allreduce(in, out []float64, op Op) error { return c.ops.Allreduce(in, out, op) }
 
-// Gather collects each rank's equally sized block to root (binomial
-// tree; block i lands at offset i*len(in) of out). Relay ranks stage
-// their subtree in scratch, so intermediate blocks never touch caller
-// memory; a peer whose block length contradicts the schedule surfaces as
-// a *coll.SizeError instead of corrupting out.
-func (c *Comm) Gather(root int, in, out []byte) error {
-	size := c.Size()
-	if root < 0 || root >= size {
-		return fmt.Errorf("mpi: bad gather root %d", root)
-	}
-	blk := len(in)
-	s := coll.GatherSched(c.collTopo(), c.rank, root, blk, coll.Auto)
-	var base []byte
-	switch {
-	case c.rank == root:
-		if len(out) < size*blk {
-			return fmt.Errorf("mpi: gather output too small")
-		}
-		base = out[:size*blk]
-	case s.NumRecvs() > 0: // relay: stage the subtree
-		base = make([]byte, size*blk)
-	}
-	if base != nil {
-		copy(base[c.rank*blk:], in)
-	}
-	f := func(x coll.Xfer) []byte {
-		if base == nil {
-			return in
-		}
-		return base[x.Off : x.Off+x.Len]
-	}
-	return c.runSchedule(tagGather, s, f, f, nil)
-}
+// Gather collects each rank's equally sized block to root (block i lands
+// at offset i*len(in) of out).
+func (c *Comm) Gather(root int, in, out []byte) error { return c.ops.Gather(root, in, out) }
 
 // Scatter distributes equally sized blocks of in (on root) to every
-// rank's out buffer down the binomial tree.
-func (c *Comm) Scatter(root int, in, out []byte) error {
-	size := c.Size()
-	if root < 0 || root >= size {
-		return fmt.Errorf("mpi: bad scatter root %d", root)
-	}
-	blk := len(out)
-	s := coll.ScatterSched(c.collTopo(), c.rank, root, blk, coll.Auto)
-	var base []byte
-	switch {
-	case c.rank == root:
-		if len(in) < size*blk {
-			return fmt.Errorf("mpi: scatter input too small")
-		}
-		base = in[:size*blk]
-	case s.NumSends() > 0: // relay: stage the subtree before forwarding
-		base = make([]byte, size*blk)
-	}
-	data := func(x coll.Xfer) []byte { return base[x.Off : x.Off+x.Len] }
-	sink := func(x coll.Xfer) []byte {
-		if base == nil { // leaf: the only receive is the own block
-			return out
-		}
-		return base[x.Off : x.Off+x.Len]
-	}
-	if err := c.runSchedule(tagScatter, s, data, sink, nil); err != nil {
-		return err
-	}
-	if base != nil {
-		copy(out, base[c.rank*blk:c.rank*blk+blk])
-	}
-	return nil
-}
+// rank's out buffer.
+func (c *Comm) Scatter(root int, in, out []byte) error { return c.ops.Scatter(root, in, out) }
 
-// Allgather collects each rank's equally sized block to every rank
-// (ring: n-1 overlapped shift rounds, each forwarding the block received
-// in the previous one).
-func (c *Comm) Allgather(in, out []byte) error {
-	size, blk := c.Size(), len(in)
-	if len(out) < size*blk {
-		return fmt.Errorf("mpi: allgather output too small")
-	}
-	copy(out[c.rank*blk:], in)
-	s := coll.AllgatherSched(c.collTopo(), c.rank, blk, coll.Auto)
-	f := func(x coll.Xfer) []byte { return out[x.Off : x.Off+x.Len] }
-	return c.runSchedule(tagAllgather, s, f, f, nil)
-}
+// Allgather is Gather with the result in every rank's out.
+func (c *Comm) Allgather(in, out []byte) error { return c.ops.Allgather(in, out) }
 
 // Alltoall sends the i-th equally sized block of in to rank i and places
-// the block received from rank j at position j of out. The schedule is a
-// single fully overlapped round of pairwise exchanges: every send is
-// posted through the engine before the first receive blocks, which keeps
-// rendezvous transports (BIP's long path) from deadlocking the cycle.
-func (c *Comm) Alltoall(in, out []byte) error {
-	size, rank := c.Size(), c.Rank()
-	if len(in) < size || len(in)%size != 0 {
-		return fmt.Errorf("mpi: alltoall input not divisible into %d blocks", size)
-	}
-	blk := len(in) / size
-	if len(out) < size*blk {
-		return fmt.Errorf("mpi: alltoall output too small")
-	}
-	copy(out[rank*blk:(rank+1)*blk], in[rank*blk:(rank+1)*blk])
-	s := coll.AlltoallSched(c.collTopo(), rank, blk, coll.Auto)
-	data := func(x coll.Xfer) []byte { return in[x.Off : x.Off+x.Len] }
-	sink := func(x coll.Xfer) []byte { return out[x.Off : x.Off+x.Len] }
-	return c.runSchedule(tagAlltoall, s, data, sink, nil)
-}
+// the block received from rank j at position j of out.
+func (c *Comm) Alltoall(in, out []byte) error { return c.ops.Alltoall(in, out) }

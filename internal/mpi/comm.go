@@ -91,7 +91,7 @@ type Comm struct {
 	byNode  map[int]int
 	context int
 	parent  *Comm
-	topo    *coll.Topology // lazy schedule topology (collectives.go)
+	ops     coll.Ops // the collectives over runSchedule (collectives.go)
 }
 
 // NewComm wraps one rank's channel handle into a world communicator
@@ -114,7 +114,7 @@ func NewComm(ch *core.Channel, a *vclock.Actor) (*Comm, error) {
 	if c.rank < 0 {
 		return nil, fmt.Errorf("mpi: node %d is not a member of channel %q", ch.Rank(), ch.Name())
 	}
-	return c, nil
+	return c.bindColl(), nil
 }
 
 // Rank reports the caller's rank in this communicator.

@@ -85,7 +85,7 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	if sub.rank < 0 {
 		return nil, fmt.Errorf("mpi: split lost the calling rank")
 	}
-	return sub, nil
+	return sub.bindColl(), nil
 }
 
 // contextFor derives a context offset from a color. Colors must be small
