@@ -128,11 +128,16 @@ type Ops struct {
 	topo *Topology
 	rank int
 	alg  Algorithm
+
+	// scratch is where a relay of Gather stages its subtree, grown on
+	// demand and kept between calls: a communicator runs one collective at
+	// a time, and Run returns only once every send has completed.
+	scratch []byte
 }
 
 // NewOps binds the collectives of one rank of topo to an executor.
 func NewOps(x Executor, topo *Topology, rank int, alg Algorithm) Ops {
-	return Ops{x, topo, rank, alg}
+	return Ops{x: x, topo: topo, rank: rank, alg: alg}
 }
 
 // Bcast broadcasts root's buf to every rank; all callers pass equal-length
@@ -148,8 +153,8 @@ func (c *Ops) Bcast(root int, buf []byte) error {
 // Gather collects every rank's in block at root in rank order (block i at
 // offset i*len(in) of out). Every rank must contribute the same block
 // length; out is only read at root and must hold Size()*len(in) bytes.
-// Non-leaf ranks of the gather tree stage their subtree in a scratch
-// buffer, so intermediate blocks never touch caller memory.
+// Non-leaf ranks of the gather tree stage their subtree in the rank's
+// scratch buffer, so intermediate blocks never touch caller memory.
 func (c *Ops) Gather(root int, in, out []byte) error {
 	if err := c.checkRoot(root); err != nil {
 		return err
@@ -163,7 +168,10 @@ func (c *Ops) Gather(root int, in, out []byte) error {
 		}
 		p.recv = out[:n*blk]
 	case p.Sched.NumRecvs() > 0: // relay: stage the subtree
-		p.recv = make([]byte, n*blk)
+		if cap(c.scratch) < n*blk {
+			c.scratch = make([]byte, n*blk)
+		}
+		p.recv = c.scratch[:n*blk]
 	default: // leaf: the only send is the own block
 		p.send, p.sendOff = in, c.rank*blk
 	}
@@ -171,7 +179,11 @@ func (c *Ops) Gather(root int, in, out []byte) error {
 		copy(p.recv[c.rank*blk:], in)
 		p.send = p.recv
 	}
-	return c.x.Run("gather", p)
+	err := c.x.Run("gather", p)
+	if err != nil {
+		c.scratch = nil // a failed run may have left a send reading it
+	}
+	return err
 }
 
 // Scatter distributes root's in (Size() blocks of len(out) bytes, rank

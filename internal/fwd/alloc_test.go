@@ -3,6 +3,7 @@
 package fwd
 
 import (
+	"runtime"
 	"testing"
 
 	"madeleine2/internal/core"
@@ -70,5 +71,64 @@ func TestGatewayPacketAllocs(t *testing.T) {
 				t.Errorf("%.2f allocs per packet, %.0f of them core's Connection handles: fwd allocates more than the consumer's VConn", allocs, tc.core)
 			}
 		})
+	}
+}
+
+// TestVConnPackAllocs gates the sending side of a bulk message: 256 KiB in
+// one block at an 8 KiB MTU, node 0 to node 4 across the gateway. Its 32 packets cost core one
+// Connection handle per end each; outside core the message allocates its
+// two VConn handles and nothing else — the full fragments leave from the
+// caller's block, the tail is staged in a recycled frame — so it allocates
+// less than one MTU of bytes, not a copy of itself.
+func TestVConnPackAllocs(t *testing.T) {
+	const mtu, size = 8 << 10, 256 << 10
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as AllocsPerRun does: the byte count below sees the same schedule
+	vcs := newVC(t, twoClusters(t), sciMyriSpec("bulk", mtu))
+	s, r := vclock.NewActor("s"), vclock.NewActor("r")
+	block, got := pattern(size, 1), make([]byte, size)
+	received := make(chan error)
+	go func() {
+		for {
+			conn, err := vcs[4].BeginUnpacking(r)
+			if err != nil {
+				return // closed by the test's cleanup
+			}
+			if err = conn.Unpack(got, core.SendCheaper, core.ReceiveCheaper); err == nil {
+				err = conn.EndUnpacking()
+			}
+			received <- err
+		}
+	}()
+	oneMessage := func() {
+		conn, err := vcs[0].BeginPacking(s, 4)
+		if err == nil {
+			err = conn.Pack(block, core.SendCheaper, core.ReceiveCheaper)
+		}
+		if err == nil {
+			err = conn.EndPacking()
+		}
+		if err == nil {
+			err = <-received
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		oneMessage()
+	}
+	const handles = 2 * 2 * size / mtu
+	if allocs := testing.AllocsPerRun(100, oneMessage); allocs > handles+2 {
+		t.Errorf("%.0f allocs per message, %d of them core's Connection handles: fwd allocates more than the two VConns", allocs, handles)
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		oneMessage()
+	}
+	runtime.ReadMemStats(&after)
+	if perMsg := (after.TotalAlloc - before.TotalAlloc) / runs; perMsg >= mtu {
+		t.Errorf("%d bytes allocated per %d-byte message, want less than one MTU (%d): the message is being staged", perMsg, size, mtu)
 	}
 }

@@ -20,7 +20,7 @@ import (
 // twoClusters builds the paper's §6.2 testbed: an SCI cluster {0,1,2} and
 // a Myrinet cluster {2,3,4} sharing gateway node 2, plus Fast Ethernet
 // everywhere for the acknowledgment path.
-func twoClusters(t *testing.T) *core.Session {
+func twoClusters(t testing.TB) *core.Session {
 	t.Helper()
 	w := simnet.NewWorld(5)
 	for _, r := range []int{0, 1, 2} {
@@ -47,7 +47,7 @@ func sciMyriSpec(name string, mtu int) Spec {
 	}
 }
 
-func newVC(t *testing.T, sess *core.Session, spec Spec) map[int]*VC {
+func newVC(t testing.TB, sess *core.Session, spec Spec) map[int]*VC {
 	t.Helper()
 	vcs, err := New(sess, spec)
 	if err != nil {

@@ -74,13 +74,20 @@ type stream struct {
 // wire frame besides.
 const frameFreeMax = 4 * pipelineBuffers
 
-// frame returns n bytes for a delivered packet or a padded reliable wire
-// frame, recycled when the handle has an idle one. A handle makes at most
-// frameFreeMax MTU-sized frames in its life, the ones that circulate; a
-// stream running deeper than that gets the rest at their own size, from
-// the collector, so a slow consumer of small packets never pins MTU blocks.
+// frame returns n bytes for a delivered packet, a padded reliable wire
+// frame or a message's staged tail, recycled when the handle has an idle
+// one. A handle makes at most frameFreeMax MTU-sized frames in its life,
+// the ones that circulate; a stream running deeper than that gets the rest
+// at their own size, from the collector, so a slow consumer of small
+// packets never pins MTU blocks.
 func (v *VC) frame(n int) []byte {
-	if b, ok := v.frames.TryPop(); ok {
+	var b []byte
+	v.frameMu.Lock()
+	if k := len(v.frames) - 1; k >= 0 {
+		b, v.frames = v.frames[k], v.frames[:k]
+	}
+	v.frameMu.Unlock()
+	if b != nil {
 		return b[:n]
 	}
 	if v.framesMade.Add(1) <= frameFreeMax {
@@ -90,11 +97,17 @@ func (v *VC) frame(n int) []byte {
 }
 
 // freeFrame takes a frame back from its owner: the destination stream once
-// Unpack has consumed it, the reliable sender once the link has its verdict.
+// Unpack has consumed it, the reliable sender once the link has its verdict,
+// the packing connection at EndPacking.
 func (v *VC) freeFrame(b []byte) {
-	if cap(b) == v.mtu && v.frames.Len() < frameFreeMax {
-		v.frames.Push(b)
+	if cap(b) != v.mtu {
+		return
 	}
+	v.frameMu.Lock()
+	if len(v.frames) < frameFreeMax {
+		v.frames = append(v.frames, b)
+	}
+	v.frameMu.Unlock()
 }
 
 // hop is one routing-table entry: forward over segment seg to rank next.
@@ -123,7 +136,8 @@ type VC struct {
 	mu         sync.Mutex
 	streams    map[int]*stream
 	pipes      map[[2]int]*pipeline
-	frames     *simnet.Queue[[]byte] // idle MTU-sized frames
+	frameMu    sync.Mutex
+	frames     [][]byte // idle MTU-sized frames, at most frameFreeMax
 	framesMade atomic.Int32
 
 	rel *relState   // reliable mode only
@@ -211,7 +225,6 @@ func New(sess *core.Session, spec Spec) (map[int]*VC, error) {
 			msgStart: simnet.NewQueue[int](),
 			streams:  make(map[int]*stream),
 			pipes:    make(map[[2]int]*pipeline),
-			frames:   simnet.NewQueue[[]byte](),
 			closed:   make(chan struct{}),
 			members:  members,
 			segs:     segMembers,
@@ -410,7 +423,7 @@ type VConn struct {
 	t0      vclock.Time
 
 	// send state
-	buf  []byte
+	buf  []byte // the staged tail: one frame of the VC, from the first staged byte to EndPacking
 	hb   hdrBuf
 	seq  uint32
 	sent bool
@@ -420,8 +433,8 @@ type VConn struct {
 func (c *VConn) Remote() int { return c.remote }
 
 // BeginPacking initiates a message toward remote across the virtual
-// channel. Note the Generic TM copies block contents at Pack time
-// (send_LATER degrades to a copy, documented deviation): packets must be
+// channel. Note the Generic TM reads block contents at Pack time
+// (send_LATER degrades to send_SAFER, documented deviation): packets must be
 // self-contained before they reach the first gateway.
 func (v *VC) BeginPacking(a *vclock.Actor, remote int) (*VConn, error) {
 	if remote == v.rank {
@@ -439,42 +452,63 @@ func (v *VC) BeginPacking(a *vclock.Actor, remote int) (*VConn, error) {
 
 // Pack appends a block to the message. Blocks are fragmented at the MTU;
 // a receive_EXPRESS block flushes the pending fragment so the receiver's
-// matching Unpack completes without waiting for EndPacking.
+// matching Unpack completes without waiting for EndPacking. Full fragments
+// leave straight from data, which is the caller's again on return (every
+// send has completed by then); only a tail of at most one MTU is staged.
 func (c *VConn) Pack(data []byte, sm core.SendMode, rm core.RecvMode) error {
 	if !c.open || !c.sending {
 		return core.ErrBadState
 	}
-	c.buf = append(c.buf, data...)
-	// Fragment strictly above the MTU: a full final fragment stays buffered
+	mtu := c.v.mtu
+	// Fragment strictly above the MTU: a full final fragment stays staged
 	// for EndPacking, so every message's last packet carries flagLast even
 	// when the length is an exact MTU multiple — the poisoned-message drain
-	// in Unpack depends on that boundary marker.
-	for len(c.buf) > c.v.mtu {
-		if err := c.sendPacket(c.buf[:c.v.mtu], false); err != nil {
+	// in Unpack depends on that boundary marker. Packets are cut at the
+	// offsets of the message's byte stream, whatever the block boundaries:
+	// a staged tail is topped up to one MTU before anything else leaves.
+	if len(c.buf) > 0 {
+		n := copy(c.buf[len(c.buf):mtu], data)
+		c.buf, data = c.buf[:len(c.buf)+n], data[n:]
+		if len(data) > 0 {
+			if err := c.sendPacket(c.buf, false); err != nil {
+				return err
+			}
+			c.buf = c.buf[:0]
+		}
+	}
+	for len(data) > mtu {
+		if err := c.sendPacket(data[:mtu], false); err != nil {
 			return err
 		}
-		c.buf = c.buf[c.v.mtu:]
+		data = data[mtu:]
+	}
+	if len(data) > 0 {
+		if c.buf == nil {
+			c.buf = c.v.frame(mtu)
+		}
+		c.buf = append(c.buf[:0], data...)
 	}
 	if rm == core.ReceiveExpress && len(c.buf) > 0 {
 		if err := c.sendPacket(c.buf, false); err != nil {
 			return err
 		}
-		c.buf = nil
+		c.buf = c.buf[:0]
 	}
 	return nil
 }
 
-// EndPacking flushes the remaining fragment (flagged last).
+// EndPacking flushes the remaining fragment (flagged last) and gives the
+// staged tail's frame back to the handle.
 func (c *VConn) EndPacking() error {
 	if !c.open || !c.sending {
 		return core.ErrBadState
 	}
 	c.open = false
+	defer func() { c.v.freeFrame(c.buf); c.buf = nil }()
 	if len(c.buf) > 0 {
 		if err := c.sendPacket(c.buf, true); err != nil {
 			return err
 		}
-		c.buf = nil
 	} else if c.sent {
 		// An express flush already shipped the final data packet without
 		// flagLast (it could not know the message was ending): close the

@@ -31,7 +31,7 @@ func deliverAll(src, dst *Adapter, count, size int) [][]byte {
 	}
 	out := make([][]byte, count)
 	for i := range out {
-		p, _ := dst.RxLane(0, 0).Pop()
+		p, _ := dst.Recv(0, 0)
 		out[i] = p.Data
 	}
 	return out
@@ -113,7 +113,7 @@ func TestFaultPlanDelayAndJitterShiftArrival(t *testing.T) {
 	src, dst := faultWorld(t)
 	src.SetFaults(&FaultPlan{Seed: 3, Delay: 500, Jitter: 300, MinBytes: 1})
 	src.Deliver(dst, 0, Packet{Data: payload(128, 0), Inject: 0, Arrive: 100})
-	p, _ := dst.RxLane(0, 0).Pop()
+	p, _ := dst.Recv(0, 0)
 	if p.Arrive < 600 || p.Arrive >= 900 {
 		t.Fatalf("arrival %d not in delayed window [600,900)", p.Arrive)
 	}
@@ -132,7 +132,7 @@ func TestFaultPlanBurstWindowScramblesEverything(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		inject := int64(i) * 100 // 0..2900: ten transfers inside the window
 		src.Deliver(dst, 0, Packet{Data: payload(64, byte(i)), Inject: inject, Arrive: inject + 10})
-		p, _ := dst.RxLane(0, 0).Pop()
+		p, _ := dst.Recv(0, 0)
 		intact := bytes.Equal(p.Data, payload(64, byte(i)))
 		if inject >= 1000 && inject < 2000 {
 			inWindow++

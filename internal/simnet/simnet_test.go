@@ -139,7 +139,7 @@ func TestDeliverMovesRealBytes(t *testing.T) {
 	a1 := w.Node(1).AddAdapter("net")
 	payload := []byte("hello, cluster")
 	a0.Deliver(a1, 7, Packet{Data: payload, Arrive: 123, Tag: 9})
-	p, ok := a1.RxLane(0, 7).Pop()
+	p, ok := a1.Recv(0, 7)
 	if !ok || !bytes.Equal(p.Data, payload) || p.Arrive != 123 || p.Tag != 9 {
 		t.Fatalf("delivered packet = %+v, ok=%v", p, ok)
 	}
@@ -162,7 +162,7 @@ func TestLanesAreIndependentAndOrdered(t *testing.T) {
 	}
 	for lane := 0; lane < 2; lane++ {
 		prev := int64(-1)
-		q := a1.RxLane(0, lane)
+		q := a1.lane(0, lane).q
 		for q.Len() > 0 {
 			p, _ := q.Pop()
 			if int64(p.Tag) <= prev {
@@ -270,8 +270,8 @@ func TestFaultInjection(t *testing.T) {
 	a0.CorruptNext()
 	a0.Deliver(a1, 0, Packet{Data: []byte{1, 2, 3, 4}})
 	a0.Deliver(a1, 0, Packet{Data: []byte{1, 2, 3, 4}})
-	p1, _ := a1.RxLane(0, 0).Pop()
-	p2, _ := a1.RxLane(0, 0).Pop()
+	p1, _ := a1.Recv(0, 0)
+	p2, _ := a1.Recv(0, 0)
 	if bytes.Equal(p1.Data, []byte{1, 2, 3, 4}) {
 		t.Error("armed fault must corrupt the first packet")
 	}
@@ -281,7 +281,7 @@ func TestFaultInjection(t *testing.T) {
 	// Empty payloads pass through without panicking.
 	a0.CorruptNext()
 	a0.Deliver(a1, 0, Packet{})
-	if p, _ := a1.RxLane(0, 0).Pop(); p.Data != nil {
+	if p, _ := a1.Recv(0, 0); p.Data != nil {
 		t.Error("empty packet must stay empty")
 	}
 }

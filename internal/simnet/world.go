@@ -170,34 +170,39 @@ func (a *Adapter) TxEngine() *vclock.Resource { return a.tx }
 // Deliver copies each payload off the host into a buffer of the
 // destination lane; the receiver may read it until its next Recv on the
 // lane, and then the buffer serves a later Deliver. The free list holds
-// only what was in flight at once, at most laneFreeMax.
+// only what was in flight at once, at most laneFreeMax; above laneBufMax a
+// lane keeps at most one idle buffer, the one its last Recv lent.
 type rxLane struct {
 	q *Queue[Packet]
 
 	mu   sync.Mutex
 	free [][]byte
+	bulk []byte // the idle bulk buffer
 	held []byte // payload of the packet the last Recv returned
 }
 
 const (
-	laneBufMax  = 32 << 10 // SBP's kernel buffer; a larger payload is allocated per packet, as a bulk transfer can afford
+	laneBufMax  = 32 << 10 // SBP's kernel buffer; a larger payload takes the lane's one bulk buffer
 	laneFreeMax = 8        // a credit window's worth; a deeper burst (async) allocates the rest
 )
 
 // buffer returns an empty buffer with room for n bytes, recycled when the
-// lane has one. Capacities are powers of two, so mixed sizes still reuse.
+// lane has one. Capacities up to laneBufMax are powers of two, so mixed
+// sizes still reuse; a bulk buffer is made at its payload's exact size.
 func (l *rxLane) buffer(n int) []byte {
-	if n > laneBufMax {
-		return make([]byte, 0, n)
-	}
 	var b []byte
 	l.mu.Lock()
-	if k := len(l.free) - 1; k >= 0 {
+	if n > laneBufMax {
+		b, l.bulk = l.bulk, nil
+	} else if k := len(l.free) - 1; k >= 0 {
 		b, l.free = l.free[k], l.free[:k]
 	}
 	l.mu.Unlock()
 	if cap(b) < n {
-		b = make([]byte, 0, max(64, 1<<bits.Len(uint(n-1))))
+		if n <= laneBufMax {
+			n = max(64, 1<<bits.Len(uint(n-1)))
+		}
+		b = make([]byte, 0, n)
 	}
 	return b[:0]
 }
@@ -214,18 +219,19 @@ func (a *Adapter) lane(srcNode, lane int) *rxLane {
 	return l
 }
 
-// RxLane returns (creating on first use) the in-order receive lane for
-// packets arriving from srcNode on the given lane id.
-func (a *Adapter) RxLane(srcNode, lane int) *Queue[Packet] { return a.lane(srcNode, lane).q }
-
 // Recv blocks for the lane's next packet. Its payload is the NIC's receive
-// buffer, valid until the next Recv on the same lane: callers copy out
-// what they keep. ok is false once the lane is closed and drained.
+// buffer, lent until the next Recv on the same lane, which takes it back:
+// callers copy out what they keep. ok is false once the lane is closed and
+// drained.
 func (a *Adapter) Recv(srcNode, lane int) (Packet, bool) {
 	l := a.lane(srcNode, lane)
 	p, ok := l.q.Pop()
 	l.mu.Lock()
-	if cap(l.held) > 0 && cap(l.held) <= laneBufMax && len(l.free) < laneFreeMax {
+	if c := cap(l.held); c > laneBufMax {
+		if c > cap(l.bulk) {
+			l.bulk = l.held
+		}
+	} else if c > 0 && len(l.free) < laneFreeMax {
 		l.free = append(l.free, l.held)
 	}
 	l.held = p.Data

@@ -64,7 +64,7 @@ func (e *Endpoint) Sendv(a *vclock.Actor, dst, port int, parts ...[]byte) error 
 
 // Recv blocks for the next framed message from (src, port), synchronizes
 // the actor's clock to its arrival, and returns the payload: the kernel's
-// receive buffer, valid until the next Recv or TryRecv on the same pair.
+// receive buffer, valid until the next Recv on the same pair.
 func (e *Endpoint) Recv(a *vclock.Actor, src, port int) ([]byte, error) {
 	pkt, ok := e.adapter.Recv(src, port)
 	if !ok {
@@ -72,14 +72,4 @@ func (e *Endpoint) Recv(a *vclock.Actor, src, port int) ([]byte, error) {
 	}
 	a.Sync(vclock.Time(pkt.Arrive))
 	return pkt.Data, nil
-}
-
-// TryRecv is the non-blocking Recv.
-func (e *Endpoint) TryRecv(a *vclock.Actor, src, port int) ([]byte, bool) {
-	pkt, ok := e.adapter.RxLane(src, port).TryPop()
-	if !ok {
-		return nil, false
-	}
-	a.Sync(vclock.Time(pkt.Arrive))
-	return pkt.Data, true
 }

@@ -75,21 +75,6 @@ func TestPortsAreIndependent(t *testing.T) {
 	}
 }
 
-func TestTryRecv(t *testing.T) {
-	e0, e1 := pair(t)
-	s, r := vclock.NewActor("s"), vclock.NewActor("r")
-	if _, ok := e1.TryRecv(r, 0, 0); ok {
-		t.Error("TryRecv with nothing pending must fail")
-	}
-	if r.Now() != 0 {
-		t.Error("empty TryRecv must not advance the clock")
-	}
-	e0.Send(s, 1, 0, []byte("x"))
-	if got, ok := e1.TryRecv(r, 0, 0); !ok || string(got) != "x" {
-		t.Errorf("TryRecv = %q/%v", got, ok)
-	}
-}
-
 func TestSenderBufferReusable(t *testing.T) {
 	e0, e1 := pair(t)
 	s, r := vclock.NewActor("s"), vclock.NewActor("r")
