@@ -1,11 +1,11 @@
 // Command madvet is the Madeleine invariant checker: a multichecker of
-// the six analyzers in internal/analysis/madvet, enforcing the
+// the four analyzers in internal/analysis/madvet, enforcing the
 // pack/lease/virtual-time contracts the type system cannot. It loads the
-// whole pattern in one run, so interprocedural ownership summaries span
-// packages:
+// whole pattern in one run, so blockhold's may-block facts span packages:
 //
 //	go run ./cmd/madvet ./...
-//	go run ./cmd/madvet -json ./internal/core
+//	go run ./cmd/madvet ./internal/core
+//	go run ./cmd/madvet -list
 //
 // Findings can be suppressed line by line with a justified directive —
 // `//madvet:ignore <analyzer> -- <reason>` — which is itself checked
@@ -15,7 +15,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -29,10 +28,9 @@ import (
 func main() { os.Exit(run()) }
 
 func run() int {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: madvet [-json] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: madvet [-list] [packages]\n\nAnalyzers:\n")
 		for _, a := range madvet.Analyzers {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-14s %s\n", a.Name, strings.ReplaceAll(a.Doc, "\n", "\n                 "))
 		}
@@ -81,23 +79,8 @@ func run() int {
 		return 2
 	}
 
-	if *jsonOut {
-		type jsonDiag struct {
-			Pos      string `json:"posn"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
-		}
-		out := make([]jsonDiag, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, jsonDiag{Pos: d.Position(loader.Fset).String(), Analyzer: d.Category, Message: d.Message})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "\t")
-		_ = enc.Encode(out)
-	} else {
-		for _, d := range diags {
-			fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", d.Position(loader.Fset), d.Category, d.Message)
-		}
+	for _, d := range diags {
+		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", d.Position(loader.Fset), d.Category, d.Message)
 	}
 	if len(diags) > 0 {
 		return 1

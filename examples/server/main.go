@@ -75,15 +75,11 @@ func serve(cfg *config.Config, pol marcel.Policy) (marcel.Stats, madeleine2.Time
 	l := marcel.NewListener(chans[1], pol, marcel.Config{})
 	srv := madeleine2.NewActor("server")
 	for i := 0; i < requests; i++ {
-		conn, err := l.Await(srv)
-		if err != nil {
-			log.Fatal(err)
-		}
 		req := make([]byte, 1)
-		if err := conn.Unpack(req, core.SendCheaper, core.ReceiveExpress); err != nil {
-			log.Fatal(err)
-		}
-		if err := conn.EndUnpacking(); err != nil {
+		err := l.Serve(srv, func(conn *marcel.Conn) error {
+			return conn.Unpack(req, core.SendCheaper, core.ReceiveExpress)
+		})
+		if err != nil {
 			log.Fatal(err)
 		}
 		srv.Advance(madeleine2.Micros(10)) // handle the request

@@ -20,8 +20,8 @@ import (
 // Analyzer describes one invariant checker: a name, a doc string shown by
 // `madvet help`, and a Run function applied once per loaded package.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics ("packpair") and on the
-	// command line (-packpair=false disables it).
+	// Name identifies the analyzer in diagnostics ("packpair") and in
+	// //madvet:ignore directives.
 	Name string
 
 	// Doc is the one-paragraph contract the analyzer enforces; the first
@@ -33,13 +33,11 @@ type Analyzer struct {
 	// (not findings) and aborts the whole run.
 	Run func(pass *Pass) error
 
-	// Summarizer, if non-nil, is the fact computer whose per-function
-	// summaries this analyzer consumes through Pass.Facts. The driver
-	// runs each distinct summarizer exactly once, bottom-up over the
-	// call graph of every loaded package, before any analyzer Run —
-	// several analyzers sharing one summarizer (by interface identity)
-	// share its facts.
-	Summarizer Summarizer
+	// Summarize, if non-nil, computes the per-function facts this
+	// analyzer reads back through Pass.Facts. The driver calls it once
+	// per declared function, bottom-up over the call graph of every
+	// loaded package, before any Run.
+	Summarize func(fn *FuncInfo, facts *Facts)
 }
 
 func (a *Analyzer) String() string { return a.Name }
@@ -54,9 +52,8 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Facts holds the interprocedural summaries computed before the run
-	// (nil when the driver ran without summarizers — every lookup then
-	// answers "unknown").
+	// Facts holds what the analyzer's Summarize computed before the run
+	// (nil when it has none — every lookup then answers "unknown").
 	Facts *Facts
 
 	// report delivers one diagnostic; installed by the driver.

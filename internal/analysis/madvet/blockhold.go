@@ -49,8 +49,8 @@ var BlockHold = &analysis.Analyzer{
 	Name: "blockhold",
 	Doc: "flag operations that may block indefinitely (channel ops, lease acquire,\n" +
 		"completion waits) while a direction lease or mutex is held",
-	Run:        runBlockHold,
-	Summarizer: ownership,
+	Run:       runBlockHold,
+	Summarize: summarizeMayBlock,
 }
 
 // heldCtx is one exclusive context opened by a statement.
@@ -231,4 +231,60 @@ func condWaitCall(info *types.Info, call *ast.CallExpr) bool {
 	obj := selection.Obj()
 	return obj.Name() == "Wait" && obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
 		namedTypeName(selection.Recv()) == "Cond"
+}
+
+// stmtReleasesPath reports whether the statement (header-only for
+// compound statements, full subtree otherwise — including deferred
+// function literals) calls path.<release>(...).
+func stmtReleasesPath(info *types.Info, stmt ast.Stmt, path string, releases []string) bool {
+	return stmtHasCall(stmt, func(call *ast.CallExpr) bool {
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		for _, r := range releases {
+			if sel.Sel.Name == r {
+				if p, _ := exprPath(info, sel.X); p == path {
+					return true
+				}
+			}
+		}
+		return false
+	})
+}
+
+// hasMethod reports whether the (possibly pointer) receiver type has a
+// method with the given name.
+func hasMethod(t types.Type, name string) bool {
+	ms := types.NewMethodSet(types.NewPointer(derefType(t)))
+	for i := 0; i < ms.Len(); i++ {
+		if ms.At(i).Obj().Name() == name {
+			return true
+		}
+	}
+	return false
+}
+
+func derefType(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
+// exprPath renders a pure identifier/selector chain ("lt.lease") and its
+// root object; "" for anything more complex (calls, indexing), which the
+// analyzer then leaves alone.
+func exprPath(info *types.Info, e ast.Expr) (string, types.Object) {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return x.Name, info.Uses[x]
+	case *ast.SelectorExpr:
+		p, root := exprPath(info, x.X)
+		if p == "" {
+			return "", nil
+		}
+		return p + "." + x.Sel.Name, root
+	}
+	return "", nil
 }

@@ -3,25 +3,22 @@
 // compiler cannot see (DESIGN.md "Static analysis & invariants").
 //
 //	packpair     Begin/End pairing and abort-on-error on the message path
-//	reqpair      async Submit* requests drained (CQ/callback) or Discarded
 //	modeflags    statically invalid Pack/Unpack mode combinations (Table 1)
-//	leaserelease lease/token acquire paired with release on every path
 //	blockhold    no indefinite blocking while a lease or mutex is held
 //	virtualtime  no time import in internal/ packages, no math/rand anywhere
 //
 // What a type or an API shape can hold is not here: metric names are
-// checked by the registry that creates them, and a TM has one identity
-// because no library type wraps one.
+// checked by the registry that creates them, a TM has one identity
+// because no library type wraps one, and no in-tree function hands an
+// open message to its caller.
 //
 // Each analyzer matches the library's API shapes structurally (package
 // named "core", method names, field names), so the analysistest fixtures
 // can model them with small stub packages.
 //
-// The pairing analyzers and blockhold share one interprocedural
-// Summarizer (ownership.go): per-function ownership and may-block facts
-// computed bottom-up over the call graph before any analyzer runs, which
-// lets them follow a resource that is returned, stored, or passed to a
-// callee instead of exempting it.
+// packpair and modeflags are lexical, one function at a time. blockhold
+// alone reads across calls: its may-block facts (mayblock.go) are
+// computed bottom-up over the call graph before any analyzer runs.
 package madvet
 
 import (
@@ -34,9 +31,7 @@ import (
 // Analyzers is the suite cmd/madvet runs, in reporting order.
 var Analyzers = []*analysis.Analyzer{
 	PackPair,
-	ReqPair,
 	ModeFlags,
-	LeaseRelease,
 	BlockHold,
 	VirtualTime,
 }
@@ -59,29 +54,6 @@ func isCoreMethod(info *types.Info, call *ast.CallExpr, names ...string) (recv a
 	}
 	for _, n := range names {
 		if obj.Name() == n {
-			return sel.X, n, true
-		}
-	}
-	return nil, "", false
-}
-
-// isMethodNamed is isCoreMethod without the package anchor. Events on an
-// already-tracked object — Pack/Unpack/End on the value a Begin handed
-// out, Discard on a submitted request — match by name alone, so a policy
-// wrapper that re-implements a core method around an embedded Connection
-// (marcel.Conn.Unpack) carries the same contract. Acquisitions stay
-// core-anchored (or summary-proven): only the anchor creates tracking.
-func isMethodNamed(info *types.Info, call *ast.CallExpr, names ...string) (recv ast.Expr, name string, ok bool) {
-	sel, okSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !okSel {
-		return nil, "", false
-	}
-	selection, okSelection := info.Selections[sel]
-	if !okSelection || selection.Kind() != types.MethodVal {
-		return nil, "", false
-	}
-	for _, n := range names {
-		if selection.Obj().Name() == n {
 			return sel.X, n, true
 		}
 	}
@@ -128,4 +100,53 @@ func funcBodies(files []*ast.File, fn func(name string, body *ast.BlockStmt)) {
 			return true
 		})
 	}
+}
+
+// stmtHeaderScan invokes scan on the expressions the statement itself
+// evaluates: the full subtree for simple statements, header expressions
+// only for compound ones (their bodies are separate CFG nodes and must
+// not leak into a node's classification).
+func stmtHeaderScan(stmt ast.Stmt, scan func(ast.Node)) {
+	switch s := stmt.(type) {
+	case *ast.IfStmt:
+		scan(s.Cond)
+	case *ast.ForStmt:
+		if s.Cond != nil {
+			scan(s.Cond)
+		}
+	case *ast.RangeStmt:
+		scan(s.X)
+	case *ast.SwitchStmt:
+		if s.Init != nil {
+			scan(s.Init)
+		}
+		if s.Tag != nil {
+			scan(s.Tag)
+		}
+	case *ast.TypeSwitchStmt:
+		if s.Init != nil {
+			scan(s.Init)
+		}
+		scan(s.Assign)
+	case *ast.SelectStmt, *ast.BlockStmt, *ast.LabeledStmt:
+		// Bodies are separate nodes; nothing evaluates at the header.
+	default:
+		scan(stmt)
+	}
+}
+
+// stmtHasCall reports whether some call the statement itself evaluates
+// (stmtHeaderScan's reach, deferred function literals included) satisfies
+// pred.
+func stmtHasCall(stmt ast.Stmt, pred func(*ast.CallExpr) bool) bool {
+	found := false
+	stmtHeaderScan(stmt, func(n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && !found {
+				found = pred(call)
+			}
+			return !found
+		})
+	})
+	return found
 }

@@ -22,30 +22,15 @@ func TestPackPair(t *testing.T) {
 	analysistest.Run(t, testdata(t), madvet.PackPair, "packpair")
 }
 
-// TestPackPairInterproc loads two fixture packages in one run: the
-// diagnostics in interproc depend on summaries computed for
-// interproc/helper.
-func TestPackPairInterproc(t *testing.T) {
-	analysistest.Run(t, testdata(t), madvet.PackPair, "interproc", "interproc/helper")
-}
-
-func TestReqPair(t *testing.T) {
-	analysistest.Run(t, testdata(t), madvet.ReqPair, "reqpair")
-}
-
 func TestModeFlags(t *testing.T) {
 	analysistest.Run(t, testdata(t), madvet.ModeFlags, "modeflags")
-}
-
-func TestLeaseRelease(t *testing.T) {
-	analysistest.Run(t, testdata(t), madvet.LeaseRelease, "leaserelease")
 }
 
 // TestIgnoreDirective checks //madvet:ignore end to end under a real
 // analyzer: trailing and standalone suppression, and the directive's own
 // diagnostics (unknown analyzer, missing reason, stale, malformed).
 func TestIgnoreDirective(t *testing.T) {
-	analysistest.Run(t, testdata(t), madvet.LeaseRelease, "ignore")
+	analysistest.Run(t, testdata(t), madvet.PackPair, "ignore")
 }
 
 func TestBlockHold(t *testing.T) {

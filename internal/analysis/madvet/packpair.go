@@ -18,17 +18,20 @@ import (
 //   - after such a failure branch, the message must not keep packing;
 //   - the error results of Begin/Pack/Unpack/End/Announce must not be
 //     discarded (a deferred End is exempt: its lease release is the point).
+//
+// The check is lexical, like the paper's message scope: a connection that
+// leaves the function that began it (returned, stored, passed on) is the
+// recipient's to end and is not followed there — a documented false
+// negative that no in-tree function exercises.
 var PackPair = &analysis.Analyzer{
 	Name: "packpair",
 	Doc: "check that every BeginPacking/BeginUnpacking reaches its End on all paths\n" +
 		"and that a non-nil Pack/Unpack error aborts the message instead of continuing",
-	Run:        runPackPair,
-	Summarizer: ownership,
+	Run: runPackPair,
 }
 
 func runPackPair(pass *analysis.Pass) error {
 	info := pass.TypesInfo
-	facts := pass.Facts
 	checkDiscardedResults(pass)
 	funcBodies(pass.Files, func(name string, body *ast.BlockStmt) {
 		g := analysis.BuildCFG(body, analysis.TerminatingClassifier(info))
@@ -41,40 +44,20 @@ func runPackPair(pass *analysis.Pass) error {
 			if !ok {
 				continue
 			}
-			var kind analysis.Obligation
-			_, begin, named := isCoreMethod(info, call, "BeginPacking", "BeginUnpacking")
-			if named {
-				kind = kindOfBegin(begin)
-			} else {
-				// Summary-based acquire: a helper whose first result carries
-				// an open-message obligation makes this call site a Begin.
-				kinds := summaryAcquireKinds(info, facts, call)
-				if len(kinds) == 0 || (kinds[0] != obSend && kinds[0] != obRecv) {
-					continue
-				}
-				kind = kinds[0]
-				begin = calleeName(info, call)
+			_, begin, ok := isCoreMethod(info, call, "BeginPacking", "BeginUnpacking")
+			if !ok {
+				continue
 			}
 			connObj := defObj(info, as.Lhs[0])
 			if connObj == nil {
-				if named {
-					// `_, err := ch.BeginPacking(...)`: the lease can never be
-					// released. (The fully discarded call is reported by the
-					// result-discard scan.)
-					pass.Reportf(as.Pos(), "connection returned by %s is discarded: its lease can never be released", begin)
-				}
+				// `_, err := ch.BeginPacking(...)`: the lease can never be
+				// released. (The fully discarded call is reported by the
+				// result-discard scan.)
+				pass.Reportf(as.Pos(), "connection returned by %s is discarded: its lease can never be released", begin)
 				continue
 			}
-			sc := scanOwnUses(info, facts, body, connObj, kind, true)
-			if !sc.trackable {
-				continue // ownership moves somewhere the analysis cannot follow
-			}
-			end := endOfKind(kind)
-			for _, st := range sc.stores {
-				if !typeSettles(facts, st.owner, st.field, kind) {
-					pass.Reportf(st.pos, "open connection from %s is stored into %s.%s, but no method of that type reaches %s: the %s lease leaks with the stored value",
-						begin, namedTypeName(st.owner), st.field, end, directionOfKind(kind))
-				}
+			if connEscapes(info, body, connObj) {
+				continue // the message scope is the recipient's, not this function's
 			}
 			var beginGuard guardSpec
 			if len(as.Lhs) == 2 {
@@ -82,16 +65,17 @@ func runPackPair(pass *analysis.Pass) error {
 				// branch of its err check never held the lease.
 				beginGuard = guardSpec{obj: defObj(info, as.Lhs[1]), failMode: pairFree}
 			}
+			end, direction := "EndPacking", "send"
+			if begin == "BeginUnpacking" {
+				end, direction = "EndUnpacking", "receive"
+			}
 			pc := &pairCheck{
 				g:       g,
 				info:    info,
 				acquire: n,
 				guard:   beginGuard,
 				classify: func(stmt ast.Stmt) pairEvent {
-					if ev := classifyConnStmt(info, stmt, connObj, end); ev.kind != pairEvNone {
-						return ev
-					}
-					return interprocEvent(info, facts, stmt, connObj, kind)
+					return classifyConnStmt(info, stmt, connObj, end)
 				},
 				leak: func(leakNode *analysis.Node) {
 					pos := as.Pos()
@@ -101,7 +85,7 @@ func runPackPair(pass *analysis.Pass) error {
 						where = " here"
 					}
 					pass.Reportf(pos, "message from %s can end%s without %s: the %s lease leaks on this path",
-						begin, where, end, directionOfKind(kind))
+						begin, where, end, direction)
 				},
 				abortedUse: func(stmt ast.Stmt) {
 					pass.Reportf(stmt.Pos(), "message continues after a failed Pack/Unpack aborted it (%s contract: bail out instead)", begin)
@@ -111,28 +95,6 @@ func runPackPair(pass *analysis.Pass) error {
 		}
 	})
 	return nil
-}
-
-func directionOfKind(kind analysis.Obligation) string {
-	if kind == obSend {
-		return "send"
-	}
-	return "receive"
-}
-
-// calleeName renders the called function for diagnostics ("beginHello",
-// "vc.BeginPacking").
-func calleeName(info *types.Info, call *ast.CallExpr) string {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		if p, _ := exprPath(info, fun); p != "" {
-			return p
-		}
-		return fun.Sel.Name
-	}
-	return "the call"
 }
 
 // classifyConnStmt describes one statement's effect on the tracked
@@ -152,7 +114,7 @@ func classifyConnStmt(info *types.Info, stmt ast.Stmt, connObj types.Object, end
 	// An assignment from conn.Pack/conn.Unpack arms the abort guard.
 	if as, ok := stmt.(*ast.AssignStmt); ok && len(as.Rhs) == 1 {
 		if call, ok := as.Rhs[0].(*ast.CallExpr); ok {
-			if recv, _, ok := isMethodNamed(info, call, "Pack", "Unpack"); ok && recvRootObj(info, recv) == connObj {
+			if recv, _, ok := isCoreMethod(info, call, "Pack", "Unpack"); ok && recvRootObj(info, recv) == connObj {
 				g := guardSpec{obj: defObj(info, as.Lhs[len(as.Lhs)-1]), failMode: pairAborted}
 				return pairEvent{kind: pairEvAbortable, guard: g}
 			}
@@ -166,51 +128,14 @@ func classifyConnStmt(info *types.Info, stmt ast.Stmt, connObj types.Object, end
 	return pairEvent{kind: pairEvNone}
 }
 
-// stmtCallsConnMethod reports whether the statement contains a call of
-// the named method on the tracked connection (matched by name, not
-// defining package — see isMethodNamed). For compound statements only
-// the header expressions count — their bodies are separate CFG nodes and
-// must not leak into the classification.
+// stmtCallsConnMethod reports whether the statement itself (header only
+// for compound statements) calls the named core method on the tracked
+// connection.
 func stmtCallsConnMethod(info *types.Info, stmt ast.Stmt, connObj types.Object, name string) bool {
-	found := false
-	check := func(n ast.Node) {
-		if n == nil || found {
-			return
-		}
-		ast.Inspect(n, func(n ast.Node) bool {
-			if found {
-				return false
-			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if recv, _, ok := isMethodNamed(info, call, name); ok && recvRootObj(info, recv) == connObj {
-				found = true
-				return false
-			}
-			return true
-		})
-	}
-	switch s := stmt.(type) {
-	case *ast.IfStmt:
-		check(s.Cond)
-	case *ast.ForStmt:
-		check(s.Cond)
-	case *ast.RangeStmt:
-		check(s.X)
-	case *ast.SwitchStmt:
-		check(s.Init)
-		check(s.Tag)
-	case *ast.TypeSwitchStmt:
-		check(s.Init)
-		check(s.Assign)
-	case *ast.SelectStmt, *ast.BlockStmt, *ast.LabeledStmt:
-		// Bodies are separate nodes; nothing evaluates at the header.
-	default:
-		check(stmt)
-	}
-	return found
+	return stmtHasCall(stmt, func(call *ast.CallExpr) bool {
+		recv, _, ok := isCoreMethod(info, call, name)
+		return ok && recvRootObj(info, recv) == connObj
+	})
 }
 
 // connEscapes reports whether the connection's ownership can leave the

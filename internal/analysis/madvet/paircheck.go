@@ -8,12 +8,11 @@ import (
 	"madeleine2/internal/analysis"
 )
 
-// paircheck is the acquire/release dataflow shared by packpair and
-// leaserelease: from one acquire site, walk the CFG and prove that every
-// exit either released the resource, registered a deferred release, or
-// crossed the failure branch of a guard whose failing operation already
-// gave the resource up (the abort contract of Pack/Unpack, the !ok result
-// of a closed queue Pop).
+// paircheck is packpair's acquire/release dataflow: from one acquire
+// site, walk the CFG and prove that every exit either released the
+// resource, registered a deferred release, or crossed the failure branch
+// of a guard whose failing operation already gave the resource up (the
+// abort contract of Pack/Unpack, the nil connection of a failed Begin).
 //
 // The state machine is deliberately tiny: {held, free, aborted} plus one
 // "pending guard" slot holding the variable assigned by the immediately

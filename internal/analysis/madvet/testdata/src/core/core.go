@@ -33,30 +33,10 @@ func (ch *Channel) BeginPacking(remote int) (*Connection, error) { return nil, n
 func (ch *Channel) BeginUnpacking() (*Connection, error)         { return nil, nil }
 func (ch *Channel) Announce() error                              { return nil }
 
-// Asynchronous-interface surface for the reqpair fixtures.
+// Completion-queue surface for the blockhold fixtures.
 
-type Request struct{}
-
-func (r *Request) Discard()   {}
-func (r *Request) Done() bool { return false }
-func (r *Request) Err() error { return nil }
-
-type Completion struct {
-	Req *Request
-	Err error
-}
+type Completion struct{ Err error }
 
 type CQ struct{}
 
-func (cq *CQ) Poll() (Completion, bool)         { return Completion{}, false }
-func (cq *CQ) Wait() (Completion, bool)         { return Completion{}, false }
-func (cq *CQ) OnCompletion(fn func(Completion)) {}
-
-type AsyncMsg struct{}
-
-func (am *AsyncMsg) SubmitPack(data []byte, sm SendMode, rm RecvMode) *Request  { return nil }
-func (am *AsyncMsg) SubmitUnpack(dst []byte, sm SendMode, rm RecvMode) *Request { return nil }
-func (am *AsyncMsg) SubmitEnd() *Request                                        { return nil }
-
-func (ch *Channel) SubmitPacking(remote int, cq *CQ) (*AsyncMsg, error) { return nil, nil }
-func (ch *Channel) SubmitUnpacking(cq *CQ) *AsyncMsg                    { return nil }
+func (cq *CQ) Wait() (Completion, bool) { return Completion{}, false }

@@ -1,61 +1,76 @@
 // Package ignore exercises the //madvet:ignore suppression directive,
-// run under the leaserelease analyzer. Suppression cases carry no want
+// run under the packpair analyzer. Suppression cases carry no want
 // comments (the directive must eat the finding); directive problems are
 // checked with block-form wants, since the directive itself consumes the
 // line comment.
 package ignore
 
-type lease struct{ held bool }
-
-func (l *lease) acquire(at int) { l.held = true }
-func (l *lease) release(at int) { l.held = false }
+import "core"
 
 // trailing: a directive on the diagnostic's own line suppresses it.
-func trailing(l *lease, cond bool) {
-	l.acquire(1)
-	if cond {
-		return //madvet:ignore leaserelease -- holder parked in the close registry; the drain path releases it
+func trailing(ch *core.Channel, cond bool) error {
+	conn, err := ch.BeginPacking(1)
+	if err != nil {
+		return err
 	}
-	l.release(1)
+	if cond {
+		return nil //madvet:ignore packpair -- connection parked in the close registry; the drain path ends it
+	}
+	return conn.EndPacking()
 }
 
 // standalone: a directive on its own line covers the next line.
-func standalone(l *lease, cond bool) {
-	l.acquire(1)
-	if cond {
-		//madvet:ignore leaserelease -- holder parked in the close registry; the drain path releases it
-		return
+func standalone(ch *core.Channel, cond bool) error {
+	conn, err := ch.BeginPacking(1)
+	if err != nil {
+		return err
 	}
-	l.release(1)
+	if cond {
+		//madvet:ignore packpair -- connection parked in the close registry; the drain path ends it
+		return nil
+	}
+	return conn.EndPacking()
 }
 
 // A directive naming an analyzer this run does not know is itself
 // diagnosed (and suppresses nothing — the problem is never suppressible).
-func unknownAnalyzer(l *lease) {
-	l.acquire(1)
+func unknownAnalyzer(ch *core.Channel) error {
+	conn, err := ch.BeginPacking(1)
+	if err != nil {
+		return err
+	}
 	/* want "names unknown analyzer nosuchcheck" */ //madvet:ignore nosuchcheck -- not an analyzer of this run
-	l.release(1)
+	return conn.EndPacking()
 }
 
 // A directive without a reason does not suppress: both the original
 // finding and the directive's own problem land on the line.
-func missingReason(l *lease, cond bool) {
-	l.acquire(1)
-	if cond {
-		return /* want "without a reason" "lease acquired by l.acquire is not released" */ //madvet:ignore leaserelease
+func missingReason(ch *core.Channel, cond bool) error {
+	conn, err := ch.BeginPacking(1)
+	if err != nil {
+		return err
 	}
-	l.release(1)
+	if cond {
+		return nil /* want "without a reason" "can end here without EndPacking" */ //madvet:ignore packpair
+	}
+	return conn.EndPacking()
 }
 
 // A directive that suppresses nothing is stale and flagged.
-func stale(l *lease) {
-	l.acquire(1)
-	l.release(1) /* want "suppresses nothing: delete the stale directive" */ //madvet:ignore leaserelease -- nothing ever leaked here
+func stale(ch *core.Channel) error {
+	conn, err := ch.BeginPacking(1)
+	if err != nil {
+		return err
+	}
+	return conn.EndPacking() /* want "suppresses nothing: delete the stale directive" */ //madvet:ignore packpair -- nothing ever leaked here
 }
 
 // A directive with no analyzer name at all is malformed.
-func malformed(l *lease) {
-	l.acquire(1)
+func malformed(ch *core.Channel) error {
+	conn, err := ch.BeginPacking(1)
+	if err != nil {
+		return err
+	}
 	/* want "malformed //madvet:ignore" */ //madvet:ignore -- a reason with no analyzer
-	l.release(1)
+	return conn.EndPacking()
 }

@@ -127,3 +127,35 @@ func escapes(ch *core.Channel) (*core.Connection, error) {
 	}
 	return conn, nil
 }
+
+// escapesCaller uses a helper that returns an open connection. The lexical
+// check does not follow the message out of escapes, so the bail-out that
+// leaks here is not flagged: the documented false negative (no in-tree
+// function returns an open message).
+func escapesCaller(ch *core.Channel, data []byte, other func() error) error {
+	conn, err := escapes(ch)
+	if err != nil {
+		return err
+	}
+	if err := other(); err != nil {
+		return err
+	}
+	if err := conn.Pack(data, core.SendCheaper, core.ReceiveCheaper); err != nil {
+		return err
+	}
+	return conn.EndPacking()
+}
+
+// session keeps an open message between calls.
+type session struct{ conn *core.Connection }
+
+// stored parks the open connection in a struct field: the scope belongs
+// to whoever reads the field, not to this function.
+func stored(ch *core.Channel, s *session) error {
+	conn, err := ch.BeginPacking(0)
+	if err != nil {
+		return err
+	}
+	s.conn = conn
+	return nil
+}

@@ -11,19 +11,19 @@ import (
 // findings, minus those suppressed by //madvet:ignore directives, in a
 // stable (file, line, column, analyzer, message) order — raw token.Pos
 // ordering would interleave arbitrarily across packages with separate
-// position intervals, making -json output useless for CI diffing.
+// position intervals, making the output differ from run to run.
 // Analyzer errors (operational failures, not findings) abort the run.
 //
-// Before any analyzer runs, the distinct summarizers named by the
-// analyzers are executed bottom-up over the packages' call graph; their
-// facts reach every pass through Pass.Facts.
+// Before any analyzer runs, each analyzer's Summarize is executed
+// bottom-up over the packages' call graph; its facts reach that
+// analyzer's passes through Pass.Facts.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return run(pkgs, analyzers, true)
 }
 
 // RunUnit is Run for a subset of the module's packages (madvet
 // ./internal/core). Packages outside the subset are loaded without
-// function bodies, so interprocedural summaries stop at its edge and a
+// function bodies, so may-block summaries stop at its edge and a
 // directive justified by a finding only the whole-tree run can see is
 // legitimately unused — the stale-directive diagnostic is skipped;
 // everything else is checked identically.
@@ -32,18 +32,7 @@ func RunUnit(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 }
 
 func run(pkgs []*Package, analyzers []*Analyzer, flagStale bool) ([]Diagnostic, error) {
-	var summarizers []Summarizer
-	seen := make(map[Summarizer]bool)
-	for _, a := range analyzers {
-		if a.Summarizer != nil && !seen[a.Summarizer] {
-			seen[a.Summarizer] = true
-			summarizers = append(summarizers, a.Summarizer)
-		}
-	}
-	var facts *Facts
-	if len(summarizers) > 0 {
-		facts = ComputeFacts(pkgs, summarizers)
-	}
+	facts := computeFacts(pkgs, analyzers)
 
 	// Diagnostics are collected with their resolved positions: the sort
 	// and the ignore filter both need file/line/column rather than raw
@@ -64,7 +53,7 @@ func run(pkgs []*Package, analyzers []*Analyzer, flagStale bool) ([]Diagnostic, 
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				Facts:     facts,
+				Facts:     facts[a],
 				report:    func(d Diagnostic) { entries = append(entries, entry{d, fset.Position(d.Pos)}) },
 			}
 			if err := a.Run(pass); err != nil {

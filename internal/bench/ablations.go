@@ -268,15 +268,11 @@ func AblationPolling() (Result, error) {
 		l := marcel.NewListener(chans[1], pol, marcel.Config{})
 		r := vclock.NewActor("server")
 		for i := 0; i < msgs; i++ {
-			conn, err := l.Await(r)
-			if err != nil {
-				return marcel.Stats{}, err
-			}
 			buf := make([]byte, 1)
-			if err := conn.Unpack(buf, core.SendCheaper, core.ReceiveExpress); err != nil {
-				return marcel.Stats{}, err
-			}
-			if err := conn.EndUnpacking(); err != nil {
+			err := l.Serve(r, func(conn *marcel.Conn) error {
+				return conn.Unpack(buf, core.SendCheaper, core.ReceiveExpress)
+			})
+			if err != nil {
 				return marcel.Stats{}, err
 			}
 		}

@@ -67,8 +67,8 @@ func (t *chanTransport) events() *simnet.Queue[event] { return t.inbox }
 
 // isend opens a send conversation floored at the issue time, submits the
 // envelope, payload and end fire-and-forget (the conversation's CQ
-// carries every outcome; see the reqpair contract) and returns
-// immediately. The payload must stay valid until the send event arrives.
+// carries every outcome; see core.Request) and returns immediately. The
+// payload must stay valid until the send event arrives.
 func (t *chanTransport) isend(token, node int, h wireHdr, payload []byte, at vclock.Time) {
 	am, err := t.ch.SubmitPackingFrom(node, t.cq, at)
 	if err != nil {

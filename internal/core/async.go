@@ -82,9 +82,10 @@ const (
 
 // Request is the caller's handle on one submitted operation, and the
 // operation's descriptor: it carries the block and modes until the engine
-// has executed it, then the outcome. Every request must reach a completion
-// queue (Poll/Wait/callback) or be explicitly Discarded — the reqpair vet
-// check enforces this — so no outcome is ever silently dropped.
+// has executed it, then the outcome. Every request reaches its
+// conversation's completion queue (Poll/Wait/callback) unless it was
+// explicitly Discarded, so no outcome is ever silently dropped and a
+// caller that reads the CQ needs to keep no handle.
 //
 // A request is on at most one list at a time, through next: its
 // conversation's pending FIFO (under the conversation lock) until a worker

@@ -214,3 +214,70 @@ func TestLeaseReleasedWaiterCollectable(t *testing.T) {
 	}
 	runtime.KeepAlive(l.s) // the lease outlives its waiters, as a connection's does
 }
+
+// TestRendezvousRegionsBalanced holds the registered-memory lease of the
+// two rendezvous TMs at run time: each large block pins its buffer for
+// the span of one SendBuffer/ReceiveBuffer and must unpin it on the way
+// out. After every round trip, and after a send refused by a closed peer,
+// each side pins exactly what NewChannel set up (rings and posted
+// descriptors).
+func TestRendezvousRegionsBalanced(t *testing.T) {
+	const size = 64 << 10
+	for _, tc := range []struct {
+		drv, tm string
+		pinned  func(*Channel) int
+	}{
+		{"via", "via-large", func(c *Channel) int { return c.pmm.(*viaPMM).nic.Registered() }},
+		{"rdma", "rdma-rdv", func(c *Channel) int { return c.pmm.(*rdmaPMM).hca.Registered() }},
+	} {
+		t.Run(tc.drv, func(t *testing.T) {
+			chans, _ := newTestChannel(t, tc.drv)
+			if got := chans[0].pmm.Select(size, SendCheaper, ReceiveCheaper).Name(); got != tc.tm {
+				t.Fatalf("%d-byte blocks travel on %s, want %s", size, got, tc.tm)
+			}
+			base := [2]int{tc.pinned(chans[0]), tc.pinned(chans[1])}
+			check := func(when string) {
+				t.Helper()
+				for rank, want := range base {
+					if got := tc.pinned(chans[rank]); got != want {
+						t.Fatalf("%s: rank %d pins %d regions, %d after NewChannel", when, rank, got, want)
+					}
+				}
+			}
+			msg := []block{{make([]byte, size), SendCheaper, ReceiveCheaper}}
+			actors := [2]*vclock.Actor{vclock.NewActor("rank0"), vclock.NewActor("rank1")}
+			for round := 0; round < 4; round++ {
+				for src := 0; src < 2; src++ {
+					dst := 1 - src
+					recvErr := make(chan error, 1)
+					go func() {
+						conn, err := chans[dst].BeginUnpacking(actors[dst])
+						if err != nil {
+							recvErr <- err
+							return
+						}
+						if err := conn.Unpack(make([]byte, size), SendCheaper, ReceiveCheaper); err != nil {
+							recvErr <- err
+							return
+						}
+						recvErr <- conn.EndUnpacking()
+					}()
+					sendMsg(t, chans[src], actors[src], dst, msg)
+					if err := <-recvErr; err != nil {
+						t.Fatalf("round %d, %d->%d: receiver: %v", round, src, dst, err)
+					}
+				}
+				check(fmt.Sprintf("round trip %d", round))
+			}
+			chans[1].Close()
+			conn, err := chans[0].BeginPacking(actors[0], 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := conn.Pack(msg[0].data, SendCheaper, ReceiveCheaper); !errors.Is(err, ErrClosed) {
+				t.Fatalf("send toward a closed peer: %v, want ErrClosed", err)
+			}
+			check("after the aborted message")
+		})
+	}
+}

@@ -19,7 +19,7 @@
 // A Listener wraps a Madeleine channel's receive side with one of these
 // policies and accounts both the added latency and the CPU time burnt
 // while waiting, so the trade-off is measurable (see the
-// BenchmarkAblationPolling workload).
+// `madbench -ablations` polling workload).
 package marcel
 
 import (
@@ -107,35 +107,46 @@ func (l *Listener) Policy() Policy { return l.pol }
 
 // Conn is a policy-wrapped incoming message: its first Unpack applies the
 // mechanism's latency and CPU accounting, subsequent calls pass through.
+// It cannot end the message; Serve does.
 type Conn struct {
-	*core.Connection
+	conn  *core.Connection
 	l     *Listener
 	t0    vclock.Time
 	first bool
 }
 
-// Await begins the reception of the next message under the policy.
-func (l *Listener) Await(a *vclock.Actor) (*Conn, error) {
+// Serve receives the next message under the policy: it opens the message,
+// runs f on it and ends it on every path (after a failed Unpack the abort
+// contract has already closed the connection, and EndUnpacking is a
+// no-op). f's error wins over the End's.
+func (l *Listener) Serve(a *vclock.Actor, f func(*Conn) error) error {
 	t0 := a.Now()
 	conn, err := l.ch.BeginUnpacking(a)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	l.stats.Receives++
-	return &Conn{Connection: conn, l: l, t0: t0, first: true}, nil
+	err = f(&Conn{conn: conn, l: l, t0: t0, first: true})
+	if endErr := conn.EndUnpacking(); err == nil {
+		err = endErr
+	}
+	return err
 }
+
+// Remote reports the node the message came from.
+func (c *Conn) Remote() int { return c.conn.Remote() }
 
 // Unpack extracts a block; the first extraction of the message charges
 // the policy's waiting costs.
 func (c *Conn) Unpack(dst []byte, sm core.SendMode, rm core.RecvMode) error {
-	if err := c.Connection.Unpack(dst, sm, rm); err != nil {
+	if err := c.conn.Unpack(dst, sm, rm); err != nil {
 		return err
 	}
 	if !c.first {
 		return nil
 	}
 	c.first = false
-	a := c.actorOf()
+	a := c.conn.Actor()
 	waited := a.Now() - c.t0
 	if waited < 0 {
 		waited = 0
@@ -175,6 +186,3 @@ func (c *Conn) Unpack(dst []byte, sm core.SendMode, rm core.RecvMode) error {
 	}
 	return nil
 }
-
-// actorOf exposes the wrapped connection's clock.
-func (c *Conn) actorOf() *vclock.Actor { return c.Connection.Actor() }

@@ -1,6 +1,7 @@
 package marcel
 
 import (
+	"errors"
 	"testing"
 
 	"madeleine2/internal/core"
@@ -45,15 +46,11 @@ func receive(t *testing.T, chans map[int]*core.Channel, pol Policy, n int) (*Lis
 	t.Helper()
 	l := NewListener(chans[1], pol, Config{})
 	r := vclock.NewActor("recv")
-	conn, err := l.Await(r)
-	if err != nil {
-		t.Fatal(err)
-	}
 	buf := make([]byte, n)
-	if err := conn.Unpack(buf, core.SendCheaper, core.ReceiveExpress); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.EndUnpacking(); err != nil {
+	err := l.Serve(r, func(conn *Conn) error {
+		return conn.Unpack(buf, core.SendCheaper, core.ReceiveExpress)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	return l, r.Now()
@@ -163,20 +160,53 @@ func TestSubsequentUnpacksPassThrough(t *testing.T) {
 	}()
 	l := NewListener(chans[1], Interrupt, Config{})
 	r := vclock.NewActor("recv")
-	conn, err := l.Await(r)
+	buf := make([]byte, 8)
+	var after1 vclock.Time
+	err := l.Serve(r, func(conn *Conn) error {
+		if err := conn.Unpack(buf, core.SendCheaper, core.ReceiveExpress); err != nil {
+			return err
+		}
+		after1 = l.Stats().AddedLat
+		return conn.Unpack(buf, core.SendCheaper, core.ReceiveExpress)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 8)
-	conn.Unpack(buf, core.SendCheaper, core.ReceiveExpress)
-	after1 := l.Stats().AddedLat
-	conn.Unpack(buf, core.SendCheaper, core.ReceiveExpress)
-	conn.EndUnpacking()
 	if l.Stats().AddedLat != after1 {
 		t.Error("second unpack must not pay the policy cost again")
 	}
 	if l.Stats().Interrupts != 1 {
 		t.Errorf("interrupts = %d", l.Stats().Interrupts)
+	}
+}
+
+// Serve ends the message when f fails after a good Unpack: f's error comes
+// back and the receive lease is free for the next message.
+func TestServeEndsMessageOnError(t *testing.T) {
+	chans := channelPair(t)
+	sendAt(t, chans, 0, 8)
+	sendAt(t, chans, 0, 8)
+	l := NewListener(chans[1], Polling, Config{})
+	r := vclock.NewActor("recv")
+	buf := make([]byte, 8)
+	errApp := errors.New("handler failed")
+	err := l.Serve(r, func(conn *Conn) error {
+		if err := conn.Unpack(buf, core.SendCheaper, core.ReceiveExpress); err != nil {
+			return err
+		}
+		return errApp
+	})
+	if err != errApp {
+		t.Fatalf("Serve = %v, want the handler's error", err)
+	}
+	err = l.Serve(r, func(conn *Conn) error {
+		if conn.Remote() != 0 {
+			t.Errorf("Remote = %d, want 0", conn.Remote())
+		}
+		return conn.Unpack(buf, core.SendCheaper, core.ReceiveExpress)
+	})
+	if err != nil {
+		t.Fatalf("second Serve: %v", err)
 	}
 }
 

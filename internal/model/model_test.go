@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -37,11 +38,13 @@ func TestLinkScaled(t *testing.T) {
 
 func TestLinkRateMonotone(t *testing.T) {
 	// Property: effective rate grows with message size and approaches the
-	// sustained bandwidth from below.
+	// sustained bandwidth from below. Link.Time truncates to whole
+	// nanoseconds, so the small message gets one quantum of slack: without
+	// it VIASend dips from 92.77354 MB/s at 35623 B to 92.77344 at 35625.
 	f := func(a, c uint16) bool {
 		small, big := int(a)+1, int(a)+1+int(c)+1
 		for _, l := range []Link{BIPLong, SISCIDual, TCPFE, VIASend, SBP} {
-			if l.Rate(small) > l.Rate(big)+1e-9 {
+			if vclock.MBps(small, l.Time(small)+1) > l.Rate(big) {
 				return false
 			}
 			if l.Rate(big) > l.Bandwidth {
@@ -50,7 +53,10 @@ func TestLinkRateMonotone(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if !f(0x8b26, 1) {
+		t.Error("property fails on (0x8b26, 1), the pair the unslacked form broke on")
+	}
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -199,7 +205,7 @@ func TestBusFloorConservation(t *testing.T) {
 		period := bus.StepPeriod(SISCIDual, bipEffective(), n, GatewayStepOverhead)
 		return vclock.MBps(2*n, period) <= bus.AggregateCap+1e-9
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -106,6 +106,14 @@ func (h *HCA) Register(a *vclock.Actor, key uint32, buf []byte) (*MemRegion, err
 	return m, nil
 }
 
+// Registered reports how many regions the HCA currently pins; a count
+// that grows with traffic is a leaked registration.
+func (h *HCA) Registered() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.regions)
+}
+
 // Bytes exposes the region's memory — the caller's own buffer; remote
 // writes land here directly, which is what makes rendezvous zero-copy.
 func (m *MemRegion) Bytes() []byte { return m.buf }

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"bytes"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -258,7 +259,7 @@ func TestSegmentWriteOrderIsPollOrder(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }

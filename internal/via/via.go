@@ -46,6 +46,7 @@ type NIC struct {
 	adapter *simnet.Adapter
 	mu      sync.Mutex
 	vis     map[int]*VI
+	pinned  atomic.Int64 // regions registered and not yet deregistered
 }
 
 // Attach opens the VIA provider on the idx-th VIA adapter of node n.
@@ -69,6 +70,7 @@ func (n *NIC) Index() int { return n.adapter.Index() }
 // consuming a posted descriptor re-checks its registration at delivery
 // time while the receiver may be deregistering it.
 type MemRegion struct {
+	nic        *NIC
 	buf        []byte
 	registered atomic.Bool
 }
@@ -87,10 +89,15 @@ func (n *NIC) Register(a *vclock.Actor, buf []byte) *MemRegion {
 		pages = 1
 	}
 	a.Advance(vclock.Time(pages) * model.VIARegister)
-	m := &MemRegion{buf: buf}
+	m := &MemRegion{nic: n, buf: buf}
 	m.registered.Store(true)
+	n.pinned.Add(1)
 	return m
 }
+
+// Registered reports how many regions the NIC currently pins; a count
+// that grows with traffic is a leaked registration.
+func (n *NIC) Registered() int { return int(n.pinned.Load()) }
 
 // Deregister unpins the region; further NIC use — posting it, sending
 // from it, or delivering into it — fails with ErrNotRegistered. A second
@@ -100,6 +107,7 @@ func (m *MemRegion) Deregister() error {
 	if !m.registered.CompareAndSwap(true, false) {
 		return fmt.Errorf("via: deregister of already-deregistered region: %w", ErrNotRegistered)
 	}
+	m.nic.pinned.Add(-1)
 	return nil
 }
 
