@@ -151,26 +151,15 @@ func smoke(sc, rc *core.Channel, src, dst int) (vclock.Time, error) {
 	s, r := vclock.NewActor("smoke-s"), vclock.NewActor("smoke-r")
 	errc := make(chan error, 1)
 	go func() {
-		conn, err := sc.BeginPacking(s, dst)
-		if err != nil {
-			errc <- err
-			return
-		}
-		if err := conn.Pack([]byte("smoke"), core.SendCheaper, core.ReceiveExpress); err != nil {
-			errc <- err
-			return
-		}
-		errc <- conn.EndPacking()
+		errc <- sc.Send(s, dst, func(conn *core.Connection) error {
+			return conn.Pack([]byte("smoke"), core.SendCheaper, core.ReceiveExpress)
+		})
 	}()
-	conn, err := rc.BeginUnpacking(r)
-	if err != nil {
-		return 0, err
-	}
 	buf := make([]byte, 5)
-	if err := conn.Unpack(buf, core.SendCheaper, core.ReceiveExpress); err != nil {
-		return 0, err
-	}
-	if err := conn.EndUnpacking(); err != nil {
+	err := rc.Recv(r, func(conn *core.Connection) error {
+		return conn.Unpack(buf, core.SendCheaper, core.ReceiveExpress)
+	})
+	if err != nil {
 		return 0, err
 	}
 	if err := <-errc; err != nil {

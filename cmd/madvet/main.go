@@ -1,6 +1,6 @@
 // Command madvet is the Madeleine invariant checker: a multichecker of
-// the four analyzers in internal/analysis/madvet, enforcing the
-// pack/lease/virtual-time contracts the type system cannot. It loads the
+// the three analyzers in internal/analysis/madvet, enforcing the
+// mode-flag/lease/virtual-time contracts the type system cannot. It loads the
 // whole pattern in one run, so blockhold's may-block facts span packages:
 //
 //	go run ./cmd/madvet ./...

@@ -20,7 +20,7 @@ import (
 // Analyzer describes one invariant checker: a name, a doc string shown by
 // `madvet help`, and a Run function applied once per loaded package.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics ("packpair") and in
+	// Name identifies the analyzer in diagnostics ("modeflags") and in
 	// //madvet:ignore directives.
 	Name string
 

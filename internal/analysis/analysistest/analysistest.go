@@ -6,7 +6,7 @@
 // A want comment holds one or more quoted regular expressions and
 // applies to the line it appears on:
 //
-//	conn.EndPacking() // want `error of EndPacking is discarded`
+//	conn.Pack(buf, 7, core.ReceiveCheaper) // want `out of range`
 //
 // The block form `/* want "re" */` is equivalent, for lines whose line
 // comment is spoken for — testing a //madvet:ignore directive's own

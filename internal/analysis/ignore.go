@@ -9,7 +9,7 @@ import (
 // Suppression directives. A source line can opt out of one analyzer's
 // findings with a written justification:
 //
-//	return nil //madvet:ignore packpair -- connection parked in the close registry; the drain path ends it
+//	conn.Pack(buf, 7, core.ReceiveCheaper) //madvet:ignore modeflags -- mode 7 is a driver extension
 //
 // The directive suppresses that analyzer's diagnostics on its own line
 // when it trails code, or on the following line when it stands alone:

@@ -66,7 +66,7 @@ func runBlockHold(pass *analysis.Pass) error {
 	// reported dedups (statement, context label): two acquire sites of the
 	// same lock on different branches must not double-flag one wait.
 	reported := make(map[ast.Stmt]map[string]bool)
-	funcBodies(pass.Files, func(name string, body *ast.BlockStmt) {
+	funcBodies(pass.Files, func(_ *ast.FuncLit, body *ast.BlockStmt) {
 		g := analysis.BuildCFG(body, analysis.TerminatingClassifier(info))
 		for _, n := range g.Nodes {
 			h, ok := heldStart(info, n)

@@ -2,23 +2,24 @@
 // versions of the contracts the library's correctness rests on but the
 // compiler cannot see (DESIGN.md "Static analysis & invariants").
 //
-//	packpair     Begin/End pairing and abort-on-error on the message path
 //	modeflags    statically invalid Pack/Unpack mode combinations (Table 1)
 //	blockhold    no indefinite blocking while a lease or mutex is held
 //	virtualtime  no time import in internal/ packages, no math/rand anywhere
 //
 // What a type or an API shape can hold is not here: metric names are
 // checked by the registry that creates them, a TM has one identity
-// because no library type wraps one, and no in-tree function hands an
-// open message to its caller.
+// because no library type wraps one, and every in-tree message is a
+// core Channel.Send/Channel.Recv scope, which ends it on every path
+// (Session.CheckQuiescent reports a Table-1 caller's missing End… at
+// run time).
 //
 // Each analyzer matches the library's API shapes structurally (package
 // named "core", method names, field names), so the analysistest fixtures
 // can model them with small stub packages.
 //
-// packpair and modeflags are lexical, one function at a time. blockhold
-// alone reads across calls: its may-block facts (mayblock.go) are
-// computed bottom-up over the call graph before any analyzer runs.
+// modeflags is lexical, one function at a time. blockhold alone reads
+// across calls: its may-block facts (mayblock.go) are computed bottom-up
+// over the call graph before any analyzer runs.
 package madvet
 
 import (
@@ -30,7 +31,6 @@ import (
 
 // Analyzers is the suite cmd/madvet runs, in reporting order.
 var Analyzers = []*analysis.Analyzer{
-	PackPair,
 	ModeFlags,
 	BlockHold,
 	VirtualTime,
@@ -82,20 +82,21 @@ func recvRootObj(info *types.Info, e ast.Expr) types.Object {
 }
 
 // funcBodies yields every function body in the files: declarations and
-// literals, each analyzed as its own scope.
-func funcBodies(files []*ast.File, fn func(name string, body *ast.BlockStmt)) {
+// literals, each analyzed as its own scope. lit is the literal whose body
+// it is, nil for a declaration.
+func funcBodies(files []*ast.File, fn func(lit *ast.FuncLit, body *ast.BlockStmt)) {
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				if n.Body != nil {
-					fn(n.Name.Name, n.Body)
+					fn(nil, n.Body)
 				}
 			case *ast.FuncLit:
 				// Statements inside a literal are expression territory to
 				// the enclosing body's CFG, so each literal is analyzed as
 				// its own scope; the walk continues into nested literals.
-				fn("func literal", n.Body)
+				fn(n, n.Body)
 			}
 			return true
 		})

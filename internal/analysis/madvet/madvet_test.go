@@ -18,10 +18,6 @@ func testdata(t *testing.T) string {
 	return dir
 }
 
-func TestPackPair(t *testing.T) {
-	analysistest.Run(t, testdata(t), madvet.PackPair, "packpair")
-}
-
 func TestModeFlags(t *testing.T) {
 	analysistest.Run(t, testdata(t), madvet.ModeFlags, "modeflags")
 }
@@ -30,7 +26,7 @@ func TestModeFlags(t *testing.T) {
 // analyzer: trailing and standalone suppression, and the directive's own
 // diagnostics (unknown analyzer, missing reason, stale, malformed).
 func TestIgnoreDirective(t *testing.T) {
-	analysistest.Run(t, testdata(t), madvet.PackPair, "ignore")
+	analysistest.Run(t, testdata(t), madvet.ModeFlags, "ignore")
 }
 
 func TestBlockHold(t *testing.T) {

@@ -18,7 +18,8 @@ import (
 //     or vice versa);
 //   - a send_LATER block written after Pack in a function that never
 //     commits the message (EndPacking flushes LATER blocks; without it
-//     the write may or may not reach the wire);
+//     the write may or may not reach the wire). A function literal's
+//     connection parameter is exempt: a Channel.Send scope commits it;
 //   - a receive_EXPRESS extraction after a receive_CHEAPER one in the
 //     same message body: the express guarantee then forces completion of
 //     every deferred block, defeating the pipelining the cheaper blocks
@@ -40,8 +41,8 @@ const (
 
 func runModeFlags(pass *analysis.Pass) error {
 	info := pass.TypesInfo
-	funcBodies(pass.Files, func(name string, body *ast.BlockStmt) {
-		checkModeSequences(pass, body)
+	funcBodies(pass.Files, func(lit *ast.FuncLit, body *ast.BlockStmt) {
+		checkModeSequences(pass, lit, body)
 	})
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -105,11 +106,21 @@ type modeCall struct {
 }
 
 // checkModeSequences runs the per-function, per-connection ordering
-// checks: LATER-without-commit and EXPRESS-after-CHEAPER.
-func checkModeSequences(pass *analysis.Pass, body *ast.BlockStmt) {
+// checks: LATER-without-commit and EXPRESS-after-CHEAPER. lit is the
+// literal whose body it is, nil for a declaration.
+func checkModeSequences(pass *analysis.Pass, lit *ast.FuncLit, body *ast.BlockStmt) {
 	info := pass.TypesInfo
 	var calls []modeCall
 	ends := map[types.Object]bool{} // conns with an End… in this body
+	if lit != nil {
+		// A literal's connection parameter is a scope's message (core
+		// Channel.Send): the scope's owner ends it, not this body.
+		for _, f := range lit.Type.Params.List {
+			for _, id := range f.Names {
+				ends[info.Defs[id]] = true
+			}
+		}
+	}
 
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {

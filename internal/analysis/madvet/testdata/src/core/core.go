@@ -33,6 +33,16 @@ func (ch *Channel) BeginPacking(remote int) (*Connection, error) { return nil, n
 func (ch *Channel) BeginUnpacking() (*Connection, error)         { return nil, nil }
 func (ch *Channel) Announce() error                              { return nil }
 
+// Send is the scoped message: it ends the message f packs.
+func (ch *Channel) Send(remote int, f func(*Connection) error) error {
+	conn, _ := ch.BeginPacking(remote)
+	err := f(conn)
+	if endErr := conn.EndPacking(); err == nil {
+		err = endErr
+	}
+	return err
+}
+
 // Completion-queue surface for the blockhold fixtures.
 
 type Completion struct{ Err error }

@@ -29,6 +29,32 @@ func laterNoCommit(conn *core.Connection, buf []byte) {
 	buf[0] = 1 // want `send_LATER buffer written after Pack but the function never commits`
 }
 
+// laterTable1NoEnd is the same mistake with the message begun in the
+// function: it packs LATER and never reaches EndPacking.
+func laterTable1NoEnd(ch *core.Channel, buf []byte) error {
+	conn, err := ch.BeginPacking(1)
+	if err != nil {
+		return err
+	}
+	if err := conn.Pack(buf, core.SendLater, core.ReceiveCheaper); err != nil {
+		return err
+	}
+	buf[0] = 1 // want `send_LATER buffer written after Pack but the function never commits`
+	return nil
+}
+
+// laterInSendScope writes a LATER buffer inside a Send closure: the scope
+// commits the message after the closure returns, so the write is legal.
+func laterInSendScope(ch *core.Channel, buf []byte) error {
+	return ch.Send(1, func(conn *core.Connection) error {
+		if err := conn.Pack(buf, core.SendLater, core.ReceiveCheaper); err != nil {
+			return err
+		}
+		buf[0] = 1
+		return nil
+	})
+}
+
 // laterCommitted is the legal LATER pattern: mutate, then EndPacking
 // flushes the deferred block.
 func laterCommitted(conn *core.Connection, buf []byte) {

@@ -249,16 +249,10 @@ func AblationPolling() (Result, error) {
 			a := vclock.NewActor("req-src")
 			for i := 0; i < msgs; i++ {
 				a.Advance(gap) // request inter-arrival time
-				conn, err := chans[0].BeginPacking(a, 1)
+				err := chans[0].Send(a, 1, func(conn *core.Connection) error {
+					return conn.Pack([]byte{byte(i)}, core.SendCheaper, core.ReceiveExpress)
+				})
 				if err != nil {
-					errc <- err
-					return
-				}
-				if err := conn.Pack([]byte{byte(i)}, core.SendCheaper, core.ReceiveExpress); err != nil {
-					errc <- err
-					return
-				}
-				if err := conn.EndPacking(); err != nil {
 					errc <- err
 					return
 				}

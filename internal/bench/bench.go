@@ -127,26 +127,16 @@ func PingPong(chans map[int]*core.Channel, ra, rb, n, iters int) (vclock.Time, e
 
 // sendMsg ships one single-block CHEAPER message.
 func sendMsg(ch *core.Channel, a *vclock.Actor, dst int, data []byte) error {
-	conn, err := ch.BeginPacking(a, dst)
-	if err != nil {
-		return err
-	}
-	if err := conn.Pack(data, core.SendCheaper, core.ReceiveCheaper); err != nil {
-		return err
-	}
-	return conn.EndPacking()
+	return ch.Send(a, dst, func(conn *core.Connection) error {
+		return conn.Pack(data, core.SendCheaper, core.ReceiveCheaper)
+	})
 }
 
 // recvMsg mirrors sendMsg.
 func recvMsg(ch *core.Channel, a *vclock.Actor, buf []byte) error {
-	conn, err := ch.BeginUnpacking(a)
-	if err != nil {
-		return err
-	}
-	if err := conn.Unpack(buf, core.SendCheaper, core.ReceiveCheaper); err != nil {
-		return err
-	}
-	return conn.EndUnpacking()
+	return ch.Recv(a, func(conn *core.Connection) error {
+		return conn.Unpack(buf, core.SendCheaper, core.ReceiveCheaper)
+	})
 }
 
 // Sweep runs PingPong over sizes and returns the series.

@@ -185,31 +185,26 @@ func BlocksOneWay(driver string, blocks, blockSize int, sm core.SendMode, rm cor
 	s, r := vclock.NewActor("s"), vclock.NewActor("r")
 	errc := make(chan error, 1)
 	go func() {
-		conn, err := chans[0].BeginPacking(s, 1)
-		if err != nil {
-			errc <- err
-			return
-		}
 		data := make([]byte, blockSize)
+		errc <- chans[0].Send(s, 1, func(conn *core.Connection) error {
+			for i := 0; i < blocks; i++ {
+				if err := conn.Pack(data, sm, rm); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}()
+	buf := make([]byte, blockSize)
+	err = chans[1].Recv(r, func(conn *core.Connection) error {
 		for i := 0; i < blocks; i++ {
-			if err := conn.Pack(data, sm, rm); err != nil {
-				errc <- err
-				return
+			if err := conn.Unpack(buf, sm, rm); err != nil {
+				return err
 			}
 		}
-		errc <- conn.EndPacking()
-	}()
-	conn, err := chans[1].BeginUnpacking(r)
+		return nil
+	})
 	if err != nil {
-		return 0, err
-	}
-	buf := make([]byte, blockSize)
-	for i := 0; i < blocks; i++ {
-		if err := conn.Unpack(buf, sm, rm); err != nil {
-			return 0, err
-		}
-	}
-	if err := conn.EndUnpacking(); err != nil {
 		return 0, err
 	}
 	if err := <-errc; err != nil {

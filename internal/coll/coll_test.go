@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"madeleine2/internal/bip"
 	"madeleine2/internal/coll"
@@ -363,6 +364,20 @@ func TestCollectivesLossyReliableFwd(t *testing.T) {
 	for r, c := range cs {
 		if err := c.Err(); err != nil {
 			t.Fatalf("rank %d poisoned: %v", r, err)
+		}
+	}
+	// The world ends at rest. Close does not join the gateway's relay
+	// pipelines, so one may still be ending its last send: retry for a
+	// few seconds; a scope left open stays open.
+	closeAll(cs)
+	sess := vcs[0].Session()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		err := sess.CheckQuiescent()
+		if err == nil {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal(err)
 		}
 	}
 }

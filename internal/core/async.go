@@ -697,6 +697,11 @@ type engine struct {
 	gRunq *metrics.Gauge
 	gOcc  *metrics.Gauge
 
+	// live counts conversations queued or being drained: up at enqueue,
+	// down in drain before the completion that ends the message is posted,
+	// so a caller that has collected every End completion reads zero.
+	live atomic.Int64
+
 	mu         sync.Mutex
 	cond       *sync.Cond
 	sendq      fifo[AsyncMsg, *AsyncMsg]
@@ -721,6 +726,7 @@ func newEngine(s *Session, spec SessionSpec) *engine {
 // enqueue schedules a runnable conversation, starting the worker pool on
 // first use so pure-sync sessions never spawn it.
 func (e *engine) enqueue(am *AsyncMsg) {
+	e.live.Add(1)
 	e.mu.Lock()
 	if !e.started {
 		e.started = true
@@ -790,6 +796,7 @@ func (e *engine) drain(am *AsyncMsg) {
 		r := am.pending.pop()
 		if r == nil {
 			am.queued = false
+			e.live.Add(-1)
 			am.mu.Unlock()
 			break
 		}
@@ -807,9 +814,10 @@ func (e *engine) drain(am *AsyncMsg) {
 			if err != nil && am.err == nil {
 				am.err = err
 			}
+			am.queued = false
+			e.live.Add(-1)
 			am.deliver(r, err, cn.actor.Now())
 			am.failPendingLocked(ErrBadState)
-			am.queued = false
 			am.mu.Unlock()
 			break
 		}

@@ -19,7 +19,7 @@ import (
 // connections simultaneously, and one connection supports a concurrent
 // send and receive (full duplex). Exclusive ownership of a connection
 // direction is taken per message through the direction's lease — see
-// BeginPacking/BeginUnpacking.
+// BeginPacking/BeginUnpacking, or their scoped forms Send/Recv.
 type Channel struct {
 	sess    *Session
 	name    string
@@ -182,6 +182,15 @@ func (l lease) release(a *vclock.Actor) {
 	s.mu.Unlock()
 }
 
+// state reports whether the lease is held and how many acquirers are
+// parked behind the holder.
+func (l lease) state() (held bool, parked int) {
+	s := l.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return !s.free, s.waiters.Len()
+}
+
 // msgState is the per-message mutable state of one in-flight message: the
 // Switch step's current TM plus the announce/packed latches. It is owned
 // by the Connection (one per message), never by the shared ConnState, so
@@ -304,6 +313,37 @@ func (cs *ConnState) recvBMM(tm TM) BMM {
 		cs.rBMMs[tm] = b
 	}
 	return b
+}
+
+// leftovers lists what the connection still holds between messages, one
+// line per finding: a held or awaited direction lease, an open send
+// message, static buffers obtained and not sent. Its caller guarantees no
+// message is in flight (Session.CheckQuiescent).
+func (cs *ConnState) leftovers() []string {
+	where := fmt.Sprintf("channel %q %d->%d", cs.ch.name, cs.local, cs.remote)
+	var out []string
+	for _, d := range [...]struct {
+		dir string
+		l   lease
+	}{{"send", cs.send}, {"receive", cs.recv}} {
+		held, parked := d.l.state()
+		if held {
+			out = append(out, fmt.Sprintf("%s %s: lease held", where, d.dir))
+		}
+		if parked > 0 {
+			out = append(out, fmt.Sprintf("%s %s: %d acquirers parked on the lease", where, d.dir, parked))
+		}
+	}
+	if cs.sendMsg != nil {
+		out = append(out, where+" send: message open")
+	}
+	for _, tm := range cs.ch.pmm.TMs() {
+		t, _ := tm.(*StaticTM)
+		if f := cs.sFree[t]; f != nil && f.out != 0 {
+			out = append(out, fmt.Sprintf("%s send: %d %s buffers obtained and not sent", where, f.out, t.Name()))
+		}
+	}
+	return out
 }
 
 // Connection is the user handle returned by BeginPacking/BeginUnpacking:
@@ -520,6 +560,37 @@ func (cn *Connection) EndUnpacking() error {
 	}
 	cs.ch.stats.messagesIn.Add(1)
 	return nil
+}
+
+// Send is the scoped form of a Table-1 send: it begins a message toward
+// remote, runs f on it and ends it on every path, so f cannot leak the
+// send lease. After a failed Pack the abort contract has already closed
+// the connection and EndPacking is a no-op. f's error wins over
+// EndPacking's.
+func (c *Channel) Send(a *vclock.Actor, remote int, f func(*Connection) error) error {
+	cn, err := c.BeginPacking(a, remote)
+	if err != nil {
+		return err
+	}
+	err = f(cn)
+	if endErr := cn.EndPacking(); err == nil {
+		err = endErr
+	}
+	return err
+}
+
+// Recv is Send's receive dual: it begins the next incoming message, runs
+// f on it and ends it on every path, whatever f returns.
+func (c *Channel) Recv(a *vclock.Actor, f func(*Connection) error) error {
+	cn, err := c.BeginUnpacking(a)
+	if err != nil {
+		return err
+	}
+	err = f(cn)
+	if endErr := cn.EndUnpacking(); err == nil {
+		err = endErr
+	}
+	return err
 }
 
 // UsesStatic reports whether n-byte CHEAPER blocks travel through a

@@ -179,6 +179,9 @@ func hostileRDMARun(t *testing.T, seed int64, msgs int) (counters map[string]int
 			t.Fatalf("seed %d message %d: rendezvous delivered a torn destination", seed, msg)
 		}
 	}
+	if err := sess.CheckQuiescent(); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
 	counters = map[string]int64{}
 	for _, c := range sess.Metrics().Snapshot().Counters {
 		counters[c.Name] = c.Value

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"madeleine2/internal/metrics"
@@ -60,6 +64,40 @@ func (s *Session) Shutdown() { s.eng.stop() }
 
 // World returns the session's cluster.
 func (s *Session) World() *simnet.World { return s.world }
+
+// CheckQuiescent proves the session at rest: no direction lease held or
+// awaited, no send message open, no static buffer obtained and not sent,
+// and no conversation queued on or running in the progress engine. Each
+// finding is one line naming the channel, the local->remote ranks and the
+// direction; nil means there is none. It is what reports a Table-1
+// caller's missing End…. Call it once every actor of the session has
+// returned: it reads state the lease holders own.
+func (s *Session) CheckQuiescent() error {
+	s.mu.Lock()
+	chans := make([]*Channel, 0, len(s.channels))
+	for _, ch := range s.channels {
+		chans = append(chans, ch)
+	}
+	s.mu.Unlock()
+	slices.SortFunc(chans, func(a, b *Channel) int {
+		return cmp.Or(strings.Compare(a.name, b.name), a.rank-b.rank)
+	})
+	var lines []string
+	for _, ch := range chans {
+		for _, r := range ch.members {
+			if cs := ch.conns[r]; cs != nil {
+				lines = append(lines, cs.leftovers()...)
+			}
+		}
+	}
+	if n := s.eng.live.Load(); n != 0 {
+		lines = append(lines, fmt.Sprintf("progress engine: %d conversations queued or running", n))
+	}
+	if len(lines) == 0 {
+		return nil
+	}
+	return errors.New("core: session not quiescent:\n\t" + strings.Join(lines, "\n\t"))
+}
 
 // SetObserver installs the session's observability sink. Channels bind
 // it at creation, so install it before NewChannel; channels created

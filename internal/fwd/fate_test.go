@@ -377,6 +377,7 @@ func TestGatewayFates(t *testing.T) {
 					}
 				}
 				w.checkRegistry()
+				requireQuiescent(t, w.sess, w.vcs)
 			})
 		}
 	}

@@ -83,6 +83,7 @@ func TestCorruptChunkDoesNotPoisonNextMessage(t *testing.T) {
 	if err := vcs[4].Err(); err != nil {
 		t.Errorf("a poisoned message must not be fatal for the handle: %v", err)
 	}
+	requireQuiescent(t, sess, vcs)
 }
 
 func TestMidRouteCorruptionRelaysToTheEdge(t *testing.T) {
@@ -123,6 +124,7 @@ func TestMidRouteCorruptionRelaysToTheEdge(t *testing.T) {
 	}
 
 	oneWay(t, vcs, 0, 4, 4096) // the route still works
+	requireQuiescent(t, sess, vcs)
 }
 
 func TestLossyWorldDeliversViaRetransmit(t *testing.T) {
@@ -193,6 +195,7 @@ func TestLossyWorldDeliversViaRetransmit(t *testing.T) {
 	if rs.DropCRC == 0 {
 		t.Errorf("damaged packets must be dropped by checksum before delivery: %+v", rs)
 	}
+	requireQuiescent(t, sess, vcs)
 }
 
 func TestDamagedVerdictTriggersDupSuppression(t *testing.T) {
@@ -225,6 +228,7 @@ func TestDamagedVerdictTriggersDupSuppression(t *testing.T) {
 	if err := vcs[0].Err(); err != nil {
 		t.Errorf("one damaged verdict must not be fatal: %v", err)
 	}
+	requireQuiescent(t, sess, vcs)
 }
 
 func TestRetryExhaustionSurfacesError(t *testing.T) {
@@ -255,6 +259,7 @@ func TestRetryExhaustionSurfacesError(t *testing.T) {
 	if err := vcs[1].Err(); err != nil {
 		t.Errorf("the receiver must survive a peer's retry exhaustion: %v", err)
 	}
+	requireQuiescent(t, sess, vcs)
 }
 
 func TestDamagedHeaderFailsHandleGracefully(t *testing.T) {
@@ -288,4 +293,5 @@ func TestDamagedHeaderFailsHandleGracefully(t *testing.T) {
 	if rs.DropHeader+rs.DropLen != 1 {
 		t.Errorf("exactly one header-damage drop expected: %+v", rs)
 	}
+	requireQuiescent(t, sess, vcs)
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"madeleine2/internal/bip"
 	"madeleine2/internal/core"
@@ -59,6 +60,27 @@ func newVC(t testing.TB, sess *core.Session, spec Spec) map[int]*VC {
 		}
 	})
 	return vcs
+}
+
+// requireQuiescent closes every handle of the world and requires its
+// session to come to rest (core.Session.CheckQuiescent). Close does not
+// join a gateway's pipelines, and one may still be ending its last relay
+// when the test's receiver returns, so the check is retried for a few
+// seconds: a scope left open stays open.
+func requireQuiescent(t *testing.T, sess *core.Session, vcs map[int]*VC) {
+	t.Helper()
+	for _, v := range vcs {
+		v.Close()
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		err := sess.CheckQuiescent()
+		if err == nil {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal(err)
+		}
+	}
 }
 
 func pattern(n int, seed byte) []byte {
@@ -402,6 +424,7 @@ func TestCorruptionDetectedAtDelivery(t *testing.T) {
 	if err := conn.Unpack(buf, core.SendCheaper, core.ReceiveCheaper); err == nil {
 		t.Fatal("corrupted payload must fail the checksum at delivery")
 	}
+	requireQuiescent(t, sess, vcs)
 }
 
 func TestCrossDriverMatrix(t *testing.T) {

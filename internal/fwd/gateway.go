@@ -98,14 +98,7 @@ func (v *VC) daemon(segIdx int, ch *core.Channel) {
 		lastLSeq: make(map[int]uint32),
 		scratch:  make([]byte, v.mtu),
 	}
-	for {
-		conn, err := ch.BeginUnpacking(d.a)
-		if err != nil {
-			return // channel closed
-		}
-		if !d.recv(conn) {
-			return
-		}
+	for d.recv() {
 	}
 }
 
@@ -156,17 +149,18 @@ const (
 // checksum, act on the fate, and answer the previous hop with a verdict
 // when the channel is reliable. Spec.Reliable is read only where the wire
 // format differs: the header codec, the frame length, what damage costs,
-// and the verdict. Reports whether the daemon keeps serving.
-func (d *daemonState) recv(conn *core.Connection) bool {
+// and the verdict. Reports whether the daemon keeps serving; a closed
+// channel ends it quietly.
+func (d *daemonState) recv() bool {
 	v, a := d.v, d.a
 	rel := v.spec.Reliable
-	prev := conn.Remote()
 	hsize, decode := hdrSize, decodeHeader
 	if rel {
 		hsize, decode = rhdrSize, decodeHeaderR
 	}
 
 	var (
+		prev  int // the previous hop
 		h     header
 		herr  error
 		what  = fateDrop
@@ -175,10 +169,11 @@ func (d *daemonState) recv(conn *core.Connection) bool {
 		tok   *token
 		frame []byte // the packet's payload block as drained off the wire
 	)
-	// The stages that read the wire run inside the message scope. Whatever
-	// stops them, the scope closes once, right below: a daemon on its way
-	// out must not leave the segment's receive lease wedged.
-	err := func() error {
+	// The stages that read the wire run inside the message scope, which
+	// Recv closes whatever stops them: a daemon on its way out must not
+	// leave the segment's receive lease wedged.
+	err := d.ch.Recv(a, func(conn *core.Connection) error {
+		prev = conn.Remote()
 		hb := d.hb[:hsize]
 		if err := conn.Unpack(hb, core.SendCheaper, core.ReceiveExpress); err != nil {
 			return err
@@ -246,10 +241,7 @@ func (d *daemonState) recv(conn *core.Connection) bool {
 			return nil // a best-effort end-of-message terminator is header-only
 		}
 		return conn.Unpack(frame, core.SendCheaper, core.ReceiveCheaper)
-	}()
-	if eerr := conn.EndUnpacking(); err == nil {
-		err = eerr
-	}
+	})
 	if err != nil {
 		v.daemonIO(a, err)
 		return false

@@ -118,4 +118,5 @@ func TestLossyRailDeliversViaRetransmit(t *testing.T) {
 	if rs.DropCRC == 0 {
 		t.Errorf("damaged striped frames must be dropped by checksum: %+v", rs)
 	}
+	requireQuiescent(t, sess, vcs)
 }

@@ -309,15 +309,9 @@ func (v *VC) sendVerdict(a *vclock.Actor, segIdx, to int, ok bool, hb *hdrBuf) {
 	} else {
 		h.Flags = flagNack
 	}
-	ch := v.ctls[segIdx]
-	conn, err := ch.BeginPacking(a, to)
-	if err != nil {
-		return
-	}
-	if err := conn.Pack(h.encodeR(hb), core.SendCheaper, core.ReceiveExpress); err != nil {
-		return
-	}
-	_ = conn.EndPacking()
+	_ = v.ctls[segIdx].Send(a, to, func(conn *core.Connection) error {
+		return conn.Pack(h.encodeR(hb), core.SendCheaper, core.ReceiveExpress)
+	})
 }
 
 // ctlDaemon serves one segment's control channel: it decodes each verdict
@@ -329,19 +323,13 @@ func (v *VC) ctlDaemon(segIdx int, ch *core.Channel) {
 	a := vclock.NewActor(fmt.Sprintf("%s/n%d/seg%d-ctl", v.name, v.rank, segIdx))
 	hb := make([]byte, rhdrSize)
 	for {
-		conn, err := ch.BeginUnpacking(a)
-		if err != nil {
-			return
-		}
-		peer := conn.Remote()
-		uerr := conn.Unpack(hb, core.SendCheaper, core.ReceiveExpress)
-		if uerr == nil {
-			uerr = conn.EndUnpacking()
-		} else {
-			_ = conn.EndUnpacking()
-		}
-		if uerr != nil && v.closing() {
-			return
+		peer := -1
+		uerr := ch.Recv(a, func(conn *core.Connection) error {
+			peer = conn.Remote()
+			return conn.Unpack(hb, core.SendCheaper, core.ReceiveExpress)
+		})
+		if peer < 0 || (uerr != nil && v.closing()) {
+			return // channel closed, or a receive cut short by Close
 		}
 		vd := verdict{stamp: a.Now()}
 		if uerr == nil {

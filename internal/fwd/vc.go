@@ -570,19 +570,12 @@ func (v *VC) sendPacketOn(seg int, a *vclock.Actor, next int, h header, hb *hdrB
 // before the payload), the payload cheaper. A header-only packet (an
 // end-of-message terminator) omits the payload block entirely.
 func rawSend(ch *core.Channel, a *vclock.Actor, next int, hb, payload []byte) error {
-	conn, err := ch.BeginPacking(a, next)
-	if err != nil {
-		return err
-	}
-	if err := conn.Pack(hb, core.SendCheaper, core.ReceiveExpress); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if err := conn.Pack(payload, core.SendCheaper, core.ReceiveCheaper); err != nil {
+	return ch.Send(a, next, func(conn *core.Connection) error {
+		if err := conn.Pack(hb, core.SendCheaper, core.ReceiveExpress); err != nil || len(payload) == 0 {
 			return err
 		}
-	}
-	return conn.EndPacking()
+		return conn.Pack(payload, core.SendCheaper, core.ReceiveCheaper)
+	})
 }
 
 // BeginUnpacking blocks for the first packet of the next incoming message

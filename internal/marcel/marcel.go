@@ -115,22 +115,14 @@ type Conn struct {
 	first bool
 }
 
-// Serve receives the next message under the policy: it opens the message,
-// runs f on it and ends it on every path (after a failed Unpack the abort
-// contract has already closed the connection, and EndUnpacking is a
-// no-op). f's error wins over the End's.
+// Serve receives the next message under the policy: core's Channel.Recv
+// with the policy's accounting around f's first Unpack.
 func (l *Listener) Serve(a *vclock.Actor, f func(*Conn) error) error {
 	t0 := a.Now()
-	conn, err := l.ch.BeginUnpacking(a)
-	if err != nil {
-		return err
-	}
-	l.stats.Receives++
-	err = f(&Conn{conn: conn, l: l, t0: t0, first: true})
-	if endErr := conn.EndUnpacking(); err == nil {
-		err = endErr
-	}
-	return err
+	return l.ch.Recv(a, func(conn *core.Connection) error {
+		l.stats.Receives++
+		return f(&Conn{conn: conn, l: l, t0: t0, first: true})
+	})
 }
 
 // Remote reports the node the message came from.

@@ -53,6 +53,9 @@ func receive(t *testing.T, chans map[int]*core.Channel, pol Policy, n int) (*Lis
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := chans[1].Session().CheckQuiescent(); err != nil {
+		t.Fatal(err)
+	}
 	return l, r.Now()
 }
 
@@ -152,7 +155,9 @@ func TestSubsequentUnpacksPassThrough(t *testing.T) {
 	chans := channelPair(t)
 	// Two-block message: only the first block pays the policy cost.
 	a := vclock.NewActor("sender")
+	sent := make(chan struct{})
 	go func() {
+		defer close(sent)
 		conn, _ := chans[0].BeginPacking(a, 1)
 		conn.Pack(make([]byte, 8), core.SendCheaper, core.ReceiveExpress)
 		conn.Pack(make([]byte, 8), core.SendCheaper, core.ReceiveExpress)
@@ -177,6 +182,10 @@ func TestSubsequentUnpacksPassThrough(t *testing.T) {
 	}
 	if l.Stats().Interrupts != 1 {
 		t.Errorf("interrupts = %d", l.Stats().Interrupts)
+	}
+	<-sent
+	if err := chans[1].Session().CheckQuiescent(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -207,6 +216,9 @@ func TestServeEndsMessageOnError(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("second Serve: %v", err)
+	}
+	if err := chans[1].Session().CheckQuiescent(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -119,6 +119,9 @@ func TestAlltoallDrainsUnderHostileFabric(t *testing.T) {
 			t.Fatalf("rank %d leaked %d in-flight requests", r, k)
 		}
 	}
+	if err := sess.CheckQuiescent(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestBcastBinomialMessageCount pins the broadcast's rebased shape on

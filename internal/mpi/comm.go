@@ -201,22 +201,15 @@ func (c *Comm) SendAs(a *vclock.Actor, dst, tag int, data []byte) error {
 		return err
 	}
 	a.Advance(chMadOverhead)
-	conn, err := c.m.ch.BeginPacking(a, c.nodes[dst])
-	if err != nil {
-		return err
-	}
-	var hdr [msgHdrSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(int32(wire)))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(data)))
-	if err := conn.Pack(hdr[:], core.SendSafer, core.ReceiveExpress); err != nil {
-		return err
-	}
-	if len(data) > 0 {
-		if err := conn.Pack(data, core.SendCheaper, core.ReceiveCheaper); err != nil {
+	return c.m.ch.Send(a, c.nodes[dst], func(conn *core.Connection) error {
+		var hdr [msgHdrSize]byte
+		binary.LittleEndian.PutUint32(hdr[0:], uint32(int32(wire)))
+		binary.LittleEndian.PutUint32(hdr[4:], uint32(len(data)))
+		if err := conn.Pack(hdr[:], core.SendSafer, core.ReceiveExpress); err != nil || len(data) == 0 {
 			return err
 		}
-	}
-	return conn.EndPacking()
+		return conn.Pack(data, core.SendCheaper, core.ReceiveCheaper)
+	})
 }
 
 // match reports whether a queued message satisfies (src, tag) in this
@@ -285,56 +278,53 @@ func (c *Comm) status(u unexpected) Status {
 	return Status{Source: c.byNode[u.node], Tag: c.unwire(u.wireTag), Count: len(u.data)}
 }
 
-// pull extracts the next raw channel message.
+// pull extracts the next raw channel message. A malformed one is dropped
+// whole, and its scope still ends.
 func (m *matcher) pull(a *vclock.Actor) (unexpected, error) {
-	conn, err := m.ch.BeginUnpacking(a)
+	var u unexpected
+	err := m.ch.Recv(a, func(conn *core.Connection) error {
+		u.node = conn.Remote()
+		var hdr [msgHdrSize]byte
+		if err := conn.Unpack(hdr[:], core.SendSafer, core.ReceiveExpress); err != nil {
+			return err
+		}
+		u.wireTag = int(int32(binary.LittleEndian.Uint32(hdr[0:])))
+		n := int(binary.LittleEndian.Uint32(hdr[4:]))
+		segs := int(binary.LittleEndian.Uint32(hdr[8:]))
+		u.data = make([]byte, n)
+		switch {
+		case segs > 0:
+			// Derived-datatype message: a segment-size table steers the
+			// extraction of one Madeleine block per segment, assembled
+			// contiguously (the receive side's gather).
+			table := make([]byte, 4*segs)
+			if err := conn.Unpack(table, core.SendSafer, core.ReceiveExpress); err != nil {
+				return err
+			}
+			off := 0
+			for i := 0; i < segs; i++ {
+				k := int(binary.LittleEndian.Uint32(table[4*i:]))
+				if off+k > n {
+					return fmt.Errorf("mpi: segment table overflows the payload")
+				}
+				if err := conn.Unpack(u.data[off:off+k], core.SendCheaper, core.ReceiveCheaper); err != nil {
+					return err
+				}
+				off += k
+			}
+			if off != n {
+				return fmt.Errorf("mpi: segment table short of the payload")
+			}
+		case n > 0:
+			return conn.Unpack(u.data, core.SendCheaper, core.ReceiveCheaper)
+		}
+		return nil
+	})
 	if err != nil {
 		return unexpected{}, err
 	}
-	var hdr [msgHdrSize]byte
-	if err := conn.Unpack(hdr[:], core.SendSafer, core.ReceiveExpress); err != nil {
-		return unexpected{}, err
-	}
-	wire := int(int32(binary.LittleEndian.Uint32(hdr[0:])))
-	n := int(binary.LittleEndian.Uint32(hdr[4:]))
-	segs := int(binary.LittleEndian.Uint32(hdr[8:]))
-	data := make([]byte, n)
-	switch {
-	case segs > 0:
-		// Derived-datatype message: a segment-size table steers the
-		// extraction of one Madeleine block per segment, assembled
-		// contiguously (the receive side's gather).
-		table := make([]byte, 4*segs)
-		if err := conn.Unpack(table, core.SendSafer, core.ReceiveExpress); err != nil {
-			return unexpected{}, err
-		}
-		off := 0
-		for i := 0; i < segs; i++ {
-			k := int(binary.LittleEndian.Uint32(table[4*i:]))
-			if off+k > n {
-				// Malformed message: drop it whole, but hand the receive
-				// lease back (EndUnpacking always releases it).
-				_ = conn.EndUnpacking()
-				return unexpected{}, fmt.Errorf("mpi: segment table overflows the payload")
-			}
-			if err := conn.Unpack(data[off:off+k], core.SendCheaper, core.ReceiveCheaper); err != nil {
-				return unexpected{}, err
-			}
-			off += k
-		}
-		if off != n {
-			_ = conn.EndUnpacking()
-			return unexpected{}, fmt.Errorf("mpi: segment table short of the payload")
-		}
-	case n > 0:
-		if err := conn.Unpack(data, core.SendCheaper, core.ReceiveCheaper); err != nil {
-			return unexpected{}, err
-		}
-	}
-	if err := conn.EndUnpacking(); err != nil {
-		return unexpected{}, err
-	}
-	return unexpected{node: conn.Remote(), wireTag: wire, data: data, stamp: a.Now()}, nil
+	u.stamp = a.Now()
+	return u, nil
 }
 
 // deliver completes a receive into the user buffer.

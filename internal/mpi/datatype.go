@@ -100,30 +100,28 @@ func (c *Comm) SendType(dst, tag int, buf []byte, d Datatype) error {
 		return err
 	}
 	c.actor.Advance(chMadOverhead)
-	conn, err := c.m.ch.BeginPacking(c.actor, c.nodes[dst])
-	if err != nil {
-		return err
-	}
-	var hdr [msgHdrSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(int32(wire)))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(d.Size()))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(d.segs)))
-	if err := conn.Pack(hdr[:], core.SendSafer, core.ReceiveExpress); err != nil {
-		return err
-	}
-	table := make([]byte, 4*len(d.segs))
-	for i, s := range d.segs {
-		binary.LittleEndian.PutUint32(table[4*i:], uint32(s.len))
-	}
-	if err := conn.Pack(table, core.SendSafer, core.ReceiveExpress); err != nil {
-		return err
-	}
-	for _, s := range d.segs {
-		if err := conn.Pack(buf[s.off:s.off+s.len], core.SendCheaper, core.ReceiveCheaper); err != nil {
+	return c.m.ch.Send(c.actor, c.nodes[dst], func(conn *core.Connection) error {
+		var hdr [msgHdrSize]byte
+		binary.LittleEndian.PutUint32(hdr[0:], uint32(int32(wire)))
+		binary.LittleEndian.PutUint32(hdr[4:], uint32(d.Size()))
+		binary.LittleEndian.PutUint32(hdr[8:], uint32(len(d.segs)))
+		if err := conn.Pack(hdr[:], core.SendSafer, core.ReceiveExpress); err != nil {
 			return err
 		}
-	}
-	return conn.EndPacking()
+		table := make([]byte, 4*len(d.segs))
+		for i, s := range d.segs {
+			binary.LittleEndian.PutUint32(table[4*i:], uint32(s.len))
+		}
+		if err := conn.Pack(table, core.SendSafer, core.ReceiveExpress); err != nil {
+			return err
+		}
+		for _, s := range d.segs {
+			if err := conn.Pack(buf[s.off:s.off+s.len], core.SendCheaper, core.ReceiveCheaper); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // RecvType receives a message matching (src, tag) and scatters its bytes

@@ -2,7 +2,11 @@ package mpi
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
+
+	"madeleine2/internal/core"
 )
 
 func TestDatatypeConstructors(t *testing.T) {
@@ -135,4 +139,86 @@ func TestTypedErrors(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestMalformedSegmentTable ships raw derived-datatype messages whose
+// segment table overflows, or falls short of, the payload their header
+// declares. RecvAs must report each, and end its message: a well-formed
+// message from another rank still matches afterwards, and the session is
+// at rest. Each malformed message is the last on its connection, so a
+// receive lease it leaked is reported by the check instead of wedging a
+// later receive.
+func TestMalformedSegmentTable(t *testing.T) {
+	cs := comms(t, 4, "tcp")
+	const tag = 3
+	// raw sends rank c's message to rank 0: a header declaring n payload
+	// bytes and the table, then the segments the receiver reads before it
+	// finds the table inconsistent.
+	raw := func(c *Comm, n int, table, segs []int) error {
+		wire, err := c.wireTag(tag)
+		if err != nil {
+			return err
+		}
+		return c.m.ch.Send(c.actor, c.nodes[0], func(conn *core.Connection) error {
+			var hdr [msgHdrSize]byte
+			binary.LittleEndian.PutUint32(hdr[0:], uint32(wire))
+			binary.LittleEndian.PutUint32(hdr[4:], uint32(n))
+			binary.LittleEndian.PutUint32(hdr[8:], uint32(len(table)))
+			tb := make([]byte, 4*len(table))
+			for i, k := range table {
+				binary.LittleEndian.PutUint32(tb[4*i:], uint32(k))
+			}
+			for _, b := range [][]byte{hdr[:], tb} {
+				if err := conn.Pack(b, core.SendSafer, core.ReceiveExpress); err != nil {
+					return err
+				}
+			}
+			for _, k := range segs {
+				if err := conn.Pack(make([]byte, k), core.SendCheaper, core.ReceiveCheaper); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	sent := make(chan error, 2)
+	go func() { sent <- raw(cs[1], 8, []int{8, 8}, []int{8}) }() // the second segment overflows
+	go func() { sent <- raw(cs[2], 16, []int{8}, []int{8}) }()   // one segment, 8 bytes short
+	r := cs[0]
+	got := map[string]bool{}
+	for i := 0; i < 2; i++ {
+		_, err := r.RecvAs(r.actor, AnySource, tag, make([]byte, 16))
+		switch {
+		case err == nil:
+			t.Fatal("a malformed segment table was delivered")
+		case strings.Contains(err.Error(), "segment table overflows the payload"):
+			got["overflow"] = true
+		case strings.Contains(err.Error(), "segment table short of the payload"):
+			got["short"] = true
+		default:
+			t.Fatalf("receive %d: %v", i, err)
+		}
+	}
+	if !got["overflow"] || !got["short"] {
+		t.Fatalf("errors reported: %v, want overflow and short", got)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-sent; err != nil {
+			t.Fatalf("raw send: %v", err)
+		}
+	}
+
+	payload := []byte("well-formed")
+	go func() { sent <- cs[3].Send(0, tag, payload) }()
+	buf := make([]byte, 16)
+	st, err := r.RecvAs(r.actor, AnySource, tag, buf)
+	if err != nil || st.Source != 3 || !bytes.Equal(buf[:st.Count], payload) {
+		t.Fatalf("well-formed message after the malformed ones: %+v %q, %v", st, buf[:st.Count], err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if err := r.m.ch.Session().CheckQuiescent(); err != nil {
+		t.Fatal(err)
+	}
 }

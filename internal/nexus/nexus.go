@@ -141,23 +141,16 @@ func (s *Startpoint) Remote() int { return s.remote }
 // split Madeleine was designed around.
 func (s *Startpoint) RSR(a *vclock.Actor, handler uint32, buf *Buffer) error {
 	a.Advance(rsrOverhead)
-	conn, err := s.ch.BeginPacking(a, s.remote)
-	if err != nil {
-		return err
-	}
-	body := buf.Bytes()
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], handler)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(body)))
-	if err := conn.Pack(hdr[:], core.SendSafer, core.ReceiveExpress); err != nil {
-		return err
-	}
-	if len(body) > 0 {
-		if err := conn.Pack(body, core.SendCheaper, core.ReceiveCheaper); err != nil {
+	return s.ch.Send(a, s.remote, func(conn *core.Connection) error {
+		body := buf.Bytes()
+		var hdr [8]byte
+		binary.LittleEndian.PutUint32(hdr[0:], handler)
+		binary.LittleEndian.PutUint32(hdr[4:], uint32(len(body)))
+		if err := conn.Pack(hdr[:], core.SendSafer, core.ReceiveExpress); err != nil || len(body) == 0 {
 			return err
 		}
-	}
-	return conn.EndPacking()
+		return conn.Pack(body, core.SendCheaper, core.ReceiveCheaper)
+	})
 }
 
 // dispatch is the handler thread of one protocol module. It runs
@@ -169,23 +162,25 @@ func (p *Process) dispatch(ch *core.Channel) {
 	defer p.wg.Done()
 	a := vclock.NewActor(fmt.Sprintf("nexus-dispatch-%d-%s", p.rank, ch.Name()))
 	for {
-		conn, err := ch.BeginUnpacking(a)
-		if err != nil {
+		from, id := -1, uint32(0)
+		var body []byte
+		err := ch.Recv(a, func(conn *core.Connection) error {
+			from = conn.Remote()
+			var hdr [8]byte
+			if err := conn.Unpack(hdr[:], core.SendSafer, core.ReceiveExpress); err != nil {
+				return err
+			}
+			id = binary.LittleEndian.Uint32(hdr[0:])
+			body = make([]byte, binary.LittleEndian.Uint32(hdr[4:]))
+			if len(body) == 0 {
+				return nil
+			}
+			return conn.Unpack(body, core.SendCheaper, core.ReceiveCheaper)
+		})
+		if from < 0 {
 			return // channel closed
 		}
-		var hdr [8]byte
-		if err := conn.Unpack(hdr[:], core.SendSafer, core.ReceiveExpress); err != nil {
-			panic(fmt.Sprintf("nexus dispatch %d: %v", p.rank, err))
-		}
-		id := binary.LittleEndian.Uint32(hdr[0:])
-		n := int(binary.LittleEndian.Uint32(hdr[4:]))
-		body := make([]byte, n)
-		if n > 0 {
-			if err := conn.Unpack(body, core.SendCheaper, core.ReceiveCheaper); err != nil {
-				panic(fmt.Sprintf("nexus dispatch %d: %v", p.rank, err))
-			}
-		}
-		if err := conn.EndUnpacking(); err != nil {
+		if err != nil {
 			panic(fmt.Sprintf("nexus dispatch %d: %v", p.rank, err))
 		}
 		a.Advance(rsrOverhead)
@@ -195,6 +190,6 @@ func (p *Process) dispatch(ch *core.Channel) {
 		if h == nil {
 			panic(fmt.Sprintf("nexus dispatch %d: no handler %d", p.rank, id))
 		}
-		h(a, conn.Remote(), NewBufferFrom(body))
+		h(a, from, NewBufferFrom(body))
 	}
 }

@@ -53,6 +53,11 @@ func TestRSRRoundTrip(t *testing.T) {
 	if s := <-got; s != "invoke me" {
 		t.Errorf("handler got %q", s)
 	}
+	// The sender returned and the dispatcher ended the message before it
+	// ran the handler: nothing is left open.
+	if err := p0.chans[0].Session().CheckQuiescent(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestRSREcho(t *testing.T) {

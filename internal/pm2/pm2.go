@@ -156,25 +156,18 @@ func (rt *Runtime) send(a *vclock.Actor, dst int, kind byte, id uint32, aux uint
 	l := rt.lockFor(dst)
 	l.Lock()
 	defer l.Unlock()
-	//madvet:ignore blockhold -- l serializes every sender toward dst, so the send lease below is uncontended under it: the acquire returns without waiting
-	conn, err := rt.ch.BeginPacking(a, dst)
-	if err != nil {
-		return err
-	}
-	var hdr [hdrSize]byte
-	hdr[0] = kind
-	binary.LittleEndian.PutUint32(hdr[4:], id)
-	binary.LittleEndian.PutUint32(hdr[8:], aux)
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(payload)))
-	if err := conn.Pack(hdr[:], core.SendSafer, core.ReceiveExpress); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if err := conn.Pack(payload, core.SendCheaper, core.ReceiveCheaper); err != nil {
+	//madvet:ignore blockhold -- l serializes every sender toward dst, so the send lease Send takes under it is uncontended: the acquire returns without waiting
+	return rt.ch.Send(a, dst, func(conn *core.Connection) error {
+		var hdr [hdrSize]byte
+		hdr[0] = kind
+		binary.LittleEndian.PutUint32(hdr[4:], id)
+		binary.LittleEndian.PutUint32(hdr[8:], aux)
+		binary.LittleEndian.PutUint32(hdr[12:], uint32(len(payload)))
+		if err := conn.Pack(hdr[:], core.SendSafer, core.ReceiveExpress); err != nil || len(payload) == 0 {
 			return err
 		}
-	}
-	return conn.EndPacking()
+		return conn.Pack(payload, core.SendCheaper, core.ReceiveCheaper)
+	})
 }
 
 // Call performs a synchronous LRPC: the caller blocks until the service's
@@ -219,30 +212,31 @@ func (rt *Runtime) Finished() (Finished, bool) { return rt.finished.Pop() }
 func (rt *Runtime) dispatch() {
 	a := vclock.NewActor(fmt.Sprintf("pm2-dispatch-%d", rt.rank))
 	for {
-		conn, err := rt.ch.BeginUnpacking(a)
-		if err != nil {
+		from := -1
+		var hdr [hdrSize]byte
+		var payload []byte
+		err := rt.ch.Recv(a, func(conn *core.Connection) error {
+			from = conn.Remote()
+			if err := conn.Unpack(hdr[:], core.SendSafer, core.ReceiveExpress); err != nil {
+				return err
+			}
+			payload = make([]byte, binary.LittleEndian.Uint32(hdr[12:]))
+			if len(payload) == 0 {
+				return nil
+			}
+			return conn.Unpack(payload, core.SendCheaper, core.ReceiveCheaper)
+		})
+		if from < 0 {
 			rt.finished.Close()
 			close(rt.done)
 			return
 		}
-		var hdr [hdrSize]byte
-		if err := conn.Unpack(hdr[:], core.SendSafer, core.ReceiveExpress); err != nil {
+		if err != nil {
 			panic(fmt.Sprintf("pm2 dispatch %d: %v", rt.rank, err))
 		}
 		kind := hdr[0]
 		id := binary.LittleEndian.Uint32(hdr[4:])
 		aux := binary.LittleEndian.Uint32(hdr[8:])
-		n := int(binary.LittleEndian.Uint32(hdr[12:]))
-		payload := make([]byte, n)
-		if n > 0 {
-			if err := conn.Unpack(payload, core.SendCheaper, core.ReceiveCheaper); err != nil {
-				panic(fmt.Sprintf("pm2 dispatch %d: %v", rt.rank, err))
-			}
-		}
-		if err := conn.EndUnpacking(); err != nil {
-			panic(fmt.Sprintf("pm2 dispatch %d: %v", rt.rank, err))
-		}
-		from := conn.Remote()
 		switch kind {
 		case kindCall:
 			rt.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"testing"
+	"time"
 
 	"madeleine2/internal/bip"
 	"madeleine2/internal/core"
@@ -59,6 +60,19 @@ func TestLRPCRoundTrip(t *testing.T) {
 	// The caller's clock includes both directions plus the service work.
 	if a.Now() < vclock.Micros(13) {
 		t.Errorf("caller clock %v misses the round trip", a.Now())
+	}
+	// The server thread that sent the reply is not joined and may still
+	// be ending its message when the reply is in: retry for a few seconds;
+	// a scope left open stays open.
+	sess := rts[0].ch.Session()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		err := sess.CheckQuiescent()
+		if err == nil {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -27,6 +27,10 @@
 //	conn.Pack(body, madeleine2.SendCheaper, madeleine2.ReceiveCheaper)
 //	conn.EndPacking()
 //
+// Channel.Send and Channel.Recv are the scoped form of the same message:
+// they end it on every path, and Session.CheckQuiescent reports a
+// Table-1 message that was never ended.
+//
 // The higher layers of §5.3 live in internal/mpi (the ch_mad MPI device)
 // and internal/nexus (the Nexus RSR runtime); the measurement harness that
 // regenerates every figure lives in internal/bench and cmd/madbench.
