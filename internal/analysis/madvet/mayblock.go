@@ -11,7 +11,7 @@ import (
 // summarizeMayBlock is blockhold's interprocedural half: per function, in
 // bottom-up call-graph order, whether the body can wait indefinitely and
 // why. It is what lets a span see through a call (pm2's Channel.Send
-// under a mutex waits on the direction lease inside core's BeginPacking).
+// under a mutex waits on the direction lease Send takes).
 //
 // False negatives are acceptable, false positives are not: anything
 // unresolvable (interface calls, function values, bodiless packages,

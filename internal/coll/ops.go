@@ -129,9 +129,10 @@ type Ops struct {
 	rank int
 	alg  Algorithm
 
-	// scratch is where a relay of Gather stages its subtree, grown on
-	// demand and kept between calls: a communicator runs one collective at
-	// a time, and Run returns only once every send has completed.
+	// scratch is where a relay of Gather or Scatter stages its subtree,
+	// grown on demand and kept between calls: a communicator runs one
+	// collective at a time, and Run returns only once every send has
+	// completed.
 	scratch []byte
 }
 
@@ -168,10 +169,7 @@ func (c *Ops) Gather(root int, in, out []byte) error {
 		}
 		p.recv = out[:n*blk]
 	case p.Sched.NumRecvs() > 0: // relay: stage the subtree
-		if cap(c.scratch) < n*blk {
-			c.scratch = make([]byte, n*blk)
-		}
-		p.recv = c.scratch[:n*blk]
+		p.recv = c.stage(n * blk)
 	default: // leaf: the only send is the own block
 		p.send, p.sendOff = in, c.rank*blk
 	}
@@ -179,11 +177,7 @@ func (c *Ops) Gather(root int, in, out []byte) error {
 		copy(p.recv[c.rank*blk:], in)
 		p.send = p.recv
 	}
-	err := c.x.Run("gather", p)
-	if err != nil {
-		c.scratch = nil // a failed run may have left a send reading it
-	}
-	return err
+	return c.run("gather", p)
 }
 
 // Scatter distributes root's in (Size() blocks of len(out) bytes, rank
@@ -201,18 +195,35 @@ func (c *Ops) Scatter(root int, in, out []byte) error {
 		}
 		p.send = in[:n*blk]
 	case p.Sched.NumSends() > 0: // relay: stage the subtree before forwarding
-		p.send = make([]byte, n*blk)
+		p.send = c.stage(n * blk)
 		p.recv = p.send
 	default: // leaf: the only receive is the own block
 		p.recv, p.recvOff = out, c.rank*blk
 	}
-	if err := c.x.Run("scatter", p); err != nil {
+	if err := c.run("scatter", p); err != nil {
 		return err
 	}
 	if p.send != nil {
 		copy(out, p.send[c.rank*blk:c.rank*blk+blk])
 	}
 	return nil
+}
+
+// stage returns the scratch buffer cut to n bytes, growing it if needed.
+func (c *Ops) stage(n int) []byte {
+	if cap(c.scratch) < n {
+		c.scratch = make([]byte, n)
+	}
+	return c.scratch[:n]
+}
+
+// run hands a plan that may stage in scratch to the executor.
+func (c *Ops) run(op string, p Plan) error {
+	err := c.x.Run(op, p)
+	if err != nil {
+		c.scratch = nil // a failed run may have left a send reading it
+	}
+	return err
 }
 
 // Allgather concatenates every rank's in block into out (canonical rank

@@ -18,41 +18,50 @@ import (
 // table1Lane is one warm connection carrying the paper's Table 1 message
 // (an 8-byte receive_EXPRESS header, then a 1 KiB receive_CHEAPER body)
 // from rank 0 to a receiver goroutine on rank 1, one message per call of
-// oneMessage. Everything a message needs is allocated here, so what
-// the gate counts is the library's own.
+// oneMessage, through Begin…/End… or, when scoped, through Send/Recv.
+// Everything a message needs is allocated here, so what the gate counts
+// is the library's own.
 type table1Lane struct {
 	send      *Channel
 	s         *vclock.Actor
 	hdr, body []byte
+	scoped    bool
 	next      chan struct{}
 	done      chan error
 }
 
 func newTable1Lane(t *testing.T, chans map[int]*Channel) *table1Lane {
-	return newLane(t, chans, 1024)
+	return newLane(t, chans, 1024, false)
 }
 
 // newLane is newTable1Lane with a body of the given length.
-func newLane(t *testing.T, chans map[int]*Channel, body int) *table1Lane {
+func newLane(t *testing.T, chans map[int]*Channel, body int, scoped bool) *table1Lane {
 	t.Helper()
 	l := &table1Lane{
 		send: chans[0], s: vclock.NewActor("s"),
-		hdr: pattern(8, 1), body: pattern(body, 2),
+		hdr: pattern(8, 1), body: pattern(body, 2), scoped: scoped,
 		next: make(chan struct{}), done: make(chan error),
 	}
 	recv, r := chans[1], vclock.NewActor("r")
 	rhdr, rbody := make([]byte, 8), make([]byte, body)
+	unpack := func(cn *Connection) error {
+		if err := cn.Unpack(rhdr, SendCheaper, ReceiveExpress); err != nil {
+			return err
+		}
+		return cn.Unpack(rbody, SendCheaper, ReceiveCheaper)
+	}
 	go func() {
 		for range l.next {
+			if scoped {
+				l.done <- recv.Recv(r, unpack)
+				continue
+			}
 			l.done <- func() error {
 				cn, err := recv.BeginUnpacking(r)
 				if err != nil {
 					return err
 				}
-				if err := cn.Unpack(rhdr, SendCheaper, ReceiveExpress); err != nil {
-					return err
-				}
-				if err := cn.Unpack(rbody, SendCheaper, ReceiveCheaper); err != nil {
+				if err := unpack(cn); err != nil {
 					return err
 				}
 				return cn.EndUnpacking()
@@ -65,20 +74,30 @@ func newLane(t *testing.T, chans map[int]*Channel, body int) *table1Lane {
 
 func (l *table1Lane) oneMessage() error {
 	l.next <- struct{}{}
+	if err := l.sendOne(); err != nil {
+		return err
+	}
+	return <-l.done
+}
+
+func (l *table1Lane) sendOne() error {
+	pack := func(cn *Connection) error {
+		if err := cn.Pack(l.hdr, SendCheaper, ReceiveExpress); err != nil {
+			return err
+		}
+		return cn.Pack(l.body, SendCheaper, ReceiveCheaper)
+	}
+	if l.scoped {
+		return l.send.Send(l.s, 1, pack)
+	}
 	cn, err := l.send.BeginPacking(l.s, 1)
 	if err != nil {
 		return err
 	}
-	if err := cn.Pack(l.hdr, SendCheaper, ReceiveExpress); err != nil {
+	if err := pack(cn); err != nil {
 		return err
 	}
-	if err := cn.Pack(l.body, SendCheaper, ReceiveCheaper); err != nil {
-		return err
-	}
-	if err := cn.EndPacking(); err != nil {
-		return err
-	}
-	return <-l.done
+	return cn.EndPacking()
 }
 
 // allocsPerMessage warms the lane past every ring's first cycle (the
@@ -104,27 +123,45 @@ func (l *table1Lane) allocsPerMessage(t *testing.T) float64 {
 // allocSlack absorbs the runtime's own rare allocations during a run.
 const allocSlack = 0.01
 
-// TestMessagePathAllocs gates the synchronous path's allocation count with
-// no observer installed. The floor is the two Connection handles, one per
-// Begin…: a handle is its message's abort latch, and a reused one would
-// let an actor's stale handle close another actor's message. Every driver
-// sits on that floor, with no driver residue, except the rendezvous
-// ablation.
+// driverResidue is what a driver allocates per Table-1 message on its own.
+// Every driver has none except the rendezvous ablation: rdma-rdv forces
+// the header and the body through rendezvous, and each block registers its
+// destination (the MemRegion, its segment, the segment's completion queue
+// with its cond, and the queue's first ring). Registration per block is
+// the protocol.
+var driverResidue = map[string]float64{"rdma-rdv": 10}
+
+// TestMessagePathAllocs gates the Table-1 path's allocation count with no
+// observer installed. The floor is the two Connection handles, one per
+// Begin…. Unlike a Send/Recv scope, a Begin… handle outlives anything the
+// library can see: the caller may keep it past End…, and a kept handle
+// must stay closed, so it cannot be a per-connection slot that the next
+// message reopens under it. The handle is its message's abort latch.
 func TestMessagePathAllocs(t *testing.T) {
-	residue := map[string]float64{
-		// rdma-rdv forces the header and the body through rendezvous, and
-		// each block registers its destination: the MemRegion, its
-		// segment, the segment's completion queue with its cond, and the
-		// queue's first ring. Registration per block is the protocol, so
-		// the issue's two-residue ceiling does not apply to this driver.
-		"rdma-rdv": 10,
+	if size := unsafe.Sizeof(Connection{}); size > 48 {
+		t.Errorf("Connection is %d bytes, want at most 48 (the next size class is 64)", size)
 	}
 	for _, drv := range Drivers() {
 		t.Run(drv, func(t *testing.T) {
 			chans, _ := newTestChannel(t, drv)
 			got := newTable1Lane(t, chans).allocsPerMessage(t)
-			if want := 2 + residue[drv]; got > want+allocSlack {
+			if want := 2 + driverResidue[drv]; got > want+allocSlack {
 				t.Errorf("%s: %.2f allocs per Table-1 message, want at most %.0f", drv, got, want)
+			}
+		})
+	}
+}
+
+// TestScopedMessageAllocs runs the same message through Send/Recv: each
+// closure gets its direction's slot on the ConnState, so a scoped message
+// allocates nothing beyond the driver's residue.
+func TestScopedMessageAllocs(t *testing.T) {
+	for _, drv := range Drivers() {
+		t.Run(drv, func(t *testing.T) {
+			chans, _ := newTestChannel(t, drv)
+			got := newLane(t, chans, 1024, true).allocsPerMessage(t)
+			if want := driverResidue[drv]; got > want+allocSlack {
+				t.Errorf("%s: %.2f allocs per scoped Table-1 message, want at most %.0f", drv, got, want)
 			}
 		})
 	}
@@ -274,7 +311,7 @@ func TestRailAllocsIndependentOfChunks(t *testing.T) {
 	}{{"tcp", 4, 12}, {"bip", 4, 64}, {"sisci", 4, 64}} {
 		perMessage := func(chunks int) float64 {
 			chans, _ := newRailTestChannel(t, fmt.Sprintf("frames-%s-%d", tc.driver, chunks), sameRails(tc.driver, 2), stripe)
-			return newLane(t, chans, chunks*stripe).allocsPerMessage(t)
+			return newLane(t, chans, chunks*stripe, false).allocsPerMessage(t)
 		}
 		// forkRails starts goroutines per operation, and what the runtime
 		// allocates for them varies with scheduling by a few hundredths; a

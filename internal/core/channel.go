@@ -193,8 +193,9 @@ func (l lease) state() (held bool, parked int) {
 
 // msgState is the per-message mutable state of one in-flight message: the
 // Switch step's current TM plus the announce/packed latches. It is owned
-// by the Connection (one per message), never by the shared ConnState, so
-// concurrent messages on one channel cannot corrupt each other.
+// by the message's Connection, so concurrent messages on one channel
+// cannot corrupt each other: the two directions of a connection have
+// separate handles, and one direction carries one message at a time.
 type msgState struct {
 	tm        TM // current Switch-step TM (nil before the first block)
 	announced bool
@@ -236,6 +237,10 @@ type ConnState struct {
 	// without carrying the Connection through the TM interface. Written
 	// only under the send lease.
 	sendMsg *msgState
+
+	// sconn and rconn are the slots Send and Recv lend f, written only by
+	// the holder of their direction's lease and closed between scopes.
+	sconn, rconn Connection
 
 	// Priv holds the protocol module's per-connection resources. The
 	// module must partition it by direction: send-path methods
@@ -346,16 +351,18 @@ func (cs *ConnState) leftovers() []string {
 	return out
 }
 
-// Connection is the user handle returned by BeginPacking/BeginUnpacking:
-// one in-construction (or in-extraction) message on one connection. It
-// owns the message's mutable state and the direction's lease; the matching
-// End call releases both. A Connection belongs to the actor that began it
-// and is not itself safe for concurrent use.
+// Connection is one in-construction (or in-extraction) message on one
+// connection and owns its mutable state. BeginPacking/BeginUnpacking return
+// a heap handle per message, holding the direction's lease until End… or
+// an abort; Send/Recv lend f a ConnState slot instead (see Send). A
+// Connection belongs to the actor that began it and is not itself safe for
+// concurrent use.
 type Connection struct {
 	cs      *ConnState
 	actor   *vclock.Actor
 	sending bool
 	open    bool
+	scoped  bool // a ConnState slot: its Send/Recv scope releases the lease
 	msg     msgState
 }
 
@@ -375,46 +382,86 @@ func (cn *Connection) Channel() *Channel { return cn.cs.ch }
 // lease is released by EndPacking (on every path, even error) or by a
 // failed Pack, which aborts the message.
 func (c *Channel) BeginPacking(a *vclock.Actor, remote int) (*Connection, error) {
-	cs, err := c.conn(remote)
+	cs, err := c.acquireSend(a, remote)
 	if err != nil {
 		return nil, err
-	}
-	t0 := a.Now()
-	cs.send.acquire(a)
-	if a.Now() > t0 {
-		// Contended lease: the wait is the full-duplex path's queueing
-		// delay, made visible for the observer's timeline.
-		c.span(a, t0, c.lbl.leaseSend)
 	}
 	cn := &Connection{cs: cs, actor: a, sending: true, open: true}
 	cs.sendMsg = &cn.msg
 	return cn, nil
 }
 
-// abort tears the in-flight message down after a failed Pack/Unpack: it
-// closes the Connection and releases the direction's lease, so a failed
-// message can never wedge the connection — the next Begin… proceeds and
-// observes the underlying condition (e.g. ErrClosed) itself. A caller may
-// therefore bail out on a Pack/Unpack error without calling End…; the
-// matching End… on an aborted connection reports ErrBadState and touches
-// neither the lease nor the stats.
-func (cn *Connection) abort(err error) error {
+// acquireSend resolves the connection toward remote and takes its send
+// lease: the first step of BeginPacking and Send.
+func (c *Channel) acquireSend(a *vclock.Actor, remote int) (*ConnState, error) {
+	cs, err := c.conn(remote)
+	if err != nil {
+		return nil, err
+	}
+	c.takeLease(a, cs.send, c.lbl.leaseSend)
+	return cs, nil
+}
+
+// acquireRecv claims the next incoming-message announcement and takes that
+// connection's receive lease: the first step of BeginUnpacking and Recv.
+func (c *Channel) acquireRecv(a *vclock.Actor) (*ConnState, error) {
+	remote, ok := c.nextAnnouncement()
+	if !ok {
+		return nil, ErrClosed
+	}
+	cs, err := c.conn(remote)
+	if err != nil {
+		return nil, err
+	}
+	c.takeLease(a, cs.recv, c.lbl.leaseRecv)
+	return cs, nil
+}
+
+// takeLease acquires a direction lease for a; a contended wait is the
+// full-duplex path's queueing delay, shown on the observer's timeline.
+func (c *Channel) takeLease(a *vclock.Actor, l lease, label string) {
+	t0 := a.Now()
+	l.acquire(a)
+	if a.Now() > t0 {
+		c.span(a, t0, label)
+	}
+}
+
+// finish closes the message. A heap handle also releases the direction's
+// lease; a slot's lease stays with its Send/Recv scope until f returns, so
+// no other actor can reopen the slot while f still holds it.
+func (cn *Connection) finish() {
 	cn.open = false
 	if cn.sending {
 		cn.cs.sendMsg = nil
+	}
+	switch {
+	case cn.scoped:
+	case cn.sending:
 		cn.cs.send.release(cn.actor)
-	} else {
+	default:
 		cn.cs.recv.release(cn.actor)
 	}
+}
+
+// abort tears the in-flight message down after a failed Pack/Unpack: it
+// closes the Connection and, for a heap handle, releases the direction's
+// lease, so a failed message can never wedge the connection — the next
+// Begin… proceeds and observes the underlying condition (e.g. ErrClosed)
+// itself. A caller may therefore bail out on a Pack/Unpack error without
+// calling End…; the matching End… on an aborted connection reports
+// ErrBadState and touches neither the lease nor the stats.
+func (cn *Connection) abort(err error) error {
+	cn.finish()
 	return err
 }
 
 // Pack appends one data block to the message (mad_pack). The block's
 // length and mode combination steer the Switch step's TM selection; the
 // matching Unpack must use the same length and modes (§2.2). On error the
-// message is aborted: the send lease is released and the connection is
-// closed, so the caller simply returns the error — a subsequent EndPacking
-// is a no-op reporting ErrBadState.
+// message is aborted: the connection is closed and the send lease released
+// (a Send slot's when f returns), so the caller simply returns the error —
+// a subsequent EndPacking is a no-op reporting ErrBadState.
 //
 // Pack, Unpack and the two End calls are the executors themselves: the
 // synchronous caller runs them inline on its own actor, and the progress
@@ -457,12 +504,8 @@ func (cn *Connection) EndPacking() error {
 	if !cn.open || !cn.sending {
 		return ErrBadState
 	}
-	cn.open = false
 	cs, m := cn.cs, &cn.msg
-	defer func() {
-		cs.sendMsg = nil
-		cs.send.release(cn.actor)
-	}()
+	defer cn.finish()
 	if !m.packed {
 		return ErrEmptyMessage
 	}
@@ -491,26 +534,17 @@ func (cn *Connection) EndPacking() error {
 // once pending messages drain, whether the call was already blocked when
 // Close ran or issued afterwards.
 func (c *Channel) BeginUnpacking(a *vclock.Actor) (*Connection, error) {
-	remote, ok := c.nextAnnouncement()
-	if !ok {
-		return nil, ErrClosed
-	}
-	cs, err := c.conn(remote)
+	cs, err := c.acquireRecv(a)
 	if err != nil {
 		return nil, err
 	}
-	t0 := a.Now()
-	cs.recv.acquire(a)
-	if a.Now() > t0 {
-		c.span(a, t0, c.lbl.leaseRecv)
-	}
-	return &Connection{cs: cs, actor: a, sending: false, open: true}, nil
+	return &Connection{cs: cs, actor: a, open: true}, nil
 }
 
 // Unpack extracts one data block into dst (mad_unpack). Length and modes
-// must mirror the sender's Pack exactly. On error the message is aborted —
-// the receive lease is released and the connection closed — mirroring the
-// Pack contract, so the caller returns the error without EndUnpacking.
+// must mirror the sender's Pack exactly. On error the message is aborted,
+// mirroring the Pack contract, so the caller returns the error without
+// EndUnpacking.
 func (cn *Connection) Unpack(dst []byte, sm SendMode, rm RecvMode) error {
 	if !cn.open || cn.sending {
 		return ErrBadState
@@ -546,9 +580,8 @@ func (cn *Connection) EndUnpacking() error {
 	if !cn.open || cn.sending {
 		return ErrBadState
 	}
-	cn.open = false
 	cs, m := cn.cs, &cn.msg
-	defer cs.recv.release(cn.actor)
+	defer cn.finish()
 	if m.tm != nil {
 		t0 := cn.actor.Now()
 		err := cs.recvBMM(m.tm).Checkout(cn.actor)
@@ -567,29 +600,42 @@ func (cn *Connection) EndUnpacking() error {
 // send lease. After a failed Pack the abort contract has already closed
 // the connection and EndPacking is a no-op. f's error wins over
 // EndPacking's.
+//
+// f runs on the connection's send slot, so a scoped message allocates no
+// handle. The slot is valid only until f returns: Send holds the lease
+// until then, even after an abort, and a handle kept past the scope
+// reports ErrBadState.
 func (c *Channel) Send(a *vclock.Actor, remote int, f func(*Connection) error) error {
-	cn, err := c.BeginPacking(a, remote)
+	cs, err := c.acquireSend(a, remote)
 	if err != nil {
 		return err
 	}
+	cn := &cs.sconn
+	*cn = Connection{cs: cs, actor: a, sending: true, open: true, scoped: true}
+	cs.sendMsg = &cn.msg
 	err = f(cn)
 	if endErr := cn.EndPacking(); err == nil {
 		err = endErr
 	}
+	cs.send.release(a)
 	return err
 }
 
 // Recv is Send's receive dual: it begins the next incoming message, runs
-// f on it and ends it on every path, whatever f returns.
+// f on the connection's receive slot and ends it on every path, whatever
+// f returns. The slot has Send's contract.
 func (c *Channel) Recv(a *vclock.Actor, f func(*Connection) error) error {
-	cn, err := c.BeginUnpacking(a)
+	cs, err := c.acquireRecv(a)
 	if err != nil {
 		return err
 	}
+	cn := &cs.rconn
+	*cn = Connection{cs: cs, actor: a, open: true, scoped: true}
 	err = f(cn)
 	if endErr := cn.EndUnpacking(); err == nil {
 		err = endErr
 	}
+	cs.recv.release(a)
 	return err
 }
 

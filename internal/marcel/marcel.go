@@ -107,7 +107,8 @@ func (l *Listener) Policy() Policy { return l.pol }
 
 // Conn is a policy-wrapped incoming message: its first Unpack applies the
 // mechanism's latency and CPU accounting, subsequent calls pass through.
-// It cannot end the message; Serve does.
+// It cannot end the message; Serve does. It wraps the connection slot core's
+// Channel.Recv lends, so it is valid only until Serve's f returns.
 type Conn struct {
 	conn  *core.Connection
 	l     *Listener
@@ -116,7 +117,8 @@ type Conn struct {
 }
 
 // Serve receives the next message under the policy: core's Channel.Recv
-// with the policy's accounting around f's first Unpack.
+// with the policy's accounting around f's first Unpack. f must not keep
+// the *Conn past its return.
 func (l *Listener) Serve(a *vclock.Actor, f func(*Conn) error) error {
 	t0 := a.Now()
 	return l.ch.Recv(a, func(conn *core.Connection) error {

@@ -28,8 +28,9 @@
 //	conn.EndPacking()
 //
 // Channel.Send and Channel.Recv are the scoped form of the same message:
-// they end it on every path, and Session.CheckQuiescent reports a
-// Table-1 message that was never ended.
+// they end it on every path and allocate no handle for it (the Connection
+// they pass is valid only until the function returns), and
+// Session.CheckQuiescent reports a Table-1 message that was never ended.
 //
 // The higher layers of §5.3 live in internal/mpi (the ch_mad MPI device)
 // and internal/nexus (the Nexus RSR runtime); the measurement harness that
