@@ -64,6 +64,9 @@ func TestAlltoallDrainsOnSizeError(t *testing.T) {
 			t.Fatalf("rank %d leaked %d in-flight requests", r, n)
 		}
 	}
+	if err := cs[0].m.ch.Session().CheckQuiescent(); err != nil {
+		t.Fatal(err)
+	}
 	// The abort drained every stray block: the next collective matches
 	// cleanly on the same communicators.
 	payload := []byte("still alive after the abort")
@@ -78,6 +81,9 @@ func TestAlltoallDrainsOnSizeError(t *testing.T) {
 			t.Errorf("rank %d: bcast after abort corrupted", c.Rank())
 		}
 	})
+	if err := cs[0].m.ch.Session().CheckQuiescent(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestAlltoallDrainsUnderHostileFabric drives the rendezvous path (rdma,
@@ -205,5 +211,8 @@ func TestGatherTypedSizeError(t *testing.T) {
 		if k := c.Inflight(); k != 0 {
 			t.Fatalf("rank %d leaked %d in-flight requests", r, k)
 		}
+	}
+	if err := cs[0].m.ch.Session().CheckQuiescent(); err != nil {
+		t.Fatal(err)
 	}
 }

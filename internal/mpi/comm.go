@@ -57,32 +57,25 @@ type unexpected struct {
 	stamp   vclock.Time
 }
 
-// matcher is the per-channel matching engine and send engine, shared by a
-// communicator and every sub-communicator split from it. Like an MPI
-// process, the whole family belongs to one application thread — that
-// thread owns the matching state (pending) and drives the channel's
-// receive path, while the send engine thread drives its send path. The
-// two overlap freely on the same connection: core's per-direction leases
-// make a Madeleine channel full duplex, so no locking is needed here
-// beyond the sendQ handoff.
+// matcher is the per-channel matching state, shared by a communicator and
+// every sub-communicator split from it. Like an MPI process, the whole
+// family belongs to one application thread: it owns the unexpected queue
+// (pending), drives the channel's receive path, and reaps the family's
+// Isends, which run on the session's progress engine.
 type matcher struct {
 	ch      *core.Channel
 	pending []unexpected
 
-	sendQ     chan sendOp
-	sendActor *vclock.Actor
-
-	// inflight counts engine operations posted but not yet executed: the
-	// observable behind the collectives' no-leak contract (a collective
-	// that returns — success or error — leaves it at zero once its
-	// requests are reaped).
+	cq *core.CQ // every completion of the family's Isends
+	// inflight counts Isends whose End is not yet taken off cq: the
+	// collectives' no-leak contract leaves it at zero.
 	inflight atomic.Int64
+	owed     int // Isends waited for, minus Ends taken off cq
 }
 
 // Comm is a communicator over one Madeleine channel. Ranks are dense
 // 0..Size()-1 positions in the member list; sub-communicators share the
-// parent's channel, matcher and send engine, isolated by a tag-space
-// context.
+// parent's channel and matcher, isolated by a tag-space context.
 type Comm struct {
 	m       *matcher
 	actor   *vclock.Actor
@@ -99,7 +92,7 @@ type Comm struct {
 func NewComm(ch *core.Channel, a *vclock.Actor) (*Comm, error) {
 	nodes := ch.Members()
 	c := &Comm{
-		m:      &matcher{ch: ch},
+		m:      &matcher{ch: ch, cq: core.NewCQ()},
 		actor:  a,
 		nodes:  nodes,
 		byNode: make(map[int]int, len(nodes)),
@@ -131,7 +124,7 @@ func (c *Comm) Actor() *vclock.Actor { return c.actor }
 func (c *Comm) Parent() *Comm { return c.parent }
 
 // Inflight reports the number of non-blocking sends posted on this
-// communicator family's engine that have not completed yet.
+// communicator family that no Wait or Close has completed yet.
 func (c *Comm) Inflight() int { return int(c.m.inflight.Load()) }
 
 // RankOfNode translates a node rank into this communicator's rank.
@@ -190,26 +183,36 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 // communicator under their own threads of control use it — the "Madeleine
 // on top of MPI" port (internal/overmpi) is one.
 func (c *Comm) SendAs(a *vclock.Actor, dst, tag int, data []byte) error {
-	if dst < 0 || dst >= len(c.nodes) {
-		return fmt.Errorf("mpi: bad destination rank %d", dst)
-	}
-	if dst == c.rank {
-		return fmt.Errorf("mpi: self-send is not supported")
-	}
-	wire, err := c.wireTag(tag)
+	node, wire, err := c.route(dst, tag)
 	if err != nil {
 		return err
 	}
 	a.Advance(chMadOverhead)
-	return c.m.ch.Send(a, c.nodes[dst], func(conn *core.Connection) error {
+	return c.m.ch.Send(a, node, func(conn *core.Connection) error {
 		var hdr [msgHdrSize]byte
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(int32(wire)))
-		binary.LittleEndian.PutUint32(hdr[4:], uint32(len(data)))
-		if err := conn.Pack(hdr[:], core.SendSafer, core.ReceiveExpress); err != nil || len(data) == 0 {
+		if err := conn.Pack(putHdr(hdr[:], wire, len(data), 0), core.SendSafer, core.ReceiveExpress); err != nil || len(data) == 0 {
 			return err
 		}
 		return conn.Pack(data, core.SendCheaper, core.ReceiveCheaper)
 	})
+}
+
+// route checks a send's destination rank (self-sends are unsupported) and
+// tag, and returns the destination node and the wire tag.
+func (c *Comm) route(dst, tag int) (node, wire int, err error) {
+	if dst < 0 || dst >= len(c.nodes) || dst == c.rank {
+		return 0, 0, fmt.Errorf("mpi: bad destination rank %d", dst)
+	}
+	wire, err = c.wireTag(tag)
+	return c.nodes[dst], wire, err
+}
+
+// putHdr encodes the envelope into hdr[:msgHdrSize] and returns that.
+func putHdr(hdr []byte, wire, n, segs int) []byte {
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(int32(wire)))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(n))
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(segs))
+	return hdr[:msgHdrSize]
 }
 
 // match reports whether a queued message satisfies (src, tag) in this
@@ -291,6 +294,9 @@ func (m *matcher) pull(a *vclock.Actor) (unexpected, error) {
 		u.wireTag = int(int32(binary.LittleEndian.Uint32(hdr[0:])))
 		n := int(binary.LittleEndian.Uint32(hdr[4:]))
 		segs := int(binary.LittleEndian.Uint32(hdr[8:]))
+		if segs > n { // segments are never empty: refuse before allocating
+			return fmt.Errorf("mpi: %d segments for %d payload bytes", segs, n)
+		}
 		u.data = make([]byte, n)
 		switch {
 		case segs > 0:

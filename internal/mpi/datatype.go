@@ -89,23 +89,17 @@ func (d Datatype) Segments() int { return len(d.segs) }
 // and segment table travel express, then one Madeleine block per segment
 // — no sender-side gather copy.
 func (c *Comm) SendType(dst, tag int, buf []byte, d Datatype) error {
-	if dst < 0 || dst >= len(c.nodes) || dst == c.rank {
-		return fmt.Errorf("mpi: bad destination rank %d", dst)
+	node, wire, err := c.route(dst, tag)
+	if err != nil {
+		return err
 	}
 	if d.Extent() > len(buf) {
 		return fmt.Errorf("mpi: datatype extent %d exceeds the buffer (%d bytes)", d.Extent(), len(buf))
 	}
-	wire, err := c.wireTag(tag)
-	if err != nil {
-		return err
-	}
 	c.actor.Advance(chMadOverhead)
-	return c.m.ch.Send(c.actor, c.nodes[dst], func(conn *core.Connection) error {
+	return c.m.ch.Send(c.actor, node, func(conn *core.Connection) error {
 		var hdr [msgHdrSize]byte
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(int32(wire)))
-		binary.LittleEndian.PutUint32(hdr[4:], uint32(d.Size()))
-		binary.LittleEndian.PutUint32(hdr[8:], uint32(len(d.segs)))
-		if err := conn.Pack(hdr[:], core.SendSafer, core.ReceiveExpress); err != nil {
+		if err := conn.Pack(putHdr(hdr[:], wire, d.Size(), len(d.segs)), core.SendSafer, core.ReceiveExpress); err != nil {
 			return err
 		}
 		table := make([]byte, 4*len(d.segs))

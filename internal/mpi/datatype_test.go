@@ -161,9 +161,7 @@ func TestMalformedSegmentTable(t *testing.T) {
 		}
 		return c.m.ch.Send(c.actor, c.nodes[0], func(conn *core.Connection) error {
 			var hdr [msgHdrSize]byte
-			binary.LittleEndian.PutUint32(hdr[0:], uint32(wire))
-			binary.LittleEndian.PutUint32(hdr[4:], uint32(n))
-			binary.LittleEndian.PutUint32(hdr[8:], uint32(len(table)))
+			putHdr(hdr[:], wire, n, len(table))
 			tb := make([]byte, 4*len(table))
 			for i, k := range table {
 				binary.LittleEndian.PutUint32(tb[4*i:], uint32(k))

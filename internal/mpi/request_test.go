@@ -124,11 +124,104 @@ func TestIrecvWait(t *testing.T) {
 	})
 }
 
+// TestIsendErrorSurfacesAtWait: a bad rank, a self-send and a bad tag are
+// each reported by Wait, and none of them opens a conversation.
 func TestIsendErrorSurfacesAtWait(t *testing.T) {
 	cs := comms(t, 2, "tcp")
-	defer cs[0].Close()
-	req := cs[0].Isend(7, 0, []byte{1}) // bad destination rank
-	if _, err := req.Wait(); err == nil {
-		t.Error("bad destination must surface at Wait")
+	c := cs[0]
+	defer c.Close()
+	for _, x := range []struct {
+		name     string
+		dst, tag int
+	}{{"bad destination", 7, 0}, {"self-send", 0, 0}, {"bad tag", 1, MaxTag}} {
+		if _, err := c.Isend(x.dst, x.tag, []byte{1}).Wait(); err == nil {
+			t.Errorf("%s must surface at Wait", x.name)
+		}
+	}
+	if n, q := c.Inflight(), c.m.cq.Len(); n != 0 || q != 0 {
+		t.Fatalf("rejected Isends left %d in flight, %d completions queued", n, q)
+	}
+	if err := c.m.ch.Session().CheckQuiescent(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIsendThenSendOrder pins non-overtaking per (source, tag) across the
+// blocking and non-blocking paths: an Isend followed by a Send to the same
+// rank arrives first, also with an Isend to another rank in between.
+// After Waitall the family's completion queue holds nothing.
+func TestIsendThenSendOrder(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		cs := comms(t, 3, "tcp")
+		parallel(t, cs, func(c *Comm) {
+			switch c.Rank() {
+			case 0:
+				a := c.Isend(1, 5, []byte{0})
+				if err := c.Send(1, 5, []byte{1}); err != nil {
+					t.Error(err)
+				}
+				b := c.Isend(1, 5, []byte{2})
+				d := c.Isend(2, 5, []byte{3})
+				if err := c.Send(1, 5, []byte{4}); err != nil {
+					t.Error(err)
+				}
+				if err := Waitall(a, b, d); err != nil {
+					t.Error(err)
+				}
+				if n := c.m.cq.Len(); n != 0 {
+					t.Errorf("%d completions left on the CQ after Waitall", n)
+				}
+			case 1:
+				for _, want := range []byte{0, 1, 2, 4} {
+					buf := make([]byte, 1)
+					if _, err := c.Recv(0, 5, buf); err != nil || buf[0] != want {
+						t.Errorf("run %d: got %d, %v; want %d", i, buf[0], err, want)
+					}
+				}
+			case 2:
+				buf := make([]byte, 1)
+				if _, err := c.Recv(0, 5, buf); err != nil || buf[0] != 3 {
+					t.Errorf("run %d: rank 2 got %d, %v", i, buf[0], err)
+				}
+			}
+		})
+		if t.Failed() {
+			return
+		}
+		if err := cs[0].m.ch.Session().CheckQuiescent(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCloseJoinsIsends: Close returns once every posted Isend has
+// completed, though none was waited for.
+func TestCloseJoinsIsends(t *testing.T) {
+	cs := comms(t, 2, "sisci")
+	const msgs, n = 8, 256 << 10
+	recvd := make(chan error, 1)
+	go func() {
+		buf := make([]byte, n)
+		for i := 0; i < msgs; i++ {
+			if _, err := cs[1].Recv(0, 1, buf); err != nil {
+				recvd <- err
+				return
+			}
+		}
+		recvd <- nil
+	}()
+	c := cs[0]
+	for i := 0; i < msgs; i++ {
+		c.Isend(1, 1, make([]byte, n))
+	}
+	c.Close()
+	if err := <-recvd; err != nil {
+		t.Fatal(err)
+	}
+	if k := c.Inflight(); k != 0 {
+		t.Fatalf("Close returned with %d Isends in flight", k)
+	}
+	if err := c.m.ch.Session().CheckQuiescent(); err != nil {
+		t.Fatal(err)
 	}
 }
