@@ -55,9 +55,19 @@ type Comm struct {
 	seq       uint32
 	err       error
 
+	// The running call's executor state, kept between calls and reset by
+	// run, so a call allocates none of it.
+	op       string
+	recvLeft []int            // per round: receives not yet matched
+	deferred [][]deferredFold // per round: folds that arrived ahead of it
+	replay   []event          // banked messages of this call
+	curRound int
+	sendsOut int
+
 	mu     sync.Mutex
 	curSeq uint32
 	exps   map[expKey]*exp
+	expBuf []exp // exps' values, sized before any pointer into it is taken
 	future []event
 }
 
@@ -147,7 +157,7 @@ func newComm(members []int, self int, opts Options) (*Comm, error) {
 	if topo.Size() != len(nodes) {
 		return nil, fmt.Errorf("coll: topology covers %d ranks, channel has %d", topo.Size(), len(nodes))
 	}
-	c := &Comm{nodes: nodes}
+	c := &Comm{nodes: nodes, exps: make(map[expKey]*exp)}
 	c.Ops = NewOps((*eventExec)(c), topo, rank, opts.Alg)
 	return c, nil
 }
@@ -246,117 +256,52 @@ func (c *Comm) run(op string, p Plan) error {
 	// Register every expectation before any message can match, count the
 	// per-round receive debt, and pull messages that raced ahead of us out
 	// of the future list.
-	recvLeft := make([]int, len(s.Rounds))
-	total := 0
+	total := s.NumRecvs()
 	c.mu.Lock()
+	c.reset(op, len(s.Rounds), total)
 	c.curSeq = c.seq
-	c.exps = make(map[expKey]*exp)
+	next := 0
 	for ri, r := range s.Rounds {
-		recvLeft[ri] = len(r.Recvs)
-		total += len(r.Recvs)
+		c.recvLeft[ri] = len(r.Recvs)
 		for _, x := range r.Recvs {
 			k := expKey{x.Peer, x.Tag}
 			if _, dup := c.exps[k]; dup {
 				c.mu.Unlock()
 				return c.fail(op, fmt.Errorf("coll: %s schedule repeats expectation origin %d tag %d", op, x.Peer, x.Tag))
 			}
-			e := &exp{x: x, round: ri}
+			e := &c.expBuf[next]
+			next++
+			*e = exp{x: x, round: ri}
 			if !x.Combine {
 				e.sink = p.Sink(x)
 			}
 			c.exps[k] = e
 		}
 	}
-	var replay []event
-	var future []event
+	keep := c.future[:0]
 	for _, ev := range c.future {
 		if ev.hdr.seq == c.seq {
-			replay = append(replay, ev)
+			c.replay = append(c.replay, ev)
 		} else {
-			future = append(future, ev)
+			keep = append(keep, ev)
 		}
 	}
-	c.future = future
+	clear(c.future[len(keep):])
+	c.future = keep
 	c.mu.Unlock()
 
-	c.t.need(total - len(replay))
+	c.t.need(total - len(c.replay))
+	defer c.release()
 
-	curRound := -1
-	sendsOut := 0
-	deferred := make([][]deferredFold, len(s.Rounds))
-	handle := func(ev event) error {
-		if ev.err != nil {
-			return ev.err
-		}
-		c.actor.Sync(ev.stamp)
-		if ev.send {
-			sendsOut--
-			return nil
-		}
-		if ev.hdr.seq != c.seq {
-			if ev.hdr.seq > c.seq {
-				// A rank already running a later collective: bank the
-				// message and replace the consumed receive slot.
-				c.mu.Lock()
-				c.future = append(c.future, ev)
-				c.mu.Unlock()
-				c.t.need(1)
-				return nil
-			}
-			return fmt.Errorf("coll: %s: stale message seq %d during %d", op, ev.hdr.seq, c.seq)
-		}
-		k := expKey{int(ev.hdr.origin), int(ev.hdr.tag)}
-		c.mu.Lock()
-		e := c.exps[k]
-		c.mu.Unlock()
-		if e == nil || e.matched {
-			return fmt.Errorf("coll: %s: unexpected message from rank %d tag %d", op, k.origin, k.tag)
-		}
-		if int(ev.hdr.length) != e.x.Len {
-			return &SizeError{Source: k.origin, Got: int(ev.hdr.length), Want: e.x.Len}
-		}
-		e.matched = true
-		recvLeft[e.round]--
-		c.met.msgsIn.Add(1)
-		c.met.bytesIn.Add(int64(e.x.Len))
-		switch {
-		case ev.claimed:
-			c.met.claimed.Add(1)
-		case e.sink != nil:
-			copy(e.sink, ev.data)
-		case e.round > curRound:
-			deferred[e.round] = append(deferred[e.round], deferredFold{x: e.x, data: ev.data})
-		default:
-			return p.Got(e.x, ev.data)
-		}
-		return nil
-	}
-
-	fail := func(err error) error {
-		// Drain outstanding sends before poisoning: their payload slices
-		// are still being read by the transport, and the caller may reuse
-		// those buffers the moment we return.
-		for sendsOut > 0 {
-			ev, ok := c.t.events().Pop()
-			if !ok {
-				break
-			}
-			if ev.send {
-				sendsOut--
-			}
-		}
-		return c.fail(op, err)
-	}
-
-	for _, ev := range replay {
-		if err := handle(ev); err != nil {
-			return fail(err)
+	for _, ev := range c.replay {
+		if err := c.handle(&p, ev); err != nil {
+			return c.abort(err)
 		}
 	}
 
 	token := 0
 	for ri, r := range s.Rounds {
-		curRound = ri
+		c.curRound = ri
 		t0 := c.actor.Now()
 		for _, x := range r.Sends {
 			payload := p.Data(x)
@@ -365,25 +310,121 @@ func (c *Comm) run(op string, p Plan) error {
 			c.met.bytesOut.Add(int64(len(payload)))
 			c.t.isend(token, c.nodes[x.Peer], h, payload, c.actor.Now())
 			token++
-			sendsOut++
+			c.sendsOut++
 		}
-		for _, d := range deferred[ri] {
+		for _, d := range c.deferred[ri] {
 			if err := p.Got(d.x, d.data); err != nil {
-				return fail(err)
+				return c.abort(err)
 			}
 		}
-		for recvLeft[ri] > 0 || sendsOut > 0 {
+		for c.recvLeft[ri] > 0 || c.sendsOut > 0 {
 			ev, ok := c.t.events().Pop()
 			if !ok {
-				return fail(fmt.Errorf("coll: %s: transport closed mid-collective", op))
+				return c.abort(fmt.Errorf("coll: %s: transport closed mid-collective", op))
 			}
-			if err := handle(ev); err != nil {
-				return fail(err)
+			if err := c.handle(&p, ev); err != nil {
+				return c.abort(err)
 			}
 		}
-		c.rec.RecordT(c.actor.Name(), t0, c.actor.Now(), fmt.Sprintf("c:%s/r%d", op, ri), traceID, 0)
+		if c.rec != nil {
+			c.rec.RecordT(c.actor.Name(), t0, c.actor.Now(), fmt.Sprintf("c:%s/r%d", op, ri), traceID, 0)
+		}
 	}
 	return nil
+}
+
+// reset readies the kept executor state for a call of op with rounds
+// rounds and recvs expectations. It runs under c.mu.
+func (c *Comm) reset(op string, rounds, recvs int) {
+	c.op, c.curRound, c.sendsOut = op, -1, 0
+	if cap(c.recvLeft) < rounds {
+		c.recvLeft = make([]int, rounds)
+	}
+	c.recvLeft = c.recvLeft[:rounds]
+	for len(c.deferred) < rounds {
+		c.deferred = append(c.deferred, nil)
+	}
+	clear(c.exps)
+	if cap(c.expBuf) < recvs {
+		c.expBuf = make([]exp, recvs)
+	}
+	c.expBuf = c.expBuf[:recvs]
+}
+
+// release ends a call: the payloads it banked are dropped, so none
+// outlives the call in the kept lists.
+func (c *Comm) release() {
+	for ri, d := range c.deferred {
+		clear(d)
+		c.deferred[ri] = d[:0]
+	}
+	clear(c.replay)
+	c.replay = c.replay[:0]
+}
+
+// handle consumes one transport event of the running call.
+func (c *Comm) handle(p *Plan, ev event) error {
+	if ev.err != nil {
+		return ev.err
+	}
+	c.actor.Sync(ev.stamp)
+	if ev.send {
+		c.sendsOut--
+		return nil
+	}
+	if ev.hdr.seq != c.seq {
+		if ev.hdr.seq > c.seq {
+			// A rank already running a later collective: bank the
+			// message and replace the consumed receive slot.
+			c.mu.Lock()
+			c.future = append(c.future, ev)
+			c.mu.Unlock()
+			c.t.need(1)
+			return nil
+		}
+		return fmt.Errorf("coll: %s: stale message seq %d during %d", c.op, ev.hdr.seq, c.seq)
+	}
+	k := expKey{int(ev.hdr.origin), int(ev.hdr.tag)}
+	c.mu.Lock()
+	e := c.exps[k]
+	c.mu.Unlock()
+	if e == nil || e.matched {
+		return fmt.Errorf("coll: %s: unexpected message from rank %d tag %d", c.op, k.origin, k.tag)
+	}
+	if int(ev.hdr.length) != e.x.Len {
+		return &SizeError{Source: k.origin, Got: int(ev.hdr.length), Want: e.x.Len}
+	}
+	e.matched = true
+	c.recvLeft[e.round]--
+	c.met.msgsIn.Add(1)
+	c.met.bytesIn.Add(int64(e.x.Len))
+	switch {
+	case ev.claimed:
+		c.met.claimed.Add(1)
+	case e.sink != nil:
+		copy(e.sink, ev.data)
+	case e.round > c.curRound:
+		c.deferred[e.round] = append(c.deferred[e.round], deferredFold{x: e.x, data: ev.data})
+	default:
+		return p.Got(e.x, ev.data)
+	}
+	return nil
+}
+
+// abort ends the running call with err. It drains outstanding sends before
+// poisoning: their payload slices are still being read by the transport,
+// and the caller may reuse those buffers the moment we return.
+func (c *Comm) abort(err error) error {
+	for c.sendsOut > 0 {
+		ev, ok := c.t.events().Pop()
+		if !ok {
+			break
+		}
+		if ev.send {
+			c.sendsOut--
+		}
+	}
+	return c.fail(c.op, err)
 }
 
 // fail poisons the communicator: the ranks no longer agree on the

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Op is a reduction operator over float64 vectors. It is defined here and
@@ -17,43 +18,22 @@ const (
 	Min
 )
 
-func (op Op) fold(acc, in []float64) {
-	switch op {
-	case Sum:
-		for i, v := range in {
+// replace is fold's whole-vector copy: the broadcast phase of a composed
+// allreduce overwrites the accumulator.
+const replace Op = -1
+
+// fold combines the little-endian float64 vector in (8*len(acc) bytes)
+// into acc.
+func (op Op) fold(acc []float64, in []byte) {
+	for i := range acc {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(in[8*i:]))
+		switch {
+		case op == Sum:
 			acc[i] += v
-		}
-	case Max:
-		for i, v := range in {
-			if v > acc[i] {
-				acc[i] = v
-			}
-		}
-	case Min:
-		for i, v := range in {
-			if v < acc[i] {
-				acc[i] = v
-			}
+		case op == replace, op == Max && v > acc[i], op == Min && v < acc[i]:
+			acc[i] = v
 		}
 	}
-}
-
-func encodeFloats(vs []float64) []byte {
-	b := make([]byte, 8*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
-	}
-	return b
-}
-
-func decodeFloats(b []byte, out []float64) error {
-	if len(b) != 8*len(out) {
-		return fmt.Errorf("coll: reduction payload is %d bytes, want %d", len(b), 8*len(out))
-	}
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return nil
 }
 
 // Plan is one collective call ready to run: its schedule, and where each
@@ -63,19 +43,32 @@ func decodeFloats(b []byte, out []float64) error {
 // of the send or receive buffer (off is non-zero for a tree leaf, whose
 // buffer is its own block only); a reduction has an accumulator instead:
 // every send is a snapshot of it and every arrival folds into it.
+//
+// Sched may be the Ops' memoized schedule, shared with later calls:
+// executors read it and never modify or keep it.
 type Plan struct {
 	Sched            Schedule
 	send, recv       []byte
 	sendOff, recvOff int
 	acc              []float64 // non-nil: a reduction with op
 	op               Op
+	enc              []byte // 8*len(acc) bytes: the snapshot sends read
+	encoded          bool   // enc holds acc: no Got since the last Data
 }
 
-// Data yields a send's payload. The executor may read it for as long as
-// the send is in flight, which is why an accumulator is copied.
+// Data yields a send's payload. A reduction's snapshot is rewritten by the
+// first Data after a Got changed the accumulator, so the executor may read
+// a payload only until its round's sends complete, or copy it when it
+// posts the send.
 func (p *Plan) Data(x Xfer) []byte {
 	if p.acc != nil {
-		return encodeFloats(p.acc)
+		if !p.encoded {
+			for i, v := range p.acc {
+				binary.LittleEndian.PutUint64(p.enc[8*i:], math.Float64bits(v))
+			}
+			p.encoded = true
+		}
+		return p.enc
 	}
 	return p.send[x.Off-p.sendOff:][:x.Len]
 }
@@ -91,20 +84,20 @@ func (p *Plan) Sink(x Xfer) []byte {
 
 // Got consumes an arrived payload that had no sink: it combines with (or,
 // for the broadcast phase of a composed allreduce, replaces) the
-// accumulator. A barrier's bytes carry nothing.
+// accumulator, straight from b. A barrier's bytes carry nothing.
 func (p *Plan) Got(x Xfer, b []byte) error {
 	if p.acc == nil {
 		return nil
 	}
-	vals := make([]float64, len(p.acc))
-	if err := decodeFloats(b, vals); err != nil {
-		return err
+	if len(b) != 8*len(p.acc) {
+		return fmt.Errorf("coll: reduction payload is %d bytes, want %d", len(b), 8*len(p.acc))
 	}
-	if x.Combine {
-		p.op.fold(p.acc, vals)
-	} else {
-		copy(p.acc, vals)
+	op := p.op
+	if !x.Combine {
+		op = replace
 	}
+	op.fold(p.acc, b)
+	p.encoded = false
 	return nil
 }
 
@@ -129,11 +122,40 @@ type Ops struct {
 	rank int
 	alg  Algorithm
 
-	// scratch is where a relay of Gather or Scatter stages its subtree,
-	// grown on demand and kept between calls: a communicator runs one
-	// collective at a time, and Run returns only once every send has
-	// completed.
+	// One memo per collective: the last call's schedule and its key.
+	bcast, gather, scatter, allgather, alltoall, alltoallv memo
+	reduce, allreduce, barrier                             memo
+
+	// Buffers kept between calls: a communicator runs one collective at a
+	// time, and Run returns only once every send has completed. scratch is
+	// where a relay of Gather or Scatter stages its subtree; acc and enc
+	// are a reduction's accumulator and the snapshot its sends read.
 	scratch []byte
+	acc     []float64
+	enc     []byte
+}
+
+// memo is one collective's last schedule and the key it was built for:
+// root and byte size, plus copies of Alltoallv's count vectors. Topology,
+// rank and algorithm are fixed per Ops, so they are not part of it. A call
+// with an equal key reuses the schedule; Alltoallv, whose counts alternate
+// in an MoE step, rebuilds into buf.
+type memo struct {
+	valid      bool
+	root, size int
+	send, recv []int
+	s          Schedule
+	buf        schedBuf
+}
+
+// stale reports whether (root, size) differs from the memoized key and, if
+// so, records it: the caller then builds m.s for it.
+func (m *memo) stale(root, size int) bool {
+	if m.valid && m.root == root && m.size == size {
+		return false
+	}
+	m.valid, m.root, m.size = true, root, size
+	return true
 }
 
 // NewOps binds the collectives of one rank of topo to an executor.
@@ -147,8 +169,10 @@ func (c *Ops) Bcast(root int, buf []byte) error {
 	if err := c.checkRoot(root); err != nil {
 		return err
 	}
-	s := BcastSched(c.topo, c.rank, root, len(buf), c.alg)
-	return c.x.Run("bcast", Plan{Sched: s, send: buf, recv: buf})
+	if m := &c.bcast; m.stale(root, len(buf)) {
+		m.s = BcastSched(c.topo, c.rank, root, len(buf), c.alg)
+	}
+	return c.x.Run("bcast", Plan{Sched: c.bcast.s, send: buf, recv: buf})
 }
 
 // Gather collects every rank's in block at root in rank order (block i at
@@ -161,7 +185,10 @@ func (c *Ops) Gather(root int, in, out []byte) error {
 		return err
 	}
 	n, blk := c.topo.Size(), len(in)
-	p := Plan{Sched: GatherSched(c.topo, c.rank, root, blk, c.alg)}
+	if m := &c.gather; m.stale(root, blk) {
+		m.s = GatherSched(c.topo, c.rank, root, blk, c.alg)
+	}
+	p := Plan{Sched: c.gather.s}
 	switch {
 	case c.rank == root:
 		if len(out) < n*blk {
@@ -187,7 +214,10 @@ func (c *Ops) Scatter(root int, in, out []byte) error {
 		return err
 	}
 	n, blk := c.topo.Size(), len(out)
-	p := Plan{Sched: ScatterSched(c.topo, c.rank, root, blk, c.alg)}
+	if m := &c.scatter; m.stale(root, blk) {
+		m.s = ScatterSched(c.topo, c.rank, root, blk, c.alg)
+	}
+	p := Plan{Sched: c.scatter.s}
 	switch {
 	case c.rank == root:
 		if len(in) < n*blk {
@@ -217,11 +247,11 @@ func (c *Ops) stage(n int) []byte {
 	return c.scratch[:n]
 }
 
-// run hands a plan that may stage in scratch to the executor.
+// run hands a plan that may read the kept buffers to the executor.
 func (c *Ops) run(op string, p Plan) error {
 	err := c.x.Run(op, p)
-	if err != nil {
-		c.scratch = nil // a failed run may have left a send reading it
+	if err != nil { // a failed run may have left a send reading them
+		c.scratch, c.acc, c.enc = nil, nil, nil
 	}
 	return err
 }
@@ -234,8 +264,10 @@ func (c *Ops) Allgather(in, out []byte) error {
 		return c.x.Reject("allgather", fmt.Errorf("output holds %d bytes, need %d", len(out), n*blk))
 	}
 	copy(out[c.rank*blk:], in)
-	s := AllgatherSched(c.topo, c.rank, blk, c.alg)
-	return c.x.Run("allgather", Plan{Sched: s, send: out, recv: out})
+	if m := &c.allgather; m.stale(0, blk) {
+		m.s = AllgatherSched(c.topo, c.rank, blk, c.alg)
+	}
+	return c.x.Run("allgather", Plan{Sched: c.allgather.s, send: out, recv: out})
 }
 
 // Alltoall exchanges len(in)/Size()-byte blocks: block d of in travels to
@@ -247,8 +279,10 @@ func (c *Ops) Alltoall(in, out []byte) error {
 	}
 	blk := len(in) / n
 	copy(out[c.rank*blk:(c.rank+1)*blk], in[c.rank*blk:])
-	s := AlltoallSched(c.topo, c.rank, blk, c.alg)
-	return c.x.Run("alltoall", Plan{Sched: s, send: in, recv: out})
+	if m := &c.alltoall; m.stale(0, blk) {
+		m.s = AlltoallSched(c.topo, c.rank, blk, c.alg)
+	}
+	return c.x.Run("alltoall", Plan{Sched: c.alltoall.s, send: in, recv: out})
 }
 
 // Alltoallv is the sparse exchange driving the MoE workloads: rank sends
@@ -261,23 +295,26 @@ func (c *Ops) Alltoallv(in []byte, sendCounts []int, out []byte, recvCounts []in
 	if len(sendCounts) != n || len(recvCounts) != n {
 		return c.x.Reject("alltoallv", fmt.Errorf("count vectors of %d and %d entries, want %d", len(sendCounts), len(recvCounts), n))
 	}
-	soff, stot := prefix(sendCounts)
-	roff, rtot := prefix(recvCounts)
+	var soff, roff, stot, rtot int // the own blocks' offsets; the totals
+	for i := range n {
+		if i == c.rank {
+			soff, roff = stot, rtot
+		}
+		stot += sendCounts[i]
+		rtot += recvCounts[i]
+	}
 	if len(in) < stot || len(out) < rtot {
 		return c.x.Reject("alltoallv", fmt.Errorf("buffers hold %d/%d bytes, counts need %d/%d", len(in), len(out), stot, rtot))
 	}
-	copy(out[roff[c.rank]:roff[c.rank]+recvCounts[c.rank]], in[soff[c.rank]:])
-	s := AlltoallvSched(c.topo, c.rank, sendCounts, recvCounts, c.alg)
-	return c.x.Run("alltoallv", Plan{Sched: s, send: in, recv: out})
-}
-
-func prefix(counts []int) (off []int, total int) {
-	off = make([]int, len(counts))
-	for i, n := range counts {
-		off[i] = total
-		total += n
+	copy(out[roff:roff+recvCounts[c.rank]], in[soff:])
+	m := &c.alltoallv
+	if !m.valid || !slices.Equal(m.send, sendCounts) || !slices.Equal(m.recv, recvCounts) {
+		m.valid = true
+		m.send = append(m.send[:0], sendCounts...)
+		m.recv = append(m.recv[:0], recvCounts...)
+		m.s = alltoallvInto(&m.buf, c.topo, c.rank, sendCounts, recvCounts, c.alg)
 	}
-	return off, total
+	return c.x.Run("alltoallv", Plan{Sched: m.s, send: in, recv: out})
 }
 
 // Reduce folds every rank's in element-wise with op, delivering the
@@ -287,23 +324,34 @@ func (c *Ops) Reduce(root int, in, out []float64, op Op) error {
 	if err := c.checkRoot(root); err != nil {
 		return err
 	}
-	return c.reduce("reduce", ReduceSched(c.topo, c.rank, root, 8*len(in), c.alg), in, out, op, c.rank == root)
+	if m := &c.reduce; m.stale(root, 8*len(in)) {
+		m.s = ReduceSched(c.topo, c.rank, root, 8*len(in), c.alg)
+	}
+	return c.reduction("reduce", c.reduce.s, in, out, op, c.rank == root)
 }
 
 // Allreduce folds every rank's in element-wise with op, delivering the
 // result in every rank's out, which must hold len(in) elements.
 func (c *Ops) Allreduce(in, out []float64, op Op) error {
-	return c.reduce("allreduce", AllreduceSched(c.topo, c.rank, 8*len(in), c.alg), in, out, op, true)
+	if m := &c.allreduce; m.stale(0, 8*len(in)) {
+		m.s = AllreduceSched(c.topo, c.rank, 8*len(in), c.alg)
+	}
+	return c.reduction("allreduce", c.allreduce.s, in, out, op, true)
 }
 
-// reduce runs a reduction schedule over a copy of in; a rank the result
-// is delivered to gets it in out.
-func (c *Ops) reduce(name string, s Schedule, in, out []float64, op Op, deliver bool) error {
+// reduction runs a reduction schedule over a copy of in in the kept
+// accumulator, which never aliases in or out (callers pass one slice for
+// both); a rank the result is delivered to gets it in out.
+func (c *Ops) reduction(name string, s Schedule, in, out []float64, op Op, deliver bool) error {
 	if deliver && len(out) < len(in) {
 		return c.x.Reject(name, fmt.Errorf("output holds %d elements, need %d", len(out), len(in)))
 	}
-	acc := append(make([]float64, 0, len(in)), in...) // non-nil even for an empty in
-	if err := c.x.Run(name, Plan{Sched: s, acc: acc, op: op}); err != nil {
+	if c.acc == nil || cap(c.acc) < len(in) { // non-nil even for an empty in
+		c.acc, c.enc = make([]float64, len(in)), make([]byte, 8*len(in))
+	}
+	acc := c.acc[:len(in)]
+	copy(acc, in)
+	if err := c.run(name, Plan{Sched: s, acc: acc, op: op, enc: c.enc[:8*len(in)]}); err != nil {
 		return err
 	}
 	if deliver {
@@ -312,9 +360,15 @@ func (c *Ops) reduce(name string, s Schedule, in, out []float64, op Op, deliver 
 	return nil
 }
 
+// barrierByte is every barrier's payload; executors only read it.
+var barrierByte = []byte{1}
+
 // Barrier blocks until every rank has entered it (a one-byte allreduce).
 func (c *Ops) Barrier() error {
-	return c.x.Run("barrier", Plan{Sched: BarrierSched(c.topo, c.rank, c.alg), send: []byte{1}})
+	if m := &c.barrier; m.stale(0, 1) {
+		m.s = BarrierSched(c.topo, c.rank, c.alg)
+	}
+	return c.x.Run("barrier", Plan{Sched: c.barrier.s, send: barrierByte})
 }
 
 func (c *Ops) checkRoot(root int) error {

@@ -359,35 +359,83 @@ func AlltoallSched(t *Topology, rank, blk int, alg Algorithm) Schedule {
 // each side; one message per pair makes the pair itself the identity, so
 // every tag is zero.
 func AlltoallvSched(t *Topology, rank int, sendCounts, recvCounts []int, alg Algorithm) Schedule {
+	var b schedBuf
+	return alltoallvInto(&b, t, rank, sendCounts, recvCounts, alg)
+}
+
+// schedBuf is the storage a schedule is rebuilt into.
+type schedBuf struct {
+	rounds []Round
+	xfers  []Xfer
+}
+
+// alltoallvInto builds AlltoallvSched's schedule in b's storage. The
+// schedule's slices are views of it, nil where empty (as a fresh build
+// leaves them), so a rebuild allocates nothing once b has grown to the
+// largest schedule seen; it overwrites the previous build's schedule.
+func alltoallvInto(b *schedBuf, t *Topology, rank int, sendCounts, recvCounts []int, alg Algorithm) Schedule {
 	n := t.n
-	soff := make([]int, n)
-	roff := make([]int, n)
-	for i := 1; i < n; i++ {
-		soff[i] = soff[i-1] + sendCounts[i-1]
-		roff[i] = roff[i-1] + recvCounts[i-1]
+	if cap(b.xfers) < 2*(n-1) { // every send and receive: no append moves a view
+		b.xfers = make([]Xfer, 0, 2*(n-1))
 	}
-	var s Schedule
-	var r Round
-	flush := func() {
-		if len(r.Sends) > 0 || len(r.Recvs) > 0 {
-			s.Rounds = append(s.Rounds, r)
-			r = Round{}
+	xs, rounds := b.xfers[:0], b.rounds[:0]
+	// The offsets are running prefix sums in step order: sends walk to
+	// rank+1, rank+2, ... wrapping to 0; receives walk down from rank-1,
+	// wrapping to n-1.
+	soff, roff, rtot := 0, 0, 0
+	for i, c := range recvCounts {
+		if i < rank {
+			roff += c
+		}
+		rtot += c
+	}
+	for _, c := range sendCounts[:rank+1] {
+		soff += c
+	}
+	view := func(from int) []Xfer {
+		if len(xs) == from {
+			return nil
+		}
+		return xs[from:len(xs):len(xs)]
+	}
+	per := n - 1 // Auto: one fully overlapped round
+	if alg == Linear {
+		per = 1
+	}
+	for first := 1; first < n; first += per {
+		last := min(first+per, n)
+		mark := len(xs)
+		for step := first; step < last; step++ {
+			to := (rank + step) % n
+			if to == 0 {
+				soff = 0
+			}
+			if sendCounts[to] > 0 {
+				xs = append(xs, Xfer{Peer: to, Tag: 0, Off: soff, Len: sendCounts[to]})
+			}
+			soff += sendCounts[to]
+		}
+		sends := view(mark)
+		mark = len(xs)
+		for step := first; step < last; step++ {
+			from := (rank - step + n) % n
+			if from == n-1 {
+				roff = rtot
+			}
+			roff -= recvCounts[from]
+			if recvCounts[from] > 0 {
+				xs = append(xs, Xfer{Peer: from, Tag: 0, Off: roff, Len: recvCounts[from]})
+			}
+		}
+		if recvs := view(mark); sends != nil || recvs != nil {
+			rounds = append(rounds, Round{Recvs: recvs, Sends: sends})
 		}
 	}
-	for step := 1; step < n; step++ {
-		to, from := (rank+step)%n, (rank-step+n)%n
-		if sendCounts[to] > 0 {
-			r.Sends = append(r.Sends, Xfer{Peer: to, Tag: 0, Off: soff[to], Len: sendCounts[to]})
-		}
-		if recvCounts[from] > 0 {
-			r.Recvs = append(r.Recvs, Xfer{Peer: from, Tag: 0, Off: roff[from], Len: recvCounts[from]})
-		}
-		if alg == Linear {
-			flush()
-		}
+	b.xfers, b.rounds = xs, rounds
+	if len(rounds) == 0 {
+		return Schedule{}
 	}
-	flush()
-	return s
+	return Schedule{Rounds: rounds}
 }
 
 // ReduceSched builds rank's schedule for reducing an nbytes vector to

@@ -56,13 +56,18 @@ func (e *schedExec) Reject(op string, err error) error { return fmt.Errorf("mpi:
 // SizeError and the abort cascades), the remaining scheduled receives
 // are drained so no rendezvous sender stays wedged against us, and
 // Waitall reaps every request before the error returns.
+//
+// The request list and a reduction's receive buffer are kept on the
+// Comm between calls: Isend copies its payload, and Got consumes each
+// arrival before the next Recv refills the buffer.
 func (c *Comm) runSchedule(tag int, p coll.Plan) error {
 	s := p.Sched
-	var reqs []*Request
+	clear(c.reqs)
+	c.reqs = c.reqs[:0]
 	fail := func(ri, xi int, err error) error {
 		for _, r := range s.Rounds[ri+1:] {
 			for _, x := range r.Sends {
-				reqs = append(reqs, c.Isend(x.Peer, tag, nil))
+				c.reqs = append(c.reqs, c.Isend(x.Peer, tag, nil))
 			}
 		}
 		drain := append([]coll.Xfer(nil), s.Rounds[ri].Recvs[xi:]...)
@@ -78,12 +83,12 @@ func (c *Comm) runSchedule(tag int, p coll.Plan) error {
 				break
 			}
 		}
-		_ = Waitall(reqs...)
+		_ = Waitall(c.reqs...)
 		return err
 	}
 	for ri, round := range s.Rounds {
 		for _, x := range round.Sends {
-			reqs = append(reqs, c.Isend(x.Peer, tag, p.Data(x)))
+			c.reqs = append(c.reqs, c.Isend(x.Peer, tag, p.Data(x)))
 		}
 		for xi, x := range round.Recvs {
 			st, err := c.Probe(x.Peer, tag)
@@ -99,7 +104,10 @@ func (c *Comm) runSchedule(tag int, p coll.Plan) error {
 			if buf := p.Sink(x); buf != nil {
 				_, err = c.Recv(x.Peer, tag, buf)
 			} else {
-				buf = make([]byte, x.Len)
+				if cap(c.gotBuf) < x.Len {
+					c.gotBuf = make([]byte, x.Len)
+				}
+				buf = c.gotBuf[:x.Len]
 				if _, err = c.Recv(x.Peer, tag, buf); err == nil {
 					err = p.Got(x, buf)
 				}
@@ -109,7 +117,7 @@ func (c *Comm) runSchedule(tag int, p coll.Plan) error {
 			}
 		}
 	}
-	return Waitall(reqs...)
+	return Waitall(c.reqs...)
 }
 
 // Bcast broadcasts buf from root to every rank.

@@ -85,6 +85,8 @@ type Comm struct {
 	context int
 	parent  *Comm
 	ops     coll.Ops // the collectives over runSchedule (collectives.go)
+	reqs    []*Request
+	gotBuf  []byte
 }
 
 // NewComm wraps one rank's channel handle into a world communicator
