@@ -1,15 +1,13 @@
-// Command madvet is the Madeleine invariant checker: a multichecker of
-// the three analyzers in internal/analysis/madvet, enforcing the
-// mode-flag/lease/virtual-time contracts the type system cannot. It loads the
-// whole pattern in one run, so blockhold's may-block facts span packages:
+// Command madvet is the Madeleine invariant checker: it runs the analyzer
+// in internal/analysis/madvet (blockhold: no indefinite blocking while a
+// direction lease or mutex is held). It loads the whole pattern in one
+// run, so blockhold's may-block facts span the loaded packages:
 //
 //	go run ./cmd/madvet ./...
 //	go run ./cmd/madvet ./internal/core
 //	go run ./cmd/madvet -list
 //
-// Findings can be suppressed line by line with a justified directive —
-// `//madvet:ignore <analyzer> -- <reason>` — which is itself checked
-// (unknown analyzer, missing reason, or stale directives are diagnosed).
+// There is no suppression directive: a finding is fixed in the code.
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 usage or load error.
 package main
@@ -66,14 +64,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "madvet:", err)
 		return 2
 	}
-	// Stale-//madvet:ignore detection needs whole-module summaries: on a
-	// package subset a directive justified by a cross-package finding
-	// looks unused. Flag staleness only when the run covers the module.
-	runner := analysis.RunUnit
-	if wholeModule(loader, paths) {
-		runner = analysis.Run
-	}
-	diags, err := runner(pkgs, madvet.Analyzers)
+	diags, err := analysis.Run(pkgs, madvet.Analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "madvet:", err)
 		return 2
@@ -86,25 +77,6 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-// wholeModule reports whether the loaded paths cover every package of
-// the module.
-func wholeModule(loader *analysis.Loader, paths []string) bool {
-	all, err := loader.ExpandPatterns([]string{"./..."})
-	if err != nil {
-		return false
-	}
-	have := make(map[string]bool, len(paths))
-	for _, p := range paths {
-		have[p] = true
-	}
-	for _, p := range all {
-		if !have[p] {
-			return false
-		}
-	}
-	return true
 }
 
 // findModule walks up from the working directory to the enclosing go.mod.

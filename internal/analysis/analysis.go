@@ -1,13 +1,11 @@
-// Package analysis is a self-contained static-analysis framework modeled
-// on golang.org/x/tools/go/analysis, built only on the standard library so
+// Package analysis is a small static-analysis framework modeled on
+// golang.org/x/tools/go/analysis, built only on the standard library so
 // the repository stays dependency-free. It provides the Analyzer/Pass/
 // Diagnostic vocabulary, a source-based package loader (loader.go), a
-// statement-level control-flow graph (cfg.go), and a driver (run.go) that
-// cmd/madvet and the analyzer test harness share.
-//
-// The API is deliberately shaped like x/tools so the madvet analyzers
-// could be ported to a stock multichecker by swapping one import if the
-// dependency ever becomes available.
+// statement-level control-flow graph (cfg.go), a call graph with
+// bottom-up per-function facts (callgraph.go, summary.go), and the driver
+// (run.go) that cmd/madvet and the madvet tests share. It exists for
+// madvet's one analyzer, blockhold.
 package analysis
 
 import (
@@ -18,10 +16,9 @@ import (
 )
 
 // Analyzer describes one invariant checker: a name, a doc string shown by
-// `madvet help`, and a Run function applied once per loaded package.
+// `madvet -h`, and a Run function applied once per loaded package.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics ("modeflags") and in
-	// //madvet:ignore directives.
+	// Name identifies the analyzer in diagnostics ("blockhold").
 	Name string
 
 	// Doc is the one-paragraph contract the analyzer enforces; the first
@@ -29,7 +26,7 @@ type Analyzer struct {
 	Doc string
 
 	// Run applies the analyzer to one package. Findings are delivered
-	// through pass.Report; the error return is for operational failures
+	// through pass.Reportf; the error return is for operational failures
 	// (not findings) and aborts the whole run.
 	Run func(pass *Pass) error
 
@@ -40,10 +37,8 @@ type Analyzer struct {
 	Summarize func(fn *FuncInfo, facts *Facts)
 }
 
-func (a *Analyzer) String() string { return a.Name }
-
 // Pass carries one (analyzer, package) unit of work: the type-checked
-// syntax of exactly one package plus the Report sink.
+// syntax of exactly one package plus the Reportf sink.
 type Pass struct {
 	Analyzer *Analyzer
 
@@ -60,23 +55,15 @@ type Pass struct {
 	report func(Diagnostic)
 }
 
-// Report delivers a finding.
-func (p *Pass) Report(d Diagnostic) {
-	if d.Category == "" {
-		d.Category = p.Analyzer.Name
-	}
-	p.report(d)
-}
-
-// Reportf is the fmt-style convenience around Report.
+// Reportf delivers a finding at pos, in the analyzer's category.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+	p.report(Diagnostic{Pos: pos, Category: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
 
 // Diagnostic is one finding at one position.
 type Diagnostic struct {
 	Pos      token.Pos
-	Category string // analyzer name by default
+	Category string // the reporting analyzer's name
 	Message  string
 }
 

@@ -7,9 +7,8 @@ import (
 // Graph is a statement-level control-flow graph of one function body.
 // Nodes are statements (plus a synthetic Entry and Exit); edges are the
 // possible successors. It is deliberately simple — no basic blocks, no
-// expression-level ordering — which is enough for the lease/pack pairing
-// dataflows madvet runs, where functions are small and states are tiny
-// bitmasks.
+// expression-level ordering — which is enough for blockhold's forward walk
+// from an acquisition to its release.
 type Graph struct {
 	Entry *Node
 	Exit  *Node // every normal termination (return, fall off the end)
@@ -24,8 +23,6 @@ type Node struct {
 
 	// Then/Else are set when Stmt is an *ast.IfStmt: the entries of the
 	// two arms (Else is the post-if join when there is no else clause).
-	// Dataflows use them to push different states into the two branches
-	// of a guard like `if err != nil`.
 	Then, Else *Node
 }
 
@@ -50,9 +47,9 @@ type cfgBuilder struct {
 }
 
 type loopCtx struct {
-	label            string
-	breakTo, contTo  *Node
-	isLoop           bool // continue is valid (for/range, not switch/select)
+	label           string
+	breakTo, contTo *Node
+	isLoop          bool // continue is valid (for/range, not switch/select)
 }
 
 type labelCtx struct {
@@ -234,21 +231,19 @@ func (b *cfgBuilder) switchLike(s ast.Stmt, frontier []*Node) []*Node {
 	b.connect(frontier, head)
 	after := b.newNode(nil)
 
-	var init ast.Stmt
+	// A switch's init statement and a select case's comm statement are
+	// folded into the head and the case entry: precise enough for a walk
+	// that reads statement headers.
 	var clauses []ast.Stmt
 	hasDefault := false
 	switch s := s.(type) {
 	case *ast.SwitchStmt:
-		init = s.Init
 		clauses = s.Body.List
 	case *ast.TypeSwitchStmt:
-		init = s.Init
 		clauses = s.Body.List
 	case *ast.SelectStmt:
 		clauses = s.Body.List
 	}
-	_ = init // init statements of switches are rare; nodes for them are
-	// folded into the head, which is precise enough for our dataflows.
 
 	b.pushLoop(s, nil, after, false)
 
@@ -269,10 +264,6 @@ func (b *cfgBuilder) switchLike(s ast.Stmt, frontier []*Node) []*Node {
 			body = cl.Body
 			if cl.Comm == nil {
 				hasDefault = true
-			} else {
-				// The comm statement itself executes on selection.
-				// Fold it into the case entry like switch init.
-				_ = cl.Comm
 			}
 		}
 		head.Succs = append(head.Succs, entries[i])
@@ -282,7 +273,7 @@ func (b *cfgBuilder) switchLike(s ast.Stmt, frontier []*Node) []*Node {
 	b.popLoop()
 	if len(clauses) == 0 || !hasDefault {
 		// No default: the switch may match nothing (or, for select with
-		// no default, block; the conservative edge keeps dataflows sound).
+		// no default, block; the conservative edge keeps the walk sound).
 		head.Succs = append(head.Succs, after)
 	}
 	return []*Node{after}

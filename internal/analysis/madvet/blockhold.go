@@ -66,7 +66,7 @@ func runBlockHold(pass *analysis.Pass) error {
 	// reported dedups (statement, context label): two acquire sites of the
 	// same lock on different branches must not double-flag one wait.
 	reported := make(map[ast.Stmt]map[string]bool)
-	funcBodies(pass.Files, func(_ *ast.FuncLit, body *ast.BlockStmt) {
+	funcBodies(pass.Files, func(body *ast.BlockStmt) {
 		g := analysis.BuildCFG(body, analysis.TerminatingClassifier(info))
 		for _, n := range g.Nodes {
 			h, ok := heldStart(info, n)
@@ -287,4 +287,74 @@ func exprPath(info *types.Info, e ast.Expr) (string, types.Object) {
 		return p + "." + x.Sel.Name, root
 	}
 	return "", nil
+}
+
+// funcBodies yields every function body in the files: declarations and
+// literals, each analyzed as its own scope.
+func funcBodies(files []*ast.File, fn func(body *ast.BlockStmt)) {
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					fn(n.Body)
+				}
+			case *ast.FuncLit:
+				// Statements inside a literal are expression territory to
+				// the enclosing body's CFG, so each literal is analyzed as
+				// its own scope; the walk continues into nested literals.
+				fn(n.Body)
+			}
+			return true
+		})
+	}
+}
+
+// stmtHeaderScan invokes scan on the expressions the statement itself
+// evaluates: the full subtree for simple statements, header expressions
+// only for compound ones (their bodies are separate CFG nodes and must
+// not leak into a node's classification).
+func stmtHeaderScan(stmt ast.Stmt, scan func(ast.Node)) {
+	switch s := stmt.(type) {
+	case *ast.IfStmt:
+		scan(s.Cond)
+	case *ast.ForStmt:
+		if s.Cond != nil {
+			scan(s.Cond)
+		}
+	case *ast.RangeStmt:
+		scan(s.X)
+	case *ast.SwitchStmt:
+		if s.Init != nil {
+			scan(s.Init)
+		}
+		if s.Tag != nil {
+			scan(s.Tag)
+		}
+	case *ast.TypeSwitchStmt:
+		if s.Init != nil {
+			scan(s.Init)
+		}
+		scan(s.Assign)
+	case *ast.SelectStmt, *ast.BlockStmt, *ast.LabeledStmt:
+		// Bodies are separate nodes; nothing evaluates at the header.
+	default:
+		scan(stmt)
+	}
+}
+
+// stmtHasCall reports whether some call the statement itself evaluates
+// (stmtHeaderScan's reach, deferred function literals included) satisfies
+// pred.
+func stmtHasCall(stmt ast.Stmt, pred func(*ast.CallExpr) bool) bool {
+	found := false
+	stmtHeaderScan(stmt, func(n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && !found {
+				found = pred(call)
+			}
+			return !found
+		})
+	})
+	return found
 }

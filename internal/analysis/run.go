@@ -8,35 +8,18 @@ import (
 )
 
 // Run applies every analyzer to every package and returns the combined
-// findings, minus those suppressed by //madvet:ignore directives, in a
-// stable (file, line, column, analyzer, message) order — raw token.Pos
-// ordering would interleave arbitrarily across packages with separate
-// position intervals, making the output differ from run to run.
+// findings in a stable (file, line, column, analyzer, message) order —
+// raw token.Pos ordering would interleave arbitrarily across packages with
+// separate position intervals, making the output differ from run to run.
 // Analyzer errors (operational failures, not findings) abort the run.
 //
 // Before any analyzer runs, each analyzer's Summarize is executed
 // bottom-up over the packages' call graph; its facts reach that
 // analyzer's passes through Pass.Facts.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return run(pkgs, analyzers, true)
-}
-
-// RunUnit is Run for a subset of the module's packages (madvet
-// ./internal/core). Packages outside the subset are loaded without
-// function bodies, so may-block summaries stop at its edge and a
-// directive justified by a finding only the whole-tree run can see is
-// legitimately unused — the stale-directive diagnostic is skipped;
-// everything else is checked identically.
-func RunUnit(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return run(pkgs, analyzers, false)
-}
-
-func run(pkgs []*Package, analyzers []*Analyzer, flagStale bool) ([]Diagnostic, error) {
 	facts := computeFacts(pkgs, analyzers)
 
-	// Diagnostics are collected with their resolved positions: the sort
-	// and the ignore filter both need file/line/column rather than raw
-	// offsets.
+	// Diagnostics are collected with their resolved positions for the sort.
 	type entry struct {
 		d   Diagnostic
 		pos token.Position
@@ -44,8 +27,6 @@ func run(pkgs []*Package, analyzers []*Analyzer, flagStale bool) ([]Diagnostic, 
 	var entries []entry
 	for _, pkg := range pkgs {
 		fset := pkg.Fset
-		ignores := collectIgnores(pkg, analyzers)
-		start := len(entries)
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer:  a,
@@ -58,23 +39,6 @@ func run(pkgs []*Package, analyzers []*Analyzer, flagStale bool) ([]Diagnostic, 
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, err
-			}
-		}
-		// Apply this package's suppression directives to this package's
-		// findings, then report the directives' own problems (malformed,
-		// unknown analyzer, suppressing nothing).
-		if len(ignores) > 0 {
-			kept := entries[:start]
-			for _, e := range entries[start:] {
-				if !suppress(ignores, e.d, e.pos) {
-					kept = append(kept, e)
-				}
-			}
-			entries = kept
-		}
-		for _, ig := range ignores {
-			if d, bad := ig.problem(flagStale); bad {
-				entries = append(entries, entry{d, fset.Position(d.Pos)})
 			}
 		}
 	}

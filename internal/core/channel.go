@@ -461,7 +461,8 @@ func (cn *Connection) abort(err error) error {
 // matching Unpack must use the same length and modes (§2.2). On error the
 // message is aborted: the connection is closed and the send lease released
 // (a Send slot's when f returns), so the caller simply returns the error —
-// a subsequent EndPacking is a no-op reporting ErrBadState.
+// a subsequent EndPacking is a no-op reporting ErrBadState. A mode outside
+// Table 1 is such an error (*ModeError), found before the block is looked at.
 //
 // Pack, Unpack and the two End calls are the executors themselves: the
 // synchronous caller runs them inline on its own actor, and the progress
@@ -469,6 +470,9 @@ func (cn *Connection) abort(err error) error {
 func (cn *Connection) Pack(data []byte, sm SendMode, rm RecvMode) error {
 	if !cn.open || !cn.sending {
 		return ErrBadState
+	}
+	if !inTable1(sm, rm) {
+		return cn.abort(&ModeError{Op: "Pack", Send: sm, Recv: rm})
 	}
 	cs, m := cn.cs, &cn.msg
 	tm := cs.ch.pmm.Select(len(data), sm, rm)
@@ -543,11 +547,14 @@ func (c *Channel) BeginUnpacking(a *vclock.Actor) (*Connection, error) {
 
 // Unpack extracts one data block into dst (mad_unpack). Length and modes
 // must mirror the sender's Pack exactly. On error the message is aborted,
-// mirroring the Pack contract, so the caller returns the error without
-// EndUnpacking.
+// mirroring the Pack contract (a *ModeError included), so the caller
+// returns the error without EndUnpacking.
 func (cn *Connection) Unpack(dst []byte, sm SendMode, rm RecvMode) error {
 	if !cn.open || cn.sending {
 		return ErrBadState
+	}
+	if !inTable1(sm, rm) {
+		return cn.abort(&ModeError{Op: "Unpack", Send: sm, Recv: rm})
 	}
 	cs, m := cn.cs, &cn.msg
 	tm := cs.ch.pmm.Select(len(dst), sm, rm)

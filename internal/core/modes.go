@@ -45,12 +45,14 @@ const (
 // String returns the paper's flag spelling.
 func (m SendMode) String() string {
 	switch m {
+	case SendCheaper:
+		return "send_CHEAPER"
 	case SendSafer:
 		return "send_SAFER"
 	case SendLater:
 		return "send_LATER"
 	default:
-		return "send_CHEAPER"
+		return fmt.Sprintf("SendMode(%d)", int(m))
 	}
 }
 
@@ -68,10 +70,33 @@ const (
 
 // String returns the paper's flag spelling.
 func (m RecvMode) String() string {
-	if m == ReceiveExpress {
+	switch m {
+	case ReceiveCheaper:
+		return "receive_CHEAPER"
+	case ReceiveExpress:
 		return "receive_EXPRESS"
+	default:
+		return fmt.Sprintf("RecvMode(%d)", int(m))
 	}
-	return "receive_CHEAPER"
+}
+
+// ModeError reports a Pack or Unpack whose mode pair lies outside Table 1:
+// the send modes are send_CHEAPER, send_SAFER and send_LATER, the receive
+// modes receive_CHEAPER and receive_EXPRESS. The call aborts the message,
+// like any failed Pack or Unpack.
+type ModeError struct {
+	Op   string // "Pack" or "Unpack"
+	Send SendMode
+	Recv RecvMode
+}
+
+func (e *ModeError) Error() string {
+	return fmt.Sprintf("core: %s(%v, %v): mode outside Table 1", e.Op, e.Send, e.Recv)
+}
+
+// inTable1 reports whether both modes name a Table-1 flag.
+func inTable1(sm SendMode, rm RecvMode) bool {
+	return uint(sm) <= uint(SendLater) && uint(rm) <= uint(ReceiveExpress)
 }
 
 // Errors shared across the library.

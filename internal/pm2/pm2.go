@@ -66,7 +66,6 @@ type Runtime struct {
 	services  map[uint32]Service
 	behaviors map[uint32]Behavior
 	replies   map[uint32]chan reply
-	sendMu    map[int]*sync.Mutex
 	nextCall  uint32
 
 	tasks    *simnet.Queue[task]
@@ -102,7 +101,6 @@ func Attach(ch *core.Channel) *Runtime {
 		services:  make(map[uint32]Service),
 		behaviors: make(map[uint32]Behavior),
 		replies:   make(map[uint32]chan reply),
-		sendMu:    make(map[int]*sync.Mutex),
 		tasks:     simnet.NewQueue[task](),
 		done:      make(chan struct{}),
 		finished:  simnet.NewQueue[Finished](),
@@ -137,26 +135,11 @@ func (rt *Runtime) RegisterBehavior(id uint32, b Behavior) {
 	rt.behaviors[id] = b
 }
 
-// lockFor serializes message sends toward one destination (Madeleine
-// connections are single-threaded per direction; PM2 guards them with
-// per-connection locks).
-func (rt *Runtime) lockFor(dst int) *sync.Mutex {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	m := rt.sendMu[dst]
-	if m == nil {
-		m = &sync.Mutex{}
-		rt.sendMu[dst] = m
-	}
-	return m
-}
-
-// send ships one envelope+payload message.
+// send ships one envelope+payload message. Concurrent senders toward dst
+// need no lock of their own: Send holds the connection's send lease for
+// the whole message, and the lease queues them FIFO in virtual time (PM2
+// guards each connection with a lock for the same reason).
 func (rt *Runtime) send(a *vclock.Actor, dst int, kind byte, id uint32, aux uint32, payload []byte) error {
-	l := rt.lockFor(dst)
-	l.Lock()
-	defer l.Unlock()
-	//madvet:ignore blockhold -- l serializes every sender toward dst, so the send lease Send takes under it is uncontended: the acquire returns without waiting
 	return rt.ch.Send(a, dst, func(conn *core.Connection) error {
 		var hdr [hdrSize]byte
 		hdr[0] = kind
