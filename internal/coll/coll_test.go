@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"madeleine2/internal/bip"
 	"madeleine2/internal/coll"
@@ -366,19 +365,11 @@ func TestCollectivesLossyReliableFwd(t *testing.T) {
 			t.Fatalf("rank %d poisoned: %v", r, err)
 		}
 	}
-	// The world ends at rest. Close does not join the gateway's relay
-	// pipelines, so one may still be ending its last send: retry for a
-	// few seconds; a scope left open stays open.
+	// The world ends at rest: closing a communicator closes its VC handle,
+	// which joins the rank's daemons and gateway pipelines.
 	closeAll(cs)
-	sess := vcs[0].Session()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		err := sess.CheckQuiescent()
-		if err == nil {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal(err)
-		}
+	if err := vcs[0].Session().CheckQuiescent(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"madeleine2/internal/metrics"
-	"madeleine2/internal/simnet"
 	"madeleine2/internal/vclock"
 )
 
@@ -250,8 +249,9 @@ func (cq *CQ) Close() {
 }
 
 // OnCompletion switches the queue to callback delivery: fn runs
-// synchronously on the completing goroutine (an engine worker, usually)
-// for every subsequent completion, which then does not reach Poll/Wait.
+// synchronously on the completing goroutine (an engine worker usually; the
+// caller of Channel.Close for a receive that Close fails) for every
+// subsequent completion, which then does not reach Poll/Wait.
 // The callback must be fast and must not submit to the completing
 // conversation (it may submit to others). A nil fn reverts to poll mode.
 func (cq *CQ) OnCompletion(fn func(Completion)) {
@@ -413,13 +413,13 @@ func (c *Channel) SubmitUnpacking(cq *CQ) *AsyncMsg {
 func (c *Channel) SubmitUnpackingFrom(cq *CQ, at vclock.Time) *AsyncMsg {
 	am := &AsyncMsg{ch: c, cq: cq, actor: vclock.MakeActor(c.asyncName)}
 	am.actor.Sync(at)
-	c.mux().register(am)
+	c.ann.register(am)
 	return am
 }
 
-// announced binds a receive conversation to an incoming message (the
-// announcee side of announceMux) and requests that connection's receive
-// lease.
+// announced binds a receive conversation to an incoming message and
+// requests that connection's receive lease. It runs once, on the goroutine
+// that announced, registered (a rank was buffered) or closed (ok = false).
 func (am *AsyncMsg) announced(remote int, ok bool) {
 	if !ok {
 		am.fail(ErrClosed)
@@ -569,109 +569,6 @@ func (am *AsyncMsg) fail(err error) {
 	am.dead = true
 	am.err = err
 	am.failPendingLocked(err)
-}
-
-// announcement fan-out -------------------------------------------------
-
-// announceMux owns a channel's incoming-announcement queue once any
-// receiver is asynchronous: it pops announcements and hands each to
-// exactly one registered receiver (sync BeginUnpacking callers and async
-// conversations share one FIFO, in registration order).
-type announceMux struct {
-	mu       sync.Mutex
-	buffered simnet.Ring[int]
-	waiters  simnet.Ring[announcee]
-	closed   bool
-}
-
-// announcee is one registered receiver: announced runs exactly once, with
-// the sender's rank, or with ok = false when the channel closed first. An
-// interface over the receiver itself, not a closure, like grantee.
-type announcee interface{ announced(remote int, ok bool) }
-
-func (m *announceMux) run(q *simnet.Queue[int]) {
-	for {
-		r, ok := q.Pop()
-		m.mu.Lock()
-		if !ok {
-			// register refuses new waiters once closed is set, so this
-			// drains the FIFO for good.
-			m.closed = true
-			for m.waiters.Len() > 0 {
-				w := m.waiters.Pop()
-				m.mu.Unlock()
-				w.announced(0, false)
-				m.mu.Lock()
-			}
-			m.mu.Unlock()
-			return
-		}
-		if m.waiters.Len() == 0 {
-			m.buffered.Push(r)
-			m.mu.Unlock()
-			continue
-		}
-		w := m.waiters.Pop()
-		m.mu.Unlock()
-		w.announced(r, true)
-	}
-}
-
-// register enrolls one receiver for the next unclaimed announcement; it is
-// announced inline when one is already buffered (or the channel is closed).
-func (m *announceMux) register(w announcee) {
-	m.mu.Lock()
-	switch {
-	case m.buffered.Len() > 0:
-		r := m.buffered.Pop()
-		m.mu.Unlock()
-		w.announced(r, true)
-	case m.closed:
-		m.mu.Unlock()
-		w.announced(0, false)
-	default:
-		m.waiters.Push(w)
-		m.mu.Unlock()
-	}
-}
-
-// mux returns the channel's announcement fan-out, starting it on first
-// use. Pure-sync channels never start one: BeginUnpacking pops the
-// incoming queue directly until a mux exists.
-func (c *Channel) mux() *announceMux {
-	c.amu.Lock()
-	defer c.amu.Unlock()
-	if c.amux == nil {
-		c.amux = &announceMux{}
-		go c.amux.run(c.incoming)
-	}
-	return c.amux
-}
-
-// syncAnnouncee is a blocked BeginUnpacking: its announcement is handed
-// over a one-slot channel.
-type syncAnnouncee chan announcement
-
-type announcement struct {
-	remote int
-	ok     bool
-}
-
-func (c syncAnnouncee) announced(remote int, ok bool) { c <- announcement{remote, ok} }
-
-// nextAnnouncement claims the channel's next incoming-message
-// announcement for a synchronous receiver.
-func (c *Channel) nextAnnouncement() (int, bool) {
-	c.amu.Lock()
-	m := c.amux
-	c.amu.Unlock()
-	if m == nil {
-		return c.incoming.Pop()
-	}
-	ch := make(syncAnnouncee, 1)
-	m.register(ch)
-	a := <-ch
-	return a.remote, a.ok
 }
 
 // progress engine ------------------------------------------------------

@@ -34,20 +34,13 @@ type Channel struct {
 	// ConnState.asyncName it is formatted once, when the channel is made.
 	asyncName string
 
-	// incoming carries message-start notifications: one rank per message,
-	// pushed by the sender's first wire operation. It models the receive
-	// side's "poll every connection, serve the first that fires" loop.
-	incoming *simnet.Queue[int]
+	// ann carries message-start notifications: one rank per message,
+	// announced by the sender's first wire operation.
+	ann announceQueue
 
 	conns map[int]*ConnState
 	stats chanStats
 	met   chanMetrics // always-on registry handles, cached at creation
-
-	// amux, once started, owns incoming.Pop and fans announcements out to
-	// sync and async receivers in registration order. It is nil until the
-	// first SubmitUnpacking; pure-sync channels never pay for it.
-	amu  sync.Mutex
-	amux *announceMux
 }
 
 // Name reports the channel's session-wide name.
@@ -56,9 +49,11 @@ func (c *Channel) Name() string { return c.name }
 // Close shuts the channel's receive side down: a blocked or future
 // BeginUnpacking returns ErrClosed once pending messages drain, and a
 // peer's Pack/EndPacking toward this channel reports ErrClosed instead of
-// silently dropping traffic. Used by layers that run receiver daemons over
-// a channel (forwarding, MPI, Nexus). Idempotent.
-func (c *Channel) Close() { c.incoming.Close() }
+// silently dropping traffic. A receive conversation still waiting for a
+// message fails with ErrClosed on the closing goroutine, which therefore
+// runs its CQ callback. Used by layers that run receiver daemons over a
+// channel (forwarding, MPI, Nexus). Idempotent.
+func (c *Channel) Close() { c.ann.close() }
 
 // Rank reports the local process rank.
 func (c *Channel) Rank() int { return c.rank }
@@ -271,11 +266,113 @@ func (cs *ConnState) Announce() error {
 	if m.announced {
 		return nil
 	}
-	if !cs.peer.incoming.PushIfOpen(cs.local) {
+	if !cs.peer.ann.announce(cs.local) {
 		return fmt.Errorf("core: channel %q on rank %d: %w", cs.ch.name, cs.remote, ErrClosed)
 	}
 	m.announced = true
 	return nil
+}
+
+// announceQueue models the receive side's "poll every connection, serve
+// the first that fires" loop with no goroutine behind it: sync receivers
+// and async receive conversations register in one FIFO, and announce hands
+// each sender rank to the oldest one, on the announcing goroutine.
+type announceQueue struct {
+	mu       sync.Mutex
+	cond     sync.Cond              // on mu; parked sync receivers wait here
+	buffered simnet.Ring[int]       // announced while nobody was registered
+	waiters  simnet.Ring[*AsyncMsg] // registration FIFO; nil is a parked sync receiver
+	handed   simnet.Ring[int]       // ranks of the sync tickets served, served+1, …
+	tickets  uint64                 // sync receivers parked so far
+	served   uint64                 // sync receivers that took their rank
+	closed   bool
+}
+
+// announce delivers one message start, reporting false once closed. An
+// async receiver's announced runs after the lock is dropped.
+func (q *announceQueue) announce(remote int) bool {
+	var am *AsyncMsg
+	q.mu.Lock()
+	switch {
+	case q.closed:
+		q.mu.Unlock()
+		return false
+	case q.waiters.Len() == 0:
+		q.buffered.Push(remote)
+	default:
+		if am = q.waiters.Pop(); am == nil {
+			q.handed.Push(remote)
+			q.cond.Broadcast()
+		}
+	}
+	q.mu.Unlock()
+	if am != nil {
+		am.announced(remote, true)
+	}
+	return true
+}
+
+// next claims the next message start for a sync receiver; ok is false once
+// the queue is closed and nothing is left for it. A parked receiver is a
+// nil FIFO entry plus a ticket, so parking allocates nothing.
+func (q *announceQueue) next() (remote int, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.buffered.Len() > 0 {
+		return q.buffered.Pop(), true
+	}
+	if q.closed {
+		return 0, false
+	}
+	t := q.tickets
+	q.tickets++
+	q.waiters.Push(nil)
+	for q.served != t || q.handed.Len() == 0 {
+		if q.closed && t >= q.served+uint64(q.handed.Len()) {
+			return 0, false
+		}
+		q.cond.Wait()
+	}
+	q.served++
+	if q.handed.Len() > 1 {
+		q.cond.Broadcast() // the next ticket's rank is in already
+	}
+	return q.handed.Pop(), true
+}
+
+// register enrolls an async receive conversation; it is announced inline
+// when a rank is already buffered or the queue is closed.
+func (q *announceQueue) register(am *AsyncMsg) {
+	q.mu.Lock()
+	switch {
+	case q.buffered.Len() > 0:
+		r := q.buffered.Pop()
+		q.mu.Unlock()
+		am.announced(r, true)
+	case q.closed:
+		q.mu.Unlock()
+		am.announced(0, false)
+	default:
+		q.waiters.Push(am)
+		q.mu.Unlock()
+	}
+}
+
+// close refuses later announcements, wakes the parked sync receivers and
+// fails every registered conversation on the calling goroutine. Ranks
+// already buffered or handed stay claimable.
+func (q *announceQueue) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.cond.Broadcast()
+	for q.waiters.Len() > 0 {
+		if am := q.waiters.Pop(); am != nil {
+			q.mu.Unlock()
+			am.announced(0, false)
+			q.mu.Lock()
+		}
+	}
+	q.mu.Unlock()
 }
 
 // sendBMM returns (creating lazily) the BMM instance for a send-side TM.
@@ -405,7 +502,7 @@ func (c *Channel) acquireSend(a *vclock.Actor, remote int) (*ConnState, error) {
 // acquireRecv claims the next incoming-message announcement and takes that
 // connection's receive lease: the first step of BeginUnpacking and Recv.
 func (c *Channel) acquireRecv(a *vclock.Actor) (*ConnState, error) {
-	remote, ok := c.nextAnnouncement()
+	remote, ok := c.ann.next()
 	if !ok {
 		return nil, ErrClosed
 	}

@@ -117,8 +117,8 @@ func TestScopeHoldsLeaseAfterAbort(t *testing.T) {
 			if tc.dir == "receive" {
 				// Two messages from rank 0, announced by hand: the fake
 				// TM's receive side reads its canned stream, not a wire.
-				chans[1].incoming.Push(0)
-				chans[1].incoming.Push(0)
+				chans[1].ann.announce(0)
+				chans[1].ann.announce(0)
 			}
 			aborted, hold := make(chan struct{}), make(chan struct{})
 			var second error

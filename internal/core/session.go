@@ -250,18 +250,18 @@ func (s *Session) NewChannel(spec ChannelSpec) (map[int]*Channel, error) {
 			return nil, fmt.Errorf("core: channel %q on rank %d: %w", spec.Name, r, err)
 		}
 		ch := &Channel{
-			sess:     s,
-			name:     spec.Name,
-			id:       id,
-			rank:     r,
-			pmm:      pmm,
-			obs:      obs,
-			members:  append([]int(nil), members...),
-			incoming: simnet.NewQueue[int](),
-			conns:    make(map[int]*ConnState),
+			sess:    s,
+			name:    spec.Name,
+			id:      id,
+			rank:    r,
+			pmm:     pmm,
+			obs:     obs,
+			members: append([]int(nil), members...),
+			conns:   make(map[int]*ConnState),
 
 			asyncName: fmt.Sprintf("async:%s:%d<", spec.Name, r),
 		}
+		ch.ann.cond.L = &ch.ann.mu
 		// Pre-register the PMM's TM names so per-TM accounting is
 		// lock-free once traffic starts.
 		ch.stats.registerTMs(pmm.TMs())

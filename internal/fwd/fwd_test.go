@@ -3,12 +3,14 @@ package fwd
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"madeleine2/internal/bip"
 	"madeleine2/internal/core"
+	"madeleine2/internal/model"
 	"madeleine2/internal/sbp"
 	"madeleine2/internal/simnet"
 	"madeleine2/internal/sisci"
@@ -63,23 +65,15 @@ func newVC(t testing.TB, sess *core.Session, spec Spec) map[int]*VC {
 }
 
 // requireQuiescent closes every handle of the world and requires its
-// session to come to rest (core.Session.CheckQuiescent). Close does not
-// join a gateway's pipelines, and one may still be ending its last relay
-// when the test's receiver returns, so the check is retried for a few
-// seconds: a scope left open stays open.
+// session to be at rest (core.Session.CheckQuiescent). Close joins the
+// rank's daemons and gateway pipelines, so one check settles it.
 func requireQuiescent(t *testing.T, sess *core.Session, vcs map[int]*VC) {
 	t.Helper()
 	for _, v := range vcs {
 		v.Close()
 	}
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		err := sess.CheckQuiescent()
-		if err == nil {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal(err)
-		}
+	if err := sess.CheckQuiescent(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -535,4 +529,100 @@ func TestVCCloseSemantics(t *testing.T) {
 	if _, err := vcs[1].BeginUnpacking(r); err == nil {
 		t.Error("BeginUnpacking after Close must fail")
 	}
+}
+
+// blockingMover is a transmission method whose SendBuffer announces the
+// message, reports on entered and then blocks until release is closed. Its
+// receive side reports the channel closed, which ends a daemon quietly.
+type blockingMover struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (m *blockingMover) Name() string        { return "blocking" }
+func (m *blockingMover) Link(int) model.Link { return model.Link{} }
+
+func (m *blockingMover) SendBuffer(_ *vclock.Actor, cs *core.ConnState, _ []byte) error {
+	if err := cs.Announce(); err != nil {
+		return err
+	}
+	m.once.Do(func() { close(m.entered) })
+	<-m.release
+	return nil
+}
+
+func (m *blockingMover) ReceiveBuffer(*vclock.Actor, *core.ConnState, []byte) error {
+	return core.ErrClosed
+}
+
+// onePMM drives every block of a channel through one TM.
+type onePMM struct{ tm core.TM }
+
+func (p onePMM) Name() string                                     { return p.tm.Name() }
+func (p onePMM) Select(int, core.SendMode, core.RecvMode) core.TM { return p.tm }
+func (p onePMM) TMs() []core.TM                                   { return []core.TM{p.tm} }
+func (p onePMM) Link(n int) model.Link                            { return p.tm.Link(n) }
+func (p onePMM) PreConnect(*core.ConnState) error                 { return nil }
+func (p onePMM) Connect(*core.ConnState) error                    { return nil }
+
+// TestCloseJoinsPipelines relays a packet through gateway 1 onto a segment
+// whose TM blocks in SendBuffer. The gateway's VC.Close must not return
+// while its pipeline is blocked there, and returns once it is released.
+func TestCloseJoinsPipelines(t *testing.T) {
+	m := &blockingMover{entered: make(chan struct{}), release: make(chan struct{})}
+	const drv = "fwd-blocking"
+	if err := core.RegisterDriver(core.DriverDef{
+		Name:  drv,
+		Probe: func(*simnet.Node, int) error { return nil },
+		New: func(*simnet.Node, int, int) (core.PMM, error) {
+			return onePMM{core.NewDynamicTM(m)}, nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { core.UnregisterDriver(drv) })
+	w := simnet.NewWorld(3)
+	w.Node(0).AddAdapter(sisci.Network)
+	w.Node(1).AddAdapter(sisci.Network)
+	sess := core.NewSession(w)
+	vcs := newVC(t, sess, Spec{Name: "held", Segments: []core.ChannelSpec{
+		{Driver: "sisci", Nodes: []int{0, 1}},
+		{Driver: drv, Nodes: []int{1, 2}},
+	}})
+	held := true
+	defer func() {
+		if held {
+			close(m.release)
+		}
+	}()
+
+	conn, err := vcs[0].BeginPacking(vclock.NewActor("s"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Pack(pattern(64, 1), core.SendCheaper, core.ReceiveCheaper); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.EndPacking(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-m.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the gateway pipeline never reached the blocking TM")
+	}
+	closed := make(chan struct{})
+	go func() {
+		vcs[1].Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("VC.Close returned while a gateway pipeline was blocked in its TM")
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(m.release)
+	held = false
+	<-closed
+	requireQuiescent(t, sess, vcs)
 }

@@ -60,7 +60,8 @@ const pipelineBuffers = 2
 
 // pipe returns (creating and starting) the pipeline for a direction. A
 // pipeline created after Close has begun is stillborn: its queues close
-// immediately so the requesting daemon unblocks and exits.
+// immediately so the requesting daemon unblocks and exits. Close joins the
+// send thread with the daemons (only a running daemon calls pipe).
 func (v *VC) pipe(inSeg, outSeg int) *pipeline {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -82,6 +83,7 @@ func (v *VC) pipe(inSeg, outSeg int) *pipeline {
 			p.work.Close()
 			p.free.Close()
 		}
+		v.daemons.Add(1)
 		go p.run()
 	}
 	return p
@@ -335,6 +337,7 @@ func (d *daemonState) deliver(h header, payload []byte, corrupt bool) bool {
 // run is the pipeline's send thread.
 func (p *pipeline) run() {
 	v := p.v
+	defer v.daemons.Done()
 	a := vclock.NewActor(fmt.Sprintf("%s/n%d/%d->%d-tx", v.name, v.rank, p.inSeg, p.outSeg))
 	bus := v.sess.World().Node(v.rank).Bus()
 	inCh, outCh := v.chans[p.inSeg], v.chans[p.outSeg]

@@ -155,7 +155,7 @@ type VC struct {
 
 	closed    chan struct{}
 	closeOnce sync.Once
-	daemons   sync.WaitGroup
+	daemons   sync.WaitGroup // receiver daemons and gateway pipelines
 	members   []int
 	segs      [][]int // segment index -> member ranks, sorted (topology map)
 }
@@ -363,9 +363,10 @@ func (v *VC) Session() *core.Session { return v.sess }
 // Close shuts down this rank's daemons, pipelines and receive queues;
 // blocked and future BeginUnpacking calls fail once pending messages
 // drain. Idempotent and safe to race (fail invokes it from daemons and
-// senders). Every wake-up source — channels, pipeline queues, link
-// leases and verdicts — closes before the daemon join, so a daemon
-// blocked anywhere in the packet path exits instead of wedging Close.
+// senders). It returns once the rank's receiver daemons and gateway
+// pipelines have. Every wake-up source — channels, pipeline queues, link
+// leases and verdicts — closes before that join, so a thread blocked
+// anywhere in the packet path exits instead of wedging Close.
 func (v *VC) Close() {
 	v.closeOnce.Do(func() {
 		close(v.closed)

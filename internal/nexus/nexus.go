@@ -39,8 +39,7 @@ type Process struct {
 	rank  int
 	mu    sync.Mutex
 	table map[uint32]Handler
-	done  chan struct{}
-	wg    sync.WaitGroup
+	wg    sync.WaitGroup // one dispatcher per channel
 }
 
 // Attach builds the Nexus context of one rank and starts its dispatcher.
@@ -59,7 +58,6 @@ func AttachMulti(chans ...*core.Channel) *Process {
 		chans: chans,
 		rank:  chans[0].Rank(),
 		table: make(map[uint32]Handler),
-		done:  make(chan struct{}),
 	}
 	for _, ch := range chans {
 		if ch.Rank() != p.rank {
@@ -68,10 +66,6 @@ func AttachMulti(chans ...*core.Channel) *Process {
 		p.wg.Add(1)
 		go p.dispatch(ch)
 	}
-	go func() {
-		p.wg.Wait()
-		close(p.done)
-	}()
 	return p
 }
 
@@ -85,12 +79,13 @@ func (p *Process) Register(id uint32, h Handler) {
 	p.table[id] = h
 }
 
-// Close stops the dispatchers once pending requests drain.
+// Close stops the dispatchers once pending requests drain and returns
+// when they have.
 func (p *Process) Close() {
 	for _, ch := range p.chans {
 		ch.Close()
 	}
-	<-p.done
+	p.wg.Wait()
 }
 
 // Startpoint is a remote-invocation capability bound to a remote process,

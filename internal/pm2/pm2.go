@@ -69,8 +69,8 @@ type Runtime struct {
 	nextCall  uint32
 
 	tasks    *simnet.Queue[task]
-	done     chan struct{}
 	finished *simnet.Queue[Finished]
+	threads  sync.WaitGroup // dispatcher, worker and LRPC server threads
 }
 
 type reply struct {
@@ -102,9 +102,9 @@ func Attach(ch *core.Channel) *Runtime {
 		behaviors: make(map[uint32]Behavior),
 		replies:   make(map[uint32]chan reply),
 		tasks:     simnet.NewQueue[task](),
-		done:      make(chan struct{}),
 		finished:  simnet.NewQueue[Finished](),
 	}
+	rt.threads.Add(2)
 	go rt.dispatch()
 	go rt.work()
 	return rt
@@ -113,11 +113,12 @@ func Attach(ch *core.Channel) *Runtime {
 // Rank reports the runtime's node rank.
 func (rt *Runtime) Rank() int { return rt.rank }
 
-// Close stops the runtime's threads.
+// Close stops the runtime's threads and returns once they have, LRPC
+// server threads still running a service included.
 func (rt *Runtime) Close() {
 	rt.ch.Close()
 	rt.tasks.Close()
-	<-rt.done
+	rt.threads.Wait()
 }
 
 // RegisterService binds an LRPC service id.
@@ -193,6 +194,7 @@ func (rt *Runtime) Finished() (Finished, bool) { return rt.finished.Pop() }
 
 // dispatch is the runtime's message thread.
 func (rt *Runtime) dispatch() {
+	defer rt.threads.Done()
 	a := vclock.NewActor(fmt.Sprintf("pm2-dispatch-%d", rt.rank))
 	for {
 		from := -1
@@ -211,7 +213,6 @@ func (rt *Runtime) dispatch() {
 		})
 		if from < 0 {
 			rt.finished.Close()
-			close(rt.done)
 			return
 		}
 		if err != nil {
@@ -233,7 +234,9 @@ func (rt *Runtime) dispatch() {
 			// arrival time.
 			ta := vclock.NewActor(fmt.Sprintf("pm2-srv-%d-%d", rt.rank, id))
 			ta.Sync(a.Now())
+			rt.threads.Add(1)
 			go func() {
+				defer rt.threads.Done()
 				out := svc(rt, ta, from, payload)
 				if err := rt.send(ta, from, kindReply, id, 0, out); err != nil {
 					panic(fmt.Sprintf("pm2 reply %d: %v", rt.rank, err))
@@ -256,6 +259,7 @@ func (rt *Runtime) dispatch() {
 
 // work is the runtime's task execution thread.
 func (rt *Runtime) work() {
+	defer rt.threads.Done()
 	a := vclock.NewActor(fmt.Sprintf("pm2-worker-%d", rt.rank))
 	for {
 		t, ok := rt.tasks.Pop()

@@ -61,18 +61,61 @@ func TestLRPCRoundTrip(t *testing.T) {
 	if a.Now() < vclock.Micros(13) {
 		t.Errorf("caller clock %v misses the round trip", a.Now())
 	}
-	// The server thread that sent the reply is not joined and may still
-	// be ending its message when the reply is in: retry for a few seconds;
-	// a scope left open stays open.
-	sess := rts[0].ch.Session()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		err := sess.CheckQuiescent()
-		if err == nil {
-			return
+	// Close joins the server thread that sent the reply, so the world is
+	// at rest once both runtimes are closed.
+	for _, rt := range rts {
+		rt.Close()
+	}
+	if err := rts[0].ch.Session().CheckQuiescent(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCloseJoinsServerThreads holds a service handler on a test channel
+// and requires Runtime.Close to wait for it: Close must not return while
+// the server thread runs, and returns once it is released and replied.
+func TestCloseJoinsServerThreads(t *testing.T) {
+	rts := runtimes(t, 2, "sisci")
+	entered, release := make(chan struct{}), make(chan struct{})
+	called := make(chan error, 1)
+	held := true
+	defer func() {
+		// On failure, let the call finish before the cleanup closes its
+		// caller's runtime under the reply.
+		if held {
+			close(release)
+			<-called
 		}
-		if time.Now().After(deadline) {
-			t.Fatal(err)
-		}
+	}()
+	rts[1].RegisterService(3, func(rt *Runtime, a *vclock.Actor, from int, args []byte) []byte {
+		close(entered)
+		<-release
+		return args
+	})
+	go func() {
+		_, err := rts[0].Call(vclock.NewActor("caller"), 1, 3, []byte("held"))
+		called <- err
+	}()
+	<-entered
+	closed := make(chan struct{})
+	go func() {
+		rts[1].Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Runtime.Close returned while a service handler was still running")
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(release)
+	held = false
+	<-closed
+	if err := <-called; err != nil {
+		t.Fatalf("the held call: %v", err)
+	}
+	rts[0].Close()
+	if err := rts[0].ch.Session().CheckQuiescent(); err != nil {
+		t.Fatal(err)
 	}
 }
 
