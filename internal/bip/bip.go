@@ -59,23 +59,25 @@ type Interface struct {
 	adapter *simnet.Adapter
 
 	mu      sync.Mutex
-	cond    *sync.Cond
-	posted  map[key]*simnet.Ring[*postedRecv] // long-path rendezvous queues
-	recs    []*postedRecv                     // idle posted-receive records
-	shortIn map[key]int                       // occupied short buffers
+	posted  map[key]*simnet.Queue[*postedRecv] // long-path rendezvous queues
+	recs    []*postedRecv                      // idle posted-receive records
+	shortIn map[key]int                        // occupied short buffers
 }
 
-// postedRecv is one posted long receive. The receiver fills the first two
-// fields and posts it; the matching sender fills the rest and signals
-// done, after which the record is the receiver's again and returns to the
-// interface's idle list.
+// postedRecv is one posted long receive. The receiver fills buf and
+// postedAt and posts it; the matching sender answers on done, after which
+// the record returns to the interface's idle list.
 type postedRecv struct {
 	buf      []byte
 	postedAt vclock.Time
-	n        int
-	arrive   vclock.Time
-	err      error
-	done     chan struct{} // capacity 1: one signal per posting
+	done     simnet.Queue[delivery]
+}
+
+// delivery is a long send's outcome, as the receiver's NIC reports it.
+type delivery struct {
+	n      int
+	arrive vclock.Time
+	err    error
 }
 
 // Attach opens BIP on the idx-th Myrinet adapter of node n. Attaching twice
@@ -88,10 +90,9 @@ func Attach(n *simnet.Node, idx int) (*Interface, error) {
 	}
 	b := &Interface{
 		adapter: a,
-		posted:  make(map[key]*simnet.Ring[*postedRecv]),
+		posted:  make(map[key]*simnet.Queue[*postedRecv]),
 		shortIn: make(map[key]int),
 	}
-	b.cond = sync.NewCond(&b.mu)
 	return a.AttachDriver(b).(*Interface), nil
 }
 
@@ -175,31 +176,35 @@ func (b *Interface) TRecvShort(a *vclock.Actor, src, tag int) ([]byte, error) {
 // payload length. Posting the receive is what releases the matching sender
 // (BIP's receiver-acknowledgment synchronization).
 func (b *Interface) TRecvLong(a *vclock.Actor, src, tag int, buf []byte) (int, error) {
-	k := key{src, tag}
 	b.mu.Lock()
 	var pr *postedRecv
 	if i := len(b.recs) - 1; i >= 0 {
 		pr, b.recs = b.recs[i], b.recs[:i]
 	} else {
-		pr = &postedRecv{done: make(chan struct{}, 1)}
+		pr = new(postedRecv)
 	}
-	pr.buf, pr.postedAt = buf, a.Now()
-	q := b.posted[k]
-	if q == nil {
-		q = new(simnet.Ring[*postedRecv])
-		b.posted[k] = q
-	}
-	q.Push(pr)
 	b.mu.Unlock()
-	b.cond.Broadcast()
-	<-pr.done
-	n, arrive, err := pr.n, pr.arrive, pr.err
-	*pr = postedRecv{done: pr.done}
+	pr.buf, pr.postedAt = buf, a.Now()
+	b.rendezvous(key{src, tag}).Push(pr)
+	d, _ := pr.done.Pop() // the record's queue is never closed
+	pr.buf = nil
 	b.mu.Lock()
 	b.recs = append(b.recs, pr)
 	b.mu.Unlock()
-	a.Sync(arrive)
-	return n, err
+	a.Sync(d.arrive)
+	return d.n, d.err
+}
+
+// rendezvous returns (creating) the queue of long receives posted for k.
+func (b *Interface) rendezvous(k key) *simnet.Queue[*postedRecv] {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	q := b.posted[k]
+	if q == nil {
+		q = simnet.NewQueue[*postedRecv]()
+		b.posted[k] = q
+	}
+	return q
 }
 
 // TSendLong sends data to (dst, tag) on the long-message path: it blocks
@@ -213,13 +218,7 @@ func (b *Interface) TSendLong(a *vclock.Actor, dst, tag int, data []byte) error 
 	// Rendezvous request reaches the receiver...
 	reqArrive := a.Now() + model.BIPControl.Time(0)
 	// ...and we block until a matching receive is posted.
-	k := key{b.Node(), tag}
-	p.mu.Lock()
-	for p.posted[k] == nil || p.posted[k].Len() == 0 {
-		p.cond.Wait()
-	}
-	pr := p.posted[k].Pop()
-	p.mu.Unlock()
+	pr, _ := p.rendezvous(key{b.Node(), tag}).Pop() // never closed
 
 	// The "ready" acknowledgment leaves once both the request has arrived
 	// and the receive is posted.
@@ -232,13 +231,10 @@ func (b *Interface) TSendLong(a *vclock.Actor, dst, tag int, data []byte) error 
 	a.Sync(end)
 	if len(pr.buf) < len(data) {
 		err := fmt.Errorf("bip: posted receive buffer too small (%d < %d)", len(pr.buf), len(data))
-		pr.err = err
-		pr.done <- struct{}{}
+		pr.done.Push(delivery{err: err})
 		return err
 	}
 	copy(pr.buf, data) // zero-copy delivery into the final location
-	pr.n = len(data)
-	pr.arrive = end
-	pr.done <- struct{}{}
+	pr.done.Push(delivery{n: len(data), arrive: end})
 	return nil
 }

@@ -31,7 +31,7 @@ type chanTransport struct {
 	recvs   map[*core.AsyncMsg]*chanRecv
 	closing bool
 
-	pumpDone chan struct{}
+	pumping sync.WaitGroup // the pump goroutine
 }
 
 type chanSend struct {
@@ -51,14 +51,14 @@ type chanRecv struct {
 
 func newChanTransport(ch *core.Channel, claim func(wireHdr) []byte) *chanTransport {
 	t := &chanTransport{
-		ch:       ch,
-		cq:       core.NewCQ(),
-		inbox:    simnet.NewQueue[event](),
-		claim:    claim,
-		sends:    make(map[*core.AsyncMsg]*chanSend),
-		recvs:    make(map[*core.AsyncMsg]*chanRecv),
-		pumpDone: make(chan struct{}),
+		ch:    ch,
+		cq:    core.NewCQ(),
+		inbox: simnet.NewQueue[event](),
+		claim: claim,
+		sends: make(map[*core.AsyncMsg]*chanSend),
+		recvs: make(map[*core.AsyncMsg]*chanRecv),
 	}
+	t.pumping.Add(1)
 	go t.pump()
 	return t
 }
@@ -106,7 +106,7 @@ func (t *chanTransport) need(n int) {
 // only goroutine that touches conversation state after submission, so
 // the Submit* single-submitter contract holds per conversation.
 func (t *chanTransport) pump() {
-	defer close(t.pumpDone)
+	defer t.pumping.Done()
 	for {
 		comp, ok := t.cq.Wait()
 		if !ok {
@@ -185,5 +185,5 @@ func (t *chanTransport) close() {
 	if empty {
 		t.cq.Close()
 	}
-	<-t.pumpDone
+	t.pumping.Wait()
 }

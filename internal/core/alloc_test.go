@@ -256,8 +256,8 @@ func asyncConvAllocs(t *testing.T, chans map[int]*Channel, blocks int) float64 {
 // two operations each or with three, and the hand-offs (lease grant,
 // announcement, run queue, completion queue) add none.
 func TestAsyncConversationAllocs(t *testing.T) {
-	if size := unsafe.Sizeof(AsyncMsg{}); size > 512 {
-		t.Errorf("AsyncMsg is %d bytes, want at most 512", size)
+	if size := unsafe.Sizeof(AsyncMsg{}); size > 480 {
+		t.Errorf("AsyncMsg is %d bytes, want at most 480, its size class", size)
 	}
 	mem := registerMemDriver(t, "eager")
 	for _, ops := range []int{2, inlineOps} {
@@ -273,6 +273,39 @@ func TestAsyncConversationAllocs(t *testing.T) {
 	defer sess.Shutdown()
 	if got := asyncConvAllocs(t, chans, 1); got < 2 || got > 4+allocSlack {
 		t.Errorf("tcp: %.2f allocs per conversation pair, want 2 to 4", got)
+	}
+}
+
+// TestContendedLeaseAllocs hands a direction lease, round after round, to
+// an actor parked on it: a contended sync acquire waits on the lease
+// queue's ticket and allocates nothing.
+func TestContendedLeaseAllocs(t *testing.T) {
+	const rounds = 1000
+	l := newLease()
+	a, b := vclock.NewActor("a"), vclock.NewActor("b")
+	l.acquire(a)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i <= rounds; i++ { // AllocsPerRun adds a warm-up round
+			l.acquire(b)
+			l.release(b)
+		}
+	}()
+	round := func() {
+		for _, parked := l.state(); parked == 0; _, parked = l.state() {
+			runtime.Gosched()
+		}
+		l.release(a) // to b, parked
+		l.acquire(a) // back from b
+	}
+	if allocs := testing.AllocsPerRun(rounds, round); allocs != 0 {
+		t.Errorf("%v allocations per contended round, want 0", allocs)
+	}
+	<-done
+	l.release(a)
+	if held, parked := l.state(); held || parked != 0 {
+		t.Errorf("lease held %v with %d parked after the rounds", held, parked)
 	}
 }
 

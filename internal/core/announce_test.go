@@ -11,11 +11,7 @@ import (
 )
 
 // registered reports how many receivers wait in c's registration FIFO.
-func registered(c *Channel) int {
-	c.ann.mu.Lock()
-	defer c.ann.mu.Unlock()
-	return c.ann.waiters.Len()
-}
+func registered(c *Channel) int { return c.ann.Waiting() }
 
 // waitRegistered returns once n receivers wait on c, and fails the test if
 // they do not within ten seconds. It allocates nothing while it waits.

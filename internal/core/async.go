@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"madeleine2/internal/metrics"
+	"madeleine2/internal/simnet"
 	"madeleine2/internal/vclock"
 )
 
@@ -324,15 +325,15 @@ type AsyncMsg struct {
 	runq *AsyncMsg // link on the engine's run queue, under its lock
 
 	mu      sync.Mutex
-	cn      *Connection             // &conn once the lease is granted; the engine's from then on
 	pending fifo[Request, *Request] // submitted, not yet executed
-	seq     uint64                  // last assigned sequence number
+	seq     uint32                  // last assigned sequence number (a message has fewer than 2^32 operations)
 	queued  bool                    // on a run queue or being drained by a worker
-	ready   bool                    // lease held and connection bound — runnable
+	ready   bool                    // lease held and conn bound — runnable; conn is the engine's from then on
 	dead    bool                    // message finished or conversation aborted; pending is empty
 	sending bool
 	err     error // first causal error when dead by failure
 
+	park   simnet.Slot // where the conversation waits for its announcement, then its lease
 	actor  vclock.Actor
 	conn   Connection // conn.cs is set before the lease is requested, the rest at the grant
 	inline [inlineOps]Request
@@ -351,7 +352,7 @@ func (am *AsyncMsg) Sending() bool { return am.sending }
 func (am *AsyncMsg) Remote() int {
 	am.mu.Lock()
 	defer am.mu.Unlock()
-	if !am.sending && am.cn == nil {
+	if !am.sending && !am.ready {
 		return -1
 	}
 	return am.conn.cs.remote
@@ -391,7 +392,7 @@ func (c *Channel) SubmitPackingFrom(remote int, cq *CQ, at vclock.Time) (*AsyncM
 	// until then, so the actor has exactly one owner here.
 	am.actor.Sync(at)
 	am.conn.cs = cs
-	if !cs.send.acquireAsync(am) {
+	if !cs.send.acquireAsync(&am.park, (*leaseWaiter)(am)) {
 		c.met.parked.Add(1)
 	}
 	return am, nil
@@ -413,14 +414,25 @@ func (c *Channel) SubmitUnpacking(cq *CQ) *AsyncMsg {
 func (c *Channel) SubmitUnpackingFrom(cq *CQ, at vclock.Time) *AsyncMsg {
 	am := &AsyncMsg{ch: c, cq: cq, actor: vclock.MakeActor(c.asyncName)}
 	am.actor.Sync(at)
-	c.ann.register(am)
+	c.ann.PopAsync(&am.park, (*announcee)(am))
 	return am
 }
 
-// announced binds a receive conversation to an incoming message and
-// requests that connection's receive lease. It runs once, on the goroutine
-// that announced, registered (a rank was buffered) or closed (ok = false).
-func (am *AsyncMsg) announced(remote int, ok bool) {
+// announcee and leaseWaiter are an AsyncMsg's two simnet.Waiter faces: a
+// receive conversation waiting on its channel's announcements, and any
+// conversation waiting on a direction lease. Converting the pointer
+// allocates nothing, and the conversation waits on one queue at a time, in
+// its park slot.
+type (
+	announcee   AsyncMsg
+	leaseWaiter AsyncMsg
+)
+
+// Ready binds a receive conversation to an incoming message and requests
+// that connection's receive lease. It runs once, on the goroutine that
+// announced, registered (a rank was queued) or closed (ok = false).
+func (w *announcee) Ready(remote int, ok bool) {
+	am := (*AsyncMsg)(w)
 	if !ok {
 		am.fail(ErrClosed)
 		return
@@ -431,18 +443,19 @@ func (am *AsyncMsg) announced(remote int, ok bool) {
 		return
 	}
 	am.conn.cs = cs
-	if !cs.recv.acquireAsync(am) {
+	if !cs.recv.acquireAsync(&am.park, (*leaseWaiter)(am)) {
 		am.ch.met.parked.Add(1)
 	}
 }
 
-// granted makes the conversation the holder of its direction lease (the
-// grantee side of lease.acquireAsync): it opens the connection and
-// schedules the conversation if operations are already waiting. It runs on
-// the granting goroutine (the submitter when uncontended, the releasing
-// holder otherwise) — the conversation is not runnable before it, so there
-// is no racing worker.
-func (am *AsyncMsg) granted(t vclock.Time) {
+// Ready makes the conversation the holder of its direction lease, stamped
+// t (ok is always true: a lease queue is never closed): it opens the
+// connection and schedules the conversation if operations are already
+// waiting. It runs on the granting goroutine (the submitter when
+// uncontended, the releasing holder otherwise) — the conversation is not
+// runnable before it, so there is no racing worker.
+func (w *leaseWaiter) Ready(t vclock.Time, _ bool) {
+	am := (*AsyncMsg)(w)
 	am.actor.Sync(t)
 	cn := &am.conn
 	cn.actor, cn.sending, cn.open = &am.actor, am.sending, true
@@ -450,7 +463,6 @@ func (am *AsyncMsg) granted(t vclock.Time) {
 		cn.cs.sendMsg = &cn.msg
 	}
 	am.mu.Lock()
-	am.cn = cn
 	am.ready = true
 	run := am.pending.n > 0 && !am.queued && !am.dead
 	if run {
@@ -497,7 +509,7 @@ func (am *AsyncMsg) submit(k OpKind, buf []byte, sm SendMode, rm RecvMode) *Requ
 	} else {
 		r = new(Request)
 	}
-	r.am, r.seq, r.kind, r.buf, r.n, r.sm, r.rm = am, am.seq, uint8(k), buf, len(buf), sm, rm
+	r.am, r.seq, r.kind, r.buf, r.n, r.sm, r.rm = am, uint64(am.seq), uint8(k), buf, len(buf), sm, rm
 	if am.dead {
 		// The conversation is over; completing inline (under the lock, so
 		// the completion cannot overtake the drain that killed the
@@ -520,7 +532,7 @@ func (am *AsyncMsg) submit(k OpKind, buf []byte, sm SendMode, rm RecvMode) *Requ
 
 // timeLocked reports the conversation clock for inline completions.
 func (am *AsyncMsg) timeLocked() vclock.Time {
-	if am.cn != nil {
+	if am.ready {
 		return am.actor.Now()
 	}
 	return 0
@@ -685,7 +697,7 @@ func (e *engine) worker() {
 // empties or the message ends. The conversation is exclusively this
 // worker's while queued; completions are posted in submission order.
 func (e *engine) drain(am *AsyncMsg) {
-	cn := am.cn
+	cn := &am.conn
 	t0 := cn.actor.Now()
 	ran := false
 	for {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"madeleine2/internal/model"
 	"madeleine2/internal/simnet"
@@ -35,8 +34,11 @@ type Channel struct {
 	asyncName string
 
 	// ann carries message-start notifications: one rank per message,
-	// announced by the sender's first wire operation.
-	ann announceQueue
+	// announced by the sender's first wire operation. It models the
+	// receive side's "poll every connection, serve the first that fires"
+	// loop with no goroutine behind it: sync receivers and async receive
+	// conversations wait in its one FIFO, and each rank goes to the oldest.
+	ann simnet.Queue[int]
 
 	conns map[int]*ConnState
 	stats chanStats
@@ -53,7 +55,7 @@ func (c *Channel) Name() string { return c.name }
 // message fails with ErrClosed on the closing goroutine, which therefore
 // runs its CQ callback. Used by layers that run receiver daemons over a
 // channel (forwarding, MPI, Nexus). Idempotent.
-func (c *Channel) Close() { c.ann.close() }
+func (c *Channel) Close() { c.ann.Close() }
 
 // Rank reports the local process rank.
 func (c *Channel) Rank() int { return c.rank }
@@ -82,109 +84,49 @@ func (c *Channel) conn(remote int) (*ConnState, error) {
 	return cs, nil
 }
 
-// lease is the exclusive-ownership token of one connection direction. An
-// actor acquires it for the span of one message (Begin… to End…); a
-// contended acquisition blocks until the current holder releases and then
-// synchronizes the acquirer's virtual clock to the release time — waiting
-// costs virtual time, not wall-clock lock order. Uncontended single-actor
-// flows are unchanged: an actor re-acquiring its own release stamp never
-// moves its clock.
+// lease is the exclusive-ownership token of one connection direction: a
+// one-token simnet.Queue whose token is the last holder's release stamp.
+// An actor acquires it for the span of one message (Begin… to End…); a
+// contended acquisition parks FIFO until the current holder releases and
+// then synchronizes the acquirer's virtual clock to the release time —
+// waiting costs virtual time, not wall-clock lock order. Uncontended
+// single-actor flows are unchanged: an actor re-acquiring its own release
+// stamp never moves its clock.
 //
 // The async submission path never parks an engine worker on a lease:
 // acquireAsync parks the conversation itself, and the releasing goroutine
-// grants it when ownership transfers. Sync and async acquirers share one
-// FIFO, so a mixed workload keeps the same per-direction fairness as the
-// pure-sync library.
-type lease struct {
-	s *leaseState
+// grants it when ownership transfers. Sync and async acquirers share the
+// queue's one FIFO, so a mixed workload keeps the same per-direction
+// fairness as the pure-sync library.
+type lease struct{ q *simnet.Queue[vclock.Time] }
+
+func newLease() lease {
+	l := lease{simnet.NewQueue[vclock.Time]()}
+	l.q.Push(0)
+	return l
 }
-
-type leaseState struct {
-	mu      sync.Mutex
-	free    bool
-	stamp   vclock.Time // release time of the last holder
-	waiters simnet.Ring[grantee]
-}
-
-// grantee is one parked acquirer: granted runs exactly once, on the
-// releasing goroutine, holding the lease, with the previous holder's
-// release stamp. An interface over the acquirer itself (an async
-// conversation, a blocked caller's channel), not a closure, so parking
-// allocates nothing.
-type grantee interface{ granted(vclock.Time) }
-
-// syncGrantee is a blocked acquire: the stamp is handed over a one-slot
-// channel.
-type syncGrantee chan vclock.Time
-
-func (c syncGrantee) granted(t vclock.Time) { c <- t }
-
-func newLease() lease { return lease{s: &leaseState{free: true}} }
 
 // acquire blocks until the lease is free and syncs a to the release stamp.
 func (l lease) acquire(a *vclock.Actor) {
-	s := l.s
-	s.mu.Lock()
-	if s.free {
-		s.free = false
-		t := s.stamp
-		s.mu.Unlock()
-		a.Sync(t)
-		return
-	}
-	c := make(syncGrantee, 1)
-	s.waiters.Push(c)
-	s.mu.Unlock()
-	a.Sync(<-c)
+	t, _ := l.q.Pop() // a lease queue is never closed
+	a.Sync(t)
 }
 
-// acquireAsync takes the lease without blocking. When the lease is free
-// g.granted runs inline (before acquireAsync returns) and the result is
-// true; otherwise g is parked FIFO behind the current holder and is granted
+// acquireAsync takes the lease without blocking: w.Ready runs inline when
+// the lease is free (the result is true), otherwise w parks in s and runs
 // on the releasing goroutine at ownership transfer.
-func (l lease) acquireAsync(g grantee) bool {
-	s := l.s
-	s.mu.Lock()
-	if s.free {
-		s.free = false
-		t := s.stamp
-		s.mu.Unlock()
-		g.granted(t)
-		return true
-	}
-	s.waiters.Push(g)
-	s.mu.Unlock()
-	return false
+func (l lease) acquireAsync(s *simnet.Slot, w simnet.Waiter[vclock.Time]) bool {
+	return l.q.PopAsync(s, w)
 }
 
-// release hands the lease back, stamped with the holder's current time.
-// With waiters parked, ownership transfers directly to the FIFO head (the
-// lease never goes free in between, preserving fairness).
-func (l lease) release(a *vclock.Actor) {
-	s := l.s
-	s.mu.Lock()
-	s.stamp = a.Now()
-	if s.waiters.Len() > 0 {
-		// The ring zeroes the popped slot: a parked async grantee is its
-		// AsyncMsg, which must not stay reachable from the FIFO.
-		w := s.waiters.Pop()
-		t := s.stamp
-		s.mu.Unlock()
-		w.granted(t)
-		return
-	}
-	s.free = true
-	s.mu.Unlock()
-}
+// release hands the lease back, stamped with the holder's current time:
+// straight to the oldest parked acquirer when there is one, so the lease
+// never goes free in between.
+func (l lease) release(a *vclock.Actor) { l.q.Push(a.Now()) }
 
 // state reports whether the lease is held and how many acquirers are
 // parked behind the holder.
-func (l lease) state() (held bool, parked int) {
-	s := l.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return !s.free, s.waiters.Len()
-}
+func (l lease) state() (held bool, parked int) { return l.q.Len() == 0, l.q.Waiting() }
 
 // msgState is the per-message mutable state of one in-flight message: the
 // Switch step's current TM plus the announce/packed latches. It is owned
@@ -266,113 +208,11 @@ func (cs *ConnState) Announce() error {
 	if m.announced {
 		return nil
 	}
-	if !cs.peer.ann.announce(cs.local) {
+	if !cs.peer.ann.PushIfOpen(cs.local) {
 		return fmt.Errorf("core: channel %q on rank %d: %w", cs.ch.name, cs.remote, ErrClosed)
 	}
 	m.announced = true
 	return nil
-}
-
-// announceQueue models the receive side's "poll every connection, serve
-// the first that fires" loop with no goroutine behind it: sync receivers
-// and async receive conversations register in one FIFO, and announce hands
-// each sender rank to the oldest one, on the announcing goroutine.
-type announceQueue struct {
-	mu       sync.Mutex
-	cond     sync.Cond              // on mu; parked sync receivers wait here
-	buffered simnet.Ring[int]       // announced while nobody was registered
-	waiters  simnet.Ring[*AsyncMsg] // registration FIFO; nil is a parked sync receiver
-	handed   simnet.Ring[int]       // ranks of the sync tickets served, served+1, …
-	tickets  uint64                 // sync receivers parked so far
-	served   uint64                 // sync receivers that took their rank
-	closed   bool
-}
-
-// announce delivers one message start, reporting false once closed. An
-// async receiver's announced runs after the lock is dropped.
-func (q *announceQueue) announce(remote int) bool {
-	var am *AsyncMsg
-	q.mu.Lock()
-	switch {
-	case q.closed:
-		q.mu.Unlock()
-		return false
-	case q.waiters.Len() == 0:
-		q.buffered.Push(remote)
-	default:
-		if am = q.waiters.Pop(); am == nil {
-			q.handed.Push(remote)
-			q.cond.Broadcast()
-		}
-	}
-	q.mu.Unlock()
-	if am != nil {
-		am.announced(remote, true)
-	}
-	return true
-}
-
-// next claims the next message start for a sync receiver; ok is false once
-// the queue is closed and nothing is left for it. A parked receiver is a
-// nil FIFO entry plus a ticket, so parking allocates nothing.
-func (q *announceQueue) next() (remote int, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.buffered.Len() > 0 {
-		return q.buffered.Pop(), true
-	}
-	if q.closed {
-		return 0, false
-	}
-	t := q.tickets
-	q.tickets++
-	q.waiters.Push(nil)
-	for q.served != t || q.handed.Len() == 0 {
-		if q.closed && t >= q.served+uint64(q.handed.Len()) {
-			return 0, false
-		}
-		q.cond.Wait()
-	}
-	q.served++
-	if q.handed.Len() > 1 {
-		q.cond.Broadcast() // the next ticket's rank is in already
-	}
-	return q.handed.Pop(), true
-}
-
-// register enrolls an async receive conversation; it is announced inline
-// when a rank is already buffered or the queue is closed.
-func (q *announceQueue) register(am *AsyncMsg) {
-	q.mu.Lock()
-	switch {
-	case q.buffered.Len() > 0:
-		r := q.buffered.Pop()
-		q.mu.Unlock()
-		am.announced(r, true)
-	case q.closed:
-		q.mu.Unlock()
-		am.announced(0, false)
-	default:
-		q.waiters.Push(am)
-		q.mu.Unlock()
-	}
-}
-
-// close refuses later announcements, wakes the parked sync receivers and
-// fails every registered conversation on the calling goroutine. Ranks
-// already buffered or handed stay claimable.
-func (q *announceQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	for q.waiters.Len() > 0 {
-		if am := q.waiters.Pop(); am != nil {
-			q.mu.Unlock()
-			am.announced(0, false)
-			q.mu.Lock()
-		}
-	}
-	q.mu.Unlock()
 }
 
 // sendBMM returns (creating lazily) the BMM instance for a send-side TM.
@@ -502,7 +342,7 @@ func (c *Channel) acquireSend(a *vclock.Actor, remote int) (*ConnState, error) {
 // acquireRecv claims the next incoming-message announcement and takes that
 // connection's receive lease: the first step of BeginUnpacking and Recv.
 func (c *Channel) acquireRecv(a *vclock.Actor) (*ConnState, error) {
-	remote, ok := c.ann.next()
+	remote, ok := c.ann.Pop()
 	if !ok {
 		return nil, ErrClosed
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"madeleine2/internal/simnet"
 	"madeleine2/internal/vclock"
 )
 
@@ -187,10 +188,10 @@ func staticPoolRounds(t *testing.T, drv string, tmIdx int) {
 // granteeFunc adapts a function to the lease's async waiter interface.
 type granteeFunc func(vclock.Time)
 
-func (f granteeFunc) granted(t vclock.Time) { f(t) }
+func (f granteeFunc) Ready(t vclock.Time, _ bool) { f(t) }
 
 // TestLeaseReleasedWaiterCollectable is the lease FIFO's retention
-// regression: a parked grantee is its AsyncMsg (here, a closure's capture),
+// regression: a parked waiter is its AsyncMsg (here, a closure's capture),
 // so once it has run, the waiter queue must not keep it reachable.
 func TestLeaseReleasedWaiterCollectable(t *testing.T) {
 	l := newLease()
@@ -201,7 +202,7 @@ func TestLeaseReleasedWaiterCollectable(t *testing.T) {
 	for i := 0; i < waiters; i++ {
 		captured := new([64]byte)
 		runtime.SetFinalizer(captured, func(*[64]byte) { collected <- struct{}{} })
-		if l.acquireAsync(granteeFunc(func(vclock.Time) { captured[0]++ })) {
+		if l.acquireAsync(new(simnet.Slot), granteeFunc(func(vclock.Time) { captured[0]++ })) {
 			t.Fatal("acquireAsync ran inline on a held lease")
 		}
 	}
@@ -219,7 +220,7 @@ func TestLeaseReleasedWaiterCollectable(t *testing.T) {
 			t.Fatalf("%d of %d released waiters' closures were collected; the FIFO still references the rest", got, waiters)
 		}
 	}
-	runtime.KeepAlive(l.s) // the lease outlives its waiters, as a connection's does
+	runtime.KeepAlive(l.q) // the lease outlives its waiters, as a connection's does
 }
 
 // TestRendezvousRegionsBalanced holds the registered-memory lease of the

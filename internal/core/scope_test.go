@@ -117,8 +117,8 @@ func TestScopeHoldsLeaseAfterAbort(t *testing.T) {
 			if tc.dir == "receive" {
 				// Two messages from rank 0, announced by hand: the fake
 				// TM's receive side reads its canned stream, not a wire.
-				chans[1].ann.announce(0)
-				chans[1].ann.announce(0)
+				chans[1].ann.Push(0)
+				chans[1].ann.Push(0)
 			}
 			aborted, hold := make(chan struct{}), make(chan struct{})
 			var second error
@@ -197,8 +197,14 @@ func TestRetainedScopeHandle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	send, recv := chans[0].conns[1].send.s, chans[1].conns[0].recv.s
-	stamps := [2]vclock.Time{send.stamp, recv.stamp}
+	// A free lease's queued token is its release stamp.
+	stamp := func(l lease) vclock.Time {
+		t, _ := l.q.TryPop()
+		l.q.Push(t)
+		return t
+	}
+	send, recv := chans[0].conns[1].send, chans[1].conns[0].recv
+	stamps := [2]vclock.Time{stamp(send), stamp(recv)}
 	// A release would now stamp the lease with the actor's later clock.
 	s.Advance(vclock.Micros(100))
 	r.Advance(vclock.Micros(100))
@@ -212,7 +218,7 @@ func TestRetainedScopeHandle(t *testing.T) {
 			t.Errorf("%s on a retained scope handle: %v, want ErrBadState", name, err)
 		}
 	}
-	if got := [2]vclock.Time{send.stamp, recv.stamp}; got != stamps {
+	if got := [2]vclock.Time{stamp(send), stamp(recv)}; got != stamps {
 		t.Errorf("lease stamps moved from %v to %v: a retained handle released a lease", stamps, got)
 	}
 	requireFindings(t, sess)

@@ -261,7 +261,6 @@ func (s *Session) NewChannel(spec ChannelSpec) (map[int]*Channel, error) {
 
 			asyncName: fmt.Sprintf("async:%s:%d<", spec.Name, r),
 		}
-		ch.ann.cond.L = &ch.ann.mu
 		// Pre-register the PMM's TM names so per-TM accounting is
 		// lock-free once traffic starts.
 		ch.stats.registerTMs(pmm.TMs())

@@ -346,11 +346,4 @@ func (v *VC) ctlDaemon(segIdx int, ch *core.Channel) {
 }
 
 // closing reports whether Close has begun.
-func (v *VC) closing() bool {
-	select {
-	case <-v.closed:
-		return true
-	default:
-		return false
-	}
-}
+func (v *VC) closing() bool { return v.closed.Load() }

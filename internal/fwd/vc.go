@@ -153,7 +153,7 @@ type VC struct {
 	failMu  sync.Mutex
 	failErr error
 
-	closed    chan struct{}
+	closed    atomic.Bool // Close has begun
 	closeOnce sync.Once
 	daemons   sync.WaitGroup // receiver daemons and gateway pipelines
 	members   []int
@@ -225,7 +225,6 @@ func New(sess *core.Session, spec Spec) (map[int]*VC, error) {
 			msgStart: simnet.NewQueue[int](),
 			streams:  make(map[int]*stream),
 			pipes:    make(map[[2]int]*pipeline),
-			closed:   make(chan struct{}),
 			members:  members,
 			segs:     segMembers,
 		}
@@ -369,7 +368,7 @@ func (v *VC) Session() *core.Session { return v.sess }
 // anywhere in the packet path exits instead of wedging Close.
 func (v *VC) Close() {
 	v.closeOnce.Do(func() {
-		close(v.closed)
+		v.closed.Store(true)
 		for _, ch := range v.chans {
 			ch.Close()
 		}

@@ -19,6 +19,7 @@ package pm2
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -65,8 +66,9 @@ type Runtime struct {
 	mu        sync.Mutex
 	services  map[uint32]Service
 	behaviors map[uint32]Behavior
-	replies   map[uint32]chan reply
+	replies   map[uint32]*simnet.Queue[reply] // pending Calls, by call id
 	nextCall  uint32
+	closed    bool
 
 	tasks    *simnet.Queue[task]
 	finished *simnet.Queue[Finished]
@@ -100,7 +102,7 @@ func Attach(ch *core.Channel) *Runtime {
 		rank:      ch.Rank(),
 		services:  make(map[uint32]Service),
 		behaviors: make(map[uint32]Behavior),
-		replies:   make(map[uint32]chan reply),
+		replies:   make(map[uint32]*simnet.Queue[reply]),
 		tasks:     simnet.NewQueue[task](),
 		finished:  simnet.NewQueue[Finished](),
 	}
@@ -113,11 +115,22 @@ func Attach(ch *core.Channel) *Runtime {
 // Rank reports the runtime's node rank.
 func (rt *Runtime) Rank() int { return rt.rank }
 
+// errClosed fails a Call that its runtime's Close overtook.
+var errClosed = fmt.Errorf("pm2: runtime closed during call: %w", core.ErrClosed)
+
 // Close stops the runtime's threads and returns once they have, LRPC
-// server threads still running a service included.
+// server threads still running a service included. A Call still waiting
+// for its reply, or issued later, fails with an error wrapping
+// core.ErrClosed.
 func (rt *Runtime) Close() {
 	rt.ch.Close()
 	rt.tasks.Close()
+	rt.mu.Lock()
+	rt.closed = true
+	for _, q := range rt.replies {
+		q.Close()
+	}
+	rt.mu.Unlock()
 	rt.threads.Wait()
 }
 
@@ -158,10 +171,14 @@ func (rt *Runtime) send(a *vclock.Actor, dst int, kind byte, id uint32, aux uint
 // reply arrives and its clock advances to the reply's arrival.
 func (rt *Runtime) Call(a *vclock.Actor, dst int, service uint32, args []byte) ([]byte, error) {
 	rt.mu.Lock()
+	if rt.closed {
+		rt.mu.Unlock()
+		return nil, errClosed
+	}
 	rt.nextCall++
 	id := rt.nextCall
-	ch := make(chan reply, 1)
-	rt.replies[id] = ch
+	q := simnet.NewQueue[reply]()
+	rt.replies[id] = q
 	rt.mu.Unlock()
 	defer func() {
 		rt.mu.Lock()
@@ -171,9 +188,9 @@ func (rt *Runtime) Call(a *vclock.Actor, dst int, service uint32, args []byte) (
 	if err := rt.send(a, dst, kindCall, id, service, args); err != nil {
 		return nil, err
 	}
-	r, ok := <-ch
+	r, ok := q.Pop()
 	if !ok {
-		return nil, fmt.Errorf("pm2: runtime closed during call")
+		return nil, errClosed
 	}
 	a.Sync(r.stamp)
 	return r.data, nil
@@ -238,16 +255,17 @@ func (rt *Runtime) dispatch() {
 			go func() {
 				defer rt.threads.Done()
 				out := svc(rt, ta, from, payload)
-				if err := rt.send(ta, from, kindReply, id, 0, out); err != nil {
+				// A caller that closed meanwhile refuses the reply: drop it.
+				if err := rt.send(ta, from, kindReply, id, 0, out); err != nil && !errors.Is(err, core.ErrClosed) {
 					panic(fmt.Sprintf("pm2 reply %d: %v", rt.rank, err))
 				}
 			}()
 		case kindReply:
 			rt.mu.Lock()
-			ch := rt.replies[id]
+			q := rt.replies[id]
 			rt.mu.Unlock()
-			if ch != nil {
-				ch <- reply{data: payload, stamp: a.Now()}
+			if q != nil {
+				q.PushIfOpen(reply{data: payload, stamp: a.Now()})
 			}
 		case kindTask:
 			rt.tasks.Push(task{behavior: aux, state: payload, stamp: a.Now()})

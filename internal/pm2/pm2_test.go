@@ -3,6 +3,7 @@ package pm2
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -114,6 +115,44 @@ func TestCloseJoinsServerThreads(t *testing.T) {
 		t.Fatalf("the held call: %v", err)
 	}
 	rts[0].Close()
+	if err := rts[0].ch.Session().CheckQuiescent(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCallFailsOnClose closes a runtime under a Call still waiting for its
+// reply: the Call fails with an error wrapping core.ErrClosed, so does a
+// Call issued afterwards, and the server thread's reply, which the closed
+// caller refuses, is dropped rather than panicking the server.
+func TestCallFailsOnClose(t *testing.T) {
+	rts := runtimes(t, 2, "sisci")
+	entered, release := make(chan struct{}), make(chan struct{})
+	rts[1].RegisterService(4, func(rt *Runtime, a *vclock.Actor, from int, args []byte) []byte {
+		close(entered)
+		<-release
+		return args
+	})
+	called := make(chan error, 1)
+	go func() {
+		_, err := rts[0].Call(vclock.NewActor("caller"), 1, 4, []byte("orphan"))
+		called <- err
+	}()
+	<-entered
+	rts[0].Close()
+	select {
+	case err := <-called:
+		if !errors.Is(err, core.ErrClosed) {
+			t.Errorf("a Call overtaken by Close returned %v, want ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("a Call pending when its runtime closed never returned")
+	}
+	if _, err := rts[0].Call(vclock.NewActor("late"), 1, 4, nil); !errors.Is(err, core.ErrClosed) {
+		t.Errorf("a Call on a closed runtime returned %v, want ErrClosed", err)
+	}
+	close(release)
+	rts[1].Close() // joins the server thread, whose reply rank 0 refuses
 	if err := rts[0].ch.Session().CheckQuiescent(); err != nil {
 		t.Fatal(err)
 	}

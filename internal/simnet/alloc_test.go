@@ -12,7 +12,8 @@ import (
 // item at a time over depth-1 resident ones (a lease token or a reaped
 // completion at depth 1, a credit ring at 32) walk the ring around
 // without touching the allocator — below, at and above the power-of-two
-// sizes, after the ring has grown, and after it has drained again.
+// sizes, after the ring has grown, and after it has drained again. Neither
+// a parked Pop nor a Waiter parked by PopAsync allocates.
 func TestQueueRingDoesNotAllocate(t *testing.T) {
 	for _, depth := range []int{1, 2, 31, 32, 33, 1000} {
 		q := NewQueue[int]()
@@ -45,7 +46,52 @@ func TestQueueRingDoesNotAllocate(t *testing.T) {
 		}
 		steady("drained back to depth 1")
 	}
+
+	// The hand-off costs nothing either: a Pop parks on a ticket, and a
+	// Waiter in the Slot it brings.
+	q := NewQueue[int]()
+	w, slot := &countWaiter{}, new(Slot)
+	parkAsync := func() {
+		if q.PopAsync(slot, w) {
+			t.Fatal("PopAsync ran inline on an empty queue")
+		}
+		q.Push(1)
+	}
+	parkAsync()
+	if allocs := testing.AllocsPerRun(1000, parkAsync); allocs != 0 {
+		t.Errorf("%v allocations per async park and hand-off, want 0", allocs)
+	}
+	if q.Len() != 0 || q.Waiting() != 0 || w.n < 1000 {
+		t.Fatalf("%d items and %d waiters left, %d handed: the Waiter was not handed every push", q.Len(), q.Waiting(), w.n)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			if _, ok := q.Pop(); !ok {
+				return
+			}
+		}
+	}()
+	parkPop := func() {
+		for q.Waiting() == 0 {
+			runtime.Gosched()
+		}
+		q.Push(1)
+	}
+	parkPop()
+	if allocs := testing.AllocsPerRun(1000, parkPop); allocs != 0 {
+		t.Errorf("%v allocations per parked Pop and hand-off, want 0", allocs)
+	}
+	q.Close()
+	<-done
 }
+
+// countWaiter counts the items it is handed.
+type countWaiter struct{ n int }
+
+func (w *countWaiter) Ready(int, bool) { w.n++ }
 
 // TestBulkLaneBufferAllocs pins the bulk side of a lane's buffers: a
 // payload above laneBufMax lands in the buffer the lane got back from its

@@ -3,9 +3,11 @@ package simnet
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestQueueFIFO(t *testing.T) {
@@ -83,6 +85,113 @@ func TestQueueConcurrentProducersPreserveCount(t *testing.T) {
 	wg.Wait()
 	if q.Len() != producers*per {
 		t.Errorf("Len = %d, want %d", q.Len(), producers*per)
+	}
+}
+
+// waiterFunc adapts a function to a Queue's asynchronous waiter.
+type waiterFunc[T any] func(v T, ok bool)
+
+func (f waiterFunc[T]) Ready(v T, ok bool) { f(v, ok) }
+
+// waitWaiting returns once n waiters are parked on q.
+func waitWaiting[T any](t *testing.T, q *Queue[T], n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); q.Waiting() < n; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d waiters parked, want %d", q.Waiting(), n)
+		}
+	}
+}
+
+// TestQueueHandOffFIFO parks Pops and Waiters alternately and pushes one
+// item per waiter: each is handed the item whose turn matches its place in
+// the one FIFO.
+func TestQueueHandOffFIFO(t *testing.T) {
+	q := NewQueue[int]()
+	const n = 6
+	got := make([]chan int, n)
+	for i := range n {
+		got[i] = make(chan int, 1)
+		if i%2 == 0 {
+			go func() {
+				v, _ := q.Pop()
+				got[i] <- v
+			}()
+		} else if q.PopAsync(new(Slot), waiterFunc[int](func(v int, _ bool) { got[i] <- v })) {
+			t.Fatal("PopAsync ran its waiter inline on an empty queue")
+		}
+		waitWaiting(t, q, i+1)
+	}
+	for i := range n {
+		q.Push(i)
+	}
+	for i := range n {
+		if v := <-got[i]; v != i {
+			t.Errorf("waiter %d was handed %d", i, v)
+		}
+	}
+	if q.Len() != 0 || q.Waiting() != 0 {
+		t.Errorf("%d items and %d waiters left", q.Len(), q.Waiting())
+	}
+}
+
+// TestQueueHandedItemNotOvertaken pushes to a parked Pop and then races it:
+// the item is the parked Pop's from the moment it is pushed, so neither a
+// TryPop nor a later Pop can take it, even before the parked Pop runs.
+func TestQueueHandedItemNotOvertaken(t *testing.T) {
+	q := NewQueue[int]()
+	first := make(chan int, 1)
+	go func() {
+		v, _ := q.Pop()
+		first <- v
+	}()
+	waitWaiting(t, q, 1)
+	q.Push(1)
+	if v, ok := q.TryPop(); ok {
+		t.Fatalf("TryPop took %d, which was handed to the parked Pop", v)
+	}
+	q.Push(2)
+	if v, _ := q.Pop(); v != 2 {
+		t.Errorf("a later Pop took %d, want 2", v)
+	}
+	if v := <-first; v != 1 {
+		t.Errorf("the parked Pop was handed %d, want 1", v)
+	}
+}
+
+// TestQueueCloseWakesWaiters closes a queue with two Pops and a Waiter
+// parked, the first Pop already handed an item: that Pop still takes it,
+// the second reports ok = false, and the Waiter fails on the closing
+// goroutine, before Close returns.
+func TestQueueCloseWakesWaiters(t *testing.T) {
+	q := NewQueue[int]()
+	type result struct {
+		v  int
+		ok bool
+	}
+	pops := [2]chan result{make(chan result, 1), make(chan result, 1)}
+	for i := range pops {
+		go func() {
+			v, ok := q.Pop()
+			pops[i] <- result{v, ok}
+		}()
+		waitWaiting(t, q, i+1)
+	}
+	failed := false
+	q.PopAsync(new(Slot), waiterFunc[int](func(_ int, ok bool) { failed = !ok }))
+	q.Push(7)
+	q.Close()
+	if !failed {
+		t.Error("the parked Waiter was not failed on the closing goroutine")
+	}
+	if r := <-pops[0]; r != (result{7, true}) {
+		t.Errorf("the Pop handed 7 before Close got %v", r)
+	}
+	if r := <-pops[1]; r.ok {
+		t.Errorf("a Pop parked on a closed, drained queue got %v", r)
+	}
+	if q.PopAsync(new(Slot), waiterFunc[int](func(_ int, ok bool) { failed = ok })); failed {
+		t.Error("PopAsync on a closed queue handed its waiter an item")
 	}
 }
 
