@@ -11,10 +11,12 @@ import (
 	"madeleine2/internal/coll"
 	"madeleine2/internal/core"
 	"madeleine2/internal/fwd"
+	"madeleine2/internal/model"
 	"madeleine2/internal/rdma"
 	"madeleine2/internal/simnet"
 	"madeleine2/internal/sisci"
 	"madeleine2/internal/tcpnet"
+	"madeleine2/internal/vclock"
 )
 
 // collComms builds an n-rank communicator set over a fresh channel.
@@ -349,6 +351,47 @@ func TestCollectivesOverVCTopology(t *testing.T) {
 		t.Fatalf("derived %d clusters from the VC, want 2", got)
 	}
 	exerciseAll(t, cs, rand.New(rand.NewSource(7)), 2)
+}
+
+// TestVCReceiveStamps: a rank's clock reaches the arrival of what it
+// receives over a virtual channel. After a 64 KiB Bcast from rank 0 on the
+// two-cluster world, no rank ends before its block could have crossed every
+// hop from the root (each at least one Myrinet byte time, the fastest link
+// here), and a leaf its relay forwards to alone ends after that relay.
+func TestVCReceiveStamps(t *testing.T) {
+	const size = 64 << 10
+	vcs := twoClusterVCs(t, "coll-stamps", nil, false)
+	cs := vcComms(t, vcs, coll.Options{Alg: coll.Auto})
+	defer closeAll(cs)
+	bufs := make([][]byte, len(cs))
+	for r := range bufs {
+		bufs[r] = make([]byte, size)
+	}
+	copy(bufs[0], fill(0, size, 1))
+	parallel(t, cs, func(c *coll.Comm) error { return c.Bcast(0, bufs[c.Rank()]) })
+
+	relay, children := make([]int, len(cs)), make([]int, len(cs))
+	for r := 1; r < len(cs); r++ {
+		sched := coll.BcastSched(cs[r].Topology(), r, 0, size, coll.Auto)
+		relay[r] = sched.Rounds[0].Recvs[0].Peer
+		children[relay[r]]++
+	}
+	hop := model.BIPLong.ByteTime(size)
+	floor := func(r int) (f vclock.Time) {
+		for ; r != 0; r = relay[r] {
+			f += hop
+		}
+		return f
+	}
+	for r := 1; r < len(cs); r++ {
+		end, p := cs[r].Now(), relay[r]
+		if end < floor(r) {
+			t.Errorf("rank %d ends at %v, before its block could cross the hops from the root (%v)", r, end, floor(r))
+		}
+		if children[r] == 0 && children[p] == 1 && end <= cs[p].Now() {
+			t.Errorf("leaf %d ends at %v, not after its relay %d at %v", r, end, p, cs[p].Now())
+		}
+	}
 }
 
 // TestCollectivesLossyReliableFwd runs the full collective suite on a

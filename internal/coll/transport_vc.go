@@ -169,11 +169,9 @@ func (t *vcTransport) recvWorker(q *simnet.Queue[*fwd.VConn]) {
 	}
 }
 
-// recvOne consumes one message. Its events carry stamp 0: the VConn syncs
-// the dispatcher's actor, which no event reads, so a rank's clock never
-// reaches the arrival. This is a known bug (ROADMAP, "Deterministic
-// engine and fabric": VC receive events carry virtual time 0); its fix
-// moves llm_lossy's virtual time and waits for a re-recorded baseline.
+// recvOne consumes one message. The VConn syncs its per-message actor to
+// each chunk's arrival, so the event carries that actor's time once the
+// message is unpacked, and the rank's clock reaches the arrival.
 func (t *vcTransport) recvOne(conn *fwd.VConn) {
 	var hb [wireHdrSize]byte
 	if err := conn.Unpack(hb[:], fwdSendMode, fwdRecvMode); err != nil {
@@ -201,6 +199,7 @@ func (t *vcTransport) recvOne(conn *fwd.VConn) {
 		t.inbox.Push(event{err: err})
 		return
 	}
+	ev.stamp = conn.Actor().Now()
 	t.inbox.Push(ev)
 }
 

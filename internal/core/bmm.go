@@ -68,6 +68,11 @@ func (b *eagerDyn) Commit(a *vclock.Actor) error {
 	return nil
 }
 
+func (b *eagerDyn) discard() {
+	b.pending = dropFirst(b.pending, len(b.pending))
+	b.dsts = dropFirst(b.dsts, len(b.dsts))
+}
+
 // dropFirst removes q's first n items in place, keeping its capacity, and
 // zeroes the vacated tail so the backing array pins no user buffer.
 func dropFirst[T any](q []T, n int) []T {
@@ -154,6 +159,11 @@ func (b *aggrDyn) Checkout(a *vclock.Actor) error {
 	}
 	a.Advance(vclock.Time(n) * model.MadUnpackCost)
 	return nil
+}
+
+func (b *aggrDyn) discard() {
+	b.group = dropFirst(b.group, len(b.group))
+	b.dsts = dropFirst(b.dsts, len(b.dsts))
 }
 
 // laterRegion is a reserved region of a static buffer whose contents are
@@ -250,13 +260,20 @@ func (b *statCopy) flush(a *vclock.Actor) error {
 	b.cur, b.fill = nil, 0
 	t0 := a.Now()
 	err := b.tm.SendBuffer(a, buf)
-	if b.tm.cs != nil {
-		b.tm.cs.ch.span(a, t0, "F:flush static-copy")
-	}
+	b.tm.cs.ch.span(a, t0, "F:flush static-copy")
 	return err
 }
 
 func (b *statCopy) Commit(a *vclock.Actor) error { return b.flush(a) }
+
+func (b *statCopy) discard() {
+	if b.cur != nil {
+		b.tm.unsent(b.cur)
+		b.cur, b.fill = nil, 0
+	}
+	b.later = dropFirst(b.later, len(b.later))
+	b.dsts = dropFirst(b.dsts, len(b.dsts))
+}
 
 func (b *statCopy) Unpack(a *vclock.Actor, dst []byte, rm RecvMode) error {
 	b.dsts = append(b.dsts, dst)

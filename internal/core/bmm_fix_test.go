@@ -109,7 +109,7 @@ func (f *fakeTM) StaticSize() int { return f.static }
 func TestEagerCommitNoDoubleSendAfterError(t *testing.T) {
 	a := vclock.NewActor("t")
 	tm := &fakeTM{failSend: 2}
-	b := newEagerDyn(tm, nil)
+	b := newEagerDyn(tm, new(ConnState))
 	blks := [][]byte{pattern(8, 1), pattern(8, 2), pattern(8, 3)}
 	for _, blk := range blks {
 		if err := b.Pack(a, blk, SendLater, ReceiveCheaper); err != nil {
@@ -142,7 +142,7 @@ func TestEagerCheckoutNoRefillAfterError(t *testing.T) {
 	a := vclock.NewActor("t")
 	want := [][]byte{pattern(8, 1), pattern(8, 2), pattern(8, 3)}
 	tm := &fakeTM{recvs: [][]byte{want[0], want[1], want[2]}, failRecv: 2}
-	b := newEagerDyn(tm, nil)
+	b := newEagerDyn(tm, new(ConnState))
 	dsts := [][]byte{make([]byte, 8), make([]byte, 8), make([]byte, 8)}
 	for _, d := range dsts {
 		if err := b.Unpack(a, d, ReceiveCheaper); err != nil {
@@ -187,7 +187,7 @@ func TestStatCopyCheckoutNoRefillAfterError(t *testing.T) {
 
 	t.Run("receive fails", func(t *testing.T) {
 		tm := &fakeTM{static: 8, recvs: [][]byte{want[0], want[1], want[2]}, failRecv: 2}
-		b := newStatCopy(tm, nil)
+		b := newStatCopy(tm, new(ConnState))
 		dsts := [][]byte{make([]byte, 8), make([]byte, 8), make([]byte, 8)}
 		unpackAll(t, b, dsts)
 		if err := b.Checkout(a); !errors.Is(err, errFakeWire) {
@@ -214,7 +214,7 @@ func TestStatCopyCheckoutNoRefillAfterError(t *testing.T) {
 
 	t.Run("release fails", func(t *testing.T) {
 		tm := &fakeTM{static: 8, recvs: [][]byte{want[0], want[1]}, failRelease: 1}
-		b := newStatCopy(tm, nil)
+		b := newStatCopy(tm, new(ConnState))
 		dsts := [][]byte{make([]byte, 8), make([]byte, 8)}
 		unpackAll(t, b, dsts)
 		if err := b.Checkout(a); !errors.Is(err, errFakeWire) {
@@ -245,7 +245,7 @@ func TestStatCopyCheckoutNoRefillAfterError(t *testing.T) {
 func TestStatCopyEmptyPackLeasesNothing(t *testing.T) {
 	a := vclock.NewActor("t")
 	tm := &fakeTM{static: 64}
-	b := newStatCopy(tm, nil)
+	b := newStatCopy(tm, new(ConnState))
 	if err := b.Pack(a, nil, SendCheaper, ReceiveCheaper); err != nil {
 		t.Fatal(err)
 	}

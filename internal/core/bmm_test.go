@@ -85,7 +85,7 @@ func (m *mockTM) ReleaseStaticBuffer(a *vclock.Actor, cs *ConnState, buf []byte)
 
 func TestEagerDynSendsImmediatelyExceptLater(t *testing.T) {
 	tm := &mockTM{}
-	b := newEagerDyn(tm, nil)
+	b := newEagerDyn(tm, new(ConnState))
 	a := vclock.NewActor("t")
 
 	// CHEAPER with nothing pending: ships at once.
@@ -116,7 +116,7 @@ func TestEagerDynSendsImmediatelyExceptLater(t *testing.T) {
 
 func TestEagerDynSaferCopies(t *testing.T) {
 	tm := &mockTM{}
-	b := newEagerDyn(tm, nil)
+	b := newEagerDyn(tm, new(ConnState))
 	a := vclock.NewActor("t")
 	data := []byte("safer")
 	b.Pack(a, data, SendSafer, ReceiveCheaper) // sent immediately (copy)
@@ -136,7 +136,7 @@ func TestEagerDynSaferCopies(t *testing.T) {
 
 func TestEagerDynExpressFlushes(t *testing.T) {
 	tm := &mockTM{}
-	b := newEagerDyn(tm, nil)
+	b := newEagerDyn(tm, new(ConnState))
 	a := vclock.NewActor("t")
 	b.Pack(a, []byte("l"), SendLater, ReceiveCheaper)
 	b.Pack(a, []byte("e"), SendCheaper, ReceiveExpress) // forces the flush
@@ -147,7 +147,7 @@ func TestEagerDynExpressFlushes(t *testing.T) {
 
 func TestAggrDynGroupsUntilCommit(t *testing.T) {
 	tm := &mockTM{}
-	b := newAggrDyn(tm, nil)
+	b := newAggrDyn(tm, new(ConnState))
 	a := vclock.NewActor("t")
 	b.Pack(a, []byte("a"), SendCheaper, ReceiveCheaper)
 	b.Pack(a, []byte("b"), SendSafer, ReceiveCheaper)
@@ -175,7 +175,7 @@ func TestAggrDynGroupsUntilCommit(t *testing.T) {
 
 func TestAggrDynExpressSplitsGroups(t *testing.T) {
 	tm := &mockTM{}
-	b := newAggrDyn(tm, nil)
+	b := newAggrDyn(tm, new(ConnState))
 	a := vclock.NewActor("t")
 	b.Pack(a, []byte("a"), SendCheaper, ReceiveCheaper)
 	b.Pack(a, []byte("b"), SendCheaper, ReceiveExpress) // flush group of 2
@@ -188,7 +188,7 @@ func TestAggrDynExpressSplitsGroups(t *testing.T) {
 
 func TestStatCopyAggregatesSmallBlocks(t *testing.T) {
 	tm := &mockTM{static: 16}
-	b := newStatCopy(tm, nil)
+	b := newStatCopy(tm, new(ConnState))
 	a := vclock.NewActor("t")
 	b.Pack(a, []byte("abcd"), SendCheaper, ReceiveCheaper)
 	b.Pack(a, []byte("efgh"), SendCheaper, ReceiveCheaper)
@@ -203,7 +203,7 @@ func TestStatCopyAggregatesSmallBlocks(t *testing.T) {
 
 func TestStatCopySplitsLargeBlocks(t *testing.T) {
 	tm := &mockTM{static: 8}
-	b := newStatCopy(tm, nil)
+	b := newStatCopy(tm, new(ConnState))
 	a := vclock.NewActor("t")
 	b.Pack(a, []byte("0123456789abcdefXYZ"), SendCheaper, ReceiveCheaper)
 	b.Commit(a)
@@ -229,7 +229,7 @@ func TestStatCopySplitsLargeBlocks(t *testing.T) {
 
 func TestStatCopyLaterReservesSpace(t *testing.T) {
 	tm := &mockTM{static: 16}
-	b := newStatCopy(tm, nil)
+	b := newStatCopy(tm, new(ConnState))
 	a := vclock.NewActor("t")
 	data := []byte("wxyz")
 	b.Pack(a, []byte("head"), SendCheaper, ReceiveCheaper)
@@ -248,12 +248,12 @@ func TestStatCopyOverDynamicTMPanics(t *testing.T) {
 			t.Error("static-copy over a dynamic TM must panic")
 		}
 	}()
-	newStatCopy(&mockTM{static: 0}, nil)
+	newStatCopy(&mockTM{static: 0}, new(ConnState))
 }
 
 func TestStatCopyExpressReceivesNow(t *testing.T) {
 	tm := &mockTM{static: 32}
-	b := newStatCopy(tm, nil)
+	b := newStatCopy(tm, new(ConnState))
 	a := vclock.NewActor("t")
 	b.Pack(a, []byte("payload"), SendCheaper, ReceiveExpress)
 	if len(tm.sent) != 1 {

@@ -71,9 +71,12 @@ func (c *Channel) Members() []int { return append([]int(nil), c.members...) }
 // PMMName reports the protocol module driving the channel.
 func (c *Channel) PMMName() string { return c.pmm.Name() }
 
-// Link summarizes the channel's best-TM one-way cost for n-byte blocks;
+// Link summarizes the channel's one-way cost for n-byte blocks;
 // reports and the forwarding arbiter use it.
-func (c *Channel) Link(n int) model.Link { return c.pmm.Link(n) }
+func (c *Channel) Link(n int) model.Link { return linkOf(c.pmm, n) }
+
+// linkOf is a module's link: that of the TM Select picks for CHEAPER.
+func linkOf(p PMM, n int) model.Link { return p.Select(n, SendCheaper, ReceiveCheaper).Link(n) }
 
 // conn resolves the connection state toward a member rank.
 func (c *Channel) conn(remote int) (*ConnState, error) {
@@ -169,10 +172,9 @@ type ConnState struct {
 	// lazily created, guarded by the send lease.
 	sFree map[*StaticTM]*freeList
 
-	// sendMsg binds the send-lease holder's per-message state while a
-	// message is in construction, so TMs can reach Announce's latch
-	// without carrying the Connection through the TM interface. Written
-	// only under the send lease.
+	// sendMsg is the send-lease holder's message while it is in
+	// construction: where Announce finds its latch. Written only under the
+	// send lease.
 	sendMsg *msgState
 
 	// sconn and rconn are the slots Send and Recv lend f, written only by
@@ -194,18 +196,15 @@ func (cs *ConnState) Channel() *Channel { return cs.ch }
 func (cs *ConnState) Local() int  { return cs.local }
 func (cs *ConnState) Remote() int { return cs.remote }
 
-// Announce notifies the peer's channel of a new incoming message. Every TM
-// calls it before a message's first wire operation; only the first call per
-// message has an effect. It models the receiver's connection-polling loop
-// observing the first packet, so it carries no extra wire cost. It returns
-// ErrClosed when the peer has shut its receive side down, which is threaded
-// back through Pack/EndPacking.
+// Announce notifies the peer's channel of a new incoming message. Core
+// calls it before a message's first wire operation; a second call, or one
+// on a connection with no message (a rail's sub-connection), is a no-op.
+// It models the receiver's polling loop seeing the first packet, so it
+// costs no wire time. It returns ErrClosed when the peer has shut its
+// receive side down, threaded back through Pack/EndPacking.
 func (cs *ConnState) Announce() error {
 	m := cs.sendMsg
-	if m == nil {
-		return fmt.Errorf("core: Announce outside a message on channel %q", cs.ch.name)
-	}
-	if m.announced {
+	if m == nil || m.announced {
 		return nil
 	}
 	if !cs.peer.ann.PushIfOpen(cs.local) {
@@ -213,20 +212,6 @@ func (cs *ConnState) Announce() error {
 	}
 	m.announced = true
 	return nil
-}
-
-// sendBMM returns (creating lazily) the BMM instance for a send-side TM.
-// Called only under the send lease.
-func (cs *ConnState) sendBMM(tm TM) BMM {
-	if cs.sBMMs == nil {
-		cs.sBMMs = make(map[TM]BMM)
-	}
-	b := cs.sBMMs[tm]
-	if b == nil {
-		b = tm.NewBMM(cs)
-		cs.sBMMs[tm] = b
-	}
-	return b
 }
 
 // staticBufs returns (creating lazily) t's free list on this connection.
@@ -241,20 +226,6 @@ func (cs *ConnState) staticBufs(t *StaticTM) *freeList {
 		cs.sFree[t] = f
 	}
 	return f
-}
-
-// recvBMM returns (creating lazily) the BMM instance for a receive-side TM.
-// Called only under the receive lease.
-func (cs *ConnState) recvBMM(tm TM) BMM {
-	if cs.rBMMs == nil {
-		cs.rBMMs = make(map[TM]BMM)
-	}
-	b := cs.rBMMs[tm]
-	if b == nil {
-		b = tm.NewBMM(cs)
-		cs.rBMMs[tm] = b
-	}
-	return b
 }
 
 // leftovers lists what the connection still holds between messages, one
@@ -364,11 +335,35 @@ func (c *Channel) takeLease(a *vclock.Actor, l lease, label string) {
 	}
 }
 
-// finish closes the message. A heap handle also releases the direction's
-// lease; a slot's lease stays with its Send/Recv scope until f returns, so
-// no other actor can reopen the slot while f still holds it.
+// bmm returns (creating lazily) the connection's BMM instance for tm in
+// the message's direction, guarded by that direction's lease.
+func (cn *Connection) bmm(tm TM) BMM {
+	m := &cn.cs.rBMMs
+	if cn.sending {
+		m = &cn.cs.sBMMs
+	}
+	b := (*m)[tm]
+	if b == nil {
+		if *m == nil {
+			*m = make(map[TM]BMM)
+		}
+		b = tm.NewBMM(cn.cs)
+		(*m)[tm] = b
+	}
+	return b
+}
+
+// finish closes the message. One that ends with a current TM failed
+// there, and that TM's BMM drops what the message still had delayed or
+// deferred. A heap handle also releases the direction's lease; a slot's
+// lease stays with its Send/Recv scope until f returns, so no other actor
+// can reopen the slot while f still holds it.
 func (cn *Connection) finish() {
 	cn.open = false
+	if cn.msg.tm != nil {
+		cn.bmm(cn.msg.tm).discard()
+		cn.msg.tm = nil
+	}
 	if cn.sending {
 		cn.cs.sendMsg = nil
 	}
@@ -417,7 +412,7 @@ func (cn *Connection) Pack(data []byte, sm SendMode, rm RecvMode) error {
 	// order identical to the pack order (§4.1).
 	if m.tm != nil && m.tm != tm {
 		t0 := cn.actor.Now()
-		err := cs.sendBMM(m.tm).Commit(cn.actor)
+		err := cn.bmm(m.tm).Commit(cn.actor)
 		cs.ch.spanTM(cn.actor, t0, spanCommit, m.tm)
 		if err != nil {
 			return cn.abort(err)
@@ -429,7 +424,7 @@ func (cn *Connection) Pack(data []byte, sm SendMode, rm RecvMode) error {
 	cs.ch.stats.packed(tm, len(data))
 	t0 := cn.actor.Now()
 	cn.actor.Advance(model.MadPackCost)
-	err := cs.sendBMM(tm).Pack(cn.actor, data, sm, rm)
+	err := cn.bmm(tm).Pack(cn.actor, data, sm, rm)
 	cs.ch.spanTM(cn.actor, t0, spanPack, tm)
 	if err != nil {
 		return cn.abort(err)
@@ -452,7 +447,7 @@ func (cn *Connection) EndPacking() error {
 	}
 	if m.tm != nil {
 		t0 := cn.actor.Now()
-		err := cs.sendBMM(m.tm).Commit(cn.actor)
+		err := cn.bmm(m.tm).Commit(cn.actor)
 		cs.ch.spanTM(cn.actor, t0, spanCommit, m.tm)
 		if err != nil {
 			return err
@@ -460,8 +455,8 @@ func (cn *Connection) EndPacking() error {
 		m.tm = nil
 	}
 	if !m.announced {
-		// Nothing reached the wire: LATER-only messages flush above, so
-		// this cannot happen with a conforming PMM.
+		// No block reached a TM send, so the peer was never told of the
+		// message: only empty blocks, which the static-copy BMM skips.
 		return fmt.Errorf("core: message finished without wire traffic on %s", cs.ch.name)
 	}
 	cs.ch.stats.messagesOut.Add(1)
@@ -497,7 +492,7 @@ func (cn *Connection) Unpack(dst []byte, sm SendMode, rm RecvMode) error {
 	tm := cs.ch.pmm.Select(len(dst), sm, rm)
 	if m.tm != nil && m.tm != tm {
 		t0 := cn.actor.Now()
-		err := cs.recvBMM(m.tm).Checkout(cn.actor)
+		err := cn.bmm(m.tm).Checkout(cn.actor)
 		cs.ch.spanTM(cn.actor, t0, spanCheckout, m.tm)
 		if err != nil {
 			return cn.abort(err)
@@ -510,7 +505,7 @@ func (cn *Connection) Unpack(dst []byte, sm SendMode, rm RecvMode) error {
 	// the BMM when the block is actually extracted, so it lands after the
 	// data's arrival for deferred (receive_CHEAPER) blocks too.
 	t0 := cn.actor.Now()
-	err := cs.recvBMM(tm).Unpack(cn.actor, dst, rm)
+	err := cn.bmm(tm).Unpack(cn.actor, dst, rm)
 	cs.ch.spanTM(cn.actor, t0, spanUnpack, tm)
 	if err != nil {
 		return cn.abort(err)
@@ -528,7 +523,7 @@ func (cn *Connection) EndUnpacking() error {
 	defer cn.finish()
 	if m.tm != nil {
 		t0 := cn.actor.Now()
-		err := cs.recvBMM(m.tm).Checkout(cn.actor)
+		err := cn.bmm(m.tm).Checkout(cn.actor)
 		cs.ch.spanTM(cn.actor, t0, spanCheckout, m.tm)
 		if err != nil {
 			return err

@@ -362,6 +362,7 @@ func (f failingBMM) Pack(a *vclock.Actor, data []byte, sm SendMode, rm RecvMode)
 func (f failingBMM) Commit(a *vclock.Actor) error                          { return f.err }
 func (f failingBMM) Unpack(a *vclock.Actor, dst []byte, rm RecvMode) error { return f.err }
 func (f failingBMM) Checkout(a *vclock.Actor) error                        { return f.err }
+func (f failingBMM) discard()                                              {}
 
 // TestUnpackAbortReleasesLease pins the receive-side mirror of the Pack
 // abort contract: a failed Unpack releases the receive lease itself, so a
@@ -400,7 +401,7 @@ func TestUnpackAbortReleasesLease(t *testing.T) {
 	}
 }
 
-// TestSBPAbortReleasesKernelBuffer pins the sbp Announce-failure path: a
+// TestSBPAbortReleasesKernelBuffer pins the refused announcement on sbp: a
 // send toward a closed peer must hand its kernel static buffer back to the
 // pool. A leak would drain the PoolSize-deep send pool and block the
 // (PoolSize+1)-th attempt forever inside ObtainBuffer.

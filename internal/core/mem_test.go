@@ -65,7 +65,6 @@ type memConn struct{ tx, rx *memWire }
 func (p *memPMM) Name() string                              { return "mem" }
 func (p *memPMM) Select(n int, sm SendMode, rm RecvMode) TM { return p.tm }
 func (p *memPMM) TMs() []TM                                 { return []TM{p.tm} }
-func (p *memPMM) Link(n int) model.Link                     { return model.Link{} }
 func (p *memPMM) Connect(cs *ConnState) error               { return nil }
 func (p *memPMM) PreConnect(cs *ConnState) error {
 	cs.Priv = &memConn{
@@ -96,9 +95,6 @@ func (t *memTM) StaticSize() int {
 }
 
 func (t *memTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
-	if err := cs.Announce(); err != nil {
-		return err
-	}
 	cs.Priv.(*memConn).tx.data.Push(data)
 	return nil
 }

@@ -174,3 +174,85 @@ func TestExpressAfterCheaper(t *testing.T) {
 		})
 	}
 }
+
+// TestModeErrorMidMessage: a *ModeError after a delayed block aborts the
+// message, and the abort drops what the message still had delayed, on
+// every built-in driver and under each BMM policy of the in-memory
+// driver. Send side: the held block (CHEAPER in an aggregate or a static
+// buffer, LATER anywhere) never reaches the wire, a partly filled static
+// buffer goes back unsent, the message is not announced, and the receiver
+// takes the next message byte-exact. Receive side: the deferred
+// destination is dropped, so the next reception fills only its own.
+func TestModeErrorMidMessage(t *testing.T) {
+	drivers := Drivers()
+	for _, policy := range []string{"eager", "aggr", "static"} {
+		drivers = append(drivers, registerMemDriver(t, policy))
+	}
+	stale, fresh := bytes.Repeat([]byte{0xAA}, 8), bytes.Repeat([]byte{0x55}, 8)
+	next := []block{{fresh, SendCheaper, ReceiveExpress}}
+	for _, drv := range drivers {
+		t.Run(drv+"/send", func(t *testing.T) {
+			for _, sm := range []SendMode{SendCheaper, SendLater} {
+				chans, sess := newTestChannel(t, drv)
+				s, r := vclock.NewActor("s"), vclock.NewActor("r")
+				tm := chans[0].pmm.Select(len(stale), sm, ReceiveCheaper)
+				if _, eager := tm.NewBMM(new(ConnState)).(*eagerDyn); eager && sm == SendCheaper {
+					continue // the eager policy sends a CHEAPER block at once
+				}
+				cn, err := chans[0].BeginPacking(s, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := cn.Pack(stale, sm, ReceiveCheaper); err != nil {
+					t.Fatal(err)
+				}
+				requireModeError(t, cn.Pack(stale, 7, ReceiveCheaper), "Pack", 7, ReceiveCheaper)
+				if n := chans[1].ann.Len(); n != 0 {
+					t.Fatalf("%v block: the aborted message left %d announcements", sm, n)
+				}
+				sent := make(chan struct{})
+				go func() { defer close(sent); sendMsg(t, chans[0], s, 1, next) }()
+				if got := recvMsg(t, chans[1], r, next); !bytes.Equal(got[0], fresh) {
+					t.Fatalf("%v block: the next message arrived as %x, want %x", sm, got[0], fresh)
+				}
+				<-sent
+				requireFindings(t, sess)
+			}
+		})
+		t.Run(drv+"/receive", func(t *testing.T) {
+			chans, sess := newTestChannel(t, drv)
+			s, r := vclock.NewActor("s"), vclock.NewActor("r")
+			sent := make(chan struct{})
+			go func() {
+				defer close(sent)
+				sendMsg(t, chans[0], s, 1, []block{{stale, SendCheaper, ReceiveExpress}})
+				sendMsg(t, chans[0], s, 1, next)
+			}()
+			cn, err := chans[1].BeginUnpacking(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			aborted := make([]byte, len(stale))
+			if err := cn.Unpack(aborted, SendCheaper, ReceiveCheaper); err != nil {
+				t.Fatal(err)
+			}
+			requireModeError(t, cn.Unpack(aborted, 7, ReceiveCheaper), "Unpack", 7, ReceiveCheaper)
+			// The aborted reception spent the first message's announcement
+			// and read none of its bytes (a rendezvous sender still waits
+			// on them): announce it again by hand and read them.
+			chans[1].ann.Push(0)
+			got := recvMsg(t, chans[1], r, []block{{stale, SendCheaper, ReceiveExpress}})
+			if !bytes.Equal(aborted, make([]byte, len(stale))) {
+				t.Fatalf("a later reception wrote %x into the aborted one's buffer", aborted)
+			}
+			if !bytes.Equal(got[0], stale) {
+				t.Fatalf("the reception after the abort read %x, want the first message's %x", got[0], stale)
+			}
+			if got := recvMsg(t, chans[1], r, next); !bytes.Equal(got[0], fresh) {
+				t.Fatalf("the second message arrived as %x, want %x", got[0], fresh)
+			}
+			<-sent
+			requireFindings(t, sess)
+		})
+	}
+}

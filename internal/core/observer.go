@@ -225,7 +225,8 @@ func (c *Channel) spanTM(a *vclock.Actor, start vclock.Time, k spanKind, tm TM) 
 // tmPort is how a BMM reaches its transmission module: it makes the seven
 // buffer calls of Table 2 on the connection and times them, so every wire
 // operation of every PMM, built-in or externally registered, reports
-// through the same sink without per-driver wiring. It is not itself a TM:
+// through the same sink without per-driver wiring, and announces the
+// message before its first send, so no PMM does. It is not itself a TM:
 // no library type both holds and implements one, so a module has one
 // identity for the Switch step, the BMM maps and the statistics.
 type tmPort struct {
@@ -237,7 +238,7 @@ type tmPort struct {
 func newTMPort(tm TM, cs *ConnState) tmPort {
 	p := tmPort{tm: tm, cs: cs}
 	// A bare ConnState with no channel (white-box tests) is unobserved.
-	if cs != nil && cs.ch != nil && cs.ch.obs != nil {
+	if cs.ch != nil && cs.ch.obs != nil {
 		p.obs = cs.ch.spansOf(tm)
 	}
 	return p
@@ -259,7 +260,13 @@ func (p tmPort) observe(a *vclock.Actor, start vclock.Time, side int, transfer b
 	}
 }
 
+// A send is the first call that can put bytes on a wire or block on the
+// receiver. A refused announcement fails it before the TM sees it.
 func (p tmPort) SendBuffer(a *vclock.Actor, data []byte) error {
+	if err := p.cs.Announce(); err != nil {
+		p.unsent(data)
+		return err
+	}
 	t0 := a.Now()
 	err := p.tm.SendBuffer(a, p.cs, data)
 	p.observe(a, t0, tmSend, true)
@@ -267,6 +274,9 @@ func (p tmPort) SendBuffer(a *vclock.Actor, data []byte) error {
 }
 
 func (p tmPort) SendBufferGroup(a *vclock.Actor, group [][]byte) error {
+	if err := p.cs.Announce(); err != nil {
+		return err
+	}
 	t0 := a.Now()
 	err := p.tm.SendBufferGroup(a, p.cs, group)
 	p.observe(a, t0, tmSend, true)
@@ -311,4 +321,11 @@ func (p tmPort) ObtainStaticBuffer(a *vclock.Actor) ([]byte, error) {
 	buf, err := p.tm.ObtainStaticBuffer(a, p.cs)
 	p.observe(a, t0, tmSend, false)
 	return buf, err
+}
+
+// unsent returns a static buffer; a dynamic TM's buffers are the caller's.
+func (p tmPort) unsent(buf []byte) {
+	if t, ok := p.tm.(*StaticTM); ok {
+		t.unsent(p.cs, buf)
+	}
 }

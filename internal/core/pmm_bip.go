@@ -48,8 +48,6 @@ func (p *bipPMM) Select(n int, sm SendMode, rm RecvMode) TM {
 	return p.long
 }
 
-func (p *bipPMM) Link(n int) model.Link { return p.Select(n, SendCheaper, ReceiveCheaper).Link(n) }
-
 // The per-connection state is the short TM's credit window over the
 // peer's preallocated short buffers.
 func (p *bipPMM) PreConnect(cs *ConnState) error {
@@ -79,9 +77,6 @@ func (t *bipShort) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error
 	// The credit window keeps the receiver's preallocated ring from ever
 	// overrunning (§5.2.2).
 	if err := bipWindow(cs).acquire(a, cs, t); err != nil {
-		return err
-	}
-	if err := cs.Announce(); err != nil {
 		return err
 	}
 	a.Advance(bipShortTMCost)
@@ -127,9 +122,6 @@ func (t *bipLong) Link(n int) model.Link {
 }
 
 func (t *bipLong) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
-	if err := cs.Announce(); err != nil {
-		return err
-	}
 	return t.p.iface.TSendLong(a, cs.Remote(), t.p.dataTag, data)
 }
 

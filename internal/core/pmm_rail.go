@@ -41,10 +41,8 @@ import (
 // Ordering. Chunk k of an operation goes to rail k mod nrails, and every
 // striped operation joins all rails before returning, so each rail's
 // sub-connection sees a deterministic FIFO of frames that the receiver
-// replays from the same layout computation. Announce runs once, on the
-// top-level connection, before any frame reaches a wire; the per-rail
-// sub-connections are born pre-announced so the sub-TMs' own Announce
-// calls are no-ops.
+// replays from the same layout computation. Core announces the message on
+// the top-level connection; the sub-connections carry no message of their own.
 
 const (
 	// railHdrSize is the striped-chunk header length.
@@ -143,37 +141,13 @@ func (p *railPMM) Select(n int, sm SendMode, rm RecvMode) TM {
 
 func (p *railPMM) TMs() []TM { return []TM{p.stripeTM, p.expressTM} }
 
-// Link aggregates the rails' cost models: express-sized blocks cost the
-// best rail's link; striped blocks see the summed bandwidth of all rails
-// at the per-rail share, under the slowest rail's fixed cost.
-func (p *railPMM) Link(n int) model.Link {
-	if n <= p.stripe || len(p.rails) == 1 {
-		return p.rails[p.expressRail(n)].pmm.Link(n)
-	}
-	share := (n + len(p.rails) - 1) / len(p.rails)
-	agg := model.Link{Name: p.Name(), Kind: model.DMA}
-	for _, r := range p.rails {
-		l := r.pmm.Link(share)
-		if l.Fixed > agg.Fixed {
-			agg.Fixed = l.Fixed
-		}
-		agg.Bandwidth += l.Bandwidth
-		if l.Kind == model.PIO {
-			// A PIO rail keeps the aggregate in the PCI arbiter's
-			// losing class — conservative for the forwarding model.
-			agg.Kind = model.PIO
-		}
-	}
-	return agg
-}
-
 // expressRail picks the lowest-latency rail for an n-byte block. Both
 // sides compute it from the (symmetric) block length and the shared link
 // models, so no coordination is needed; ties break to the lowest index.
 func (p *railPMM) expressRail(n int) int {
-	best, bestT := 0, p.rails[0].pmm.Link(n).Time(n)
+	best, bestT := 0, linkOf(p.rails[0].pmm, n).Time(n)
 	for i := 1; i < len(p.rails); i++ {
-		if t := p.rails[i].pmm.Link(n).Time(n); t < bestT {
+		if t := linkOf(p.rails[i].pmm, n).Time(n); t < bestT {
 			best, bestT = i, t
 		}
 	}
@@ -214,10 +188,6 @@ func (p *railPMM) PreConnect(cs *ConnState) error {
 	}
 	for i, r := range p.rails {
 		sub := &ConnState{ch: cs.ch, local: cs.local, remote: cs.remote, send: newLease(), recv: newLease()}
-		// Sub-connections are born announced: the rail TMs announce once
-		// on the top-level connection, and the sub-TMs' own Announce
-		// calls must not reach the peer's incoming queue again.
-		sub.sendMsg = &msgState{announced: true}
 		if err := r.pmm.PreConnect(sub); err != nil {
 			return fmt.Errorf("rail %d: %w", i, err)
 		}
@@ -368,8 +338,32 @@ func scatterFrom(src []byte, dsts [][]byte, off int) {
 // select the aggregating BMM and fan each group out across the rails.
 type railStripe struct{ p *railPMM }
 
-func (t *railStripe) Name() string          { return "rail-stripe" }
-func (t *railStripe) Link(n int) model.Link { return t.p.Link(n) }
+func (t *railStripe) Name() string { return "rail-stripe" }
+
+// Link aggregates the rails' cost models: a striped block sees the summed
+// bandwidth of all rails at the per-rail share, under the slowest rail's
+// fixed cost. One rail is that rail.
+func (t *railStripe) Link(n int) model.Link {
+	p := t.p
+	if len(p.rails) == 1 {
+		return linkOf(p.rails[0].pmm, n)
+	}
+	share := (n + len(p.rails) - 1) / len(p.rails)
+	agg := model.Link{Name: p.Name(), Kind: model.DMA}
+	for _, r := range p.rails {
+		l := linkOf(r.pmm, share)
+		if l.Fixed > agg.Fixed {
+			agg.Fixed = l.Fixed
+		}
+		agg.Bandwidth += l.Bandwidth
+		if l.Kind == model.PIO {
+			// A PIO rail keeps the aggregate in the PCI arbiter's
+			// losing class — conservative for the forwarding model.
+			agg.Kind = model.PIO
+		}
+	}
+	return agg
+}
 
 func (t *railStripe) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
 	return t.SendBufferGroup(a, cs, [][]byte{data})
@@ -388,9 +382,6 @@ func (t *railStripe) SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]b
 	total := 0
 	for _, g := range group {
 		total += len(g)
-	}
-	if err := cs.Announce(); err != nil {
-		return err
 	}
 	if total == 0 {
 		return nil
@@ -465,16 +456,13 @@ type railExpress struct{ p *railPMM }
 func (t *railExpress) Name() string { return "rail-express" }
 
 func (t *railExpress) Link(n int) model.Link {
-	return t.p.rails[t.p.expressRail(n)].pmm.Link(n)
+	return linkOf(t.p.rails[t.p.expressRail(n)].pmm, n)
 }
 
 func (t *railExpress) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
-	if err := cs.Announce(); err != nil {
-		return err
-	}
 	if len(data) == 0 {
-		// Zero-length blocks announce but never touch a wire; the
-		// receive side skips symmetrically (same length, same rule).
+		// A zero-length block never touches a wire; the receive side
+		// skips symmetrically (same length, same rule).
 		return nil
 	}
 	rc := cs.Priv.(*railConn)

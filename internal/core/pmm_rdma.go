@@ -126,8 +126,6 @@ func (p *rdmaPMM) Select(n int, sm SendMode, rm RecvMode) TM {
 	return p.rdv
 }
 
-func (p *rdmaPMM) Link(n int) model.Link { return p.Select(n, SendCheaper, ReceiveCheaper).Link(n) }
-
 // rdmaKey is the deterministic key schedule: both ends of a connection
 // derive the same key for each ring, so control frames never need to
 // carry keys (which is what lets a damaged CTS still be usable as a
@@ -360,9 +358,6 @@ func (t *rdmaEager) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) erro
 	if err := st.slots.acquire(a, cs, t); err != nil {
 		return err
 	}
-	if err := cs.Announce(); err != nil {
-		return err
-	}
 	// The staging copy into the bounce buffer.
 	a.Advance(vclock.TimeForBytes(len(data), model.MadCopyBandwidth))
 	seq := st.eagerSeq
@@ -421,9 +416,6 @@ func (t *rdmaRdv) Link(n int) model.Link {
 
 func (t *rdmaRdv) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
 	st := rdmaState(cs)
-	if err := cs.Announce(); err != nil {
-		return err
-	}
 	seq := st.rdvSend
 	st.rdvSend++
 	if err := t.p.writeFrame(a, st, st.peerCtrl, st.ctrlNext, rdmaRTS, seq, uint32(len(data)), rdmaFrameSize); err != nil {

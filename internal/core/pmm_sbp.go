@@ -32,7 +32,6 @@ func newSBPPMM(node *simnet.Node, adapter, chanID int) (PMM, error) {
 func (p *sbpPMM) Name() string                              { return "sbp" }
 func (p *sbpPMM) Select(n int, sm SendMode, rm RecvMode) TM { return p.tm }
 func (p *sbpPMM) TMs() []TM                                 { return []TM{p.tm} }
-func (p *sbpPMM) Link(n int) model.Link                     { return p.tm.Link(n) }
 func (p *sbpPMM) PreConnect(cs *ConnState) error {
 	cs.Priv = &sbpConn{
 		sendBufs: map[*byte]*sbp.Buf{},
@@ -89,14 +88,14 @@ func (t *sbpMover) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error
 	if err != nil {
 		return err
 	}
-	if err := cs.Announce(); err != nil {
-		// The message aborts here (peer closed / misconfigured session) and
-		// the buffer is already delisted from sendBufs: hand it back to the
-		// kernel pool instead of leaking it.
-		t.p.ep.Release(b)
-		return err
-	}
 	return t.p.ep.Send(a, cs.Remote(), t.p.lane, b, len(data))
+}
+
+// unsent hands an unsent kernel buffer back to the pool, as Send does.
+func (t *sbpMover) unsent(cs *ConnState, buf []byte) {
+	if b, err := sbpLookup(sbpState(cs).sendBufs, buf); err == nil {
+		t.p.ep.Release(b)
+	}
 }
 
 func (t *sbpMover) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {

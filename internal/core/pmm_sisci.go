@@ -68,8 +68,6 @@ func (p *sisciPMM) Select(n int, sm SendMode, rm RecvMode) TM {
 	}
 }
 
-func (p *sisciPMM) Link(n int) model.Link { return p.Select(n, SendCheaper, ReceiveCheaper).Link(n) }
-
 // Segment id scheme: unique per owning adapter.
 func (p *sisciPMM) ringID(peer int) uint32 { return uint32(p.chanID)<<16 | uint32(peer)<<1 }
 func (p *sisciPMM) ackID(peer int) uint32  { return uint32(p.chanID)<<16 | uint32(peer)<<1 | 1 }
@@ -121,9 +119,6 @@ var sciAckLink = model.SISCIShort
 func (p *sisciPMM) nextSlot(a *vclock.Actor, cs *ConnState) (int, error) {
 	st := sciState(cs)
 	if err := st.slots.acquire(a, cs, p); err != nil {
-		return 0, err
-	}
-	if err := cs.Announce(); err != nil {
 		return 0, err
 	}
 	off := st.wSlot * sciSlotSize

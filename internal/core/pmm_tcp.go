@@ -29,7 +29,6 @@ func newTCPPMM(node *simnet.Node, adapter, chanID int) (PMM, error) {
 func (p *tcpPMM) Name() string                              { return "tcp" }
 func (p *tcpPMM) Select(n int, sm SendMode, rm RecvMode) TM { return p.tm }
 func (p *tcpPMM) TMs() []TM                                 { return []TM{p.tm} }
-func (p *tcpPMM) Link(n int) model.Link                     { return p.tm.Link(n) }
 func (p *tcpPMM) PreConnect(cs *ConnState) error            { cs.Priv = &tcpConn{}; return nil }
 func (p *tcpPMM) Connect(cs *ConnState) error               { return nil }
 
@@ -48,16 +47,10 @@ func (t *tcpMover) Name() string          { return "tcp" }
 func (t *tcpMover) Link(n int) model.Link { return model.TCPFE }
 
 func (t *tcpMover) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
-	if err := cs.Announce(); err != nil {
-		return err
-	}
 	return t.p.ep.Send(a, cs.Remote(), t.p.port, data)
 }
 
 func (t *tcpMover) SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]byte) error {
-	if err := cs.Announce(); err != nil {
-		return err
-	}
 	return t.p.ep.Sendv(a, cs.Remote(), t.p.port, group...)
 }
 

@@ -60,8 +60,6 @@ func (p *viaPMM) Select(n int, sm SendMode, rm RecvMode) TM {
 	return p.large
 }
 
-func (p *viaPMM) Link(n int) model.Link { return p.Select(n, SendCheaper, ReceiveCheaper).Link(n) }
-
 // VI id scheme: three VIs per connection, ids unique per NIC and identical
 // on both ends of the pair.
 func (p *viaPMM) viID(a, b, kind int) int {
@@ -209,9 +207,6 @@ func (t *viaShort) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error
 	if err != nil {
 		return err
 	}
-	if err := cs.Announce(); err != nil {
-		return err
-	}
 	return st.short.Send(a, region, len(data), model.VIASend)
 }
 
@@ -256,9 +251,6 @@ func (t *viaLarge) Link(n int) model.Link {
 
 func (t *viaLarge) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
 	st := viaState(cs)
-	if err := cs.Announce(); err != nil {
-		return err
-	}
 	// Register (pin) the user buffer, then wait for the receiver's READY —
 	// the posted registered destination is what makes the transfer legal.
 	region := t.p.nic.Register(a, data)

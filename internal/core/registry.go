@@ -22,14 +22,15 @@ import (
 // transfer method uses — wrapped once, in New, by NewDynamicTM or
 // NewStaticTM; the wrapper is the TM identity the core compares, so Select
 // must keep returning that same value. A module may instead implement all
-// of TM itself and pick its BMM with one of the New…BMM constructors.
+// of TM itself and pick its BMM with one of the New…BMM constructors. Core
+// announces each message and derives the channel's link; a module doesn't.
 //
 // Ownership contract. Per-message state lives in core (each Connection
 // carries its own message descriptor); a driver's ConnState.Priv holds only
 // long-lived per-connection resources. Core serializes access per
 // direction with virtual-time leases: every send-path TM method (NewBMM for
-// a send BMM, ObtainStaticBuffer, SendBuffer, SendBufferGroup, Announce)
-// runs under the connection's send lease, and every receive-path method
+// a send BMM, ObtainStaticBuffer, SendBuffer, SendBufferGroup) runs under
+// the connection's send lease, and every receive-path method
 // (ReceiveStaticBuffer, ReleaseStaticBuffer, ReceiveBuffer,
 // ReceiveSubBufferGroup) under its receive lease. A driver therefore sees
 // at most one in-flight message per connection per direction, but must

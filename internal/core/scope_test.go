@@ -6,23 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"madeleine2/internal/model"
 	"madeleine2/internal/simnet"
 	"madeleine2/internal/vclock"
 )
-
-// announcingTM is fakeTM on a channel: a send the script lets through is
-// announced to the peer, as a real TM announces its first wire operation.
-type announcingTM struct{ *fakeTM }
-
-func (t announcingTM) NewBMM(cs *ConnState) BMM { return newEagerDyn(t, cs) }
-
-func (t announcingTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
-	if err := t.fakeTM.SendBuffer(a, cs, data); err != nil {
-		return err
-	}
-	return cs.Announce()
-}
 
 // fakePMM drives every block of a channel through one TM.
 type fakePMM struct{ tm TM }
@@ -30,7 +16,6 @@ type fakePMM struct{ tm TM }
 func (p fakePMM) Name() string                      { return "fake" }
 func (p fakePMM) Select(int, SendMode, RecvMode) TM { return p.tm }
 func (p fakePMM) TMs() []TM                         { return []TM{p.tm} }
-func (p fakePMM) Link(int) model.Link               { return model.Link{} }
 func (p fakePMM) PreConnect(*ConnState) error       { return nil }
 func (p fakePMM) Connect(*ConnState) error          { return nil }
 
@@ -43,7 +28,7 @@ func newFakeChannel(t *testing.T, tm *fakeTM) (map[int]*Channel, *Session) {
 		Name:  name,
 		Probe: func(*simnet.Node, int) error { return nil },
 		New: func(*simnet.Node, int, int) (PMM, error) {
-			return fakePMM{announcingTM{tm}}, nil
+			return fakePMM{tm}, nil
 		},
 	})
 	if err != nil {

@@ -74,9 +74,6 @@ type PMM interface {
 	// and observers label latency histograms with them.
 	TMs() []TM
 
-	// Link summarizes the protocol's best-TM one-way cost for n bytes.
-	Link(n int) model.Link
-
 	// PreConnect is the first phase of the connection bootstrap: it
 	// creates what the peer will attach to (segments, VI mirrors,
 	// pre-posted descriptors, registered rings) and installs cs.Priv.
@@ -113,6 +110,10 @@ type BMM interface {
 	// Checkout completes every deferred extraction. It runs when the
 	// Switch step changes TM and at EndUnpacking (§4.2).
 	Checkout(a *vclock.Actor) error
+
+	// discard drops what an aborted message left delayed or deferred, so
+	// none of it reaches the next message.
+	discard()
 }
 
 // A transmission module uses only half of Table 2 ("some functions may
@@ -222,6 +223,12 @@ type bufferOwner interface {
 	ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error)
 }
 
+// poolOwner is a bufferOwner whose pool counts what it lends (SBP's): it
+// takes back a buffer that will not be sent. VIA's ring lends in turn.
+type poolOwner interface {
+	unsent(cs *ConnState, buf []byte)
+}
+
 // StaticTM is a static-buffer transmission module: data travels in
 // buffers the protocol owns, filled and drained by the static-copy BMM,
 // so the dynamic receive calls answer ErrNoStatic. For a mover that is
@@ -255,6 +262,17 @@ func (t *StaticTM) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error
 		cs.staticBufs(t).put(data, t.StaticSize())
 	}
 	return err
+}
+
+// unsent takes back a buffer that will not be sent (its message aborted or
+// was refused) where a failed send returns it.
+func (t *StaticTM) unsent(cs *ConnState, buf []byte) {
+	switch o := t.owner.(type) {
+	case nil:
+		cs.staticBufs(t).put(buf, t.StaticSize())
+	case poolOwner:
+		o.unsent(cs, buf)
+	}
 }
 
 // staticFreeMax bounds a free list. The static-copy BMM holds one outgoing

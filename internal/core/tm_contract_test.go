@@ -12,16 +12,18 @@ import (
 )
 
 // The TM contract, checked over every transmission module of every
-// protocol module the library ships: each driver name, plus a two-rail
-// channel for the rail TMs.
+// protocol module the library ships: each driver name, plus one- and
+// two-rail channels for the rail TMs, plus the in-memory external driver
+// under each BMM policy.
 
 type contractChannel struct {
-	name string
-	rail bool
-	open func(t *testing.T) map[int]*Channel
+	name     string
+	rails    int  // sisci rails of a rail channel; 0 for any other
+	external bool // a registered module implementing all of TM itself
+	open     func(t *testing.T) map[int]*Channel
 }
 
-func contractChannels() []contractChannel {
+func contractChannels(t *testing.T) []contractChannel {
 	var out []contractChannel
 	for _, drv := range Drivers() {
 		out = append(out, contractChannel{name: drv, open: func(t *testing.T) map[int]*Channel {
@@ -29,10 +31,23 @@ func contractChannels() []contractChannel {
 			return chans
 		}})
 	}
-	return append(out, contractChannel{name: "rails", rail: true, open: func(t *testing.T) map[int]*Channel {
-		chans, _ := newRailTestChannel(t, "contract-rails", sameRails("sisci", 2), 0)
-		return chans
-	}})
+	for _, r := range []struct {
+		name string
+		n    int
+	}{{"rails", 2}, {"rails-1", 1}} {
+		out = append(out, contractChannel{name: r.name, rails: r.n, open: func(t *testing.T) map[int]*Channel {
+			chans, _ := newRailTestChannel(t, "contract-rails", sameRails("sisci", r.n), 0)
+			return chans
+		}})
+	}
+	for _, policy := range []string{"eager", "aggr", "static"} {
+		drv := registerMemDriver(t, policy)
+		out = append(out, contractChannel{name: drv, external: true, open: func(t *testing.T) map[int]*Channel {
+			chans, _ := newTestChannel(t, drv)
+			return chans
+		}})
+	}
+	return out
 }
 
 // ownGroupBody names the TMs whose protocol does better for a group than
@@ -67,8 +82,12 @@ func moveGroup(t *testing.T, cc contractChannel, i int, grouped bool) (sEnd, rEn
 				return err
 			}
 			// The blocks go through the TM directly, so the message itself
-			// stays empty; EndPacking still returns the lease.
+			// stays empty; EndPacking still returns the lease. Driven
+			// directly, the TM is past core's announcement: make it here.
 			defer cn.EndPacking()
+			if err := cn.cs.Announce(); err != nil {
+				return err
+			}
 			tm := chans[0].pmm.TMs()[i]
 			group := payloads
 			if tm.StaticSize() > 0 {
@@ -147,7 +166,7 @@ func moveGroup(t *testing.T, cc contractChannel, i int, grouped bool) (sEnd, rEn
 
 func TestTMContract(t *testing.T) {
 	a := vclock.NewActor("probe")
-	for _, cc := range contractChannels() {
+	for _, cc := range contractChannels(t) {
 		t.Run(cc.name, func(t *testing.T) {
 			chans := cc.open(t)
 			cs := chans[0].conns[1]
@@ -156,6 +175,10 @@ func TestTMContract(t *testing.T) {
 					// Table 2's unused half answers "not relevant", once,
 					// from the adapter every built-in TM is made of.
 					switch x := tm.(type) {
+					case *memTM:
+						if !cc.external {
+							t.Fatal("the in-memory TM on a built-in channel")
+						}
 					case *DynamicTM:
 						if x.gathers != ownGroupBody[tm.Name()] {
 							t.Errorf("own group body = %v, want %v", x.gathers, ownGroupBody[tm.Name()])
@@ -199,8 +222,8 @@ func TestTMContract(t *testing.T) {
 
 			// One home per cost formula: the channel's link is its
 			// selected TM's, on both sides of every Switch threshold.
-			// Rails report an aggregate instead.
-			if cc.rail {
+			if cc.rails > 0 {
+				railLinkRows(t, chans[0], cc.rails)
 				return
 			}
 			pmm := chans[0].pmm
@@ -213,6 +236,25 @@ func TestTMContract(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// railLinkRows checks a sisci rail channel's link on both sides of its
+// stripe size against one sisci channel's: up to the stripe size a block
+// rides the best rail whole; past it, each of nr rails carries its share,
+// under the slowest rail's fixed cost, at the rails' summed bandwidth.
+func railLinkRows(t *testing.T, ch *Channel, nr int) {
+	t.Helper()
+	single, _ := newTestChannel(t, "sisci")
+	for n := DefaultStripeSize - 1; n <= DefaultStripeSize+1; n++ {
+		want := single[0].Link(n)
+		if n > DefaultStripeSize && nr > 1 {
+			l := single[0].Link((n + nr - 1) / nr)
+			want = model.Link{Name: ch.PMMName(), Fixed: l.Fixed, Bandwidth: float64(nr) * l.Bandwidth, Kind: l.Kind}
+		}
+		if got := ch.Link(n); got != want {
+			t.Errorf("%d rails: Link(%d) = %+v, want %+v", nr, n, got, want)
+		}
 	}
 }
 

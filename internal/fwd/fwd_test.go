@@ -531,9 +531,10 @@ func TestVCCloseSemantics(t *testing.T) {
 	}
 }
 
-// blockingMover is a transmission method whose SendBuffer announces the
-// message, reports on entered and then blocks until release is closed. Its
-// receive side reports the channel closed, which ends a daemon quietly.
+// blockingMover is a transmission method whose SendBuffer (core has
+// announced the message) reports on entered and then blocks until release
+// is closed. Its receive side reports the channel closed, which ends a
+// daemon quietly.
 type blockingMover struct {
 	entered, release chan struct{}
 	once             sync.Once
@@ -542,10 +543,7 @@ type blockingMover struct {
 func (m *blockingMover) Name() string        { return "blocking" }
 func (m *blockingMover) Link(int) model.Link { return model.Link{} }
 
-func (m *blockingMover) SendBuffer(_ *vclock.Actor, cs *core.ConnState, _ []byte) error {
-	if err := cs.Announce(); err != nil {
-		return err
-	}
+func (m *blockingMover) SendBuffer(*vclock.Actor, *core.ConnState, []byte) error {
 	m.once.Do(func() { close(m.entered) })
 	<-m.release
 	return nil
@@ -561,7 +559,6 @@ type onePMM struct{ tm core.TM }
 func (p onePMM) Name() string                                     { return p.tm.Name() }
 func (p onePMM) Select(int, core.SendMode, core.RecvMode) core.TM { return p.tm }
 func (p onePMM) TMs() []core.TM                                   { return []core.TM{p.tm} }
-func (p onePMM) Link(n int) model.Link                            { return p.tm.Link(n) }
 func (p onePMM) PreConnect(*core.ConnState) error                 { return nil }
 func (p onePMM) Connect(*core.ConnState) error                    { return nil }
 

@@ -432,6 +432,9 @@ type VConn struct {
 // Remote reports the peer rank (the final destination or the origin).
 func (c *VConn) Remote() int { return c.remote }
 
+// Actor exposes the thread-of-control clock driving the message.
+func (c *VConn) Actor() *vclock.Actor { return c.actor }
+
 // BeginPacking initiates a message toward remote across the virtual
 // channel. Note the Generic TM reads block contents at Pack time
 // (send_LATER degrades to send_SAFER, documented deviation): packets must be

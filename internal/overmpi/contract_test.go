@@ -81,11 +81,13 @@ func TestTMContract(t *testing.T) {
 			if err == nil {
 				// The blocks go through the TM directly, so the message
 				// itself stays empty; EndPacking still returns the lease.
+				// Driven directly, the TM is past core's announcement.
 				defer cn.EndPacking()
 				tm, cs := spies[0].tm, spies[0].conns[1]
-				if grouped {
+				err = cs.Announce()
+				if grouped && err == nil {
 					err = tm.SendBufferGroup(s, cs, payloads)
-				} else {
+				} else if !grouped {
 					for _, p := range payloads {
 						if err == nil {
 							err = tm.SendBuffer(s, cs, p)

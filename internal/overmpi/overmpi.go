@@ -71,7 +71,6 @@ type pmm struct {
 func (p *pmm) Name() string                                             { return "overmpi" }
 func (p *pmm) Select(n int, sm core.SendMode, rm core.RecvMode) core.TM { return p.tm }
 func (p *pmm) TMs() []core.TM                                           { return []core.TM{p.tm} }
-func (p *pmm) Link(n int) model.Link                                    { return p.tm.Link(n) }
 func (p *pmm) PreConnect(cs *core.ConnState) error                      { return nil }
 func (p *pmm) Connect(cs *core.ConnState) error                         { return nil }
 
@@ -92,9 +91,6 @@ func (t *mover) rankOf(node int) (int, error) {
 func (t *mover) SendBuffer(a *vclock.Actor, cs *core.ConnState, data []byte) error {
 	dst, err := t.rankOf(cs.Remote())
 	if err != nil {
-		return err
-	}
-	if err := cs.Announce(); err != nil {
 		return err
 	}
 	return t.p.comm.SendAs(a, dst, t.p.tag, data)
