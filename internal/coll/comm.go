@@ -119,7 +119,8 @@ func OverChannel(ch *core.Channel, opts Options) (*Comm, error) {
 // cluster boundary once per subtree instead of once per rank. The
 // communicator owns the VC handle: Close closes it.
 func OverVC(vc *fwd.VC, opts Options) (*Comm, error) {
-	c, err := newComm(vc.Members(), vc.Rank(), opts)
+	ch := vc.Channel()
+	c, err := newComm(ch.Members(), ch.Rank(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +139,7 @@ func OverVC(vc *fwd.VC, opts Options) (*Comm, error) {
 		}
 		c.topo = topo
 	}
-	c.bind(vc.Name(), vc.Session(), opts)
+	c.bind(ch.Name(), ch.Session(), opts)
 	c.t = newVCTransport(vc, c.claim)
 	return c, nil
 }

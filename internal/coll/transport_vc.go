@@ -1,8 +1,10 @@
 package coll
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"madeleine2/internal/core"
 	"madeleine2/internal/fwd"
@@ -10,34 +12,32 @@ import (
 	"madeleine2/internal/vclock"
 )
 
-// The VC ignores receive modes (it delivers streams) and degrades send
-// modes to copies; Cheaper/Cheaper avoids the express path's early-flush
-// packet split under reliable MTU-padded framing.
-const (
-	fwdSendMode = core.SendCheaper
-	fwdRecvMode = core.ReceiveCheaper
-)
-
-// vcTransport drives collectives over a forwarding virtual channel. The
-// VC carries at most one in-flight message per origin->destination pair
-// (its per-origin chunk streams would tear otherwise), so overlap comes
-// from worker threads instead of the async engine: one send worker per
-// destination serializes that pair's messages while distinct destinations
-// proceed concurrently, and one receive worker per origin drains that
-// origin's stream while other origins arrive in parallel.
+// vcTransport drives collectives over a forwarding virtual channel, in
+// scoped core messages on its VC channel (fwd.VC.Channel). A VC
+// connection carries one message at a time per direction, like any core
+// connection, so overlap comes from worker threads rather than the async
+// engine, whose conversations cost more allocations per message: one send
+// worker per destination serializes that pair's messages while distinct
+// destinations proceed concurrently, and one receive worker per peer loops
+// Channel.Recv, so messages from distinct origins are read concurrently.
+//
+// Both blocks of a message travel receive_EXPRESS: a receive worker must
+// read the envelope to know where the payload goes, then hand the event
+// over inside the scope, and Table 1 promises a block's bytes at its
+// Unpack only for EXPRESS. The Generic TM sees no modes, so the envelope
+// still shares a packet with its payload.
 type vcTransport struct {
 	vc    *fwd.VC
+	ch    *core.Channel
 	inbox *simnet.Queue[event]
 	claim func(wireHdr) []byte
 
 	mu      sync.Mutex
 	sendQs  map[int]*simnet.Queue[vcSendJob] // destination node -> jobs
 	sendWG  sync.WaitGroup
-	closing bool
+	closing atomic.Bool // set under mu
 
-	recvQs map[int]*simnet.Queue[*fwd.VConn] // origin node -> messages
 	recvWG sync.WaitGroup
-	dispWG sync.WaitGroup
 }
 
 type vcSendJob struct {
@@ -50,20 +50,23 @@ type vcSendJob struct {
 func newVCTransport(vc *fwd.VC, claim func(wireHdr) []byte) *vcTransport {
 	t := &vcTransport{
 		vc:     vc,
+		ch:     vc.Channel(),
 		inbox:  simnet.NewQueue[event](),
 		claim:  claim,
 		sendQs: make(map[int]*simnet.Queue[vcSendJob]),
-		recvQs: make(map[int]*simnet.Queue[*fwd.VConn]),
 	}
-	t.dispWG.Add(1)
-	go t.dispatch()
+	for _, peer := range t.ch.Members() {
+		if peer != t.ch.Rank() {
+			t.recvWG.Add(1)
+			go t.recvWorker()
+		}
+	}
 	return t
 }
 
 func (t *vcTransport) events() *simnet.Queue[event] { return t.inbox }
 
-// need is a no-op: the VC's receiver daemons already run unconditionally,
-// and the dispatcher accepts every incoming message as it starts.
+// need is a no-op: the receive workers accept every incoming message.
 func (t *vcTransport) need(int) {}
 
 // isend queues the message on its destination's worker. Per-destination
@@ -71,7 +74,7 @@ func (t *vcTransport) need(int) {}
 // messages to it in schedule order.
 func (t *vcTransport) isend(token, node int, h wireHdr, payload []byte, at vclock.Time) {
 	t.mu.Lock()
-	if t.closing {
+	if t.closing.Load() {
 		t.mu.Unlock()
 		t.inbox.Push(event{send: true, token: token, err: fmt.Errorf("coll: transport closed")})
 		return
@@ -93,129 +96,83 @@ func (t *vcTransport) isend(token, node int, h wireHdr, payload []byte, at vcloc
 func (t *vcTransport) sendWorker(node int, q *simnet.Queue[vcSendJob]) {
 	defer t.sendWG.Done()
 	a := vclock.NewActor(fmt.Sprintf("coll-send/%d>%d", t.vc.Rank(), node))
-	var hdr [wireHdrSize]byte // VConn.Pack copies before it returns
+	var (
+		job vcSendJob
+		hdr [wireHdrSize]byte // the Generic TM stages it before Pack returns
+	)
+	send := func(conn *core.Connection) error {
+		if err := conn.Pack(job.h.encodeInto(&hdr), core.SendCheaper, core.ReceiveExpress); err != nil || len(job.payload) == 0 {
+			return err
+		}
+		return conn.Pack(job.payload, core.SendCheaper, core.ReceiveExpress)
+	}
 	for {
-		job, ok := q.Pop()
-		if !ok {
+		var ok bool
+		if job, ok = q.Pop(); !ok {
 			return
 		}
 		a.Sync(job.at)
-		err := t.sendOne(a, node, job, &hdr)
+		err := t.ch.Send(a, node, send)
 		t.inbox.Push(event{send: true, token: job.token, stamp: a.Now(), err: err})
 	}
 }
 
-func (t *vcTransport) sendOne(a *vclock.Actor, node int, job vcSendJob, hdr *[wireHdrSize]byte) error {
-	conn, err := t.vc.BeginPacking(a, node)
-	if err != nil {
-		return err
-	}
-	// Both blocks travel Cheaper/Cheaper: an express flush would split the
-	// 16-byte envelope into its own MTU-padded packet under reliable
-	// framing, and a stream receiver gains nothing from early delivery.
-	if err := conn.Pack(job.h.encodeInto(hdr), fwdSendMode, fwdRecvMode); err != nil {
-		return err // abort contract: a failed Pack already closed the message
-	}
-	if len(job.payload) > 0 {
-		if err := conn.Pack(job.payload, fwdSendMode, fwdRecvMode); err != nil {
+// recvWorker consumes messages, whatever their origin, on a reused actor.
+// The actor is set back to zero once the scope holds the receive lease, so
+// the event carries its message's arrival time alone, as the Generic TM
+// syncs the actor to each packet's, and not the lease's last release. It
+// pushes the event inside the scope: a connection's messages pass its
+// receive lease one at a time, so each origin's events keep their order.
+func (t *vcTransport) recvWorker() {
+	defer t.recvWG.Done()
+	a := vclock.NewActor(fmt.Sprintf("coll-recv/%d", t.vc.Rank()))
+	var hb [wireHdrSize]byte
+	recv := func(conn *core.Connection) error {
+		a.SetNow(0)
+		if err := conn.Unpack(hb[:], core.SendCheaper, core.ReceiveExpress); err != nil {
 			return err
 		}
-	}
-	return conn.EndPacking()
-}
-
-// dispatch accepts incoming messages and fans them out to per-origin
-// workers; a worker consumes its origin's messages strictly in order
-// (they share one chunk stream) while other origins drain concurrently.
-func (t *vcTransport) dispatch() {
-	defer t.dispWG.Done()
-	name := fmt.Sprintf("coll-recv/%d", t.vc.Rank())
-	for {
-		// A fresh actor per message: the VConn keeps it.
-		conn, err := t.vc.BeginUnpacking(vclock.NewActor(name))
-		if err != nil {
-			t.mu.Lock()
-			closing := t.closing
-			for _, q := range t.recvQs {
-				q.Close()
+		ev := event{hdr: decodeWireHdr(hb[:])}
+		if n := ev.hdr.length; n > 0 {
+			dst := t.claim(ev.hdr)
+			if ev.claimed = dst != nil; !ev.claimed {
+				dst = make([]byte, n)
+				ev.data = dst
 			}
-			t.mu.Unlock()
-			if !closing {
+			if err := conn.Unpack(dst, core.SendCheaper, core.ReceiveExpress); err != nil {
+				return err
+			}
+		}
+		ev.stamp = a.Now()
+		t.inbox.Push(ev)
+		return nil
+	}
+	for {
+		switch err := t.ch.Recv(a, recv); {
+		case err == nil:
+		case errors.Is(err, core.ErrClosed):
+			if !t.closing.Load() {
 				t.inbox.Push(event{err: err})
 			}
 			return
-		}
-		t.mu.Lock()
-		q := t.recvQs[conn.Remote()]
-		if q == nil {
-			q = simnet.NewQueue[*fwd.VConn]()
-			t.recvQs[conn.Remote()] = q
-			t.recvWG.Add(1)
-			go t.recvWorker(q)
-		}
-		t.mu.Unlock()
-		q.Push(conn)
-	}
-}
-
-func (t *vcTransport) recvWorker(q *simnet.Queue[*fwd.VConn]) {
-	defer t.recvWG.Done()
-	for {
-		conn, ok := q.Pop()
-		if !ok {
-			return
-		}
-		t.recvOne(conn)
-	}
-}
-
-// recvOne consumes one message. The VConn syncs its per-message actor to
-// each chunk's arrival, so the event carries that actor's time once the
-// message is unpacked, and the rank's clock reaches the arrival.
-func (t *vcTransport) recvOne(conn *fwd.VConn) {
-	var hb [wireHdrSize]byte
-	if err := conn.Unpack(hb[:], fwdSendMode, fwdRecvMode); err != nil {
-		_ = conn.EndUnpacking()
-		t.inbox.Push(event{err: err})
-		return
-	}
-	h := decodeWireHdr(hb[:])
-	ev := event{hdr: h}
-	var dst []byte
-	if h.length > 0 {
-		if buf := t.claim(h); buf != nil {
-			dst, ev.claimed = buf, true
-		} else {
-			dst = make([]byte, h.length)
-			ev.data = dst
-		}
-		if err := conn.Unpack(dst, fwdSendMode, fwdRecvMode); err != nil {
-			_ = conn.EndUnpacking()
+		default:
 			t.inbox.Push(event{err: err})
-			return
 		}
 	}
-	if err := conn.EndUnpacking(); err != nil {
-		t.inbox.Push(event{err: err})
-		return
-	}
-	ev.stamp = conn.Actor().Now()
-	t.inbox.Push(ev)
 }
 
 // close drains the send side (queued messages still ship), closes the VC
-// handle (unblocking the dispatcher), joins every worker and shuts the
+// handle (ending the receive workers), joins every worker and shuts the
 // event queue. The transport owns the VC handle it was built over.
 func (t *vcTransport) close() {
 	t.mu.Lock()
-	t.closing = true
+	t.closing.Store(true)
 	for _, q := range t.sendQs {
 		q.Close()
 	}
 	t.mu.Unlock()
 	t.sendWG.Wait()
 	t.vc.Close()
-	t.dispWG.Wait()
 	t.recvWG.Wait()
 	t.inbox.Close()
 }

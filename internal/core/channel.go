@@ -22,11 +22,11 @@ import (
 type Channel struct {
 	sess    *Session
 	name    string
-	id      int
 	rank    int
 	pmm     PMM
-	obs     *Observer  // session observer at creation time; nil = unobserved
-	lbl     spanLabels // built with the channel when observed; zero otherwise
+	end     messageEnder // pmm's one TM, when it keeps per-message state
+	obs     *Observer    // session observer at creation time; nil = unobserved
+	lbl     spanLabels   // built with the channel when observed; zero otherwise
 	members []int
 
 	// asyncName names the actor of every async receive conversation; like
@@ -353,38 +353,47 @@ func (cn *Connection) bmm(tm TM) BMM {
 	return b
 }
 
-// finish closes the message. One that ends with a current TM failed
-// there, and that TM's BMM drops what the message still had delayed or
-// deferred. A heap handle also releases the direction's lease; a slot's
-// lease stays with its Send/Recv scope until f returns, so no other actor
-// can reopen the slot while f still holds it.
-func (cn *Connection) finish() {
+// finish closes the message with err: nil at a clean End…, otherwise the
+// failure that ends it, which a failed Pack/Unpack passes too (an abort).
+// One that ends with a current TM failed there, and that TM's BMM drops
+// what the message still had delayed or deferred; a TM that keeps
+// per-message state (messageEnder) ends the message too, and its error is
+// the message's.
+// A heap handle also releases the direction's lease; a slot's lease stays
+// with its Send/Recv scope until f returns, so no other actor can reopen
+// the slot while f still holds it. A failed message can therefore never
+// wedge the connection: a caller may bail out on a Pack/Unpack error
+// without calling End…, which on an aborted connection reports
+// ErrBadState and touches neither the lease nor the stats.
+func (cn *Connection) finish(err error) error {
+	cs := cn.cs
 	cn.open = false
 	if cn.msg.tm != nil {
 		cn.bmm(cn.msg.tm).discard()
 		cn.msg.tm = nil
 	}
+	if m := cs.ch.end; m != nil {
+		if e := m.EndMessage(cn.actor, cs, cn.sending, err != nil); err == nil {
+			err = e
+		}
+	}
 	if cn.sending {
-		cn.cs.sendMsg = nil
+		cs.sendMsg = nil
+	}
+	switch {
+	case err != nil:
+	case cn.sending:
+		cs.ch.stats.messagesOut.Add(1)
+	default:
+		cs.ch.stats.messagesIn.Add(1)
 	}
 	switch {
 	case cn.scoped:
 	case cn.sending:
-		cn.cs.send.release(cn.actor)
+		cs.send.release(cn.actor)
 	default:
-		cn.cs.recv.release(cn.actor)
+		cs.recv.release(cn.actor)
 	}
-}
-
-// abort tears the in-flight message down after a failed Pack/Unpack: it
-// closes the Connection and, for a heap handle, releases the direction's
-// lease, so a failed message can never wedge the connection — the next
-// Begin… proceeds and observes the underlying condition (e.g. ErrClosed)
-// itself. A caller may therefore bail out on a Pack/Unpack error without
-// calling End…; the matching End… on an aborted connection reports
-// ErrBadState and touches neither the lease nor the stats.
-func (cn *Connection) abort(err error) error {
-	cn.finish()
 	return err
 }
 
@@ -404,7 +413,7 @@ func (cn *Connection) Pack(data []byte, sm SendMode, rm RecvMode) error {
 		return ErrBadState
 	}
 	if !inTable1(sm, rm) {
-		return cn.abort(&ModeError{Op: "Pack", Send: sm, Recv: rm})
+		return cn.finish(&ModeError{Op: "Pack", Send: sm, Recv: rm})
 	}
 	cs, m := cn.cs, &cn.msg
 	tm := cs.ch.pmm.Select(len(data), sm, rm)
@@ -415,7 +424,7 @@ func (cn *Connection) Pack(data []byte, sm SendMode, rm RecvMode) error {
 		err := cn.bmm(m.tm).Commit(cn.actor)
 		cs.ch.spanTM(cn.actor, t0, spanCommit, m.tm)
 		if err != nil {
-			return cn.abort(err)
+			return cn.finish(err)
 		}
 		cs.ch.stats.commits.Add(1)
 	}
@@ -427,7 +436,7 @@ func (cn *Connection) Pack(data []byte, sm SendMode, rm RecvMode) error {
 	err := cn.bmm(tm).Pack(cn.actor, data, sm, rm)
 	cs.ch.spanTM(cn.actor, t0, spanPack, tm)
 	if err != nil {
-		return cn.abort(err)
+		return cn.finish(err)
 	}
 	return nil
 }
@@ -441,26 +450,24 @@ func (cn *Connection) EndPacking() error {
 		return ErrBadState
 	}
 	cs, m := cn.cs, &cn.msg
-	defer cn.finish()
 	if !m.packed {
-		return ErrEmptyMessage
+		return cn.finish(ErrEmptyMessage)
 	}
 	if m.tm != nil {
 		t0 := cn.actor.Now()
 		err := cn.bmm(m.tm).Commit(cn.actor)
 		cs.ch.spanTM(cn.actor, t0, spanCommit, m.tm)
 		if err != nil {
-			return err
+			return cn.finish(err)
 		}
 		m.tm = nil
 	}
 	if !m.announced {
 		// No block reached a TM send, so the peer was never told of the
 		// message: only empty blocks, which the static-copy BMM skips.
-		return fmt.Errorf("core: message finished without wire traffic on %s", cs.ch.name)
+		return cn.finish(fmt.Errorf("core: message finished without wire traffic on %s", cs.ch.name))
 	}
-	cs.ch.stats.messagesOut.Add(1)
-	return nil
+	return cn.finish(nil)
 }
 
 // BeginUnpacking starts the extraction of the first incoming message on
@@ -486,7 +493,7 @@ func (cn *Connection) Unpack(dst []byte, sm SendMode, rm RecvMode) error {
 		return ErrBadState
 	}
 	if !inTable1(sm, rm) {
-		return cn.abort(&ModeError{Op: "Unpack", Send: sm, Recv: rm})
+		return cn.finish(&ModeError{Op: "Unpack", Send: sm, Recv: rm})
 	}
 	cs, m := cn.cs, &cn.msg
 	tm := cs.ch.pmm.Select(len(dst), sm, rm)
@@ -495,7 +502,7 @@ func (cn *Connection) Unpack(dst []byte, sm SendMode, rm RecvMode) error {
 		err := cn.bmm(m.tm).Checkout(cn.actor)
 		cs.ch.spanTM(cn.actor, t0, spanCheckout, m.tm)
 		if err != nil {
-			return cn.abort(err)
+			return cn.finish(err)
 		}
 		cs.ch.stats.checkouts.Add(1)
 	}
@@ -508,7 +515,7 @@ func (cn *Connection) Unpack(dst []byte, sm SendMode, rm RecvMode) error {
 	err := cn.bmm(tm).Unpack(cn.actor, dst, rm)
 	cs.ch.spanTM(cn.actor, t0, spanUnpack, tm)
 	if err != nil {
-		return cn.abort(err)
+		return cn.finish(err)
 	}
 	return nil
 }
@@ -520,18 +527,16 @@ func (cn *Connection) EndUnpacking() error {
 		return ErrBadState
 	}
 	cs, m := cn.cs, &cn.msg
-	defer cn.finish()
 	if m.tm != nil {
 		t0 := cn.actor.Now()
 		err := cn.bmm(m.tm).Checkout(cn.actor)
 		cs.ch.spanTM(cn.actor, t0, spanCheckout, m.tm)
 		if err != nil {
-			return err
+			return cn.finish(err)
 		}
 		m.tm = nil
 	}
-	cs.ch.stats.messagesIn.Add(1)
-	return nil
+	return cn.finish(nil)
 }
 
 // Send is the scoped form of a Table-1 send: it begins a message toward

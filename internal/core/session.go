@@ -195,6 +195,50 @@ func (s *Session) NewChannel(spec ChannelSpec) (map[int]*Channel, error) {
 	// protocol resources (ports, tags, segment ids, VI discriminators)
 	// stay collision-free session-wide.
 	s.nextID += max(1, len(spec.Rails))
+	s.mu.Unlock()
+
+	members := spec.Nodes
+	if members == nil {
+		for r := 0; r < s.world.Size(); r++ {
+			if probeSpec(spec, s.world.Node(r)) == nil {
+				members = append(members, r)
+			}
+		}
+	}
+	pmms := make(map[int]PMM, len(members))
+	for _, r := range members {
+		var pmm PMM
+		var err error
+		if len(spec.Rails) > 0 {
+			pmm, err = newRailPMM(s.world.Node(r), spec.Rails, id, stripe)
+		} else {
+			pmm, err = newPMM(spec.Driver, s.world.Node(r), spec.Adapter, id)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: channel %q on rank %d: %w", spec.Name, r, err)
+		}
+		pmms[r] = pmm
+	}
+	return s.NewChannelOver(spec.Name, pmms)
+}
+
+// NewChannelOver collectively creates the channel name over one protocol
+// module per member rank (pmms[r] drives rank r) and returns the per-rank
+// handles, as NewChannel does for the modules its spec names. A layer
+// with a module of its own — the forwarding layer's Generic TM — calls it
+// directly: the channel then has core's one message path, Table-1
+// checks, leases, metrics and quiescence report included.
+func (s *Session) NewChannelOver(name string, pmms map[int]PMM) (map[int]*Channel, error) {
+	members := make([]int, 0, len(pmms))
+	for r := range pmms {
+		members = append(members, r)
+	}
+	slices.Sort(members)
+	if len(members) < 2 {
+		return nil, fmt.Errorf("core: channel %q needs at least two member nodes, have %v", name, members)
+	}
+
+	s.mu.Lock()
 	obs := s.obs
 	reg := s.metricsLocked()
 	if !s.faultReg {
@@ -225,56 +269,37 @@ func (s *Session) NewChannel(spec ChannelSpec) (map[int]*Channel, error) {
 	}
 	s.mu.Unlock()
 
-	members := spec.Nodes
-	if members == nil {
-		for r := 0; r < s.world.Size(); r++ {
-			if probeSpec(spec, s.world.Node(r)) == nil {
-				members = append(members, r)
-			}
-		}
-	}
-	if len(members) < 2 {
-		return nil, fmt.Errorf("core: channel %q needs at least two member nodes, have %v", spec.Name, members)
-	}
-
 	chans := make(map[int]*Channel, len(members))
 	for _, r := range members {
-		var pmm PMM
-		var err error
-		if len(spec.Rails) > 0 {
-			pmm, err = newRailPMM(s.world.Node(r), spec.Rails, id, stripe)
-		} else {
-			pmm, err = newPMM(spec.Driver, s.world.Node(r), spec.Adapter, id)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: channel %q on rank %d: %w", spec.Name, r, err)
-		}
+		pmm := pmms[r]
 		ch := &Channel{
 			sess:    s,
-			name:    spec.Name,
-			id:      id,
+			name:    name,
 			rank:    r,
 			pmm:     pmm,
 			obs:     obs,
-			members: append([]int(nil), members...),
+			members: members,
 			conns:   make(map[int]*ConnState),
 
-			asyncName: fmt.Sprintf("async:%s:%d<", spec.Name, r),
+			asyncName: fmt.Sprintf("async:%s:%d<", name, r),
+		}
+		if tms := pmm.TMs(); len(tms) == 1 {
+			ch.end, _ = tms[0].(messageEnder)
 		}
 		// Pre-register the PMM's TM names so per-TM accounting is
 		// lock-free once traffic starts.
 		ch.stats.registerTMs(pmm.TMs())
 		if obs != nil {
-			ch.lbl = newSpanLabels(spec.Name, reg, pmm.TMs())
+			ch.lbl = newSpanLabels(name, reg, pmm.TMs())
 		}
 		ch.bindMetrics(reg)
 		chans[r] = ch
 		s.mu.Lock()
-		if _, dup := s.channels[chanKey{spec.Name, r}]; dup {
+		if _, dup := s.channels[chanKey{name, r}]; dup {
 			s.mu.Unlock()
-			return nil, fmt.Errorf("core: duplicate channel name %q on rank %d", spec.Name, r)
+			return nil, fmt.Errorf("core: duplicate channel name %q on rank %d", name, r)
 		}
-		s.channels[chanKey{spec.Name, r}] = ch
+		s.channels[chanKey{name, r}] = ch
 		s.mu.Unlock()
 	}
 
@@ -287,10 +312,10 @@ func (s *Session) NewChannel(spec ChannelSpec) (map[int]*Channel, error) {
 				continue
 			}
 			cs := &ConnState{ch: chans[r], peer: chans[peer], local: r, remote: peer, send: newLease(), recv: newLease(),
-				asyncName: fmt.Sprintf("async:%s:%d>%d", spec.Name, r, peer)}
+				asyncName: fmt.Sprintf("async:%s:%d>%d", name, r, peer)}
 			chans[r].conns[peer] = cs
 			if err := chans[r].pmm.PreConnect(cs); err != nil {
-				return nil, fmt.Errorf("core: channel %q preconnect %d->%d: %w", spec.Name, r, peer, err)
+				return nil, fmt.Errorf("core: channel %q preconnect %d->%d: %w", name, r, peer, err)
 			}
 		}
 	}
@@ -300,7 +325,7 @@ func (s *Session) NewChannel(spec ChannelSpec) (map[int]*Channel, error) {
 				continue
 			}
 			if err := chans[r].pmm.Connect(chans[r].conns[peer]); err != nil {
-				return nil, fmt.Errorf("core: channel %q connect %d->%d: %w", spec.Name, r, peer, err)
+				return nil, fmt.Errorf("core: channel %q connect %d->%d: %w", name, r, peer, err)
 			}
 		}
 	}

@@ -77,7 +77,7 @@ type PMM interface {
 	// PreConnect is the first phase of the connection bootstrap: it
 	// creates what the peer will attach to (segments, VI mirrors,
 	// pre-posted descriptors, registered rings) and installs cs.Priv.
-	// NewChannel runs it on every connection before any Connect.
+	// NewChannelOver runs it on every connection before any Connect.
 	PreConnect(cs *ConnState) error
 
 	// Connect is the second phase: attach to what the peer's PreConnect
@@ -138,6 +138,14 @@ type dynamicMover interface {
 type groupMover interface {
 	SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]byte) error
 	ReceiveSubBufferGroup(a *vclock.Actor, cs *ConnState, dsts [][]byte) error
+}
+
+// messageEnder is a TM that keeps state per message (fwd's Generic TM). A
+// TM sees buffers, so core calls EndMessage of a PMM's only TM once per
+// message, under the direction lease, after the BMM's last flush; abort
+// is true when the message aborts or its End… fails.
+type messageEnder interface {
+	EndMessage(a *vclock.Actor, cs *ConnState, sending, abort bool) error
 }
 
 // DynamicTM is a dynamic-buffer transmission module: user buffers travel

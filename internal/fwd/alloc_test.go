@@ -3,6 +3,7 @@
 package fwd
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 
@@ -11,13 +12,12 @@ import (
 )
 
 // TestGatewayPacketAllocs gates what fwd itself allocates for one packet,
-// in both modes: injected on segment 0 by the test (so no sending VConn),
+// in both modes: injected on segment 0 by the test (so no VC message),
 // then either delivered on node 1, or relayed by the gateway and delivered
-// on node 3, and unpacked there. Every real-channel message (each hop, each
-// verdict) is a Send/Recv scope, which costs core nothing, so the only
-// allocation left is the consumer's VConn handle — header blocks, the
-// delivered frame and the gateway's padded reliable wire frame are all
-// reused.
+// on node 3, and read there off the origin's stream. Every real-channel
+// message (each hop, each verdict) is a Send/Recv scope, which costs core
+// nothing, and header blocks, the delivered frame and the gateway's padded
+// reliable wire frame are all reused: a packet allocates nothing.
 func TestGatewayPacketAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -42,7 +42,7 @@ func TestGatewayPacketAllocs(t *testing.T) {
 					payloads[i] = append(payload, make([]byte, fateMTU-len(payload))...)
 				}
 			}
-			consumer, got, n := vclock.NewActor("consumer"), make([]byte, 64), 0
+			in, n := w.vcs[tc.dst].streams[0], 0
 			onePacket := func() {
 				if err := rawSend(w.vcs[0].chans[0], w.a, next, hbs[n%2], payloads[n%2]); err != nil {
 					t.Fatal(err)
@@ -53,82 +53,98 @@ func TestGatewayPacketAllocs(t *testing.T) {
 						t.Fatalf("verdict %+v, open=%v; want an ack", vd, ok)
 					}
 				}
-				conn, err := w.vcs[tc.dst].BeginUnpacking(consumer)
-				if err == nil {
-					err = conn.Unpack(got, core.SendCheaper, core.ReceiveCheaper)
+				ck, ok := in.q.Pop()
+				if !ok || ck.corrupt || len(ck.data) != 64 {
+					t.Fatalf("delivered %d bytes, open=%v corrupt=%v; want 64 clean bytes", len(ck.data), ok, ck.corrupt)
 				}
-				if err == nil {
-					err = conn.EndUnpacking()
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
+				w.vcs[tc.dst].freeFrame(ck.data)
 			}
 			for i := 0; i < 100; i++ {
 				onePacket()
 			}
-			if allocs := testing.AllocsPerRun(300, onePacket); allocs > 1 {
-				t.Errorf("%.2f allocs per packet: the path allocates more than the consumer's VConn", allocs)
+			if allocs := testing.AllocsPerRun(300, onePacket); allocs > 0 {
+				t.Errorf("%.2f allocs per packet: the packet path allocates", allocs)
 			}
 		})
 	}
 }
 
-// TestVConnPackAllocs gates the sending side of a bulk message: 256 KiB in
-// one block at an 8 KiB MTU, node 0 to node 4 across the gateway. Its 32
+// TestVCPackAllocs gates a bulk message on the VC channel: 256 KiB in one
+// block at an 8 KiB MTU, node 0 to node 4 across the gateway. Its 32
 // packets per hop are Send/Recv scopes, which cost core nothing; the
-// message allocates its two VConn handles and nothing else — the full
-// fragments leave from the caller's block, the tail is staged in a
-// recycled frame — so it allocates less than one MTU of bytes, not a copy
-// of itself.
-func TestVConnPackAllocs(t *testing.T) {
+// Generic TM sends full fragments from the caller's block and stages only
+// the tail, in a recycled frame. So a Begin…/End… message allocates its
+// two heap Connection handles and nothing else, a Send/Recv one nothing,
+// and either allocates less than one MTU of bytes, not a copy of itself.
+func TestVCPackAllocs(t *testing.T) {
 	const mtu, size = 8 << 10, 256 << 10
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as AllocsPerRun does: the byte count below sees the same schedule
-	vcs := newVC(t, twoClusters(t), sciMyriSpec("bulk", mtu))
-	s, r := vclock.NewActor("s"), vclock.NewActor("r")
-	block, got := pattern(size, 1), make([]byte, size)
-	received := make(chan error)
-	go func() {
-		for {
-			conn, err := vcs[4].BeginUnpacking(r)
-			if err != nil {
-				return // closed by the test's cleanup
+	for _, tc := range []struct {
+		name   string
+		scoped bool
+		allocs float64
+	}{{"heap-handles", false, 2}, {"scoped", true, 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			vcs := newVC(t, twoClusters(t), sciMyriSpec("bulk", mtu))
+			s, r := vclock.NewActor("s"), vclock.NewActor("r")
+			block, got := pattern(size, 1), make([]byte, size)
+			pack := func(conn *core.Connection) error { return conn.Pack(block, core.SendCheaper, core.ReceiveCheaper) }
+			unpack := func(conn *core.Connection) error { return conn.Unpack(got, core.SendCheaper, core.ReceiveCheaper) }
+			received := make(chan error)
+			go func() {
+				for {
+					var err error
+					if tc.scoped {
+						err = vcs[4].Channel().Recv(r, unpack)
+					} else {
+						var conn *core.Connection
+						if conn, err = vcs[4].BeginUnpacking(r); err == nil {
+							if err = unpack(conn); err == nil {
+								err = conn.EndUnpacking()
+							}
+						}
+					}
+					if errors.Is(err, core.ErrClosed) {
+						return // closed by the test's cleanup
+					}
+					received <- err
+				}
+			}()
+			oneMessage := func() {
+				var err error
+				if tc.scoped {
+					err = vcs[0].Channel().Send(s, 4, pack)
+				} else {
+					var conn *core.Connection
+					if conn, err = vcs[0].BeginPacking(s, 4); err == nil {
+						if err = pack(conn); err == nil {
+							err = conn.EndPacking()
+						}
+					}
+				}
+				if err == nil {
+					err = <-received
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
-			if err = conn.Unpack(got, core.SendCheaper, core.ReceiveCheaper); err == nil {
-				err = conn.EndUnpacking()
+			for i := 0; i < 20; i++ {
+				oneMessage()
 			}
-			received <- err
-		}
-	}()
-	oneMessage := func() {
-		conn, err := vcs[0].BeginPacking(s, 4)
-		if err == nil {
-			err = conn.Pack(block, core.SendCheaper, core.ReceiveCheaper)
-		}
-		if err == nil {
-			err = conn.EndPacking()
-		}
-		if err == nil {
-			err = <-received
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 20; i++ {
-		oneMessage()
-	}
-	if allocs := testing.AllocsPerRun(100, oneMessage); allocs > 2 {
-		t.Errorf("%.0f allocs per message: fwd allocates more than the two VConns", allocs)
-	}
-	const runs = 100
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		oneMessage()
-	}
-	runtime.ReadMemStats(&after)
-	if perMsg := (after.TotalAlloc - before.TotalAlloc) / runs; perMsg >= mtu {
-		t.Errorf("%d bytes allocated per %d-byte message, want less than one MTU (%d): the message is being staged", perMsg, size, mtu)
+			if allocs := testing.AllocsPerRun(100, oneMessage); allocs > tc.allocs {
+				t.Errorf("%.0f allocs per message, want at most %.0f: fwd allocates beyond core's handles", allocs, tc.allocs)
+			}
+			const runs = 100
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				oneMessage()
+			}
+			runtime.ReadMemStats(&after)
+			if perMsg := (after.TotalAlloc - before.TotalAlloc) / runs; perMsg >= mtu {
+				t.Errorf("%d bytes allocated per %d-byte message, want less than one MTU (%d): the message is being staged", perMsg, size, mtu)
+			}
+		})
 	}
 }

@@ -79,29 +79,28 @@ func (w *fateWorld) verdict(from int) string {
 	return "nack"
 }
 
-// consume receives the next message on rank's handle. With want nil the
-// message must fail its checksum; otherwise it must carry want.
+// consume reads the next packet node 0 delivered to rank's handle off its
+// stream: a crafted packet is no core message, so nothing announces it to
+// the VC channel. With want nil the packet must be flagged corrupt;
+// otherwise it must carry want.
 func (w *fateWorld) consume(rank int, want []byte) {
 	w.t.Helper()
-	conn, err := w.vcs[rank].BeginUnpacking(vclock.NewActor("consumer"))
-	if err != nil {
-		w.t.Fatalf("rank %d: %v", rank, err)
+	v := w.vcs[rank]
+	ck, ok := v.streams[0].q.Pop()
+	if !ok {
+		w.t.Fatalf("rank %d: %v", rank, v.errOr(core.ErrClosed))
 	}
-	got := make([]byte, 64)
-	err = conn.Unpack(got, core.SendCheaper, core.ReceiveCheaper)
+	defer v.freeFrame(ck.data)
 	if want == nil {
-		if err == nil {
+		if !ck.corrupt {
 			w.t.Fatalf("rank %d: a corrupt packet was delivered unflagged", rank)
 		}
 		return
 	}
-	if err == nil {
-		err = conn.EndUnpacking()
+	if ck.corrupt {
+		w.t.Fatalf("rank %d: packet from 0 failed its checksum", rank)
 	}
-	if err != nil {
-		w.t.Fatalf("rank %d: %v", rank, err)
-	}
-	if !bytes.Equal(got, want) {
+	if !bytes.Equal(ck.data, want) {
 		w.t.Fatalf("rank %d: delivered a different message", rank)
 	}
 }
@@ -239,6 +238,20 @@ func TestGatewayFates(t *testing.T) {
 			run: func(w *fateWorld) {
 				h, payload := w.good(99, 3)
 				w.send(2, w.encode(h), payload)
+			},
+			want: map[bool]fateWant{
+				false: {name: "fwd/drop/route", stats: RelStats{DropRoute: 1}},
+				true:  {name: "fwd/drop/route", stats: RelStats{DropRoute: 1}, verdict: "nack"},
+			},
+		},
+		{
+			// No VC connection reads such a packet: a stream exists only
+			// per member origin.
+			cause: "unknown origin", at: 1,
+			run: func(w *fateWorld) {
+				h, payload := w.good(1, 8)
+				h.Origin = 99
+				w.send(1, w.encode(h), payload)
 			},
 			want: map[bool]fateWant{
 				false: {name: "fwd/drop/route", stats: RelStats{DropRoute: 1}},

@@ -94,7 +94,7 @@ func (v *VC) pipe(inSeg, outSeg int) *pipeline {
 func (v *VC) daemon(segIdx int, ch *core.Channel) {
 	d := &daemonState{
 		v:        v,
-		a:        vclock.NewActor(fmt.Sprintf("%s/n%d/seg%d-rx", v.name, v.rank, segIdx)),
+		a:        vclock.NewActor(fmt.Sprintf("%s/n%d/seg%d-rx", v.spec.Name, v.rank, segIdx)),
 		segIdx:   segIdx,
 		ch:       ch,
 		lastLSeq: make(map[int]uint32),
@@ -196,9 +196,9 @@ func (d *daemonState) recv() bool {
 			// The retransmit of a packet whose acknowledgment was lost.
 			what = fateDup
 			v.ctr.dups.Add(1)
-		case h.Dst == v.rank:
+		case h.Dst == v.rank && v.streams[h.Origin] != nil:
 			what = fateDeliver
-		default:
+		default: // a packet for this rank from no member has no route either
 			var ok bool
 			if hp, ok = v.next[h.Dst]; ok {
 				what = fateForward
@@ -225,7 +225,7 @@ func (d *daemonState) recv() bool {
 
 		switch what {
 		case fateDeliver:
-			frame = v.frame(n) // the destination stream's from here on; Unpack frees it
+			frame = v.frame(n) // the destination stream's from here on; ReceiveBuffer frees it
 		case fateForward:
 			// One of the pipeline's two buffers: the dual-buffer exchange
 			// point (Fig. 9).
@@ -240,7 +240,7 @@ func (d *daemonState) recv() bool {
 			frame = d.scratch[:n]
 		}
 		if n == 0 {
-			return nil // a best-effort end-of-message terminator is header-only
+			return nil // a best-effort empty message is header-only
 		}
 		return conn.Unpack(frame, core.SendCheaper, core.ReceiveCheaper)
 	})
@@ -265,8 +265,8 @@ func (d *daemonState) recv() bool {
 			}
 			what = fateDrop
 		case what == fateDeliver:
-			// Nobody to ask for a resend: deliver flagged, for Unpack to
-			// report.
+			// Nobody to ask for a resend: deliver flagged, for
+			// ReceiveBuffer to report.
 			v.ctr.deliveredCorrupt.Add(1)
 		default:
 			// Still routable, so relay it and let the delivering edge
@@ -278,7 +278,13 @@ func (d *daemonState) recv() bool {
 
 	switch what {
 	case fateDeliver:
-		if !d.deliver(h, payload, corrupt) {
+		// Into the origin's stream; a closing stream stops the daemon.
+		if !v.streams[h.Origin].q.PushIfOpen(chunk{
+			data: payload, stamp: a.Now(), corrupt: corrupt,
+			first: h.Flags&flagFirst != 0, last: h.Flags&flagLast != 0, aborted: h.Flags&flagAbort != 0,
+			trace: h.Trace, hop: h.Hop + 1, // delivery hop: sorts after every relay
+		}) {
+			v.ctr.dropClosed.Add(1)
 			return false
 		}
 	case fateForward:
@@ -309,37 +315,12 @@ func (d *daemonState) recv() bool {
 	return true
 }
 
-// deliver pushes one accepted payload into the destination stream. A
-// false return means delivery raced shutdown and the daemon should stop.
-func (d *daemonState) deliver(h header, payload []byte, corrupt bool) bool {
-	v := d.v
-	if h.Flags&flagFirst != 0 {
-		if !v.msgStart.PushIfOpen(h.Origin) {
-			v.ctr.dropClosed.Add(1)
-			return false
-		}
-	}
-	if !v.stream(h.Origin).q.PushIfOpen(chunk{
-		data:    payload,
-		stamp:   d.a.Now(),
-		first:   h.Flags&flagFirst != 0,
-		last:    h.Flags&flagLast != 0,
-		corrupt: corrupt,
-		trace:   h.Trace,
-		hop:     h.Hop + 1, // delivery hop: sorts after every relay
-	}) {
-		v.ctr.dropClosed.Add(1)
-		return false
-	}
-	return true
-}
-
 // run is the pipeline's send thread.
 func (p *pipeline) run() {
 	v := p.v
 	defer v.daemons.Done()
-	a := vclock.NewActor(fmt.Sprintf("%s/n%d/%d->%d-tx", v.name, v.rank, p.inSeg, p.outSeg))
-	bus := v.sess.World().Node(v.rank).Bus()
+	a := vclock.NewActor(fmt.Sprintf("%s/n%d/%d->%d-tx", v.spec.Name, v.rank, p.inSeg, p.outSeg))
+	bus := v.ch.Session().World().Node(v.rank).Bus()
 	inCh, outCh := v.chans[p.inSeg], v.chans[p.outSeg]
 	var prevReady, prevSendEnd vclock.Time
 	var hb hdrBuf

@@ -33,6 +33,7 @@ const (
 	flagLast              // last packet of a message
 	flagAck               // control frame: positive acknowledgment (reliable mode)
 	flagNack              // control frame: retransmit request (reliable mode)
+	flagAbort             // with flagLast: the sender aborted the message
 )
 
 // header describes one Generic-TM packet.
@@ -49,7 +50,7 @@ type header struct {
 }
 
 // hdrBuf is a header block's backing store, large enough for either
-// encoding. Whoever sends owns one for as long as it sends (a VConn, a
+// encoding. Whoever sends owns one for as long as it sends (a VC message, a
 // pipeline's send thread, a daemon for its verdicts): the block is on the
 // wire, copied or sent, when the real channel's EndPacking returns.
 type hdrBuf [rhdrSize]byte

@@ -287,7 +287,7 @@ func (v *VC) sendReliable(seg int, a *vclock.Actor, next int, h header, hbuf *hd
 		}
 		if attempt >= v.spec.MaxRetries {
 			err := fmt.Errorf("fwd: %s: packet for %d via %d (link seq %d) unacknowledged after %d retransmits",
-				v.name, h.Dst, next, h.LSeq, attempt)
+				v.spec.Name, h.Dst, next, h.LSeq, attempt)
 			v.fail(err)
 			return err
 		}
@@ -320,7 +320,7 @@ func (v *VC) sendVerdict(a *vclock.Actor, segIdx, to int, ok bool, hb *hdrBuf) {
 // the sender treats as a NACK — the duplicate-suppression path absorbs
 // the resulting retransmit.
 func (v *VC) ctlDaemon(segIdx int, ch *core.Channel) {
-	a := vclock.NewActor(fmt.Sprintf("%s/n%d/seg%d-ctl", v.name, v.rank, segIdx))
+	a := vclock.NewActor(fmt.Sprintf("%s/n%d/seg%d-ctl", v.spec.Name, v.rank, segIdx))
 	hb := make([]byte, rhdrSize)
 	for {
 		peer := -1

@@ -56,17 +56,11 @@ type chunk struct {
 	data    []byte
 	stamp   vclock.Time
 	first   bool
-	last    bool   // flagLast: lets Unpack drain a poisoned message to its end
-	corrupt bool   // checksum mismatch: surfaced by Unpack
+	last    bool   // flagLast: lets ReceiveBuffer drain a poisoned message to its end
+	aborted bool   // flagAbort: the sender aborted the message, surfaced by ReceiveBuffer
+	corrupt bool   // checksum mismatch: surfaced by ReceiveBuffer
 	trace   uint64 // distributed trace ID from the packet header
 	hop     uint32 // delivery hop: relays traversed + 1
-}
-
-// stream is the per-origin incoming byte stream at a destination.
-type stream struct {
-	q       *simnet.Queue[chunk]
-	residue []byte
-	roff    int
 }
 
 // frameFreeMax bounds a handle's idle frames: the few packets a stream
@@ -97,8 +91,8 @@ func (v *VC) frame(n int) []byte {
 }
 
 // freeFrame takes a frame back from its owner: the destination stream once
-// Unpack has consumed it, the reliable sender once the link has its verdict,
-// the packing connection at EndPacking.
+// ReceiveBuffer has consumed it, the reliable sender once the link has its
+// verdict, the Generic TM's send state at its message's end.
 func (v *VC) freeFrame(b []byte) {
 	if cap(b) != v.mtu {
 		return
@@ -116,25 +110,25 @@ type hop struct {
 	next int
 }
 
-// VC is one rank's handle on a virtual channel. Its packing interface
-// mirrors the Madeleine channel interface; underneath, the Generic TM
-// fragments messages into self-described MTU packets that gateway daemons
-// forward between the real channels.
+// VC is one rank's handle on a virtual channel. Its message interface is
+// a core.Channel (Channel): the VC channel, whose protocol module is the
+// Generic TM, which cuts messages into self-described MTU packets that
+// gateway daemons forward between the real channels.
 type VC struct {
-	name string
 	rank int
 	mtu  int
 	spec Spec
-	sess *core.Session
 	rec  *trace.Recorder // the session observer's recorder, shared with every other layer
 
+	ch    *core.Channel         // this rank's end of the VC channel
 	chans map[int]*core.Channel // segment index -> this rank's real channel
 	ctls  map[int]*core.Channel // reliable mode: segment index -> control channel
 	next  map[int]hop           // destination rank -> next hop
 
-	msgStart   *simnet.Queue[int]
-	mu         sync.Mutex
+	// streams is each origin's incoming stream, made with the VC
+	// channel's connections and read-only once the daemons run.
 	streams    map[int]*stream
+	mu         sync.Mutex
 	pipes      map[[2]int]*pipeline
 	frameMu    sync.Mutex
 	frames     [][]byte // idle MTU-sized frames, at most frameFreeMax
@@ -156,14 +150,14 @@ type VC struct {
 	closed    atomic.Bool // Close has begun
 	closeOnce sync.Once
 	daemons   sync.WaitGroup // receiver daemons and gateway pipelines
-	members   []int
-	segs      [][]int // segment index -> member ranks, sorted (topology map)
+	segs      [][]int        // segment index -> member ranks, sorted (topology map)
 }
 
 // New collectively creates the virtual channel and returns the per-rank
 // handles. It creates one real channel per segment, computes shortest
-// routes across the segment graph, and starts the receiver daemons (and,
-// on gateways, the forwarding pipelines).
+// routes across the segment graph, creates the VC channel over each
+// rank's Generic TM, and starts the receiver daemons (and, on gateways,
+// the forwarding pipelines).
 func New(sess *core.Session, spec Spec) (map[int]*VC, error) {
 	if len(spec.Segments) == 0 {
 		return nil, fmt.Errorf("fwd: virtual channel %q has no segments", spec.Name)
@@ -211,22 +205,19 @@ func New(sess *core.Session, spec Spec) (map[int]*VC, error) {
 
 	rec := sess.Observer().Recorder()
 	vcs := make(map[int]*VC, len(members))
+	pmms := make(map[int]core.PMM, len(members))
 	for _, r := range members {
 		v := &VC{
-			name:     spec.Name,
-			rank:     r,
-			mtu:      spec.MTU,
-			spec:     spec,
-			sess:     sess,
-			rec:      rec,
-			chans:    make(map[int]*core.Channel),
-			ctls:     make(map[int]*core.Channel),
-			next:     routes[r],
-			msgStart: simnet.NewQueue[int](),
-			streams:  make(map[int]*stream),
-			pipes:    make(map[[2]int]*pipeline),
-			members:  members,
-			segs:     segMembers,
+			rank:    r,
+			mtu:     spec.MTU,
+			spec:    spec,
+			rec:     rec,
+			chans:   make(map[int]*core.Channel),
+			ctls:    make(map[int]*core.Channel),
+			next:    routes[r],
+			streams: make(map[int]*stream),
+			pipes:   make(map[[2]int]*pipeline),
+			segs:    segMembers,
 		}
 		if spec.Reliable {
 			v.rel = newRelState()
@@ -237,32 +228,30 @@ func New(sess *core.Session, spec Spec) (map[int]*VC, error) {
 		for i, chans := range segChans {
 			if ch, ok := chans[r]; ok {
 				v.chans[i] = ch
-			}
-			if spec.Reliable {
-				if cc, ok := segCtls[i][r]; ok {
-					v.ctls[i] = cc
+				if spec.Reliable { // same members as the segment
+					v.ctls[i] = segCtls[i][r]
 				}
 			}
 		}
 		sess.Metrics().RegisterCollector(v.ctr.collect)
 		vcs[r] = v
+		pmms[r] = genericPMM{v, []core.TM{genericTM{core.NewDynamicTM(generic{v}), v}}}
 	}
-	// Daemons start after every handle exists: a gateway daemon may touch
+	vchans, err := sess.NewChannelOver(spec.Name, pmms)
+	if err != nil {
+		return nil, fmt.Errorf("fwd: %w", err)
+	}
+	// Daemons start once their handle is whole: a gateway daemon may touch
 	// its own pipelines immediately.
-	for _, v := range vcs {
+	for r, v := range vcs {
+		v.ch = vchans[r]
 		for segIdx, ch := range v.chans {
 			v.daemons.Add(1)
-			go func(segIdx int, ch *core.Channel) {
-				defer v.daemons.Done()
-				v.daemon(segIdx, ch)
-			}(segIdx, ch)
+			go func() { defer v.daemons.Done(); v.daemon(segIdx, ch) }()
 		}
 		for segIdx, ch := range v.ctls {
 			v.daemons.Add(1)
-			go func(segIdx int, ch *core.Channel) {
-				defer v.daemons.Done()
-				v.ctlDaemon(segIdx, ch)
-			}(segIdx, ch)
+			go func() { defer v.daemons.Done(); v.ctlDaemon(segIdx, ch) }()
 		}
 	}
 	return vcs, nil
@@ -332,14 +321,8 @@ func buildRoutes(segMembers [][]int) (map[int]map[int]hop, []int, error) {
 	return routes, members, nil
 }
 
-// Name reports the virtual channel's name; Rank the local rank.
-func (v *VC) Name() string { return v.name }
-
 // Rank reports the local process rank.
 func (v *VC) Rank() int { return v.rank }
-
-// Members lists every rank reachable on the virtual channel.
-func (v *VC) Members() []int { return append([]int(nil), v.members...) }
 
 // Clusters exposes the virtual channel's topology: one member list per
 // real-channel segment, in segment order. Gateways appear in every
@@ -353,22 +336,25 @@ func (v *VC) Clusters() [][]int {
 	return out
 }
 
-// MTU reports the route-wide packet size.
-func (v *VC) MTU() int { return v.mtu }
-
 // Session returns the session the virtual channel was built on.
-func (v *VC) Session() *core.Session { return v.sess }
+func (v *VC) Session() *core.Session { return v.ch.Session() }
 
-// Close shuts down this rank's daemons, pipelines and receive queues;
-// blocked and future BeginUnpacking calls fail once pending messages
-// drain. Idempotent and safe to race (fail invokes it from daemons and
-// senders). It returns once the rank's receiver daemons and gateway
-// pipelines have. Every wake-up source — channels, pipeline queues, link
+// Channel returns this rank's end of the VC channel, the core channel
+// whose messages the Generic TM carries: its name is the Spec's, its
+// members every rank of the virtual channel.
+func (v *VC) Channel() *core.Channel { return v.ch }
+
+// Close shuts down this rank's VC channel, daemons, pipelines and
+// receive streams; blocked and future BeginUnpacking calls fail once
+// pending messages drain. Idempotent and safe to race (fail invokes it
+// from daemons and senders). It returns once the rank's receiver daemons
+// and gateway pipelines have. Every wake-up source — channels, pipeline queues, link
 // leases and verdicts — closes before that join, so a thread blocked
 // anywhere in the packet path exits instead of wedging Close.
 func (v *VC) Close() {
 	v.closeOnce.Do(func() {
 		v.closed.Store(true)
+		v.ch.Close()
 		for _, ch := range v.chans {
 			ch.Close()
 		}
@@ -385,173 +371,277 @@ func (v *VC) Close() {
 			v.rel.closeAll()
 		}
 		v.daemons.Wait()
-		v.mu.Lock()
-		defer v.mu.Unlock()
-		v.msgStart.Close()
 		for _, st := range v.streams {
 			st.q.Close()
 		}
 	})
 }
 
-// stream returns (creating) the per-origin incoming stream.
-func (v *VC) stream(origin int) *stream {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	s := v.streams[origin]
-	if s == nil {
-		s = &stream{q: simnet.NewQueue[chunk]()}
-		v.streams[origin] = s
-	}
-	return s
+// BeginPacking begins a message toward remote on the VC channel.
+func (v *VC) BeginPacking(a *vclock.Actor, remote int) (*core.Connection, error) {
+	return v.ch.BeginPacking(a, remote)
 }
 
-// VConn is one in-construction or in-extraction virtual-channel message.
-type VConn struct {
-	v       *VC
-	actor   *vclock.Actor
-	remote  int
-	sending bool
-	open    bool
+// BeginUnpacking begins the next incoming message on the VC channel and
+// takes its first packet, an empty express block: core announces a
+// message at its sender's first send, so a handle whose stream died on
+// the way fails here rather than at the first Unpack. After a fatal error
+// (see Err) it reports that error instead of a bare ErrClosed.
+func (v *VC) BeginUnpacking(a *vclock.Actor) (*core.Connection, error) {
+	cn, err := v.ch.BeginUnpacking(a)
+	if err != nil {
+		return nil, v.errOr(err)
+	}
+	if err := cn.Unpack(nil, core.SendCheaper, core.ReceiveExpress); err != nil {
+		return nil, err
+	}
+	return cn, nil
+}
 
-	// trace context: the message's trace ID (assigned at BeginPacking,
-	// learned from the first chunk when receiving), the hop the context
-	// was seen at, and the conversation's start time for the pack/unpack
-	// span.
+// genericTM is the Generic TM (§6.1), the VC channel's one TM: its mover,
+// generic, wrapped by core.NewDynamicTM, plus where each message ends
+// (EndMessage) and an eager BMM that extracts every block at its Unpack,
+// so a packet that failed its checksum fails the Unpack that reads it.
+// Its state is the connection's ConnState.Priv, a vcConn: the send half
+// under the send lease, the receive half under the receive lease.
+type genericTM struct {
+	*core.DynamicTM
+	v *VC
+}
+
+func (t genericTM) NewBMM(cs *core.ConnState) core.BMM {
+	return unpackNow{core.NewEagerBMM(t, cs)}
+}
+
+// unpackNow takes every Unpack as receive_EXPRESS, as Table 1 allows.
+type unpackNow struct{ core.BMM }
+
+func (b unpackNow) Unpack(a *vclock.Actor, dst []byte, _ core.RecvMode) error {
+	return b.BMM.Unpack(a, dst, core.ReceiveExpress)
+}
+
+type generic struct{ v *VC } // the Generic TM's mover
+
+// vcConn is a VC connection's Generic TM state: the message being sent,
+// from its first SendBuffer to its end (hb is on the wire once the real
+// channel's EndPacking returns), and the remote rank's incoming stream.
+type vcConn struct {
+	open    bool
+	buf     []byte // the staged tail: one frame of the VC
+	hb      hdrBuf
+	seq     uint32
+	traceID uint64
+	t0      vclock.Time
+
+	in *stream
+}
+
+// stream is the per-origin incoming byte stream at a destination, shared
+// with the receiver daemons, and the message being read from it: its
+// trace context, learned from its first packet, and the time its reading
+// began, for the unpack span.
+type stream struct {
+	q    *simnet.Queue[chunk]
+	cur  chunk // the packet being read: cur.data[roff:] is still unread
+	roff int
+
+	open    bool
 	traceID uint64
 	hop     uint32
 	t0      vclock.Time
-
-	// send state
-	buf  []byte // the staged tail: one frame of the VC, from the first staged byte to EndPacking
-	hb   hdrBuf
-	seq  uint32
-	sent bool
 }
 
-// Remote reports the peer rank (the final destination or the origin).
-func (c *VConn) Remote() int { return c.remote }
+func (g generic) Name() string { return "generic" }
 
-// Actor exposes the thread-of-control clock driving the message.
-func (c *VConn) Actor() *vclock.Actor { return c.actor }
+// Link is zero: a packet costs what the real channels it crosses charge.
+func (g generic) Link(int) model.Link { return model.Link{} }
 
-// BeginPacking initiates a message toward remote across the virtual
-// channel. Note the Generic TM reads block contents at Pack time
-// (send_LATER degrades to send_SAFER, documented deviation): packets must be
-// self-contained before they reach the first gateway.
-func (v *VC) BeginPacking(a *vclock.Actor, remote int) (*VConn, error) {
-	if remote == v.rank {
-		return nil, fmt.Errorf("fwd: cannot send to self on %s", v.name)
+// SendBuffer cuts the message's byte stream into packets at the MTU,
+// whatever the buffer boundaries: a staged tail is topped up first, and a
+// packet is cut only while strictly more than one MTU is pending, so the
+// last packet, which EndMessage flags, is empty only for an empty message
+// (the poisoned-message drain needs that marker). Full packets leave from
+// data, the caller's again on return; only a tail of at most one MTU is
+// staged. The message's first call draws its trace ID.
+func (g generic) SendBuffer(a *vclock.Actor, cs *core.ConnState, data []byte) error {
+	v, c := g.v, cs.Priv.(*vcConn)
+	if !c.open {
+		c.open, c.seq, c.t0 = true, 0, a.Now()
+		c.traceID = v.traceBase | (v.traceSeq.Add(1) & 0xffffffff)
 	}
-	if _, ok := v.next[remote]; !ok {
-		return nil, fmt.Errorf("fwd: no route from %d to %d on %s", v.rank, remote, v.name)
-	}
-	return &VConn{
-		v: v, actor: a, remote: remote, sending: true, open: true,
-		traceID: v.traceBase | (v.traceSeq.Add(1) & 0xffffffff),
-		t0:      a.Now(),
-	}, nil
-}
-
-// Pack appends a block to the message. Blocks are fragmented at the MTU;
-// a receive_EXPRESS block flushes the pending fragment so the receiver's
-// matching Unpack completes without waiting for EndPacking. Full fragments
-// leave straight from data, which is the caller's again on return (every
-// send has completed by then); only a tail of at most one MTU is staged.
-func (c *VConn) Pack(data []byte, sm core.SendMode, rm core.RecvMode) error {
-	if !c.open || !c.sending {
-		return core.ErrBadState
-	}
-	mtu := c.v.mtu
-	// Fragment strictly above the MTU: a full final fragment stays staged
-	// for EndPacking, so every message's last packet carries flagLast even
-	// when the length is an exact MTU multiple — the poisoned-message drain
-	// in Unpack depends on that boundary marker. Packets are cut at the
-	// offsets of the message's byte stream, whatever the block boundaries:
-	// a staged tail is topped up to one MTU before anything else leaves.
+	mtu, to := v.mtu, cs.Remote()
 	if len(c.buf) > 0 {
 		n := copy(c.buf[len(c.buf):mtu], data)
 		c.buf, data = c.buf[:len(c.buf)+n], data[n:]
 		if len(data) > 0 {
-			if err := c.sendPacket(c.buf, false); err != nil {
+			if err := v.sendPacket(a, to, c, c.buf, 0); err != nil {
 				return err
 			}
 			c.buf = c.buf[:0]
 		}
 	}
 	for len(data) > mtu {
-		if err := c.sendPacket(data[:mtu], false); err != nil {
+		if err := v.sendPacket(a, to, c, data[:mtu], 0); err != nil {
 			return err
 		}
 		data = data[mtu:]
 	}
 	if len(data) > 0 {
 		if c.buf == nil {
-			c.buf = c.v.frame(mtu)
+			c.buf = v.frame(mtu)
 		}
 		c.buf = append(c.buf[:0], data...)
 	}
-	if rm == core.ReceiveExpress && len(c.buf) > 0 {
-		if err := c.sendPacket(c.buf, false); err != nil {
+	return nil
+}
+
+// ReceiveBuffer fills dst from the origin's stream, syncing the actor to
+// each packet's arrival. The message's first call takes its first packet
+// even for an empty dst: BeginUnpacking's wait, and how an empty message
+// is read. A packet that failed its checksum, or its sender's abort
+// marker, fails the message when its bytes are read.
+func (g generic) ReceiveBuffer(a *vclock.Actor, cs *core.ConnState, dst []byte) error {
+	v, s := g.v, cs.Priv.(*vcConn).in
+	if !s.open {
+		s.t0 = a.Now()
+		if err := v.take(a, s); err != nil {
 			return err
 		}
-		c.buf = c.buf[:0]
+	}
+	for len(dst) > 0 {
+		if s.cur.corrupt || s.cur.aborted {
+			return v.drain(a, s, cs.Remote())
+		}
+		if s.roff == len(s.cur.data) {
+			if err := v.take(a, s); err != nil {
+				return err
+			}
+			continue
+		}
+		n := copy(dst, s.cur.data[s.roff:])
+		s.roff += n
+		dst = dst[n:]
 	}
 	return nil
 }
 
-// EndPacking flushes the remaining fragment (flagged last) and gives the
-// staged tail's frame back to the handle.
-func (c *VConn) EndPacking() error {
-	if !c.open || !c.sending {
-		return core.ErrBadState
+// take makes the stream's next packet the current one, giving the
+// consumed one's frame back. A stream closed by a fatal error reports it.
+func (v *VC) take(a *vclock.Actor, s *stream) error {
+	v.freeFrame(s.cur.data)
+	ck, ok := s.q.Pop()
+	if s.cur, s.roff = ck, 0; !ok {
+		return v.errOr(core.ErrClosed)
 	}
-	c.open = false
-	defer func() { c.v.freeFrame(c.buf); c.buf = nil }()
-	if len(c.buf) > 0 {
-		if err := c.sendPacket(c.buf, true); err != nil {
-			return err
-		}
-	} else if c.sent {
-		// An express flush already shipped the final data packet without
-		// flagLast (it could not know the message was ending): close the
-		// message with a header-only terminator so the receiver always
-		// sees the boundary.
-		if err := c.sendPacket(nil, true); err != nil {
-			return err
-		}
+	a.Sync(ck.stamp)
+	if !s.open {
+		s.open, s.traceID, s.hop = true, ck.trace, ck.hop
 	}
-	if !c.sent {
-		return core.ErrEmptyMessage
-	}
-	// The sender's end of the distributed trace: one pack span covering
-	// the whole conversation, tagged hop 0 so merged exports sort it
-	// before every relay and the final unpack.
-	c.v.rec.RecordT(c.actor.Name(), c.t0, c.actor.Now(), "p:pack", c.traceID, 0)
 	return nil
 }
 
-// sendPacket ships one self-described packet toward the next hop. The
-// connection's progress state moves only after the send is known good: a
-// failed send must not claim a sequence number it never put on the wire.
-func (c *VConn) sendPacket(payload []byte, last bool) error {
+// drain reads the message through its last packet, syncing to each
+// arrival and giving every frame back, so the stream waits for the next
+// message, and reports what failed the message: a corrupt current packet,
+// its sender's abort, or bytes left unread.
+func (v *VC) drain(a *vclock.Actor, s *stream, origin int) error {
+	corrupt, aborted, unread := s.cur.corrupt, s.cur.aborted, len(s.cur.data)-s.roff
+	for !s.cur.last && v.take(a, s) == nil {
+		aborted, unread = aborted || s.cur.aborted, unread+len(s.cur.data)
+	}
+	v.freeFrame(s.cur.data)
+	s.cur, s.roff, s.open = chunk{}, 0, false
+	switch {
+	case corrupt:
+		return fmt.Errorf("fwd: packet from %d failed its checksum", origin)
+	case aborted:
+		return fmt.Errorf("fwd: message from %d aborted by its sender", origin)
+	case unread != 0:
+		return fmt.Errorf("fwd: %d unconsumed bytes at message end (asymmetric unpack)", unread)
+	}
+	return nil
+}
+
+// EndMessage ends a message. A sent one ships its staged tail flagged
+// last (header-only for an empty message) and records the sender's pack
+// span, at hop 0 so merged exports sort it before every relay. Core
+// announced the message at its first send, so one that aborts, or whose
+// last packet fails, ends with a header-only packet flagged last and
+// aborted: its reception fails instead of reading the next message's
+// packets. A received one that ends anywhere but clean at its last packet
+// drains and fails; otherwise it records the unpack span at the hop its
+// packets arrived with.
+func (t genericTM) EndMessage(a *vclock.Actor, cs *core.ConnState, sending, abort bool) error {
+	v, c := t.v, cs.Priv.(*vcConn)
+	if s := c.in; !sending {
+		switch {
+		case !s.open:
+		case abort || !s.cur.last || s.cur.aborted || s.roff != len(s.cur.data):
+			if err := v.drain(a, s, cs.Remote()); !abort {
+				return err
+			}
+		default:
+			s.open = false
+			v.rec.RecordT(a.Name(), s.t0, a.Now(), "u:unpack", s.traceID, s.hop)
+		}
+		return nil
+	}
+	if !c.open {
+		return nil
+	}
+	var err error
+	if !abort {
+		if err = v.sendPacket(a, cs.Remote(), c, c.buf, flagLast); err == nil {
+			v.rec.RecordT(a.Name(), c.t0, a.Now(), "p:pack", c.traceID, 0)
+		}
+	}
+	if abort || err != nil {
+		// Best effort: the message has failed already, and if this packet
+		// cannot leave either, nothing else from here reaches the receiver.
+		_ = v.sendPacket(a, cs.Remote(), c, nil, flagLast|flagAbort)
+	}
+	v.freeFrame(c.buf)
+	c.buf, c.open = nil, false
+	return err
+}
+
+// sendPacket ships one packet of c's message toward to through the next
+// hop. The sequence number moves only after the send is known good: a
+// failed send must not claim a number it never put on the wire.
+func (v *VC) sendPacket(a *vclock.Actor, to int, c *vcConn, payload []byte, flags uint32) error {
 	h := header{
-		Origin: c.v.rank, Dst: c.remote, Seq: c.seq,
+		Origin: v.rank, Dst: to, Seq: c.seq, Flags: flags,
 		Len: len(payload), CRC: checksum(payload),
 		Trace: c.traceID, // Hop starts at 0; gateways increment per relay
 	}
 	if c.seq == 0 {
 		h.Flags |= flagFirst
 	}
-	if last {
-		h.Flags |= flagLast
-	}
-	hp := c.v.next[c.remote]
-	if err := c.v.sendPacketOn(hp.seg, c.actor, hp.next, h, &c.hb, payload); err != nil {
+	hp := v.next[to]
+	if err := v.sendPacketOn(hp.seg, a, hp.next, h, &c.hb, payload); err != nil {
 		return err
 	}
 	c.seq++
-	c.sent = true
+	return nil
+}
+
+// genericPMM is a rank's protocol module on the VC channel: the Generic
+// TM for every block. PreConnect gives each connection the stream its
+// origin's packets are delivered into.
+type genericPMM struct {
+	v   *VC
+	tms []core.TM
+}
+
+func (p genericPMM) Name() string                                     { return "generic" }
+func (p genericPMM) Select(int, core.SendMode, core.RecvMode) core.TM { return p.tms[0] }
+func (p genericPMM) TMs() []core.TM                                   { return p.tms }
+func (p genericPMM) Connect(*core.ConnState) error                    { return nil }
+
+func (p genericPMM) PreConnect(cs *core.ConnState) error {
+	in := &stream{q: simnet.NewQueue[chunk]()}
+	p.v.streams[cs.Remote()] = in
+	cs.Priv = &vcConn{in: in}
 	return nil
 }
 
@@ -570,8 +660,8 @@ func (v *VC) sendPacketOn(seg int, a *vclock.Actor, next int, h header, hb *hdrB
 
 // rawSend transmits one packet as a two-block message on a real channel:
 // the self-description header travels express (the gateway must read it
-// before the payload), the payload cheaper. A header-only packet (an
-// end-of-message terminator) omits the payload block entirely.
+// before the payload), the payload cheaper. A header-only packet (an empty
+// message's) omits the payload block entirely.
 func rawSend(ch *core.Channel, a *vclock.Actor, next int, hb, payload []byte) error {
 	return ch.Send(a, next, func(conn *core.Connection) error {
 		if err := conn.Pack(hb, core.SendCheaper, core.ReceiveExpress); err != nil || len(payload) == 0 {
@@ -579,75 +669,4 @@ func rawSend(ch *core.Channel, a *vclock.Actor, next int, hb, payload []byte) er
 		}
 		return conn.Pack(payload, core.SendCheaper, core.ReceiveCheaper)
 	})
-}
-
-// BeginUnpacking blocks for the first packet of the next incoming message
-// and returns its connection. After a fatal error (see Err) it reports
-// that error instead of a bare ErrClosed.
-func (v *VC) BeginUnpacking(a *vclock.Actor) (*VConn, error) {
-	origin, ok := v.msgStart.Pop()
-	if !ok {
-		return nil, v.errOr(core.ErrClosed)
-	}
-	return &VConn{v: v, actor: a, remote: origin, sending: false, open: true, t0: a.Now()}, nil
-}
-
-// Unpack extracts the next len(dst) bytes of the message. A checksum
-// failure poisons the whole message: the stream drains through the
-// message's last chunk so the next message starts on a clean boundary,
-// and the connection closes (further Unpack/EndUnpacking report
-// ErrBadState, not phantom asymmetry).
-func (c *VConn) Unpack(dst []byte, sm core.SendMode, rm core.RecvMode) error {
-	if !c.open || c.sending {
-		return core.ErrBadState
-	}
-	st := c.v.stream(c.remote)
-	for len(dst) > 0 {
-		if st.roff == len(st.residue) {
-			c.v.freeFrame(st.residue)
-			st.residue, st.roff = nil, 0
-			ck, ok := st.q.Pop()
-			if !ok {
-				return c.v.errOr(core.ErrClosed)
-			}
-			c.actor.Sync(ck.stamp)
-			if c.traceID == 0 {
-				// The message's trace context, as carried by its packets.
-				c.traceID, c.hop = ck.trace, ck.hop
-			}
-			if ck.corrupt {
-				for !ck.last {
-					if ck, ok = st.q.Pop(); !ok {
-						break
-					}
-					c.actor.Sync(ck.stamp)
-				}
-				st.residue, st.roff = nil, 0
-				c.open = false
-				return fmt.Errorf("fwd: packet from %d failed its checksum", c.remote)
-			}
-			st.residue, st.roff = ck.data, 0
-		}
-		n := copy(dst, st.residue[st.roff:])
-		st.roff += n
-		dst = dst[n:]
-	}
-	return nil
-}
-
-// EndUnpacking finalizes the reception; pack/unpack asymmetry leaves
-// residue and is reported.
-func (c *VConn) EndUnpacking() error {
-	if !c.open || c.sending {
-		return core.ErrBadState
-	}
-	c.open = false
-	st := c.v.stream(c.remote)
-	if st.roff != len(st.residue) {
-		return fmt.Errorf("fwd: %d unconsumed bytes at message end (asymmetric unpack)", len(st.residue)-st.roff)
-	}
-	// The receiver's end of the distributed trace, tagged with the hop
-	// count the packets arrived carrying so it sorts after every relay.
-	c.v.rec.RecordT(c.actor.Name(), c.t0, c.actor.Now(), "u:unpack", c.traceID, c.hop)
-	return nil
 }

@@ -127,8 +127,9 @@ type (
 	VirtualChannel = fwd.VC
 	// VirtualChannelSpec describes a virtual channel.
 	VirtualChannelSpec = fwd.Spec
-	// VirtualConnection is one message over a virtual channel.
-	VirtualConnection = fwd.VConn
+	// VirtualConnection is one message over a virtual channel, a
+	// Connection like any other (its channel's TM is the Generic TM).
+	VirtualConnection = core.Connection
 )
 
 // The pack/unpack semantic flags (§2.2).
