@@ -167,6 +167,65 @@ func TestScopedMessageAllocs(t *testing.T) {
 	}
 }
 
+// bulkResidue is what a driver allocates per 1 MiB Table-1 message on its
+// own: the registration of each block that goes through rendezvous (VIA's
+// MemRegion for the body; rdma's for the body, rdma-rdv's for both blocks).
+var bulkResidue = map[string]float64{"via": 1, "rdma": 5, "rdma-rdv": 10}
+
+// bulkSlack absorbs the runtime's own allocations: a 1 MiB message per
+// call runs a garbage collection every few calls.
+const bulkSlack = 0.25
+
+// TestBulkMessageAllocs gates the bulk path: a warm scoped message with a
+// 1 MiB receive_CHEAPER body allocates nothing beyond the driver's
+// residue. SBP's body crosses in 33 kernel buffers, each lent to the
+// receiver and released back to the sender's pool, so ten messages
+// allocate no buffer memory at all.
+func TestBulkMessageAllocs(t *testing.T) {
+	const n = 100
+	for _, drv := range Drivers() {
+		t.Run(drv, func(t *testing.T) {
+			chans, _ := newTestChannel(t, drv)
+			l := newLane(t, chans, 1<<20, true)
+			run := func(k int) (allocs, bytes uint64) {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < k; i++ {
+					if err := l.oneMessage(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				runtime.ReadMemStats(&after)
+				return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+			}
+			if drv == "sbp" {
+				// The kernel pool grows once to its deepest burst and keeps
+				// it: warm it with a whole message in flight before its
+				// receiver starts, so no later interleaving finds it short.
+				if err := l.sendOne(); err != nil {
+					t.Fatal(err)
+				}
+				l.next <- struct{}{}
+				if err := <-l.done; err != nil {
+					t.Fatal(err)
+				}
+			}
+			run(20)
+			allocs, _ := run(n)
+			if got, want := float64(allocs)/n, bulkResidue[drv]; got > want+bulkSlack {
+				t.Errorf("%s: %.2f allocs per 1 MiB message, want at most %.0f", drv, got, want)
+			}
+			if drv != "sbp" {
+				return
+			}
+			// The runtime's own background work shows up as a few bytes now and then.
+			if _, bytes := run(10); bytes > 1024 {
+				t.Errorf("sbp: %d bytes allocated over ten 1 MiB messages, want none", bytes)
+			}
+		})
+	}
+}
+
 // TestWorldsAreCollectable pins that no driver keeps a torn-down world
 // alive: per driver, 40 worlds each built and used for one 64 KiB message
 // may leave the heap at most 0.5 MiB larger (a retained via or rdma world

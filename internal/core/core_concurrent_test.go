@@ -401,10 +401,19 @@ func TestUnpackAbortReleasesLease(t *testing.T) {
 	}
 }
 
+// sbpAllHome fails the test unless every kernel buffer the channel's
+// endpoint made is back in its pool.
+func sbpAllHome(t *testing.T, ch *Channel, when string) {
+	t.Helper()
+	if away, made := ch.pmm.(*sbpPMM).ep.Outstanding(); away != 0 {
+		t.Fatalf("%s: %d of the %d kernel buffers rank %d made are not home", when, away, made, ch.Rank())
+	}
+}
+
 // TestSBPAbortReleasesKernelBuffer pins the refused announcement on sbp: a
 // send toward a closed peer must hand its kernel static buffer back to the
-// pool. A leak would drain the PoolSize-deep send pool and block the
-// (PoolSize+1)-th attempt forever inside ObtainBuffer.
+// pool, so after each refused send every buffer the endpoint made is home
+// and a single leaked buffer fails.
 func TestSBPAbortReleasesKernelBuffer(t *testing.T) {
 	chans, _ := newTestChannel(t, "sbp")
 	chans[1].Close()
@@ -418,6 +427,71 @@ func TestSBPAbortReleasesKernelBuffer(t *testing.T) {
 		if !errors.Is(err, ErrClosed) {
 			t.Fatalf("send %d toward a closed sbp peer: %v, want ErrClosed", i, err)
 		}
+		sbpAllHome(t, chans[0], fmt.Sprintf("refused send %d", i))
+	}
+}
+
+// TestSBPExchangeDoesNotBlock pins the kernel pool that never blocks:
+// ranks 0 and 1 each send the other a 1 MiB message before either
+// receives, 33 kernel buffers each, more than PoolSize, all in flight at
+// once. Both messages arrive intact, and afterwards every buffer each
+// endpoint made is home. A pool that blocked at PoolSize outstanding
+// buffers would hang both ranks in their sends.
+func TestSBPExchangeDoesNotBlock(t *testing.T) {
+	chans, sess := newTestChannel(t, "sbp")
+	msgs := map[int][]block{
+		0: {{pattern(8, 1), SendCheaper, ReceiveExpress}, {pattern(1<<20, 2), SendCheaper, ReceiveCheaper}},
+		1: {{pattern(8, 3), SendCheaper, ReceiveExpress}, {pattern(1<<20, 4), SendCheaper, ReceiveCheaper}},
+	}
+	errs := make(chan error, 2)
+	for rank := range 2 {
+		go func() {
+			errs <- func() error {
+				ch, a := chans[rank], vclock.NewActor(fmt.Sprintf("rank%d", rank))
+				if err := ch.Send(a, 1-rank, func(cn *Connection) error {
+					for _, b := range msgs[rank] {
+						if err := cn.Pack(b.data, b.sm, b.rm); err != nil {
+							return err
+						}
+					}
+					return nil
+				}); err != nil {
+					return fmt.Errorf("rank %d send: %w", rank, err)
+				}
+				got := make([][]byte, len(msgs[1-rank]))
+				if err := ch.Recv(a, func(cn *Connection) error {
+					for i, b := range msgs[1-rank] {
+						got[i] = make([]byte, len(b.data))
+						if err := cn.Unpack(got[i], b.sm, b.rm); err != nil {
+							return err
+						}
+					}
+					return nil
+				}); err != nil {
+					return fmt.Errorf("rank %d receive: %w", rank, err)
+				}
+				for i, b := range msgs[1-rank] {
+					if !bytes.Equal(got[i], b.data) {
+						return fmt.Errorf("rank %d received a damaged %d-byte block", rank, len(b.data))
+					}
+				}
+				return nil
+			}()
+		}()
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ch := range chans {
+		sbpAllHome(t, ch, "after the exchange")
+		if _, made := ch.pmm.(*sbpPMM).ep.Outstanding(); made <= sbp.PoolSize {
+			t.Errorf("rank %d made %d kernel buffers for a 1 MiB message in flight, want more than %d", ch.Rank(), made, sbp.PoolSize)
+		}
+	}
+	if err := sess.CheckQuiescent(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 // sbpPMM is the SBP protocol module: the paper's canonical static-buffer
 // interface (§6.1) — user data must be written into kernel-provided static
 // buffers on the sending side, and arrives in kernel static buffers on the
-// receiving side. A single TM with the static-copy BMM.
+// receiving side: the sender's, lent across the wire until the receiver
+// releases it. A single TM with the static-copy BMM.
 type sbpPMM struct {
 	ep   *sbp.Endpoint
 	lane int
@@ -40,6 +41,18 @@ func (p *sbpPMM) PreConnect(cs *ConnState) error {
 	return nil
 }
 func (p *sbpPMM) Connect(cs *ConnState) error { return nil }
+
+// leftovers reports the endpoint's kernel buffers that are not home: a
+// session at rest has sent every buffer it obtained, and every message
+// sent was received and its buffers released.
+func (p *sbpPMM) leftovers() []string {
+	away, made := p.ep.Outstanding()
+	if away == 0 {
+		return nil
+	}
+	return []string{fmt.Sprintf("sbp node %d adapter %d: %d of %d kernel buffers not home (obtained and not sent, or sent and not released)",
+		p.ep.Node(), p.ep.Adapter().Index(), away, made)}
+}
 
 // sbpConn maps outstanding static buffer payloads back to their kernel
 // buffers, one map per direction: sendBufs tracks buffers obtained for
@@ -91,7 +104,8 @@ func (t *sbpMover) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error
 	return t.p.ep.Send(a, cs.Remote(), t.p.lane, b, len(data))
 }
 
-// unsent hands an unsent kernel buffer back to the pool, as Send does.
+// unsent hands an unsent kernel buffer back to the pool, as a failed Send
+// does.
 func (t *sbpMover) unsent(cs *ConnState, buf []byte) {
 	if b, err := sbpLookup(sbpState(cs).sendBufs, buf); err == nil {
 		t.p.ep.Release(b)

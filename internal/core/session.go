@@ -67,11 +67,13 @@ func (s *Session) World() *simnet.World { return s.world }
 
 // CheckQuiescent proves the session at rest: no direction lease held or
 // awaited, no send message open, no static buffer obtained and not sent,
-// and no conversation queued on or running in the progress engine. Each
-// finding is one line naming the channel, the local->remote ranks and the
-// direction; nil means there is none. It is what reports a Table-1
-// caller's missing End…. Call it once every actor of the session has
-// returned: it reads state the lease holders own.
+// no protocol buffer away from its home (an SBP kernel buffer sent and not
+// released), and no conversation queued on or running in the progress
+// engine. Each finding is one line naming the channel, the local->remote
+// ranks and the direction, or the protocol's endpoint; nil means there is
+// none. It is what reports a Table-1 caller's missing End…. Call it once
+// every actor of the session has returned: it reads state the lease
+// holders own.
 func (s *Session) CheckQuiescent() error {
 	s.mu.Lock()
 	chans := make([]*Channel, 0, len(s.channels))
@@ -83,10 +85,19 @@ func (s *Session) CheckQuiescent() error {
 		return cmp.Or(strings.Compare(a.name, b.name), a.rank-b.rank)
 	})
 	var lines []string
+	seen := map[string]bool{} // channels on one adapter share its endpoint
 	for _, ch := range chans {
 		for _, r := range ch.members {
 			if cs := ch.conns[r]; cs != nil {
 				lines = append(lines, cs.leftovers()...)
+			}
+		}
+		if p, ok := ch.pmm.(interface{ leftovers() []string }); ok {
+			for _, l := range p.leftovers() {
+				if !seen[l] {
+					seen[l] = true
+					lines = append(lines, l)
+				}
 			}
 		}
 	}

@@ -50,32 +50,102 @@ func TestStaticBufferRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPoolBoundsAndRecycling: a sent buffer is away until its receiver
+// releases it, obtaining beyond PoolSize while every buffer is in flight
+// makes more instead of blocking, and once the receiver has released
+// everything every buffer the endpoint made is home.
 func TestPoolBoundsAndRecycling(t *testing.T) {
 	e0, e1 := pair(t)
 	s := vclock.NewActor("s")
-	// Drain the whole tx pool, send everything, and verify the buffers
-	// return to the pool after Send (the kernel owns them again).
-	bufs := make([]*Buf, PoolSize)
-	for i := range bufs {
-		bufs[i] = e0.ObtainBuffer()
-		bufs[i].Bytes()[0] = byte(i)
-	}
-	for _, b := range bufs {
+	const inFlight = 2 * PoolSize
+	for i := 0; i < inFlight; i++ {
+		b := e0.ObtainBuffer()
+		b.Bytes()[0] = byte(i)
 		if err := e0.Send(s, 1, 0, b, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// All buffers recycled: obtaining PoolSize more must not block.
-	for i := 0; i < PoolSize; i++ {
-		e0.Release(e0.ObtainBuffer())
+	if away, made := e0.Outstanding(); away != inFlight || made != inFlight {
+		t.Fatalf("%d buffers in flight: %d away of %d made, want all away", inFlight, away, made)
 	}
 	r := vclock.NewActor("r")
-	for i := 0; i < PoolSize; i++ {
-		rb, _, err := e1.Recv(r, 0, 0)
-		if err != nil || rb.Bytes()[0] != byte(i) {
-			t.Fatalf("recv %d: %v", i, err)
+	for i := 0; i < inFlight; i++ {
+		rb, n, err := e1.Recv(r, 0, 0)
+		if err != nil || n != 1 || rb.Bytes()[0] != byte(i) {
+			t.Fatalf("recv %d: %d bytes, %v", i, n, err)
 		}
 		e1.Release(rb)
+		if away, _ := e0.Outstanding(); away != inFlight-1-i {
+			t.Fatalf("after %d releases %d buffers are away, want %d", i+1, away, inFlight-1-i)
+		}
+	}
+	if e0.txPool.Len() != inFlight {
+		t.Errorf("pool holds %d buffers, want the %d it made", e0.txPool.Len(), inFlight)
+	}
+	if away, made := e1.Outstanding(); away != 0 || made != PoolSize {
+		t.Errorf("receiver: %d away of %d made, want 0 of %d: receiving takes no buffer of its own", away, made, PoolSize)
+	}
+}
+
+// TestRecvLendsSenderBuffer: the receiver gets the sender's own buffer,
+// its bytes in place, and releasing it brings it home to the sender's
+// pool, to be obtained again.
+func TestRecvLendsSenderBuffer(t *testing.T) {
+	e0, e1 := pair(t)
+	s, r := vclock.NewActor("s"), vclock.NewActor("r")
+	b := e0.ObtainBuffer()
+	copy(b.Bytes(), "lent, not copied")
+	if err := e0.Send(s, 1, 0, b, 16); err != nil {
+		t.Fatal(err)
+	}
+	rb, n, err := e1.Recv(r, 0, 0)
+	if err != nil || rb != b || &rb.Bytes()[0] != &b.data[0] || string(rb.Bytes()[:n]) != "lent, not copied" {
+		t.Fatalf("recv: same buffer %v, %q, %v", rb == b, rb.Bytes()[:n], err)
+	}
+	e1.Release(rb)
+	if away, _ := e0.Outstanding(); away != 0 {
+		t.Fatalf("%d buffers away after the receiver released", away)
+	}
+	for i := 0; i < PoolSize; i++ {
+		if e0.ObtainBuffer() == b {
+			return
+		}
+	}
+	t.Error("the released buffer did not return to the sender's pool")
+}
+
+// TestRecvCorruptCopy: a fault in flight delivers a damaged copy, which is
+// what the receiver reads; the sender's buffer keeps its bytes and goes
+// home on Release, and its next use reads its own bytes again.
+func TestRecvCorruptCopy(t *testing.T) {
+	e0, e1 := pair(t)
+	s, r := vclock.NewActor("s"), vclock.NewActor("r")
+	want := bytes.Repeat([]byte{0x5a}, 64)
+	b := e0.ObtainBuffer()
+	copy(b.Bytes(), want)
+	e0.adapter.CorruptNext()
+	if err := e0.Send(s, 1, 0, b, len(want)); err != nil {
+		t.Fatal(err)
+	}
+	rb, n, err := e1.Recv(r, 0, 0)
+	if err != nil || rb != b || n != len(want) {
+		t.Fatalf("recv: same buffer %v, %d bytes, %v", rb == b, n, err)
+	}
+	if got := rb.Bytes()[:n]; bytes.Equal(got, want) || &got[0] == &b.data[0] {
+		t.Error("the receiver must read the fault's flipped copy")
+	}
+	if !bytes.Equal(b.data[:n], want) {
+		t.Error("the fault wrote the sender's buffer")
+	}
+	e1.Release(rb)
+	if away, _ := e0.Outstanding(); away != 0 || &b.Bytes()[0] != &b.data[0] || len(b.Bytes()) != BufSize {
+		t.Fatalf("after Release: %d away, buffer exposes %d bytes of its own %v", away, len(b.Bytes()), &b.Bytes()[0] == &b.data[0])
+	}
+	if err := e0.Send(s, 1, 0, b, len(want)); err != nil {
+		t.Fatal(err)
+	}
+	if rb, n, _ := e1.Recv(r, 0, 0); !bytes.Equal(rb.Bytes()[:n], want) {
+		t.Error("the buffer's next trip read the damaged copy")
 	}
 }
 

@@ -10,7 +10,7 @@ type Packet struct {
 	Inject int64 // vclock.Time: sender began injecting
 	Arrive int64 // vclock.Time: last byte lands at the receiver
 	Tag    uint64
-	Kind   int // driver-specific discriminator (e.g. control vs data)
+	lent   bool // arrived through Lend: the sender's buffer, not the lane's
 }
 
 // ring is a growable FIFO ring buffer: pushes and pops in steady state

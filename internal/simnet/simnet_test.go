@@ -395,3 +395,58 @@ func TestFaultInjection(t *testing.T) {
 		t.Error("empty packet must stay empty")
 	}
 }
+
+// TestLendNeverRecycled pins the lend path: Recv returns the lent payload
+// itself, the lane's traffic counters move as for Deliver, and the lane
+// never takes a lent payload into its free list or its bulk slot, whatever
+// its size, so a later Deliver cannot write into the sender's memory. A
+// fault strikes a copy and leaves the lent buffer as it was.
+func TestLendNeverRecycled(t *testing.T) {
+	w := NewWorld(2)
+	a0, a1 := w.Node(0).AddAdapter("net"), w.Node(1).AddAdapter("net")
+	l := a1.lane(0, 0)
+	base := func(b []byte) *byte { return &b[:1][0] }
+	owned := func(b []byte) bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		for _, f := range l.free {
+			if base(f) == base(b) {
+				return true
+			}
+		}
+		return l.bulk != nil && base(l.bulk) == base(b)
+	}
+
+	small, bulk := make([]byte, laneBufMax), make([]byte, 2*laneBufMax)
+	for _, lent := range [][]byte{small, bulk} {
+		lent[0] = 7
+		a0.Lend(a1, 0, Packet{Data: lent, Arrive: 5, Tag: 3})
+		p, ok := a1.Recv(0, 0)
+		if !ok || base(p.Data) != base(lent) || len(p.Data) != len(lent) || p.Arrive != 5 || p.Tag != 3 {
+			t.Fatalf("lent %d bytes, received %d (same buffer %v), ok=%v", len(lent), len(p.Data), base(p.Data) == base(lent), ok)
+		}
+		// The next Recv is where a lane takes back what it lent last.
+		a0.Deliver(a1, 0, Packet{Data: lent})
+		if p, _ := a1.Recv(0, 0); base(p.Data) == base(lent) || owned(lent) {
+			t.Fatalf("a %d-byte lent payload joined the lane's buffers", len(lent))
+		}
+	}
+	if bi, _, pi, _ := a1.Stats(); bi != 2*int64(len(small)+len(bulk)) || pi != 4 {
+		t.Errorf("receiver counted %d bytes in %d packets, want %d in 4", bi, pi, 2*(len(small)+len(bulk)))
+	}
+
+	a0.CorruptNext()
+	a0.Lend(a1, 0, Packet{Data: small})
+	p, _ := a1.Recv(0, 0)
+	if base(p.Data) == base(small) || p.Data[len(small)/2] == small[len(small)/2] {
+		t.Error("a struck lent payload must arrive as the fault's flipped copy")
+	}
+	if small[len(small)/2] != 0 {
+		t.Error("the fault wrote the lent buffer")
+	}
+	a0.Deliver(a1, 0, Packet{Data: small[:1]})
+	a1.Recv(0, 0)
+	if owned(small) {
+		t.Error("the lane took the lent buffer after a fault struck it")
+	}
+}

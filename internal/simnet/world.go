@@ -64,6 +64,9 @@ type Node struct {
 // ID reports the node's rank in its world.
 func (n *Node) ID() int { return n.id }
 
+// World returns the world the node belongs to.
+func (n *Node) World() *World { return n.world }
+
 // Bus returns the node's PCI bus model.
 func (n *Node) Bus() *model.PCIBus { return n.bus }
 
@@ -171,7 +174,8 @@ func (a *Adapter) TxEngine() *vclock.Resource { return a.tx }
 // destination lane; the receiver may read it until its next Recv on the
 // lane, and then the buffer serves a later Deliver. The free list holds
 // only what was in flight at once, at most laneFreeMax; above laneBufMax a
-// lane keeps at most one idle buffer, the one its last Recv lent.
+// lane keeps at most one idle buffer, the one its last Recv lent. A
+// payload that arrived through Lend is the sender's and never joins them.
 type rxLane struct {
 	q *Queue[Packet]
 
@@ -234,7 +238,10 @@ func (a *Adapter) Recv(srcNode, lane int) (Packet, bool) {
 	} else if c > 0 && len(l.free) < laneFreeMax {
 		l.free = append(l.free, l.held)
 	}
-	l.held = p.Data
+	l.held = nil
+	if !p.lent {
+		l.held = p.Data
+	}
 	l.mu.Unlock()
 	return p, ok
 }
@@ -259,24 +266,40 @@ func (a *Adapter) Deliver(dst *Adapter, lane int, p Packet, more ...[]byte) {
 	l := dst.lane(a.node.id, lane)
 	// The queued packet is built field by field: p.Data itself must not
 	// reach the queue, or every caller's payload would escape to the heap.
-	out := Packet{Inject: p.Inject, Arrive: p.Arrive, Tag: p.Tag, Kind: p.Kind}
+	out := Packet{Inject: p.Inject, Arrive: p.Arrive, Tag: p.Tag}
 	if n > 0 {
 		out.Data = append(l.buffer(n), p.Data...)
 		for _, m := range more {
 			out.Data = append(out.Data, m...)
 		}
 	}
-	out.Data = a.corruptOnce(out.Data)
+	a.push(dst, l, out)
+}
+
+// Lend is Deliver without the copy: the receiver's Recv returns p.Data
+// itself, a buffer the sending protocol owns and takes back when the
+// receiver is done with it (SBP's kernel buffers). The lane never recycles
+// it, and the fabric never writes it: a fault that strikes delivers its
+// own damaged copy instead.
+func (a *Adapter) Lend(dst *Adapter, lane int, p Packet) {
+	p.lent = true
+	a.push(dst, dst.lane(a.node.id, lane), p)
+}
+
+// push is the common tail of Deliver and Lend: the faults strike, the
+// counters move and the packet joins the lane.
+func (a *Adapter) push(dst *Adapter, l *rxLane, p Packet) {
+	p.Data = a.corruptOnce(p.Data)
 	if fs := a.faults.Load(); fs != nil {
 		var extra int64
-		out.Data, extra = fs.strike(out.Data, out.Inject)
-		out.Arrive += extra
+		p.Data, extra = fs.strike(p.Data, p.Inject)
+		p.Arrive += extra
 	}
-	a.bytesOut.Add(int64(len(out.Data)))
+	a.bytesOut.Add(int64(len(p.Data)))
 	a.pktsOut.Add(1)
-	dst.bytesIn.Add(int64(len(out.Data)))
+	dst.bytesIn.Add(int64(len(p.Data)))
 	dst.pktsIn.Add(1)
-	l.q.Push(out)
+	l.q.Push(p)
 }
 
 // Stats reports cumulative traffic through the adapter.
