@@ -125,10 +125,10 @@ const raceEnabled = false
 
 // driverResidue is what a driver allocates per Table-1 message on its own.
 // Every driver has none except the rendezvous ablation: rdma-rdv forces
-// the header and the body through rendezvous, and each block registers its
-// destination (the MemRegion, its segment, the segment's completion queue
-// with its cond, and the queue's first ring). Registration per block is
-// the protocol.
+// the header and the body through rendezvous, where they take turns on the
+// direction's one kept destination registration. So each block misses it
+// and registers its destination afresh: the MemRegion, its segment, the
+// segment's completion queue with its cond, and the queue's first ring.
 var driverResidue = map[string]float64{"rdma-rdv": 10}
 
 // TestMessagePathAllocs gates the Table-1 path's allocation count with no
@@ -168,9 +168,11 @@ func TestScopedMessageAllocs(t *testing.T) {
 }
 
 // bulkResidue is what a driver allocates per 1 MiB Table-1 message on its
-// own: the registration of each block that goes through rendezvous (VIA's
-// MemRegion for the body; rdma's for the body, rdma-rdv's for both blocks).
-var bulkResidue = map[string]float64{"via": 1, "rdma": 5, "rdma-rdv": 10}
+// own. A warm body finds its buffer still registered from the last message,
+// on both via sides and on rdma's receive side, so only rdma-rdv registers:
+// its header and body miss the direction's kept registration in turn (see
+// driverResidue).
+var bulkResidue = map[string]float64{"rdma-rdv": 10}
 
 // bulkSlack absorbs the runtime's own allocations: a 1 MiB message per
 // call runs a garbage collection every few calls.

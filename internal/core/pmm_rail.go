@@ -105,6 +105,22 @@ func (p *railPMM) bindMetrics(reg *metrics.Registry) {
 	}
 }
 
+// pinned hands each registered-memory rail its own connections, so an
+// adapter a rail shares with plain channels is held to the pins of both.
+func (p *railPMM) pinned(conns []*ConnState, add func(string, int, int)) {
+	for i, r := range p.rails {
+		sub, ok := r.pmm.(pinner)
+		if !ok {
+			continue
+		}
+		subs := make([]*ConnState, len(conns))
+		for j, cs := range conns {
+			subs[j] = cs.Priv.(*railConn).subs[i]
+		}
+		sub.pinned(subs, add)
+	}
+}
+
 // newRailPMM instantiates the rails of a channel on one node. Each rail
 // gets its own channel id (ids[i]) so per-channel protocol resources
 // (ports, tags, segment ids, VI discriminators) never collide.

@@ -25,13 +25,14 @@ import (
 //     RDMA-written into a slot of the receiver's pre-registered eager
 //     ring; credit frames flow back as slots are consumed.
 //   - rdma-rdv: rendezvous zero-copy. The sender announces the block
-//     (RTS), the receiver registers the actual destination buffer and
+//     (RTS), the receiver registers the actual destination buffer (or
+//     finds it still registered from the direction's last block) and
 //     answers CTS, and the sender RDMA-writes the payload straight into
 //     the destination — no copy on either host, at the price of a
-//     control round trip and the registration cost. A FIN frame carries
-//     the payload checksum; the receiver verdicts ACK/NACK and a NACK
-//     retransmits, so a hostile fabric surfaces as counted retransmits,
-//     never a torn destination handed to the application.
+//     control round trip and, on a miss, the registration cost. A FIN
+//     frame carries the payload checksum; the receiver verdicts ACK/NACK
+//     and a NACK retransmits, so a hostile fabric surfaces as counted
+//     retransmits, never a torn destination handed to the application.
 //
 // Control-frame integrity contract. RTS/CTS/FIN frames are padded to 64
 // bytes — at or above simnet.DefaultFaultMinBytes, so fault plans strike
@@ -87,7 +88,7 @@ const (
 	rdmaKeyEager  = iota // eager ring, registered by the data receiver
 	rdmaKeyCtrl          // RTS/FIN ring, registered by the data receiver
 	rdmaKeyResp          // CTS/verdict/credit ring, registered by the data sender
-	rdmaKeyRdvDst        // rendezvous destination, registered per block
+	rdmaKeyRdvDst        // rendezvous destination, kept until a block misses it
 )
 
 func newRDMAPMM(node *simnet.Node, adapter, chanID int, force string) (PMM, error) {
@@ -183,8 +184,9 @@ type rdmaConn struct {
 	rdvSend  uint32 // next rendezvous sequence (outbound)
 
 	// receive path
-	respNext int    // next slot in the peer's resp ring
-	rdvRecv  uint32 // next rendezvous sequence (inbound)
+	respNext int             // next slot in the peer's resp ring
+	rdvRecv  uint32          // next rendezvous sequence (inbound)
+	rdvDst   *rdma.MemRegion // kept rendezvous destination, under ownRdvDst
 
 	// The credit window over the peer's eager ring, split the same way.
 	slots *creditWindow
@@ -226,6 +228,21 @@ func (p *rdmaPMM) PreConnect(cs *ConnState) error {
 }
 
 func (p *rdmaPMM) Connect(cs *ConnState) error { return nil }
+
+// rdmaRings is how many regions PreConnect registers per connection: the
+// eager, ctrl and resp rings.
+const rdmaRings = 3
+
+func (p *rdmaPMM) pinned(conns []*ConnState, add func(string, int, int)) {
+	held := 0
+	for _, cs := range conns {
+		held += rdmaRings
+		if rdmaState(cs).rdvDst != nil {
+			held++
+		}
+	}
+	add(fmt.Sprintf("rdma node %d adapter %d", p.hca.Node(), p.hca.Index()), p.hca.Registered(), held)
+}
 
 func rdmaState(cs *ConnState) *rdmaConn { return cs.Priv.(*rdmaConn) }
 
@@ -402,8 +419,9 @@ func (t *rdmaEager) returnCredits(a *vclock.Actor, cs *ConnState, n int) error {
 // receiver registers the actual destination buffer under the schedule's
 // per-direction key and answers CTS, and the payload travels as one
 // RDMA write straight into application memory — the only per-byte costs
-// are the wire and the receiver's page-granular registration. FIN/ACK
-// close the block; a checksum mismatch NACKs and retransmits.
+// are the wire and the receiver's page-granular registration, which the
+// next block from the same buffer does not pay again. FIN/ACK close the
+// block; a checksum mismatch NACKs and retransmits.
 type rdmaRdv struct{ p *rdmaPMM }
 
 func (t *rdmaRdv) Name() string { return "rdma-rdv" }
@@ -462,13 +480,24 @@ func (t *rdmaRdv) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) erro
 	if valid && int(size) != len(dst) {
 		return asymmetryError(fmt.Sprintf("rdma rendezvous block on %s", cs.ch.name), int(size), len(dst))
 	}
-	// Pin the real destination (page-granular cost), then release the
-	// sender.
-	region, err := t.p.hca.Register(a, st.ownRdvDst, dst)
+	// Pin the real destination (page-granular cost on a miss), then
+	// release the sender.
+	region, err := t.p.pin(a, st, dst)
 	if err != nil {
 		return err
 	}
-	defer region.Deregister()
+	if err := t.land(a, cs, seq, region, dst); err != nil {
+		// A write the block let through must not land in dst later.
+		st.unpin()
+		return err
+	}
+	return nil
+}
+
+// land answers CTS and verdicts the block's writes into region until one
+// delivers dst intact.
+func (t *rdmaRdv) land(a *vclock.Actor, cs *ConnState, seq uint32, region *rdma.MemRegion, dst []byte) error {
+	st := rdmaState(cs)
 	if err := t.p.writeFrame(a, st, st.peerResp, st.respNext, rdmaCTS, seq, 0, rdmaFrameSize); err != nil {
 		return err
 	}
@@ -499,5 +528,30 @@ func (t *rdmaRdv) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) erro
 			return err
 		}
 		st.respNext++
+	}
+}
+
+// pin returns the receive path's rendezvous registration for dst, writable
+// to len(dst) only. The kept one is a hit when it starts at dst's first
+// byte and spans dst, and costs nothing; a miss deregisters it, freeing
+// the direction's key, and registers dst[:cap(dst)], charged per page.
+func (p *rdmaPMM) pin(a *vclock.Actor, st *rdmaConn, dst []byte) (*rdma.MemRegion, error) {
+	if st.rdvDst == nil || !covers(st.rdvDst.Bytes(), dst) {
+		st.unpin()
+		r, err := p.hca.Register(a, st.ownRdvDst, dst[:cap(dst)])
+		if err != nil {
+			return nil, err
+		}
+		st.rdvDst = r
+	}
+	st.rdvDst.SetWritable(len(dst))
+	return st.rdvDst, nil
+}
+
+// unpin deregisters the kept rendezvous destination and forgets it.
+func (st *rdmaConn) unpin() {
+	if st.rdvDst != nil {
+		_ = st.rdvDst.Deregister() // fails only on a second call, which forgetting it rules out
+		st.rdvDst = nil
 	}
 }

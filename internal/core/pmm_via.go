@@ -16,10 +16,13 @@ import (
 //     protocol on the control VI keeps the receiver's descriptor queue from
 //     underflowing (VIA's reliable-delivery mode breaks on
 //     receiver-not-ready).
-//   - via-large: big blocks are registered on the fly (pinning cost per
-//     page) and transferred RDMA-style into a receiver-posted registered
-//     destination; a READY message on the control VI releases the sender,
-//     since the receiver's posted buffer is what makes RDMA legal.
+//   - via-large: big blocks are transferred RDMA-style into a
+//     receiver-posted registered destination; a READY message on the
+//     control VI releases the sender, since the receiver's posted buffer
+//     is what makes RDMA legal. Each side keeps its last block's
+//     registration (a one-entry pin-down cache per direction), so only a
+//     block from memory it does not cover is registered on the fly, at
+//     the pinning cost per page.
 type viaPMM struct {
 	nic    *via.NIC
 	chanID int
@@ -30,6 +33,7 @@ type viaPMM struct {
 const (
 	viaShortCredits = 16 // pre-posted short descriptors per connection
 	viaCtrlPosted   = 8  // pre-posted control descriptors
+	viaStaging      = 2  // registered staging buffers per send ring
 )
 
 // Control message types on the ctrl VI.
@@ -96,7 +100,15 @@ type viaConn struct {
 	ctrlNext int
 
 	descs *creditWindow // the peer's pre-posted short descriptors
+
+	// The large blocks' kept registrations: sendReg belongs to the send
+	// path, recvReg to the receive path.
+	sendReg, recvReg *via.MemRegion
 }
+
+// viaRings is how many regions PreConnect pins per connection: the
+// posted short and control descriptors and the two staging rings.
+const viaRings = viaShortCredits + viaCtrlPosted + 2*viaStaging
 
 func (p *viaPMM) PreConnect(cs *ConnState) error {
 	st := &viaConn{descs: newCreditWindow(viaShortCredits)}
@@ -122,7 +134,7 @@ func (p *viaPMM) PreConnect(cs *ConnState) error {
 			return err
 		}
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < viaStaging; i++ {
 		st.dataBufs = append(st.dataBufs, p.nic.Register(setup, make([]byte, model.VIAShortMax)))
 		st.ctrlBufs = append(st.ctrlBufs, p.nic.Register(setup, make([]byte, 16)))
 	}
@@ -131,6 +143,21 @@ func (p *viaPMM) PreConnect(cs *ConnState) error {
 }
 
 func (p *viaPMM) Connect(cs *ConnState) error { return nil }
+
+func (p *viaPMM) pinned(conns []*ConnState, add func(string, int, int)) {
+	held := 0
+	for _, cs := range conns {
+		st := viaState(cs)
+		held += viaRings
+		if st.sendReg != nil {
+			held++
+		}
+		if st.recvReg != nil {
+			held++
+		}
+	}
+	add(fmt.Sprintf("via node %d adapter %d", p.nic.Node(), p.nic.Index()), p.nic.Registered(), held)
+}
 
 func viaState(cs *ConnState) *viaConn { return cs.Priv.(*viaConn) }
 
@@ -251,10 +278,9 @@ func (t *viaLarge) Link(n int) model.Link {
 
 func (t *viaLarge) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
 	st := viaState(cs)
-	// Register (pin) the user buffer, then wait for the receiver's READY —
-	// the posted registered destination is what makes the transfer legal.
-	region := t.p.nic.Register(a, data)
-	defer region.Deregister()
+	// Pin the user buffer, then wait for the receiver's READY — the posted
+	// registered destination is what makes the transfer legal.
+	region := t.p.pin(a, &st.sendReg, data)
 	if _, err := t.p.waitCtrl(a, cs, viaCtrlReady); err != nil {
 		return err
 	}
@@ -263,21 +289,61 @@ func (t *viaLarge) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error
 
 func (t *viaLarge) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) error {
 	st := viaState(cs)
-	// Pin the destination, post it, and release the sender.
-	region := t.p.nic.Register(a, dst)
-	defer region.Deregister()
-	if err := st.large.PostRecv(region); err != nil {
+	// Pin the destination, post exactly len(dst) of it, and release the
+	// sender.
+	region := t.p.pin(a, &st.recvReg, dst)
+	err := t.receive(a, cs, region, len(dst))
+	if err != nil {
+		// A descriptor the block left posted must not land in dst later.
+		unpin(&st.recvReg)
+	}
+	return err
+}
+
+// receive posts the first n bytes of region, releases the sender and
+// waits for the block to land there.
+func (t *viaLarge) receive(a *vclock.Actor, cs *ConnState, region *via.MemRegion, n int) error {
+	st := viaState(cs)
+	if err := st.large.PostRecvN(region, n); err != nil {
 		return err
 	}
 	if err := t.p.sendCtrl(a, cs, viaCtrlReady, 0); err != nil {
 		return err
 	}
-	got, n, err := st.large.WaitRecv(a)
+	got, m, err := st.large.WaitRecv(a)
 	if err != nil {
 		return err
 	}
-	if got != region || n != len(dst) {
-		return asymmetryError(fmt.Sprintf("via large block on %s", cs.ch.name), n, len(dst))
+	if got != region || m != n {
+		return asymmetryError(fmt.Sprintf("via large block on %s", cs.ch.name), m, n)
 	}
 	return nil
+}
+
+// pin returns a registration covering buf for one large block. The
+// direction's kept registration is a hit when it starts at buf's first
+// byte and spans buf, and costs nothing; a miss registers buf[:cap(buf)],
+// charged per page, and deregisters the registration it replaces.
+func (p *viaPMM) pin(a *vclock.Actor, kept **via.MemRegion, buf []byte) *via.MemRegion {
+	if r := *kept; r != nil && covers(r.Bytes(), buf) {
+		return r
+	}
+	unpin(kept)
+	*kept = p.nic.Register(a, buf[:cap(buf)])
+	return *kept
+}
+
+// unpin deregisters a kept registration and forgets it.
+func unpin(kept **via.MemRegion) {
+	if *kept != nil {
+		_ = (*kept).Deregister() // fails only on a second call, which forgetting it rules out
+		*kept = nil
+	}
+}
+
+// covers reports whether a registered region starts at buf's first byte
+// and is at least as long: the hit rule of a kept registration. The
+// region holds its memory alive, so no other buffer can start there.
+func covers(region, buf []byte) bool {
+	return len(buf) > 0 && len(region) >= len(buf) && &region[0] == &buf[0]
 }

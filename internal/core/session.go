@@ -65,15 +65,24 @@ func (s *Session) Shutdown() { s.eng.stop() }
 // World returns the session's cluster.
 func (s *Session) World() *simnet.World { return s.world }
 
+// pinner is a PMM over registered memory. pinned calls add for each
+// adapter it registers on, with the adapter's name, the regions
+// registered there by every channel on it, and the ones conns hold: their
+// rings and their kept registrations.
+type pinner interface {
+	pinned(conns []*ConnState, add func(adapter string, registered, held int))
+}
+
 // CheckQuiescent proves the session at rest: no direction lease held or
 // awaited, no send message open, no static buffer obtained and not sent,
 // no protocol buffer away from its home (an SBP kernel buffer sent and not
-// released), and no conversation queued on or running in the progress
-// engine. Each finding is one line naming the channel, the local->remote
-// ranks and the direction, or the protocol's endpoint; nil means there is
-// none. It is what reports a Table-1 caller's missing End…. Call it once
-// every actor of the session has returned: it reads state the lease
-// holders own.
+// released), no region pinned on a via NIC or rdma HCA beyond its
+// channels' rings and kept registrations, and no conversation queued on
+// or running in the progress engine. Each finding is one line naming the
+// channel, the local->remote ranks and the direction, or the protocol's
+// endpoint or adapter; nil means there is none. It is what reports a
+// Table-1 caller's missing End…. Call it once every actor of the session
+// has returned: it reads state the lease holders own.
 func (s *Session) CheckQuiescent() error {
 	s.mu.Lock()
 	chans := make([]*Channel, 0, len(s.channels))
@@ -86,11 +95,29 @@ func (s *Session) CheckQuiescent() error {
 	})
 	var lines []string
 	seen := map[string]bool{} // channels on one adapter share its endpoint
+	// Channels on one adapter share its registrations: their pins are
+	// summed before the adapter's count is held to them.
+	type tally struct{ registered, held int }
+	var adapters []string
+	pins := map[string]*tally{}
 	for _, ch := range chans {
+		var conns []*ConnState
 		for _, r := range ch.members {
 			if cs := ch.conns[r]; cs != nil {
 				lines = append(lines, cs.leftovers()...)
+				conns = append(conns, cs)
 			}
+		}
+		if p, ok := ch.pmm.(pinner); ok {
+			p.pinned(conns, func(name string, registered, held int) {
+				tl := pins[name]
+				if tl == nil {
+					tl = &tally{registered: registered}
+					pins[name] = tl
+					adapters = append(adapters, name)
+				}
+				tl.held += held
+			})
 		}
 		if p, ok := ch.pmm.(interface{ leftovers() []string }); ok {
 			for _, l := range p.leftovers() {
@@ -99,6 +126,12 @@ func (s *Session) CheckQuiescent() error {
 					lines = append(lines, l)
 				}
 			}
+		}
+	}
+	for _, name := range adapters {
+		if tl := pins[name]; tl.registered > tl.held {
+			lines = append(lines, fmt.Sprintf("%s: %d regions registered, %d held by its channels' rings and kept registrations",
+				name, tl.registered, tl.held))
 		}
 	}
 	if n := s.eng.live.Load(); n != 0 {

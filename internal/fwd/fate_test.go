@@ -395,3 +395,30 @@ func TestGatewayFates(t *testing.T) {
 		}
 	}
 }
+
+// TestReliableCRCDropReturnsFrame: a delivered packet that the reliable
+// edge refuses for its checksum gives back the frame it was read into, so
+// twenty refusals, each followed by a clean packet that is consumed, make
+// the handle no new frame.
+func TestReliableCRCDropReturnsFrame(t *testing.T) {
+	w := newFateWorld(t, true)
+	v := w.vcs[1]
+	w.served(1) // the edge's one circulating frame
+	made := v.framesMade.Load()
+	for i := 0; i < 20; i++ {
+		h, payload := w.good(1, byte(i))
+		h.CRC ^= 1
+		w.send(1, w.encode(h), payload)
+		if got := w.verdict(1); got != "nack" {
+			t.Fatalf("corrupt packet %d: verdict %s, want nack", i, got)
+		}
+		w.served(1)
+	}
+	if got := v.framesMade.Load() - made; got != 0 {
+		t.Errorf("the edge made %d frames over 20 refused packets, want 0", got)
+	}
+	if got := v.RelStats().DropCRC; got != 20 {
+		t.Errorf("%d CRC drops counted, want 20", got)
+	}
+	requireQuiescent(t, w.sess, w.vcs)
+}

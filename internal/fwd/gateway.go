@@ -258,10 +258,14 @@ func (d *daemonState) recv() bool {
 	if corrupt {
 		switch {
 		case rel:
-			// The previous hop still holds the packet: refuse it.
+			// The previous hop still holds the packet: refuse it, and
+			// give back what was taken to hold it.
 			v.ctr.dropCRC.Add(1)
 			if tok != nil {
 				p.free.PushIfOpen(tok)
+			}
+			if what == fateDeliver {
+				v.freeFrame(frame)
 			}
 			what = fateDrop
 		case what == fateDeliver:

@@ -87,7 +87,9 @@ var VIASend = Link{Name: "via-send", Fixed: vclock.Micros(9), Bandwidth: 95, Kin
 var VIARDMA = Link{Name: "via-rdma", Fixed: vclock.Micros(14), Bandwidth: 105, Kind: DMA}
 
 // VIARegister is the per-page memory-registration cost paid when a large
-// user buffer must be pinned on the fly.
+// user buffer must be pinned on the fly: on a miss of the connection
+// direction's kept registration, not again for a block from memory it
+// already covers.
 var VIARegister = vclock.Micros(12)
 
 // VIAPageSize is the registration granularity.
@@ -110,10 +112,11 @@ const RDMAEagerMax = 4096
 // RDMACrossover is where the Switch module hands non-EXPRESS blocks from
 // eager to rendezvous. It is the calibrated intersection of the two cost
 // lines: eager pays ~9.3 µs fixed plus ~14.9 ns/B (two bounce copies at
-// MadCopyBandwidth plus the wire), rendezvous pays the ~34.6 µs RTS/CTS
-// handshake plus ~3.2 ns/B zero-copy wire time — equal near 2.2 kB. The
-// bandwidth sweep has no 2 kB point, so either side of the constant wins
-// its whole half of the sweep cleanly.
+// MadCopyBandwidth plus the wire), rendezvous on a kept registration pays
+// the ~32.6 µs RTS/CTS handshake plus ~3.2 ns/B zero-copy wire time —
+// equal near 2.0 kB. The bandwidth sweep has no 2 kB point: eager wins at
+// its 1 KiB point and rendezvous at its 4 KiB point, so either side of the
+// constant wins its whole half of the sweep cleanly.
 const RDMACrossover = 2048
 
 // RDMAEagerSlots is the number of bounce-buffer slots per direction; the
@@ -130,7 +133,8 @@ var RDMACtrl = Link{Name: "rdma-ctrl", Fixed: vclock.Micros(8), Bandwidth: 300, 
 
 // RDMARegister is the per-page cost of pinning and key-exchanging a user
 // region, paid by the rendezvous receiver when it registers the
-// destination on the fly.
+// destination on the fly: on a miss of the direction's kept registration,
+// not again for a block into memory it already covers.
 var RDMARegister = vclock.Micros(2)
 
 // RDMAPageSize is the registration granularity.

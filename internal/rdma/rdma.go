@@ -75,7 +75,8 @@ func (h *HCA) Adapter() *simnet.Adapter { return h.adapter }
 // key. The mutex serializes incoming writes against Deregister so a
 // write never lands after the region's completion stream has closed; the
 // atomic flag lets lock-free readers (local sanity checks) observe the
-// lifecycle.
+// lifecycle. Remote writes may reach the first writable bytes only: the
+// whole region unless its owner narrowed it with SetWritable.
 type MemRegion struct {
 	hca        *HCA
 	key        uint32
@@ -83,6 +84,7 @@ type MemRegion struct {
 	seg        *simnet.Segment
 	mu         sync.Mutex
 	registered atomic.Bool
+	writable   atomic.Int64
 }
 
 // Register pins buf, exports it under the caller-chosen key, and charges
@@ -102,6 +104,7 @@ func (h *HCA) Register(a *vclock.Actor, key uint32, buf []byte) (*MemRegion, err
 	}
 	m := &MemRegion{hca: h, key: key, buf: buf, seg: h.adapter.CreateSegmentOver(key, buf)}
 	m.registered.Store(true)
+	m.writable.Store(int64(len(buf)))
 	h.regions[key] = m
 	return m, nil
 }
@@ -126,6 +129,17 @@ func (m *MemRegion) Size() int { return m.seg.Size() }
 
 // Registered reports whether the region is currently pinned.
 func (m *MemRegion) Registered() bool { return m.registered.Load() }
+
+// SetWritable bounds remote writes to the region's first n bytes; a Write
+// reaching past them fails with ErrOutOfRange. A registration kept for
+// several blocks narrows it to each block before the peer may write.
+// n outside the region is a driver bug and panics.
+func (m *MemRegion) SetWritable(n int) {
+	if n < 0 || n > len(m.buf) {
+		panic(fmt.Sprintf("rdma: %d writable bytes in %d-byte region %#x", n, len(m.buf), m.key))
+	}
+	m.writable.Store(int64(n))
+}
 
 // Deregister unpins the region, withdraws its key, and closes its
 // completion stream (a blocked WaitWrite wakes with ErrNotRegistered
@@ -200,12 +214,13 @@ func (e *EP) remote(key uint32) (*MemRegion, error) {
 	return m, nil
 }
 
-// Write RDMA-writes data into the remote region key at offset off. The
-// initiating CPU pays only the doorbell half of the fixed cost; the HCA's
-// transmit engine serializes the wire time and the write becomes visible
-// to the target when the last byte lands. tag travels in the completion
-// for matching. The visibility time is returned and also pushed onto the
-// endpoint's send completion queue (see WaitSend).
+// Write RDMA-writes data into the remote region key at offset off, within
+// the region's writable bytes (see SetWritable). The initiating CPU pays
+// only the doorbell half of the fixed cost; the HCA's transmit engine
+// serializes the wire time and the write becomes visible to the target
+// when the last byte lands. tag travels in the completion for matching.
+// The visibility time is returned and also pushed onto the endpoint's
+// send completion queue (see WaitSend).
 //
 // Delivery re-checks registration under the region's lifecycle lock: a
 // Write racing the target's Deregister fails instead of landing bytes in
@@ -217,9 +232,9 @@ func (e *EP) Write(a *vclock.Actor, key uint32, off int, data []byte, tag uint64
 	if err != nil {
 		return 0, err
 	}
-	if off < 0 || off+len(data) > m.seg.Size() {
-		return 0, fmt.Errorf("rdma: write [%d,%d) into %d-byte region %#x: %w",
-			off, off+len(data), m.seg.Size(), key, ErrOutOfRange)
+	if w := int(m.writable.Load()); off < 0 || off+len(data) > w {
+		return 0, fmt.Errorf("rdma: write [%d,%d) into region %#x writable to %d: %w",
+			off, off+len(data), key, w, ErrOutOfRange)
 	}
 	a.Advance(link.Fixed / 2) // doorbell + WQE processing on the initiator
 	start, _ := e.hca.adapter.TxEngine().Acquire(a.Now(), link.ByteTime(len(data)))

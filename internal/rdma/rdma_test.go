@@ -230,3 +230,37 @@ func TestFaultPlanStrikesWrites(t *testing.T) {
 		t.Errorf("fault stats = %+v, corruption not counted", st)
 	}
 }
+
+// TestWritableBoundsWrite: a region narrowed with SetWritable refuses a
+// write past its writable bytes with ErrOutOfRange and keeps its bytes;
+// widened again, it takes the same write.
+func TestWritableBoundsWrite(t *testing.T) {
+	h0, h1 := pair(t)
+	s, r := vclock.NewActor("s"), vclock.NewActor("r")
+	dst := make([]byte, 256)
+	m, err := h1.Register(r, 7, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := h0.Dial(1, 0)
+	m.SetWritable(64)
+	if _, err := ep.Write(s, 7, 0, bytes.Repeat([]byte{0xee}, 128), 0, model.RDMAWrite); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("128 bytes into 64 writable: err = %v, want ErrOutOfRange", err)
+	}
+	if _, err := ep.Write(s, 7, 60, make([]byte, 8), 0, model.RDMAWrite); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("a write straddling the writable end: err = %v, want ErrOutOfRange", err)
+	}
+	if !bytes.Equal(dst, make([]byte, 256)) {
+		t.Fatal("a refused write landed in the region")
+	}
+	m.SetWritable(m.Size())
+	if _, err := ep.Write(s, 7, 0, bytes.Repeat([]byte{0xee}, 128), 0, model.RDMAWrite); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.WaitWrite(r); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst[:128], bytes.Repeat([]byte{0xee}, 128)) {
+		t.Error("the widened region did not take the write")
+	}
+}

@@ -82,7 +82,9 @@ func (m *MemRegion) Bytes() []byte { return m.buf }
 func (m *MemRegion) Registered() bool { return m.registered.Load() }
 
 // Register pins buf for NIC access, charging the per-page registration
-// cost to the actor.
+// cost to the actor. The region is buf itself: a caller that means to
+// keep the registration for later blocks from the same memory registers
+// buf[:cap(buf)] and posts or sends only what each block needs.
 func (n *NIC) Register(a *vclock.Actor, buf []byte) *MemRegion {
 	pages := (len(buf) + model.VIAPageSize - 1) / model.VIAPageSize
 	if pages == 0 {
@@ -111,6 +113,14 @@ func (m *MemRegion) Deregister() error {
 	return nil
 }
 
+// descriptor is one posted receive: a registered region and the length
+// of it the NIC may fill. A region registered past the block it is posted
+// for (a kept registration) takes no more than the descriptor allows.
+type descriptor struct {
+	region *MemRegion
+	n      int
+}
+
 // completion is one entry of a VI's receive completion queue.
 type completion struct {
 	region *MemRegion
@@ -125,7 +135,7 @@ type VI struct {
 	id     int
 	dst    int // peer node
 	dstIdx int // peer adapter index
-	posted *simnet.Queue[*MemRegion]
+	posted *simnet.Queue[descriptor]
 	comps  *simnet.Queue[completion]
 }
 
@@ -143,7 +153,7 @@ func (n *NIC) CreateVI(id, dstNode, dstIdx int) *VI {
 		id:     id,
 		dst:    dstNode,
 		dstIdx: dstIdx,
-		posted: simnet.NewQueue[*MemRegion](),
+		posted: simnet.NewQueue[descriptor](),
 		comps:  simnet.NewQueue[completion](),
 	}
 	n.vis[id] = v
@@ -169,13 +179,20 @@ func (v *VI) peerVI() (*VI, error) {
 	return pv, nil
 }
 
-// PostRecv appends a registered region to the VI's receive descriptor
-// queue.
-func (v *VI) PostRecv(m *MemRegion) error {
+// PostRecv appends a descriptor for the whole of a registered region to
+// the VI's receive descriptor queue.
+func (v *VI) PostRecv(m *MemRegion) error { return v.PostRecvN(m, len(m.buf)) }
+
+// PostRecvN posts a descriptor for the first n bytes of m: a send larger
+// than n fails with ErrTooSmall, however long the region is.
+func (v *VI) PostRecvN(m *MemRegion, n int) error {
 	if !m.registered.Load() {
 		return ErrNotRegistered
 	}
-	if !v.posted.PushIfOpen(m) {
+	if n < 0 || n > len(m.buf) {
+		return fmt.Errorf("via: descriptor of %d bytes over a %d-byte region", n, len(m.buf))
+	}
+	if !v.posted.PushIfOpen(descriptor{m, n}) {
 		return ErrVIClosed
 	}
 	return nil
@@ -195,10 +212,11 @@ func (v *VI) Send(a *vclock.Actor, m *MemRegion, n int, link model.Link) error {
 	if err != nil {
 		return err
 	}
-	dst, ok := pv.posted.TryPop()
+	d, ok := pv.posted.TryPop()
 	if !ok {
 		return ErrReceiverNotReady
 	}
+	dst := d.region
 	// Delivery-time re-check: the descriptor was registered when posted,
 	// but the receiver may have unpinned it since. The NIC must not DMA
 	// into unpinned memory; on a reliable-delivery VI the consumed
@@ -206,7 +224,7 @@ func (v *VI) Send(a *vclock.Actor, m *MemRegion, n int, link model.Link) error {
 	if !dst.registered.Load() {
 		return fmt.Errorf("via: posted descriptor deregistered before delivery: %w", ErrNotRegistered)
 	}
-	if len(dst.buf) < n {
+	if d.n < n {
 		return ErrTooSmall
 	}
 	a.Advance(link.Fixed / 2) // doorbell + descriptor processing on the host
@@ -247,10 +265,10 @@ func (v *VI) Close() []*MemRegion {
 	v.comps.Close()
 	var unposted []*MemRegion
 	for {
-		m, ok := v.posted.TryPop()
+		d, ok := v.posted.TryPop()
 		if !ok {
 			return unposted
 		}
-		unposted = append(unposted, m)
+		unposted = append(unposted, d.region)
 	}
 }

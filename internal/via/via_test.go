@@ -268,3 +268,49 @@ func TestBlockedWaitRecvFailsAtClose(t *testing.T) {
 		t.Fatal("WaitRecv still blocked after Close")
 	}
 }
+
+// TestDescriptorLengthBoundsSend: a descriptor posted for the first n
+// bytes of a longer region takes no more than n. A larger send fails with
+// ErrTooSmall and leaves the region as it was; a send that fits lands
+// where the descriptor says.
+func TestDescriptorLengthBoundsSend(t *testing.T) {
+	n0, n1 := pair(t)
+	v0 := n0.CreateVI(4, 1, 0)
+	v1 := n1.CreateVI(4, 0, 0)
+	s, r := vclock.NewActor("s"), vclock.NewActor("r")
+	dst := n1.Register(r, make([]byte, 64))
+	if err := v1.PostRecvN(dst, 65); err == nil {
+		t.Error("a descriptor longer than its region was posted")
+	}
+	src := n0.Register(s, pattern(64))
+	if err := v1.PostRecvN(dst, 16); err != nil {
+		t.Fatal(err)
+	}
+	if err := v0.Send(s, src, 32, model.VIASend); !errors.Is(err, ErrTooSmall) {
+		t.Fatalf("32 bytes into a 16-byte descriptor: err = %v, want ErrTooSmall", err)
+	}
+	if !bytes.Equal(dst.Bytes(), make([]byte, 64)) {
+		t.Fatal("a refused send wrote into the region")
+	}
+	if err := v1.PostRecvN(dst, 16); err != nil {
+		t.Fatal(err)
+	}
+	if err := v0.Send(s, src, 16, model.VIASend); err != nil {
+		t.Fatal(err)
+	}
+	got, n, err := v1.WaitRecv(r)
+	if err != nil || got != dst || n != 16 {
+		t.Fatalf("WaitRecv = %p/%d/%v, want the region and 16", got, n, err)
+	}
+	if !bytes.Equal(dst.Bytes()[:16], src.Bytes()[:16]) || !bytes.Equal(dst.Bytes()[16:], make([]byte, 48)) {
+		t.Error("the send did not land in exactly the descriptor's bytes")
+	}
+}
+
+func pattern(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i) | 1
+	}
+	return b
+}
