@@ -101,16 +101,19 @@ func TestCollectiveCallAllocs(t *testing.T) {
 // (4 × (MoE Alltoallv + 8-float Allreduce), then a Gather to rank 0)
 // allocates at most vcAllocsPerMsg objects per collective message once
 // warm. Every message is a Send scope and a Recv scope on the VC channel,
-// which allocate no handle, and each worker reuses one actor, so what is
-// left is each unclaimed payload (every reduction arrival: folds need
-// their bytes, not a sink) and fwd's frames beyond the handle's idle ones.
-// Measured 0.493, run after run (2-vCPU box, Go 1.24, GOMAXPROCS 1); the
-// bound adds a 15 % margin.
+// which allocate no handle; each worker reuses one actor; a payload that
+// no sink claims (every reduction arrival, every message of a call its
+// receiver has not started) lands in one of the communicator's spare
+// buffers, and every packet in one of the VC handle's kept frames. What
+// is left is a fixed handful per measured window, not a cost per message
+// (0.003 per message over 60 steps instead of 10). Measured 0.016, run
+// after run (2-vCPU box, Go 1.24, GOMAXPROCS 1); the bound adds a 15 %
+// margin, rounded up.
 func TestVCCollectiveAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const (
 		n              = 8
-		vcAllocsPerMsg = 0.57
+		vcAllocsPerMsg = 0.019
 		warm, steps    = 3, 10
 	)
 	vcs := twoClusterVCs(t, "alloc-vc", nil, false)
@@ -177,6 +180,6 @@ func TestVCCollectiveAllocs(t *testing.T) {
 	perMsg := float64(after.Mallocs-before.Mallocs) / float64(msgs)
 	t.Logf("%d messages, %.3f allocations each", msgs, perMsg)
 	if perMsg > vcAllocsPerMsg {
-		t.Errorf("a collective message over the VC allocates %.3f objects, want at most %.2f", perMsg, vcAllocsPerMsg)
+		t.Errorf("a collective message over the VC allocates %.3f objects, want at most %.3f", perMsg, vcAllocsPerMsg)
 	}
 }

@@ -3,7 +3,9 @@ package coll_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -414,6 +416,108 @@ func TestCollectivesLossyReliableFwd(t *testing.T) {
 	if err := vcs[0].Session().CheckQuiescent(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSpareBuffersRunAhead: every rank runs a sequence of collectives on
+// its own, with rank 0 yielding before each call, so its peers run one
+// collective ahead and their messages wait banked, queued or deferred in
+// spare buffers while the transports' goroutines land the next ones. Each
+// output is checked against what its senders put in: a spare handed out
+// twice while its payload waits shows as a wrong output, and under the
+// race detector as a write that races the payload's read. Over a virtual
+// channel and over a plain one.
+func TestSpareBuffersRunAhead(t *testing.T) {
+	worlds := map[string]func() []*coll.Comm{
+		"vc": func() []*coll.Comm {
+			return vcComms(t, twoClusterVCs(t, "spare-vc", nil, false), coll.Options{Alg: coll.Auto})
+		},
+		"tcp": func() []*coll.Comm {
+			return collComms(t, 4, core.ChannelSpec{Name: "spare-tcp", Driver: "tcp"}, coll.Options{Alg: coll.Auto})
+		},
+	}
+	for name, build := range worlds {
+		t.Run(name, func(t *testing.T) {
+			cs := build()
+			defer closeAll(cs)
+			n := len(cs)
+			errs := make([]error, n)
+			var wg sync.WaitGroup
+			for r, c := range cs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[r] = runAhead(c, n, 20)
+				}()
+			}
+			wg.Wait()
+			for r, err := range errs {
+				if err != nil {
+					t.Fatalf("rank %d: %v", r, err)
+				}
+			}
+		})
+	}
+}
+
+// runAhead is one rank's part of TestSpareBuffersRunAhead.
+func runAhead(c *coll.Comm, n, iters int) error {
+	const blk, size = 200, 1000
+	r := c.Rank()
+	a2aIn, a2aOut := make([]byte, n*blk), make([]byte, n*blk)
+	vec, gOut := make([]float64, 16), make([]byte, n*blk)
+	for it := 0; it < iters; it++ {
+		yield := func() {
+			for i := 0; r == 0 && i < 20; i++ {
+				runtime.Gosched()
+			}
+		}
+		yield()
+		for p := 0; p < n; p++ {
+			copy(a2aIn[p*blk:], fill(r*n+p, blk, it))
+		}
+		if err := c.Alltoall(a2aIn, a2aOut); err != nil {
+			return err
+		}
+		for p := 0; p < n; p++ {
+			if !bytes.Equal(a2aOut[p*blk:(p+1)*blk], fill(p*n+r, blk, it)) {
+				return fmt.Errorf("it %d: alltoall block from %d differs", it, p)
+			}
+		}
+		yield()
+		for i := range vec {
+			vec[i] = float64(r + it + i)
+		}
+		if err := c.Allreduce(vec, vec, coll.Sum); err != nil {
+			return err
+		}
+		for i, v := range vec {
+			if want := float64(n*(n-1)/2 + n*(it+i)); v != want {
+				return fmt.Errorf("it %d: allreduce element %d is %v, want %v", it, i, v, want)
+			}
+		}
+		yield()
+		root := it % n
+		buf := fill(root, size, it)
+		if r != root {
+			clear(buf)
+		}
+		if err := c.Bcast(root, buf); err != nil {
+			return err
+		}
+		if !bytes.Equal(buf, fill(root, size, it)) {
+			return fmt.Errorf("it %d: bcast from %d differs", it, root)
+		}
+		yield()
+		if err := c.Gather(0, fill(r, blk, it+1), gOut); err != nil {
+			return err
+		}
+		for p := 0; r == 0 && p < n; p++ {
+			if !bytes.Equal(gOut[p*blk:(p+1)*blk], fill(p, blk, it+1)) {
+				return fmt.Errorf("it %d: gathered block of %d differs", it, p)
+			}
+		}
+	}
+	return nil
 }
 
 // TestSizeMismatchPoisons makes one rank contribute short all-to-all

@@ -3,6 +3,7 @@ package coll
 import (
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"sync"
 
 	"madeleine2/internal/core"
@@ -69,6 +70,7 @@ type Comm struct {
 	exps   map[expKey]*exp
 	expBuf []exp // exps' values, sized before any pointer into it is taken
 	future []event
+	spare  spares
 }
 
 type collMet struct {
@@ -84,7 +86,7 @@ type expKey struct {
 type exp struct {
 	x       Xfer
 	round   int
-	sink    []byte // claim target; nil forces allocate-and-deliver
+	sink    []byte // claim target; nil lands the payload in a spare
 	claimed bool   // under Comm.mu
 	matched bool   // executor only
 }
@@ -211,24 +213,69 @@ func (c *Comm) Err() error { return c.err }
 // errors; outstanding transport work drains first.
 func (c *Comm) Close() { c.t.close() }
 
-// claim is the transport's zero-copy hook: an arriving envelope that
-// matches a registered expectation of the current collective lands its
-// payload directly in the caller's buffer. Combine expectations never
-// claim (the payload must be folded, not stored), and any mismatch —
-// wrong sequence, unknown tag, bad length — falls back to
-// allocate-and-deliver so the executor can diagnose it.
-func (c *Comm) claim(h wireHdr) []byte {
+// claim is the transports' landing hook for an arriving payload of
+// h.length bytes. One that matches a registered expectation of the current
+// collective lands directly in the caller's buffer (claimed). Anything else
+// gets a spare buffer: a Combine arrival, which is folded, not stored; a
+// message of a later collective, banked until its call; a mismatch the
+// executor diagnoses (wrong sequence, unknown tag, bad length). The
+// executor gives a spare back once it has copied or folded it.
+func (c *Comm) claim(h wireHdr) (buf []byte, claimed bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if h.seq != c.curSeq {
-		return nil
+	if h.seq == c.curSeq {
+		e := c.exps[expKey{int(h.origin), int(h.tag)}]
+		if e != nil && !e.claimed && e.sink != nil && int(h.length) == e.x.Len {
+			e.claimed = true
+			return e.sink, true
+		}
 	}
-	e := c.exps[expKey{int(h.origin), int(h.tag)}]
-	if e == nil || e.claimed || e.sink == nil || int(h.length) != e.x.Len {
-		return nil
+	return c.spare.get(int(h.length)), false
+}
+
+// spares are the payload buffers of messages that no sink claimed, kept
+// between calls under Comm.mu: one idle list per power-of-two size class,
+// indexed by the class's log2. A buffer comes back once its payload is
+// copied or folded, so a class holds at most what was banked at once, and
+// a collective sequence that repeats makes none after its first calls. A
+// payload that fails its checks is left to the collector.
+type spares struct {
+	idle [][][]byte
+	made int // buffers made, for the tests
+}
+
+// get returns n bytes, recycled when the size class has an idle buffer.
+func (s *spares) get(n int) []byte {
+	k := bits.Len(uint(n - 1))
+	if k < len(s.idle) {
+		if l := s.idle[k]; len(l) > 0 {
+			b := l[len(l)-1]
+			l[len(l)-1] = nil
+			s.idle[k] = l[:len(l)-1]
+			return b[:n]
+		}
 	}
-	e.claimed = true
-	return e.sink
+	s.made++
+	return make([]byte, n, 1<<k)
+}
+
+// put takes back a buffer get returned; nil (an empty payload) is none.
+func (s *spares) put(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	k := bits.Len(uint(cap(b) - 1))
+	for len(s.idle) <= k {
+		s.idle = append(s.idle, nil)
+	}
+	s.idle[k] = append(s.idle[k], b)
+}
+
+// giveBack returns a consumed payload's spare.
+func (c *Comm) giveBack(b []byte) {
+	c.mu.Lock()
+	c.spare.put(b)
+	c.mu.Unlock()
 }
 
 // deferredFold is a combine/replace payload that arrived ahead of its
@@ -352,13 +399,20 @@ func (c *Comm) reset(op string, rounds, recvs int) {
 	c.expBuf = c.expBuf[:recvs]
 }
 
-// release ends a call: the payloads it banked are dropped, so none
-// outlives the call in the kept lists.
+// release ends a call: the deferred folds' spares go back, applied or not,
+// and the replayed events are dropped, so no payload outlives the call in
+// the kept lists. A replayed event's spare went back when it was handled;
+// one that an abort left unhandled is the collector's.
 func (c *Comm) release() {
+	c.mu.Lock()
 	for ri, d := range c.deferred {
+		for _, f := range d {
+			c.spare.put(f.data)
+		}
 		clear(d)
 		c.deferred[ri] = d[:0]
 	}
+	c.mu.Unlock()
 	clear(c.replay)
 	c.replay = c.replay[:0]
 }
@@ -404,10 +458,13 @@ func (c *Comm) handle(p *Plan, ev event) error {
 		c.met.claimed.Add(1)
 	case e.sink != nil:
 		copy(e.sink, ev.data)
+		c.giveBack(ev.data)
 	case e.round > c.curRound:
 		c.deferred[e.round] = append(c.deferred[e.round], deferredFold{x: e.x, data: ev.data})
 	default:
-		return p.Got(e.x, ev.data)
+		err := p.Got(e.x, ev.data)
+		c.giveBack(ev.data)
+		return err
 	}
 	return nil
 }

@@ -24,7 +24,7 @@ type chanTransport struct {
 	ch    *core.Channel
 	cq    *core.CQ
 	inbox *simnet.Queue[event]
-	claim func(wireHdr) []byte
+	claim func(wireHdr) ([]byte, bool)
 
 	mu      sync.Mutex
 	sends   map[*core.AsyncMsg]*chanSend
@@ -49,7 +49,7 @@ type chanRecv struct {
 	failed  bool
 }
 
-func newChanTransport(ch *core.Channel, claim func(wireHdr) []byte) *chanTransport {
+func newChanTransport(ch *core.Channel, claim func(wireHdr) ([]byte, bool)) *chanTransport {
 	t := &chanTransport{
 		ch:    ch,
 		cq:    core.NewCQ(),
@@ -155,11 +155,7 @@ func (t *chanTransport) stepRecv(am *core.AsyncMsg, st *chanRecv, comp core.Comp
 	case comp.Seq == 1: // envelope arrived
 		st.parsed = decodeWireHdr(st.hdr[:])
 		if st.parsed.length > 0 {
-			if buf := t.claim(st.parsed); buf != nil {
-				st.payload, st.claimed = buf, true
-			} else {
-				st.payload = make([]byte, st.parsed.length)
-			}
+			st.payload, st.claimed = t.claim(st.parsed)
 			_ = am.SubmitUnpack(st.payload, core.SendCheaper, core.ReceiveCheaper)
 		}
 		_ = am.SubmitEnd()

@@ -30,7 +30,7 @@ type vcTransport struct {
 	vc    *fwd.VC
 	ch    *core.Channel
 	inbox *simnet.Queue[event]
-	claim func(wireHdr) []byte
+	claim func(wireHdr) ([]byte, bool)
 
 	mu      sync.Mutex
 	sendQs  map[int]*simnet.Queue[vcSendJob] // destination node -> jobs
@@ -47,7 +47,7 @@ type vcSendJob struct {
 	at      vclock.Time
 }
 
-func newVCTransport(vc *fwd.VC, claim func(wireHdr) []byte) *vcTransport {
+func newVCTransport(vc *fwd.VC, claim func(wireHdr) ([]byte, bool)) *vcTransport {
 	t := &vcTransport{
 		vc:     vc,
 		ch:     vc.Channel(),
@@ -134,9 +134,8 @@ func (t *vcTransport) recvWorker() {
 		}
 		ev := event{hdr: decodeWireHdr(hb[:])}
 		if n := ev.hdr.length; n > 0 {
-			dst := t.claim(ev.hdr)
-			if ev.claimed = dst != nil; !ev.claimed {
-				dst = make([]byte, n)
+			dst, claimed := t.claim(ev.hdr)
+			if ev.claimed = claimed; !claimed {
 				ev.data = dst
 			}
 			if err := conn.Unpack(dst, core.SendCheaper, core.ReceiveExpress); err != nil {

@@ -49,7 +49,7 @@ type event struct {
 	send    bool
 	token   int
 	hdr     wireHdr
-	data    []byte // recv payload when not claimed into a registered sink
+	data    []byte // recv payload in a spare, when not claimed into a registered sink
 	claimed bool   // payload landed directly in the expectation's sink
 	stamp   vclock.Time
 	err     error

@@ -228,6 +228,76 @@ func TestBulkMessageAllocs(t *testing.T) {
 	}
 }
 
+// TestTCPLaneBufferReuse pins the tcp lane's bulk buffers under a ping-pong
+// whose body length varies within one 32 KiB multiple, with the echoer's
+// next receive held back until the initiator's next message has landed on
+// its lane. A body lands in a lane buffer made at a multiple of 32 KiB, so
+// a later, larger body of the same multiple fits it; and the mover gives
+// the buffer back as soon as it has read the kernel message to its end,
+// so that message's successor finds it idle even before the next receive.
+// After the first round trip, no lane buffer is made.
+func TestTCPLaneBufferReuse(t *testing.T) {
+	const rounds = 16
+	chans, _ := newTestChannel(t, "tcp")
+	lens := []int{1<<20 - 30000, 1<<20 - 20000, 1<<20 - 10000, 1 << 20}
+	body, rbody, ebody := pattern(1<<20, 3), make([]byte, 1<<20), make([]byte, 1<<20)
+	s, e := vclock.NewActor("s"), vclock.NewActor("e")
+	sent, echoed := make(chan int), make(chan error)
+	go func() {
+		for i := range sent {
+			n := lens[i%len(lens)]
+			echoed <- func() error {
+				err := chans[1].Recv(e, func(cn *Connection) error {
+					return cn.Unpack(ebody[:n], SendCheaper, ReceiveCheaper)
+				})
+				if err != nil {
+					return err
+				}
+				return chans[1].Send(e, 0, func(cn *Connection) error {
+					return cn.Pack(ebody[:n], SendCheaper, ReceiveCheaper)
+				})
+			}()
+		}
+	}()
+	defer close(sent)
+	roundTrip := func(i int) {
+		n := lens[i%len(lens)]
+		err := chans[0].Send(s, 1, func(cn *Connection) error {
+			return cn.Pack(body[:n], SendCheaper, ReceiveCheaper)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent <- i // the echoer's receive starts after the body landed
+		if err := <-echoed; err != nil {
+			t.Fatal(err)
+		}
+		err = chans[0].Recv(s, func(cn *Connection) error {
+			return cn.Unpack(rbody[:n], SendCheaper, ReceiveCheaper)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rbody[0] != body[0] || rbody[n-1] != body[n-1] {
+			t.Fatalf("round trip %d: the echo of %d bytes differs", i, n)
+		}
+	}
+	roundTrip(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i < rounds; i++ {
+		roundTrip(i)
+	}
+	runtime.ReadMemStats(&after)
+	// The runtime's own background work shows up as a few bytes now and then.
+	if n := after.TotalAlloc - before.TotalAlloc; n >= laneBufMaxBytes {
+		t.Errorf("%d bytes allocated over %d round trips after the first, want no lane buffer (%d bytes or more)", n, rounds-1, laneBufMaxBytes)
+	}
+}
+
+// laneBufMaxBytes is simnet's lane buffer limit: no bulk buffer is smaller.
+const laneBufMaxBytes = 32 << 10
+
 // TestWorldsAreCollectable pins that no driver keeps a torn-down world
 // alive: per driver, 40 worlds each built and used for one 64 KiB message
 // may leave the heap at most 0.5 MiB larger (a retained via or rdma world

@@ -29,13 +29,19 @@ func newTCPPMM(node *simnet.Node, adapter, chanID int) (PMM, error) {
 func (p *tcpPMM) Name() string                              { return "tcp" }
 func (p *tcpPMM) Select(n int, sm SendMode, rm RecvMode) TM { return p.tm }
 func (p *tcpPMM) TMs() []TM                                 { return []TM{p.tm} }
-func (p *tcpPMM) PreConnect(cs *ConnState) error            { cs.Priv = &tcpConn{}; return nil }
 func (p *tcpPMM) Connect(cs *ConnState) error               { return nil }
 
-// tcpConn keeps the receive-side residue of a partially consumed kernel
-// message (a group read in several sub-group calls). Receive-direction
-// only: the receive lease guards it, and the send path never touches it.
+func (p *tcpPMM) PreConnect(cs *ConnState) error {
+	cs.Priv = &tcpConn{in: p.ep.Inbox(cs.Remote(), p.port)}
+	return nil
+}
+
+// tcpConn keeps the connection's inbox, resolved once, and the residue of
+// a partially consumed kernel message (a group read in several sub-group
+// calls). Receive-direction only: the receive lease guards it, and the
+// send path never touches it.
 type tcpConn struct {
+	in      tcpnet.Inbox
 	residue []byte
 }
 
@@ -55,12 +61,14 @@ func (t *tcpMover) SendBufferGroup(a *vclock.Actor, cs *ConnState, group [][]byt
 }
 
 // ReceiveBuffer consumes len(dst) bytes from the connection's incoming
-// stream.
+// stream. A kernel message read to its end goes back to the kernel at
+// once: the sender's next message lands in it even if it arrives before
+// this connection's next read.
 func (t *tcpMover) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) error {
 	st := cs.Priv.(*tcpConn)
 	for len(dst) > 0 {
 		if len(st.residue) == 0 {
-			msg, err := t.p.ep.Recv(a, cs.Remote(), t.p.port)
+			msg, err := st.in.Recv(a)
 			if err != nil {
 				return err
 			}
@@ -69,6 +77,9 @@ func (t *tcpMover) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) err
 		n := copy(dst, st.residue)
 		st.residue = st.residue[n:]
 		dst = dst[n:]
+		if len(st.residue) == 0 {
+			st.in.Done()
+		}
 	}
 	return nil
 }

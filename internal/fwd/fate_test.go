@@ -2,6 +2,7 @@ package fwd
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -419,6 +420,36 @@ func TestReliableCRCDropReturnsFrame(t *testing.T) {
 	}
 	if got := v.RelStats().DropCRC; got != 20 {
 		t.Errorf("%d CRC drops counted, want 20", got)
+	}
+	requireQuiescent(t, w.sess, w.vcs)
+}
+
+// TestStreamBurstReusesFrames: a stream that runs 20 packets ahead of its
+// reader holds 20 frames at once. The handle keeps every one of them when
+// the reader drains the stream, so the same burst again makes no frame.
+func TestStreamBurstReusesFrames(t *testing.T) {
+	const depth = 20
+	w := newFateWorld(t, false)
+	v := w.vcs[1]
+	burst := func(round int) {
+		var sent [depth][]byte
+		for i := range sent {
+			h, payload := w.good(1, byte(round*depth+i))
+			w.send(1, w.encode(h), payload)
+			sent[i] = payload
+		}
+		for v.streams[0].q.Len() < depth {
+			runtime.Gosched()
+		}
+		for _, payload := range sent {
+			w.consume(1, payload)
+		}
+	}
+	burst(0)
+	made := v.framesMade.Load()
+	burst(1)
+	if got := v.framesMade.Load() - made; got != 0 {
+		t.Errorf("a second %d-packet burst made %d frames, want 0", depth, got)
 	}
 	requireQuiescent(t, w.sess, w.vcs)
 }

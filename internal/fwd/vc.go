@@ -63,17 +63,12 @@ type chunk struct {
 	hop     uint32 // delivery hop: relays traversed + 1
 }
 
-// frameFreeMax bounds a handle's idle frames: the few packets a stream
-// runs ahead of its consumer on a bulk transfer, and a gateway's padded
-// wire frame besides.
-const frameFreeMax = 4 * pipelineBuffers
-
 // frame returns n bytes for a delivered packet, a padded reliable wire
-// frame or a message's staged tail, recycled when the handle has an idle
-// one. A handle makes at most frameFreeMax MTU-sized frames in its life,
-// the ones that circulate; a stream running deeper than that gets the rest
-// at their own size, from the collector, so a slow consumer of small
-// packets never pins MTU blocks.
+// frame or a message's staged tail: an idle frame when the handle has one,
+// else a new one of MTU capacity. Every frame is the same size and comes
+// back to the handle, so the idle list holds at most the deepest burst the
+// handle has seen, a stream that ran ahead of its reader included, and a
+// steady stream makes none.
 func (v *VC) frame(n int) []byte {
 	var b []byte
 	v.frameMu.Lock()
@@ -84,23 +79,21 @@ func (v *VC) frame(n int) []byte {
 	if b != nil {
 		return b[:n]
 	}
-	if v.framesMade.Add(1) <= frameFreeMax {
-		return make([]byte, n, v.mtu)
-	}
-	return make([]byte, n)
+	v.framesMade.Add(1)
+	return make([]byte, n, v.mtu)
 }
 
 // freeFrame takes a frame back from its owner: the destination stream once
 // ReceiveBuffer has consumed it, the reliable sender once the link has its
-// verdict, the Generic TM's send state at its message's end.
+// verdict, the Generic TM's send state at its message's end. It keeps
+// every frame of MTU capacity; anything else (nil, a caller's block) is
+// not the handle's.
 func (v *VC) freeFrame(b []byte) {
 	if cap(b) != v.mtu {
 		return
 	}
 	v.frameMu.Lock()
-	if len(v.frames) < frameFreeMax {
-		v.frames = append(v.frames, b)
-	}
+	v.frames = append(v.frames, b)
 	v.frameMu.Unlock()
 }
 
@@ -131,7 +124,7 @@ type VC struct {
 	mu         sync.Mutex
 	pipes      map[[2]int]*pipeline
 	frameMu    sync.Mutex
-	frames     [][]byte // idle MTU-sized frames, at most frameFreeMax
+	frames     [][]byte // idle MTU-sized frames: the deepest burst seen
 	framesMade atomic.Int32
 
 	rel *relState   // reliable mode only

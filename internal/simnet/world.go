@@ -84,7 +84,7 @@ func (n *Node) AddAdapter(network string) *Adapter {
 		network: network,
 		index:   len(n.adapters[network]),
 		tx:      vclock.NewResource(fmt.Sprintf("n%d/%s%d/tx", n.id, network, len(n.adapters[network]))),
-		lanes:   make(map[laneKey]*rxLane),
+		lanes:   make(map[laneKey]*RxLane),
 	}
 	n.adapters[network] = append(n.adapters[network], a)
 	return a
@@ -129,7 +129,7 @@ type Adapter struct {
 	tx      *vclock.Resource
 
 	mu       sync.Mutex
-	lanes    map[laneKey]*rxLane
+	lanes    map[laneKey]*RxLane
 	segments map[uint32]*Segment
 
 	bytesOut   atomic.Int64
@@ -169,14 +169,15 @@ func (a *Adapter) Driver() any { return a.driver.Load() }
 // it to serialize outgoing transfers in virtual time.
 func (a *Adapter) TxEngine() *vclock.Resource { return a.tx }
 
-// rxLane is one in-order receive lane and the NIC buffers behind it.
+// RxLane is one in-order receive lane and the NIC buffers behind it.
 // Deliver copies each payload off the host into a buffer of the
-// destination lane; the receiver may read it until its next Recv on the
-// lane, and then the buffer serves a later Deliver. The free list holds
-// only what was in flight at once, at most laneFreeMax; above laneBufMax a
-// lane keeps at most one idle buffer, the one its last Recv lent. A
-// payload that arrived through Lend is the sender's and never joins them.
-type rxLane struct {
+// destination lane; the receiver may read it until it calls Done or its
+// next Recv on the lane, and then the buffer serves a later Deliver. The
+// free list holds only what was in flight at once, at most laneFreeMax;
+// above laneBufMax a lane keeps at most one idle buffer, the largest one
+// lent. A payload that arrived through Lend is the sender's and never
+// joins them.
+type RxLane struct {
 	q *Queue[Packet]
 
 	mu   sync.Mutex
@@ -192,8 +193,9 @@ const (
 
 // buffer returns an empty buffer with room for n bytes, recycled when the
 // lane has one. Capacities up to laneBufMax are powers of two, so mixed
-// sizes still reuse; a bulk buffer is made at its payload's exact size.
-func (l *rxLane) buffer(n int) []byte {
+// sizes still reuse; a bulk buffer is made at a multiple of laneBufMax, so
+// a stream of bodies that vary within one multiple reuses it too.
+func (l *RxLane) buffer(n int) []byte {
 	var b []byte
 	l.mu.Lock()
 	if n > laneBufMax {
@@ -205,32 +207,63 @@ func (l *rxLane) buffer(n int) []byte {
 	if cap(b) < n {
 		if n <= laneBufMax {
 			n = max(64, 1<<bits.Len(uint(n-1)))
+		} else {
+			n = (n + laneBufMax - 1) / laneBufMax * laneBufMax
 		}
 		b = make([]byte, 0, n)
 	}
 	return b[:0]
 }
 
-func (a *Adapter) lane(srcNode, lane int) *rxLane {
+func (a *Adapter) lane(srcNode, lane int) *RxLane {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	k := laneKey{srcNode, lane}
 	l := a.lanes[k]
 	if l == nil {
-		l = &rxLane{q: NewQueue[Packet]()}
+		l = &RxLane{q: NewQueue[Packet]()}
 		a.lanes[k] = l
 	}
 	return l
 }
 
-// Recv blocks for the lane's next packet. Its payload is the NIC's receive
-// buffer, lent until the next Recv on the same lane, which takes it back:
-// callers copy out what they keep. ok is false once the lane is closed and
-// drained.
+// Recv blocks for the lane's next packet from srcNode: RxLane.Recv on a
+// lane looked up by this call.
 func (a *Adapter) Recv(srcNode, lane int) (Packet, bool) {
-	l := a.lane(srcNode, lane)
+	return a.lane(srcNode, lane).Recv()
+}
+
+// RxLane resolves the lane from srcNode once, for a reader that keeps it:
+// its Recv and Done take no lock on the adapter's lane map.
+func (a *Adapter) RxLane(srcNode, lane int) *RxLane { return a.lane(srcNode, lane) }
+
+// Recv blocks for the lane's next packet. Its payload is the NIC's receive
+// buffer, lent until Done or the next Recv on the lane, which takes it
+// back: callers copy out what they keep. ok is false once the lane is
+// closed and drained.
+func (l *RxLane) Recv() (Packet, bool) {
 	p, ok := l.q.Pop()
 	l.mu.Lock()
+	l.takeBack()
+	if !p.lent {
+		l.held = p.Data
+	}
+	l.mu.Unlock()
+	return p, ok
+}
+
+// Done hands the payload the last Recv lent back to the lane before the
+// next Recv, so a Deliver that comes first reuses it instead of making a
+// second buffer. The caller reads that payload no more.
+func (l *RxLane) Done() {
+	l.mu.Lock()
+	l.takeBack()
+	l.mu.Unlock()
+}
+
+// takeBack returns the lent payload to the lane's buffers. It runs under
+// l.mu.
+func (l *RxLane) takeBack() {
 	if c := cap(l.held); c > laneBufMax {
 		if c > cap(l.bulk) {
 			l.bulk = l.held
@@ -239,11 +272,6 @@ func (a *Adapter) Recv(srcNode, lane int) (Packet, bool) {
 		l.free = append(l.free, l.held)
 	}
 	l.held = nil
-	if !p.lent {
-		l.held = p.Data
-	}
-	l.mu.Unlock()
-	return p, ok
 }
 
 // Peer resolves the idx-th adapter of dstNode on this adapter's network.
@@ -288,7 +316,7 @@ func (a *Adapter) Lend(dst *Adapter, lane int, p Packet) {
 
 // push is the common tail of Deliver and Lend: the faults strike, the
 // counters move and the packet joins the lane.
-func (a *Adapter) push(dst *Adapter, l *rxLane, p Packet) {
+func (a *Adapter) push(dst *Adapter, l *RxLane, p Packet) {
 	p.Data = a.corruptOnce(p.Data)
 	if fs := a.faults.Load(); fs != nil {
 		var extra int64

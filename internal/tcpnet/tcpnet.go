@@ -62,14 +62,32 @@ func (e *Endpoint) Sendv(a *vclock.Actor, dst, port int, parts ...[]byte) error 
 	return nil
 }
 
-// Recv blocks for the next framed message from (src, port), synchronizes
-// the actor's clock to its arrival, and returns the payload: the kernel's
-// receive buffer, valid until the next Recv on the same pair.
+// Recv blocks for the next framed message from (src, port): Inbox.Recv
+// on the pair's inbox looked up by this call.
 func (e *Endpoint) Recv(a *vclock.Actor, src, port int) ([]byte, error) {
-	pkt, ok := e.adapter.Recv(src, port)
+	return e.Inbox(src, port).Recv(a)
+}
+
+// Inbox is the receive side of one (src, port) pair, resolved once, so a
+// reader that keeps it looks up nothing per message.
+type Inbox struct{ l *simnet.RxLane }
+
+// Inbox resolves the receive side of (src, port).
+func (e *Endpoint) Inbox(src, port int) Inbox { return Inbox{e.adapter.RxLane(src, port)} }
+
+// Recv blocks for the next framed message, synchronizes the actor's clock
+// to its arrival, and returns the payload: the kernel's receive buffer,
+// valid until Done or the next Recv on the pair.
+func (in Inbox) Recv(a *vclock.Actor) ([]byte, error) {
+	pkt, ok := in.l.Recv()
 	if !ok {
 		return nil, fmt.Errorf("tcpnet: connection closed")
 	}
 	a.Sync(vclock.Time(pkt.Arrive))
 	return pkt.Data, nil
 }
+
+// Done gives the last payload Recv returned back to the kernel as soon as
+// its reader has consumed it, so the next message can land in it even if
+// it arrives before the next Recv.
+func (in Inbox) Done() { in.l.Done() }
