@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"madeleine2/internal/model"
 	"madeleine2/internal/simnet"
@@ -58,15 +59,25 @@ type key struct {
 type Interface struct {
 	adapter *simnet.Adapter
 
-	mu      sync.Mutex
-	posted  map[key]*simnet.Queue[*postedRecv] // long-path rendezvous queues
-	recs    []*postedRecv                      // idle posted-receive records
-	shortIn map[key]int                        // occupied short buffers
+	mu  sync.Mutex
+	ins map[key]*inbound // by (source, tag), made on first use
+}
+
+// inbound is what an interface keeps per (source, tag): the short-message
+// lane and the count of its preallocated buffers in use, and the queue of
+// long receives posted for the pair with its idle records.
+type inbound struct {
+	lane   *simnet.RxLane
+	short  atomic.Int32 // occupied short buffers
+	posted *simnet.Queue[*postedRecv]
+
+	mu   sync.Mutex
+	recs []*postedRecv // idle posted-receive records
 }
 
 // postedRecv is one posted long receive. The receiver fills buf and
 // postedAt and posts it; the matching sender answers on done, after which
-// the record returns to the interface's idle list.
+// the record returns to its pair's idle list.
 type postedRecv struct {
 	buf      []byte
 	postedAt vclock.Time
@@ -88,11 +99,7 @@ func Attach(n *simnet.Node, idx int) (*Interface, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bip: %w", err)
 	}
-	b := &Interface{
-		adapter: a,
-		posted:  make(map[key]*simnet.Queue[*postedRecv]),
-		shortIn: make(map[key]int),
-	}
+	b := &Interface{adapter: a, ins: make(map[key]*inbound)}
 	return a.AttachDriver(b).(*Interface), nil
 }
 
@@ -107,7 +114,7 @@ func (b *Interface) Node() int { return b.adapter.Node().ID() }
 func (b *Interface) peer(dst int) (*Interface, error) {
 	pa, err := b.adapter.Peer(dst, b.adapter.Index())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("bip: %w", err)
 	}
 	p, ok := pa.Driver().(*Interface)
 	if !ok {
@@ -116,29 +123,79 @@ func (b *Interface) peer(dst int) (*Interface, error) {
 	return p, nil
 }
 
+// inbound returns (creating) the interface's record of (src, tag).
+func (b *Interface) inbound(src, tag int) *inbound {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	k := key{src, tag}
+	in := b.ins[k]
+	if in == nil {
+		in = &inbound{lane: b.adapter.RxLane(src, shortLane(tag)), posted: simnet.NewQueue[*postedRecv]()}
+		b.ins[k] = in
+	}
+	return in
+}
+
 // shortLane maps a BIP tag to its fabric lane: BIP maintains one ordered
 // short-message queue per tag.
 func shortLane(tag int) int { return tag }
+
+// Pair is both directions of one (peer, tag) pair, resolved once: a
+// caller that keeps it, as a Madeleine connection does, finds neither the
+// peer nor the pair's queues per message. The by-rank calls (TSendShort
+// and the rest) resolve what they need on every call.
+type Pair struct {
+	b   *Interface
+	p   *Interface // the peer's interface
+	out *inbound   // the peer's record of (this node, tag)
+	in  *inbound   // this interface's record of (peer, tag)
+	tag int
+}
+
+// Pair resolves (peer, tag); the peer must have attached.
+func (b *Interface) Pair(peer, tag int) (Pair, error) {
+	p, err := b.peer(peer)
+	if err != nil {
+		return Pair{}, err
+	}
+	return Pair{b: b, p: p, out: p.inbound(b.Node(), tag), in: b.inbound(peer, tag), tag: tag}, nil
+}
+
+// SendShort is TSendShort on the pair.
+func (pr Pair) SendShort(a *vclock.Actor, data []byte) error {
+	return pr.b.sendShort(a, pr.p, pr.out, pr.tag, data)
+}
+
+// RecvShort is TRecvShort on the pair.
+func (pr Pair) RecvShort(a *vclock.Actor) ([]byte, error) { return pr.in.recvShort(a) }
+
+// SendLong is TSendLong on the pair.
+func (pr Pair) SendLong(a *vclock.Actor, data []byte) error { return pr.b.sendLong(a, pr.out, data) }
+
+// RecvLong is TRecvLong on the pair.
+func (pr Pair) RecvLong(a *vclock.Actor, buf []byte) (int, error) { return pr.in.recvLong(a, buf) }
 
 // TSendShort sends a short message to (dst, tag). It returns
 // ErrShortOverrun if the receiver's preallocated ring for this (src, tag)
 // is full — callers are expected to run their own flow control.
 func (b *Interface) TSendShort(a *vclock.Actor, dst, tag int, data []byte) error {
-	if len(data) >= ShortMax {
-		return ErrTooLong
-	}
 	p, err := b.peer(dst)
 	if err != nil {
 		return err
 	}
-	k := key{b.Node(), tag}
-	p.mu.Lock()
-	if p.shortIn[k] >= ShortBufs {
-		p.mu.Unlock()
+	return b.sendShort(a, p, p.inbound(b.Node(), tag), tag, data)
+}
+
+// sendShort deposits data in one of p's buffers for (this node, tag),
+// counted by out.
+func (b *Interface) sendShort(a *vclock.Actor, p *Interface, out *inbound, tag int, data []byte) error {
+	if len(data) >= ShortMax {
+		return ErrTooLong
+	}
+	if out.short.Add(1) > ShortBufs {
+		out.short.Add(-1)
 		return ErrShortOverrun
 	}
-	p.shortIn[k]++
-	p.mu.Unlock()
 
 	// The host hands the message to the LANai; the NIC serializes injection.
 	// Host-side per-call costs are folded into the model's fixed term.
@@ -159,14 +216,15 @@ func (b *Interface) TSendShort(a *vclock.Actor, dst, tag int, data []byte) error
 // receive on the same pair, as with BIP's internal buffers; callers copy
 // out what they need to keep).
 func (b *Interface) TRecvShort(a *vclock.Actor, src, tag int) ([]byte, error) {
-	pkt, ok := b.adapter.Recv(src, shortLane(tag))
+	return b.inbound(src, tag).recvShort(a)
+}
+
+func (in *inbound) recvShort(a *vclock.Actor) ([]byte, error) {
+	pkt, ok := in.lane.Recv()
 	if !ok {
 		return nil, fmt.Errorf("bip: receive lane closed")
 	}
-	k := key{src, tag}
-	b.mu.Lock()
-	b.shortIn[k]--
-	b.mu.Unlock()
+	in.short.Add(-1)
 	a.Sync(vclock.Time(pkt.Arrive))
 	return pkt.Data, nil
 }
@@ -176,35 +234,27 @@ func (b *Interface) TRecvShort(a *vclock.Actor, src, tag int) ([]byte, error) {
 // payload length. Posting the receive is what releases the matching sender
 // (BIP's receiver-acknowledgment synchronization).
 func (b *Interface) TRecvLong(a *vclock.Actor, src, tag int, buf []byte) (int, error) {
-	b.mu.Lock()
+	return b.inbound(src, tag).recvLong(a, buf)
+}
+
+func (in *inbound) recvLong(a *vclock.Actor, buf []byte) (int, error) {
+	in.mu.Lock()
 	var pr *postedRecv
-	if i := len(b.recs) - 1; i >= 0 {
-		pr, b.recs = b.recs[i], b.recs[:i]
+	if i := len(in.recs) - 1; i >= 0 {
+		pr, in.recs = in.recs[i], in.recs[:i]
 	} else {
 		pr = new(postedRecv)
 	}
-	b.mu.Unlock()
+	in.mu.Unlock()
 	pr.buf, pr.postedAt = buf, a.Now()
-	b.rendezvous(key{src, tag}).Push(pr)
+	in.posted.Push(pr)
 	d, _ := pr.done.Pop() // the record's queue is never closed
 	pr.buf = nil
-	b.mu.Lock()
-	b.recs = append(b.recs, pr)
-	b.mu.Unlock()
+	in.mu.Lock()
+	in.recs = append(in.recs, pr)
+	in.mu.Unlock()
 	a.Sync(d.arrive)
 	return d.n, d.err
-}
-
-// rendezvous returns (creating) the queue of long receives posted for k.
-func (b *Interface) rendezvous(k key) *simnet.Queue[*postedRecv] {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	q := b.posted[k]
-	if q == nil {
-		q = simnet.NewQueue[*postedRecv]()
-		b.posted[k] = q
-	}
-	return q
 }
 
 // TSendLong sends data to (dst, tag) on the long-message path: it blocks
@@ -215,10 +265,15 @@ func (b *Interface) TSendLong(a *vclock.Actor, dst, tag int, data []byte) error 
 	if err != nil {
 		return err
 	}
+	return b.sendLong(a, p.inbound(b.Node(), tag), data)
+}
+
+// sendLong meets the next receive posted in out.
+func (b *Interface) sendLong(a *vclock.Actor, out *inbound, data []byte) error {
 	// Rendezvous request reaches the receiver...
 	reqArrive := a.Now() + model.BIPControl.Time(0)
 	// ...and we block until a matching receive is posted.
-	pr, _ := p.rendezvous(key{b.Node(), tag}).Pop() // never closed
+	pr, _ := out.posted.Pop() // never closed
 
 	// The "ready" acknowledgment leaves once both the request has arrived
 	// and the receive is posted.

@@ -268,3 +268,85 @@ func TestShortPayloadIntegrity(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSendOutsideWorld: a rank outside the world is an error from every
+// call that resolves a peer, not a panic.
+func TestSendOutsideWorld(t *testing.T) {
+	b0, _ := pair(t)
+	a := vclock.NewActor("s")
+	if err := b0.TSendShort(a, 2, 0, []byte{1}); err == nil {
+		t.Error("short send to rank 2 of a 2-node world must fail")
+	}
+	if err := b0.TSendLong(a, -1, 0, make([]byte, 2048)); err == nil {
+		t.Error("long send to rank -1 must fail")
+	}
+	if _, err := b0.Pair(5, 0); err == nil {
+		t.Error("Pair with rank 5 of a 2-node world must fail")
+	}
+}
+
+// TestPairMatchesByRankCalls: a resolved Pair and the by-rank calls share
+// one record per (source, tag), so short-buffer accounting and long
+// rendezvous work across the two forms.
+func TestPairMatchesByRankCalls(t *testing.T) {
+	b0, b1 := pair(t)
+	p01, err := b0.Pair(1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p10, err := b1.Pair(0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, r := vclock.NewActor("s"), vclock.NewActor("r")
+	for i := 0; i < ShortBufs; i++ {
+		send := p01.SendShort
+		if i%2 == 1 {
+			send = func(a *vclock.Actor, d []byte) error { return b0.TSendShort(a, 1, 4, d) }
+		}
+		if err := send(s, []byte{byte(i)}); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	if err := p01.SendShort(s, []byte{0xff}); !errors.Is(err, ErrShortOverrun) {
+		t.Fatalf("overrun through the Pair: %v", err)
+	}
+	for i := 0; i < ShortBufs; i++ {
+		recv := p10.RecvShort
+		if i%2 == 0 {
+			recv = func(a *vclock.Actor) ([]byte, error) { return b1.TRecvShort(a, 0, 4) }
+		}
+		got, err := recv(r)
+		if err != nil || len(got) != 1 || got[0] != byte(i) {
+			t.Fatalf("receive %d = %v, %v", i, got, err)
+		}
+	}
+	if err := p01.SendShort(s, []byte{1}); err != nil {
+		t.Fatalf("send after the ring drained: %v", err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		buf := make([]byte, 4096)
+		n, err := b1.TRecvLong(r, 0, 4, buf)
+		if err == nil && (n != 3000 || buf[2999] != 7) {
+			err = errors.New("long payload not delivered")
+		}
+		done <- err
+	}()
+	long := make([]byte, 3000)
+	long[2999] = 7
+	if err := p01.SendLong(s, long); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	go func() { done <- b0.TSendLong(s, 1, 4, long) }()
+	if n, err := p10.RecvLong(r, make([]byte, 3000)); err != nil || n != 3000 {
+		t.Fatalf("RecvLong through the Pair = %d, %v", n, err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}

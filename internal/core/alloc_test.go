@@ -5,97 +5,13 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 	"unsafe"
 
 	"madeleine2/internal/vclock"
 )
-
-// table1Lane is one warm connection carrying the paper's Table 1 message
-// (an 8-byte receive_EXPRESS header, then a 1 KiB receive_CHEAPER body)
-// from rank 0 to a receiver goroutine on rank 1, one message per call of
-// oneMessage, through Begin…/End… or, when scoped, through Send/Recv.
-// Everything a message needs is allocated here, so what the gate counts
-// is the library's own.
-type table1Lane struct {
-	send      *Channel
-	s         *vclock.Actor
-	hdr, body []byte
-	scoped    bool
-	next      chan struct{}
-	done      chan error
-}
-
-func newTable1Lane(t *testing.T, chans map[int]*Channel) *table1Lane {
-	return newLane(t, chans, 1024, false)
-}
-
-// newLane is newTable1Lane with a body of the given length.
-func newLane(t *testing.T, chans map[int]*Channel, body int, scoped bool) *table1Lane {
-	t.Helper()
-	l := &table1Lane{
-		send: chans[0], s: vclock.NewActor("s"),
-		hdr: pattern(8, 1), body: pattern(body, 2), scoped: scoped,
-		next: make(chan struct{}), done: make(chan error),
-	}
-	recv, r := chans[1], vclock.NewActor("r")
-	rhdr, rbody := make([]byte, 8), make([]byte, body)
-	unpack := func(cn *Connection) error {
-		if err := cn.Unpack(rhdr, SendCheaper, ReceiveExpress); err != nil {
-			return err
-		}
-		return cn.Unpack(rbody, SendCheaper, ReceiveCheaper)
-	}
-	go func() {
-		for range l.next {
-			if scoped {
-				l.done <- recv.Recv(r, unpack)
-				continue
-			}
-			l.done <- func() error {
-				cn, err := recv.BeginUnpacking(r)
-				if err != nil {
-					return err
-				}
-				if err := unpack(cn); err != nil {
-					return err
-				}
-				return cn.EndUnpacking()
-			}()
-		}
-	}()
-	t.Cleanup(func() { close(l.next) })
-	return l
-}
-
-func (l *table1Lane) oneMessage() error {
-	l.next <- struct{}{}
-	if err := l.sendOne(); err != nil {
-		return err
-	}
-	return <-l.done
-}
-
-func (l *table1Lane) sendOne() error {
-	pack := func(cn *Connection) error {
-		if err := cn.Pack(l.hdr, SendCheaper, ReceiveExpress); err != nil {
-			return err
-		}
-		return cn.Pack(l.body, SendCheaper, ReceiveCheaper)
-	}
-	if l.scoped {
-		return l.send.Send(l.s, 1, pack)
-	}
-	cn, err := l.send.BeginPacking(l.s, 1)
-	if err != nil {
-		return err
-	}
-	if err := pack(cn); err != nil {
-		return err
-	}
-	return cn.EndPacking()
-}
 
 // allocsPerMessage warms the lane past every ring's first cycle (the
 // deepest is sisci's 32 slots) and reports the steady-state count, as a
@@ -149,6 +65,30 @@ func TestMessagePathAllocs(t *testing.T) {
 				t.Errorf("%s: %.2f allocs per Table-1 message, want at most %.0f", drv, got, want)
 			}
 		})
+	}
+}
+
+// TestMessageStateHasNoMaps keeps hash lookups off the message path: a
+// message finds its BMMs, static free lists and block counters by TM
+// number in slices made at connect, so none of the state it touches per
+// block — ConnState, msgState, the Connection holding it, and chanStats'
+// counters — may have a map field, also inside an embedded struct.
+func TestMessageStateHasNoMaps(t *testing.T) {
+	var check func(where string, typ reflect.Type)
+	check = func(where string, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			switch f.Type.Kind() {
+			case reflect.Map:
+				t.Errorf("%s.%s is a map (%s): number what it holds at connect instead", where, f.Name, f.Type)
+			case reflect.Struct:
+				check(where+"."+f.Name, f.Type)
+			}
+		}
+	}
+	for _, v := range []any{ConnState{}, msgState{}, Connection{}, chanStats{}} {
+		typ := reflect.TypeOf(v)
+		check(typ.Name(), typ)
 	}
 }
 

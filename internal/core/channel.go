@@ -24,6 +24,7 @@ type Channel struct {
 	name    string
 	rank    int
 	pmm     PMM
+	tms     []TM         // pmm.TMs(), numbered once: a TM's number is its index
 	end     messageEnder // pmm's one TM, when it keeps per-message state
 	obs     *Observer    // session observer at creation time; nil = unobserved
 	lbl     spanLabels   // built with the channel when observed; zero otherwise
@@ -40,7 +41,7 @@ type Channel struct {
 	// conversations wait in its one FIFO, and each rank goes to the oldest.
 	ann simnet.Queue[int]
 
-	conns map[int]*ConnState
+	conns []*ConnState // by remote rank; nil for the channel's own rank and non-members
 	stats chanStats
 	met   chanMetrics // always-on registry handles, cached at creation
 }
@@ -80,11 +81,22 @@ func linkOf(p PMM, n int) model.Link { return p.Select(n, SendCheaper, ReceiveCh
 
 // conn resolves the connection state toward a member rank.
 func (c *Channel) conn(remote int) (*ConnState, error) {
-	cs := c.conns[remote]
-	if cs == nil {
-		return nil, fmt.Errorf("core: channel %q has no connection %d->%d", c.name, c.rank, remote)
+	if remote >= 0 && remote < len(c.conns) && c.conns[remote] != nil {
+		return c.conns[remote], nil
 	}
-	return cs, nil
+	return nil, fmt.Errorf("core: channel %q has no connection %d->%d", c.name, c.rank, remote)
+}
+
+// tmNum is tm's number among tms, or -1 when tm is not one of them. A
+// channel has a handful of TMs, so comparing against each is cheaper than
+// any lookup; it is how a message resolves the TM Select returned.
+func tmNum(tms []TM, tm TM) int {
+	for i, t := range tms {
+		if t == tm {
+			return i
+		}
+	}
+	return -1
 }
 
 // lease is the exclusive-ownership token of one connection direction: a
@@ -132,12 +144,13 @@ func (l lease) release(a *vclock.Actor) { l.q.Push(a.Now()) }
 func (l lease) state() (held bool, parked int) { return l.q.Len() == 0, l.q.Waiting() }
 
 // msgState is the per-message mutable state of one in-flight message: the
-// Switch step's current TM plus the announce/packed latches. It is owned
-// by the message's Connection, so concurrent messages on one channel
-// cannot corrupt each other: the two directions of a connection have
-// separate handles, and one direction carries one message at a time.
+// Switch step's current TM and its BMM plus the announce/packed latches.
+// It is owned by the message's Connection, so concurrent messages on one
+// channel cannot corrupt each other: the two directions of a connection
+// have separate handles, and one direction carries one message at a time.
 type msgState struct {
-	tm        TM // current Switch-step TM (nil before the first block)
+	bmm       BMM   // the current Switch-step TM's BMM (nil before the first block)
+	tm        int32 // that TM's number; 32 bits keep Connection in 48 bytes
 	announced bool
 	packed    bool
 }
@@ -147,7 +160,8 @@ type msgState struct {
 // the protocol module's private resources — each guarded by the owning
 // direction's lease: send-path TM methods run under the send lease,
 // receive-path methods under the receive lease, and the two never share
-// mutable fields (full duplex).
+// mutable fields (full duplex). Its per-TM state is kept in slices by TM
+// number, made when the connection is, so no message looks anything up.
 type ConnState struct {
 	ch     *Channel
 	peer   *Channel // remote's instance of ch, fixed at NewChannel
@@ -163,14 +177,17 @@ type ConnState struct {
 	send lease
 	recv lease
 
-	// Long-lived BMM instances, lazily created; sBMMs is guarded by the
-	// send lease, rBMMs by the receive lease.
-	sBMMs map[TM]BMM
-	rBMMs map[TM]BMM
+	// tms numbers the per-TM state below: the channel's TMs, or for a
+	// rail's sub-connection that rail's own.
+	tms []TM
 
-	// Idle outgoing static buffers, per StaticTM that owns its own;
-	// lazily created, guarded by the send lease.
-	sFree map[*StaticTM]*freeList
+	// Long-lived BMM instances by TM number, lazily created; sBMMs is
+	// guarded by the send lease, rBMMs by the receive lease.
+	sBMMs, rBMMs []BMM
+
+	// Idle outgoing static buffers by TM number, used by each StaticTM
+	// whose mover has no buffers of its own; guarded by the send lease.
+	sFree []freeList
 
 	// sendMsg is the send-lease holder's message while it is in
 	// construction: where Announce finds its latch. Written only under the
@@ -187,6 +204,18 @@ type ConnState struct {
 	// (ReceiveBuffer, ReleaseStaticBuffer, …) may not mutate shared
 	// fields, because a send and a receive can run concurrently.
 	Priv any
+}
+
+// newConnState makes the connection state from local to remote on ch,
+// its per-TM state numbered by tms.
+func newConnState(ch *Channel, tms []TM, local, remote int) *ConnState {
+	return &ConnState{
+		ch: ch, local: local, remote: remote,
+		send: newLease(), recv: newLease(),
+		tms:   tms,
+		sBMMs: make([]BMM, len(tms)), rBMMs: make([]BMM, len(tms)),
+		sFree: make([]freeList, len(tms)),
+	}
 }
 
 // Channel returns the owning channel.
@@ -214,18 +243,10 @@ func (cs *ConnState) Announce() error {
 	return nil
 }
 
-// staticBufs returns (creating lazily) t's free list on this connection.
-// Called only under the send lease.
+// staticBufs returns t's free list on this connection. Called only under
+// the send lease.
 func (cs *ConnState) staticBufs(t *StaticTM) *freeList {
-	f := cs.sFree[t]
-	if f == nil {
-		if cs.sFree == nil {
-			cs.sFree = make(map[*StaticTM]*freeList)
-		}
-		f = new(freeList)
-		cs.sFree[t] = f
-	}
-	return f
+	return &cs.sFree[tmNum(cs.tms, t)]
 }
 
 // leftovers lists what the connection still holds between messages, one
@@ -250,10 +271,9 @@ func (cs *ConnState) leftovers() []string {
 	if cs.sendMsg != nil {
 		out = append(out, where+" send: message open")
 	}
-	for _, tm := range cs.ch.pmm.TMs() {
-		t, _ := tm.(*StaticTM)
-		if f := cs.sFree[t]; f != nil && f.out != 0 {
-			out = append(out, fmt.Sprintf("%s send: %d %s buffers obtained and not sent", where, f.out, t.Name()))
+	for i, f := range cs.sFree {
+		if f.out != 0 {
+			out = append(out, fmt.Sprintf("%s send: %d %s buffers obtained and not sent", where, f.out, cs.tms[i].Name()))
 		}
 	}
 	return out
@@ -335,22 +355,30 @@ func (c *Channel) takeLease(a *vclock.Actor, l lease, label string) {
 	}
 }
 
-// bmm returns (creating lazily) the connection's BMM instance for tm in
-// the message's direction, guarded by that direction's lease.
-func (cn *Connection) bmm(tm TM) BMM {
-	m := &cn.cs.rBMMs
+// bmm returns (creating lazily) the connection's BMM instance for TM
+// number num in the message's direction, guarded by that direction's
+// lease.
+func (cn *Connection) bmm(num int) BMM {
+	bs := cn.cs.rBMMs
 	if cn.sending {
-		m = &cn.cs.sBMMs
+		bs = cn.cs.sBMMs
 	}
-	b := (*m)[tm]
-	if b == nil {
-		if *m == nil {
-			*m = make(map[TM]BMM)
-		}
-		b = tm.NewBMM(cn.cs)
-		(*m)[tm] = b
+	if bs[num] == nil {
+		bs[num] = cn.cs.tms[num].NewBMM(cn.cs)
 	}
-	return b
+	return bs[num]
+}
+
+// selectTM is the Switch step's choice for an n-byte block: the number of
+// the TM the PMM selects, or an error when the PMM does not declare it in
+// TMs(), which is what the connection's state is numbered by.
+func (cn *Connection) selectTM(n int, sm SendMode, rm RecvMode) (int, error) {
+	cs := cn.cs
+	tm := cs.ch.pmm.Select(n, sm, rm)
+	if num := tmNum(cs.tms, tm); num >= 0 {
+		return num, nil
+	}
+	return 0, fmt.Errorf("core: module %s selected TM %s, which its TMs() does not list", cs.ch.pmm.Name(), tm.Name())
 }
 
 // finish closes the message with err: nil at a clean End…, otherwise the
@@ -368,9 +396,9 @@ func (cn *Connection) bmm(tm TM) BMM {
 func (cn *Connection) finish(err error) error {
 	cs := cn.cs
 	cn.open = false
-	if cn.msg.tm != nil {
-		cn.bmm(cn.msg.tm).discard()
-		cn.msg.tm = nil
+	if cn.msg.bmm != nil {
+		cn.msg.bmm.discard()
+		cn.msg.bmm = nil
 	}
 	if m := cs.ch.end; m != nil {
 		if e := m.EndMessage(cn.actor, cs, cn.sending, err != nil); err == nil {
@@ -416,24 +444,27 @@ func (cn *Connection) Pack(data []byte, sm SendMode, rm RecvMode) error {
 		return cn.finish(&ModeError{Op: "Pack", Send: sm, Recv: rm})
 	}
 	cs, m := cn.cs, &cn.msg
-	tm := cs.ch.pmm.Select(len(data), sm, rm)
+	tm, err := cn.selectTM(len(data), sm, rm)
+	if err != nil {
+		return cn.finish(err)
+	}
 	// Switch step: changing TM flushes the previous BMM to keep the wire
 	// order identical to the pack order (§4.1).
-	if m.tm != nil && m.tm != tm {
+	if m.bmm != nil && int(m.tm) != tm {
 		t0 := cn.actor.Now()
-		err := cn.bmm(m.tm).Commit(cn.actor)
-		cs.ch.spanTM(cn.actor, t0, spanCommit, m.tm)
+		err := m.bmm.Commit(cn.actor)
+		cs.ch.spanTM(cn.actor, t0, spanCommit, int(m.tm))
 		if err != nil {
 			return cn.finish(err)
 		}
 		cs.ch.stats.commits.Add(1)
 	}
-	m.tm = tm
+	m.bmm, m.tm = cn.bmm(tm), int32(tm)
 	m.packed = true
 	cs.ch.stats.packed(tm, len(data))
 	t0 := cn.actor.Now()
 	cn.actor.Advance(model.MadPackCost)
-	err := cn.bmm(tm).Pack(cn.actor, data, sm, rm)
+	err = m.bmm.Pack(cn.actor, data, sm, rm)
 	cs.ch.spanTM(cn.actor, t0, spanPack, tm)
 	if err != nil {
 		return cn.finish(err)
@@ -453,14 +484,14 @@ func (cn *Connection) EndPacking() error {
 	if !m.packed {
 		return cn.finish(ErrEmptyMessage)
 	}
-	if m.tm != nil {
+	if m.bmm != nil {
 		t0 := cn.actor.Now()
-		err := cn.bmm(m.tm).Commit(cn.actor)
-		cs.ch.spanTM(cn.actor, t0, spanCommit, m.tm)
+		err := m.bmm.Commit(cn.actor)
+		cs.ch.spanTM(cn.actor, t0, spanCommit, int(m.tm))
 		if err != nil {
 			return cn.finish(err)
 		}
-		m.tm = nil
+		m.bmm = nil
 	}
 	if !m.announced {
 		// No block reached a TM send, so the peer was never told of the
@@ -496,23 +527,26 @@ func (cn *Connection) Unpack(dst []byte, sm SendMode, rm RecvMode) error {
 		return cn.finish(&ModeError{Op: "Unpack", Send: sm, Recv: rm})
 	}
 	cs, m := cn.cs, &cn.msg
-	tm := cs.ch.pmm.Select(len(dst), sm, rm)
-	if m.tm != nil && m.tm != tm {
+	tm, err := cn.selectTM(len(dst), sm, rm)
+	if err != nil {
+		return cn.finish(err)
+	}
+	if m.bmm != nil && int(m.tm) != tm {
 		t0 := cn.actor.Now()
-		err := cn.bmm(m.tm).Checkout(cn.actor)
-		cs.ch.spanTM(cn.actor, t0, spanCheckout, m.tm)
+		err := m.bmm.Checkout(cn.actor)
+		cs.ch.spanTM(cn.actor, t0, spanCheckout, int(m.tm))
 		if err != nil {
 			return cn.finish(err)
 		}
 		cs.ch.stats.checkouts.Add(1)
 	}
-	m.tm = tm
+	m.bmm, m.tm = cn.bmm(tm), int32(tm)
 	cs.ch.stats.unpacked(len(dst))
 	// The per-block extraction cost (model.MadUnpackCost) is charged by
 	// the BMM when the block is actually extracted, so it lands after the
 	// data's arrival for deferred (receive_CHEAPER) blocks too.
 	t0 := cn.actor.Now()
-	err := cn.bmm(tm).Unpack(cn.actor, dst, rm)
+	err = m.bmm.Unpack(cn.actor, dst, rm)
 	cs.ch.spanTM(cn.actor, t0, spanUnpack, tm)
 	if err != nil {
 		return cn.finish(err)
@@ -527,14 +561,14 @@ func (cn *Connection) EndUnpacking() error {
 		return ErrBadState
 	}
 	cs, m := cn.cs, &cn.msg
-	if m.tm != nil {
+	if m.bmm != nil {
 		t0 := cn.actor.Now()
-		err := cn.bmm(m.tm).Checkout(cn.actor)
-		cs.ch.spanTM(cn.actor, t0, spanCheckout, m.tm)
+		err := m.bmm.Checkout(cn.actor)
+		cs.ch.spanTM(cn.actor, t0, spanCheckout, int(m.tm))
 		if err != nil {
 			return cn.finish(err)
 		}
-		m.tm = nil
+		m.bmm = nil
 	}
 	return cn.finish(nil)
 }

@@ -385,12 +385,13 @@ func TestUnpackAbortReleasesLease(t *testing.T) {
 	boom := errors.New("injected driver fault")
 	cs := rc.cs
 	tm := chans[1].pmm.Select(32, SendCheaper, ReceiveExpress)
-	saved := cs.rBMMs
-	cs.rBMMs = map[TM]BMM{tm: failingBMM{err: boom}}
+	num := tmNum(cs.tms, tm)
+	saved := cs.rBMMs[num]
+	cs.rBMMs[num] = failingBMM{err: boom}
 	if err := rc.Unpack(make([]byte, 32), SendCheaper, ReceiveExpress); !errors.Is(err, boom) {
 		t.Fatalf("Unpack with injected fault: %v", err)
 	}
-	cs.rBMMs = saved
+	cs.rBMMs[num] = saved
 	if err := rc.EndUnpacking(); !errors.Is(err, ErrBadState) {
 		t.Errorf("EndUnpacking after failed Unpack: %v, want ErrBadState", err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"madeleine2/internal/vclock"
@@ -255,4 +256,38 @@ func TestModeErrorMidMessage(t *testing.T) {
 			requireFindings(t, sess)
 		})
 	}
+}
+
+// hidingPMM is a module whose TMs() leaves out the TM Select returns.
+type hidingPMM struct{ PMM }
+
+func (hidingPMM) TMs() []TM { return nil }
+
+// TestUndeclaredTMRejected holds a module to its TMs() list: a channel
+// numbers its per-TM state from that list once, so a block for which
+// Select returns a TM left out of it fails Pack with an error naming the
+// TM (Unpack shares the check), aborts its message and leaves the session
+// at rest.
+func TestUndeclaredTMRejected(t *testing.T) {
+	sess := NewSession(testWorld(2))
+	pmms := map[int]PMM{}
+	for r := 0; r < 2; r++ {
+		pmm, err := newPMM("tcp", sess.World().Node(r), 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pmms[r] = hidingPMM{pmm}
+	}
+	chans, err := sess.NewChannelOver("hiding", pmms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := vclock.NewActor("s")
+	err = chans[0].Send(a, 1, func(cn *Connection) error {
+		return cn.Pack(pattern(8, 1), SendCheaper, ReceiveExpress)
+	})
+	if err == nil || !strings.Contains(err.Error(), "selected TM tcp, which its TMs() does not list") {
+		t.Fatalf("Pack of a block for an undeclared TM: %v", err)
+	}
+	requireFindings(t, sess)
 }

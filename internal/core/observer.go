@@ -156,7 +156,7 @@ func (c *Channel) span(a *vclock.Actor, start vclock.Time, label string) {
 // hot path builds a string per span.
 type spanLabels struct {
 	leaseSend, leaseRecv, drain string
-	tm                          map[TM]*tmSpans // read-only after creation
+	tm                          []*tmSpans // by TM number, read-only after creation
 }
 
 // tmSpans is where one TM's activity goes on an observed channel: the
@@ -198,27 +198,18 @@ func newSpanLabels(channel string, reg *metrics.Registry, tms []TM) spanLabels {
 		leaseSend: "w:lease-send " + channel,
 		leaseRecv: "w:lease-recv " + channel,
 		drain:     "A:drain " + channel,
-		tm:        make(map[TM]*tmSpans, len(tms)),
+		tm:        make([]*tmSpans, len(tms)),
 	}
-	for _, tm := range tms {
-		l.tm[tm] = newTMSpans(reg, tm.Name())
+	for i, tm := range tms {
+		l.tm[i] = newTMSpans(reg, tm.Name())
 	}
 	return l
 }
 
-// spansOf returns tm's entry on an observed channel. A TM the PMM failed
-// to declare in TMs() still gets one, built per lookup.
-func (c *Channel) spansOf(tm TM) *tmSpans {
-	if s := c.lbl.tm[tm]; s != nil {
-		return s
-	}
-	return newTMSpans(c.obs.reg, tm.Name())
-}
-
-// spanTM records one Switch-step interval of tm ending now.
-func (c *Channel) spanTM(a *vclock.Actor, start vclock.Time, k spanKind, tm TM) {
+// spanTM records one Switch-step interval of TM number tm ending now.
+func (c *Channel) spanTM(a *vclock.Actor, start vclock.Time, k spanKind, tm int) {
 	if c.obs != nil {
-		c.obs.rec.Record(a.Name(), start, a.Now(), c.spansOf(tm).step[k])
+		c.obs.rec.Record(a.Name(), start, a.Now(), c.lbl.tm[tm].step[k])
 	}
 }
 
@@ -228,7 +219,7 @@ func (c *Channel) spanTM(a *vclock.Actor, start vclock.Time, k spanKind, tm TM) 
 // through the same sink without per-driver wiring, and announces the
 // message before its first send, so no PMM does. It is not itself a TM:
 // no library type both holds and implements one, so a module has one
-// identity for the Switch step, the BMM maps and the statistics.
+// identity for the Switch step, the BMM slots and the statistics.
 type tmPort struct {
 	tm  TM
 	cs  *ConnState
@@ -237,9 +228,12 @@ type tmPort struct {
 
 func newTMPort(tm TM, cs *ConnState) tmPort {
 	p := tmPort{tm: tm, cs: cs}
-	// A bare ConnState with no channel (white-box tests) is unobserved.
+	// A bare ConnState with no channel (white-box tests) is unobserved,
+	// and so is a TM the channel does not number (a rail's sub-TM).
 	if cs.ch != nil && cs.ch.obs != nil {
-		p.obs = cs.ch.spansOf(tm)
+		if i := tmNum(cs.ch.tms, tm); i >= 0 {
+			p.obs = cs.ch.lbl.tm[i]
+		}
 	}
 	return p
 }

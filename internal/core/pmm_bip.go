@@ -48,16 +48,30 @@ func (p *bipPMM) Select(n int, sm SendMode, rm RecvMode) TM {
 	return p.long
 }
 
-// The per-connection state is the short TM's credit window over the
-// peer's preallocated short buffers.
+// bipConn is the per-connection state: the short TM's credit window over
+// the peer's preallocated short buffers, and the data and control tags
+// toward the peer, resolved at Connect.
+type bipConn struct {
+	window     *creditWindow
+	data, ctrl bip.Pair
+}
+
 func (p *bipPMM) PreConnect(cs *ConnState) error {
-	cs.Priv = newCreditWindow(bip.ShortBufs)
+	cs.Priv = &bipConn{window: newCreditWindow(bip.ShortBufs)}
 	return nil
 }
 
-func (p *bipPMM) Connect(cs *ConnState) error { return nil }
+func (p *bipPMM) Connect(cs *ConnState) error {
+	st := bipState(cs)
+	var err error
+	if st.data, err = p.iface.Pair(cs.Remote(), p.dataTag); err != nil {
+		return err
+	}
+	st.ctrl, err = p.iface.Pair(cs.Remote(), p.ctrlTag)
+	return err
+}
 
-func bipWindow(cs *ConnState) *creditWindow { return cs.Priv.(*creditWindow) }
+func bipState(cs *ConnState) *bipConn { return cs.Priv.(*bipConn) }
 
 // --- short-message TM ---
 
@@ -76,15 +90,16 @@ func (t *bipShort) StaticSize() int { return bip.ShortMax - 1 }
 func (t *bipShort) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
 	// The credit window keeps the receiver's preallocated ring from ever
 	// overrunning (§5.2.2).
-	if err := bipWindow(cs).acquire(a, cs, t); err != nil {
+	st := bipState(cs)
+	if err := st.window.acquire(a, cs, t); err != nil {
 		return err
 	}
 	a.Advance(bipShortTMCost)
-	return t.p.iface.TSendShort(a, cs.Remote(), t.p.dataTag, data)
+	return st.data.SendShort(a, data)
 }
 
 func (t *bipShort) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
-	buf, err := t.p.iface.TRecvShort(a, cs.Remote(), t.p.dataTag)
+	buf, err := bipState(cs).data.RecvShort(a)
 	if err != nil {
 		return nil, err
 	}
@@ -93,12 +108,12 @@ func (t *bipShort) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, 
 }
 
 func (t *bipShort) ReleaseStaticBuffer(a *vclock.Actor, cs *ConnState, buf []byte) error {
-	return bipWindow(cs).release(a, cs, t)
+	return bipState(cs).window.release(a, cs, t)
 }
 
 // A grant is a 1-byte short message on the control tag.
 func (t *bipShort) awaitGrant(a *vclock.Actor, cs *ConnState) (int, error) {
-	msg, err := t.p.iface.TRecvShort(a, cs.Remote(), t.p.ctrlTag)
+	msg, err := bipState(cs).ctrl.RecvShort(a)
 	if err != nil {
 		return 0, err
 	}
@@ -106,7 +121,7 @@ func (t *bipShort) awaitGrant(a *vclock.Actor, cs *ConnState) (int, error) {
 }
 
 func (t *bipShort) returnCredits(a *vclock.Actor, cs *ConnState, n int) error {
-	return t.p.iface.TSendShort(a, cs.Remote(), t.p.ctrlTag, []byte{byte(n)})
+	return bipState(cs).ctrl.SendShort(a, []byte{byte(n)})
 }
 
 // --- long-message TM ---
@@ -122,11 +137,11 @@ func (t *bipLong) Link(n int) model.Link {
 }
 
 func (t *bipLong) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
-	return t.p.iface.TSendLong(a, cs.Remote(), t.p.dataTag, data)
+	return bipState(cs).data.SendLong(a, data)
 }
 
 func (t *bipLong) ReceiveBuffer(a *vclock.Actor, cs *ConnState, dst []byte) error {
-	n, err := t.p.iface.TRecvLong(a, cs.Remote(), t.p.dataTag, dst)
+	n, err := bipState(cs).data.RecvLong(a, dst)
 	if err != nil {
 		return err
 	}

@@ -203,7 +203,7 @@ func (p *railPMM) PreConnect(cs *ConnState) error {
 		recvFrames: make([][]byte, len(p.rails)),
 	}
 	for i, r := range p.rails {
-		sub := &ConnState{ch: cs.ch, local: cs.local, remote: cs.remote, send: newLease(), recv: newLease()}
+		sub := newConnState(cs.ch, r.pmm.TMs(), cs.local, cs.remote)
 		if err := r.pmm.PreConnect(sub); err != nil {
 			return fmt.Errorf("rail %d: %w", i, err)
 		}

@@ -251,7 +251,8 @@ func rdmaState(cs *ConnState) *rdmaConn { return cs.Priv.(*rdmaConn) }
 // A frame is 16 bytes of content: magic(2) kind(1) pad(1) seq(4) val(4)
 // crc32-of-the-first-12(4). RTS/CTS/FIN are padded to rdmaFrameSize on
 // the wire so fault plans strike them; verdicts and credits ship the bare
-// 16 bytes.
+// 16 bytes. The decoder accepts exactly what the encoder writes: a zero
+// pad byte included.
 func rdmaEncodeFrame(dst []byte, kind byte, seq, val uint32) {
 	dst[0], dst[1], dst[2], dst[3] = 0xAD, 0x02, kind, 0
 	binary.LittleEndian.PutUint32(dst[4:], seq)
@@ -260,7 +261,7 @@ func rdmaEncodeFrame(dst []byte, kind byte, seq, val uint32) {
 }
 
 func rdmaDecodeFrame(b []byte) (kind byte, seq, val uint32, valid bool) {
-	if len(b) < 16 || b[0] != 0xAD || b[1] != 0x02 {
+	if len(b) < 16 || b[0] != 0xAD || b[1] != 0x02 || b[3] != 0 {
 		return 0, 0, 0, false
 	}
 	if binary.LittleEndian.Uint32(b[12:]) != crc32.ChecksumIEEE(b[:12]) {

@@ -34,10 +34,7 @@ func (p *sbpPMM) Name() string                              { return "sbp" }
 func (p *sbpPMM) Select(n int, sm SendMode, rm RecvMode) TM { return p.tm }
 func (p *sbpPMM) TMs() []TM                                 { return []TM{p.tm} }
 func (p *sbpPMM) PreConnect(cs *ConnState) error {
-	cs.Priv = &sbpConn{
-		sendBufs: map[*byte]*sbp.Buf{},
-		recvBufs: map[*byte]*sbp.Buf{},
-	}
+	cs.Priv = new(sbpConn)
 	return nil
 }
 func (p *sbpPMM) Connect(cs *ConnState) error { return nil }
@@ -55,15 +52,25 @@ func (p *sbpPMM) leftovers() []string {
 }
 
 // sbpConn maps outstanding static buffer payloads back to their kernel
-// buffers, one map per direction: sendBufs tracks buffers obtained for
+// buffers, one list per direction: sendBufs tracks buffers obtained for
 // packing (send lease: ObtainStaticBuffer/SendBuffer), recvBufs tracks
 // buffers handed out by the kernel on receive (receive lease:
 // ReceiveStaticBuffer/ReleaseStaticBuffer). Keeping them separate lets a
 // concurrent send and receive on the same connection proceed without a
-// shared map.
+// shared list.
 type sbpConn struct {
-	sendBufs map[*byte]*sbp.Buf
-	recvBufs map[*byte]*sbp.Buf
+	sendBufs sbpBufs
+	recvBufs sbpBufs
+}
+
+// sbpBufs is one direction's outstanding kernel buffers, each with the
+// address of the payload it handed out. The static-copy BMM holds one or
+// two at a time, so a scan finds one sooner than a hash would.
+type sbpBufs []sbpOut
+
+type sbpOut struct {
+	at  *byte
+	buf *sbp.Buf
 }
 
 type sbpMover struct{ p *sbpPMM }
@@ -74,30 +81,36 @@ func (t *sbpMover) StaticSize() int       { return sbp.BufSize }
 
 func sbpState(cs *ConnState) *sbpConn { return cs.Priv.(*sbpConn) }
 
-func sbpTrack(bufs map[*byte]*sbp.Buf, b *sbp.Buf) []byte {
+// track lists b as handed out and returns its payload.
+func (bs *sbpBufs) track(b *sbp.Buf) []byte {
 	data := b.Bytes()
-	bufs[&data[0]] = b
+	*bs = append(*bs, sbpOut{&data[0], b})
 	return data
 }
 
-func sbpLookup(bufs map[*byte]*sbp.Buf, data []byte) (*sbp.Buf, error) {
+// take removes and returns the buffer whose payload data is.
+func (bs *sbpBufs) take(data []byte) (*sbp.Buf, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("core: empty sbp buffer")
 	}
-	b := bufs[&data[0]]
-	if b == nil {
-		return nil, fmt.Errorf("core: sbp payload does not belong to a kernel static buffer")
+	l := *bs
+	for i, o := range l {
+		if o.at == &data[0] {
+			last := len(l) - 1
+			l[i], l[last] = l[last], sbpOut{}
+			*bs = l[:last]
+			return o.buf, nil
+		}
 	}
-	delete(bufs, &data[0])
-	return b, nil
+	return nil, fmt.Errorf("core: sbp payload does not belong to a kernel static buffer")
 }
 
 func (t *sbpMover) ObtainStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, error) {
-	return sbpTrack(sbpState(cs).sendBufs, t.p.ep.ObtainBuffer()), nil
+	return sbpState(cs).sendBufs.track(t.p.ep.ObtainBuffer()), nil
 }
 
 func (t *sbpMover) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error {
-	b, err := sbpLookup(sbpState(cs).sendBufs, data)
+	b, err := sbpState(cs).sendBufs.take(data)
 	if err != nil {
 		return err
 	}
@@ -107,7 +120,7 @@ func (t *sbpMover) SendBuffer(a *vclock.Actor, cs *ConnState, data []byte) error
 // unsent hands an unsent kernel buffer back to the pool, as a failed Send
 // does.
 func (t *sbpMover) unsent(cs *ConnState, buf []byte) {
-	if b, err := sbpLookup(sbpState(cs).sendBufs, buf); err == nil {
+	if b, err := sbpState(cs).sendBufs.take(buf); err == nil {
 		t.p.ep.Release(b)
 	}
 }
@@ -117,11 +130,11 @@ func (t *sbpMover) ReceiveStaticBuffer(a *vclock.Actor, cs *ConnState) ([]byte, 
 	if err != nil {
 		return nil, err
 	}
-	return sbpTrack(sbpState(cs).recvBufs, b)[:n], nil
+	return sbpState(cs).recvBufs.track(b)[:n], nil
 }
 
 func (t *sbpMover) ReleaseStaticBuffer(a *vclock.Actor, cs *ConnState, buf []byte) error {
-	b, err := sbpLookup(sbpState(cs).recvBufs, buf)
+	b, err := sbpState(cs).recvBufs.take(buf)
 	if err != nil {
 		return err
 	}

@@ -321,20 +321,20 @@ func (s *Session) NewChannelOver(name string, pmms map[int]PMM) (map[int]*Channe
 			name:    name,
 			rank:    r,
 			pmm:     pmm,
+			tms:     pmm.TMs(),
 			obs:     obs,
 			members: members,
-			conns:   make(map[int]*ConnState),
+			conns:   make([]*ConnState, members[len(members)-1]+1),
 
 			asyncName: fmt.Sprintf("async:%s:%d<", name, r),
 		}
-		if tms := pmm.TMs(); len(tms) == 1 {
-			ch.end, _ = tms[0].(messageEnder)
+		if len(ch.tms) == 1 {
+			ch.end, _ = ch.tms[0].(messageEnder)
 		}
-		// Pre-register the PMM's TM names so per-TM accounting is
-		// lock-free once traffic starts.
-		ch.stats.registerTMs(pmm.TMs())
+		// Per-TM state is numbered once, here, so no block looks a TM up.
+		ch.stats.registerTMs(len(ch.tms))
 		if obs != nil {
-			ch.lbl = newSpanLabels(name, reg, pmm.TMs())
+			ch.lbl = newSpanLabels(name, reg, ch.tms)
 		}
 		ch.bindMetrics(reg)
 		chans[r] = ch
@@ -355,8 +355,8 @@ func (s *Session) NewChannelOver(name string, pmms map[int]PMM) (map[int]*Channe
 			if peer == r {
 				continue
 			}
-			cs := &ConnState{ch: chans[r], peer: chans[peer], local: r, remote: peer, send: newLease(), recv: newLease(),
-				asyncName: fmt.Sprintf("async:%s:%d>%d", name, r, peer)}
+			cs := newConnState(chans[r], chans[r].tms, r, peer)
+			cs.peer, cs.asyncName = chans[peer], fmt.Sprintf("async:%s:%d>%d", name, r, peer)
 			chans[r].conns[peer] = cs
 			if err := chans[r].pmm.PreConnect(cs); err != nil {
 				return nil, fmt.Errorf("core: channel %q preconnect %d->%d: %w", name, r, peer, err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"madeleine2/internal/metrics"
@@ -55,11 +54,8 @@ func (s ChannelStats) String() string {
 // chanStats is the channel's live accounting. Many actors mutate it
 // concurrently (disjoint connections of one channel, full-duplex traffic
 // on one connection), so every counter is an atomic — including the
-// per-TM block histogram: its map is built once at channel creation from
-// the PMM's declared TMs (PMM.TMs), keyed by TM identity so the hot send
-// path never asks a TM for its name, and never mutated afterwards: a
-// pre-registered TM costs one atomic add and no lock. A TM the PMM failed
-// to declare falls back to the mutex-guarded overflow map.
+// per-TM block histogram, one counter per TM number (Channel.tms), made
+// when the channel is: a block costs one atomic add and no lookup.
 type chanStats struct {
 	messagesOut, messagesIn atomic.Int64
 	blocksOut, blocksIn     atomic.Int64
@@ -68,34 +64,18 @@ type chanStats struct {
 
 	asyncSubmitted, asyncCompleted, asyncErrors atomic.Int64
 
-	tmBlocks map[TM]*atomic.Int64 // read-only after registerTMs
-
-	mu       sync.Mutex
-	overflow map[string]int64
+	tmBlocks []atomic.Int64 // by TM number
 }
 
-// registerTMs pre-registers the channel's TMs; runs once, before any
-// traffic.
-func (cs *chanStats) registerTMs(tms []TM) {
-	cs.tmBlocks = make(map[TM]*atomic.Int64, len(tms))
-	for _, tm := range tms {
-		cs.tmBlocks[tm] = new(atomic.Int64)
-	}
-}
+// registerTMs makes one block counter per TM number; runs once, before
+// any traffic.
+func (cs *chanStats) registerTMs(n int) { cs.tmBlocks = make([]atomic.Int64, n) }
 
-func (cs *chanStats) packed(tm TM, n int) {
+// packed counts an n-byte block sent through TM number tm.
+func (cs *chanStats) packed(tm, n int) {
 	cs.blocksOut.Add(1)
 	cs.bytesOut.Add(int64(n))
-	if ctr := cs.tmBlocks[tm]; ctr != nil {
-		ctr.Add(1)
-		return
-	}
-	cs.mu.Lock()
-	if cs.overflow == nil {
-		cs.overflow = make(map[string]int64)
-	}
-	cs.overflow[tm.Name()]++
-	cs.mu.Unlock()
+	cs.tmBlocks[tm].Add(1)
 }
 
 func (cs *chanStats) unpacked(n int) {
@@ -170,16 +150,11 @@ func (c *Channel) Stats() ChannelStats {
 		AsyncCompleted: c.stats.asyncCompleted.Load(),
 		AsyncErrors:    c.stats.asyncErrors.Load(),
 	}
-	out.TMBlocks = make(map[string]int64, len(c.stats.tmBlocks))
-	for tm, ctr := range c.stats.tmBlocks {
-		if v := ctr.Load(); v > 0 {
+	out.TMBlocks = make(map[string]int64, len(c.tms))
+	for i, tm := range c.tms {
+		if v := c.stats.tmBlocks[i].Load(); v > 0 {
 			out.TMBlocks[tm.Name()] += v
 		}
 	}
-	c.stats.mu.Lock()
-	for k, v := range c.stats.overflow {
-		out.TMBlocks[k] += v
-	}
-	c.stats.mu.Unlock()
 	return out
 }

@@ -69,9 +69,11 @@ type PMM interface {
 	Select(n int, sm SendMode, rm RecvMode) TM
 
 	// TMs lists every transmission module Select can return (including
-	// configuration-disabled ones). Channels pre-register the names at
-	// creation so per-TM statistics update lock-free on the hot path,
-	// and observers label latency histograms with them.
+	// configuration-disabled ones). A channel numbers them once, at
+	// creation: a connection keeps its per-TM state (BMMs, static free
+	// lists, block counters) by that number, so a block looks nothing up,
+	// and observers label latency histograms with the names. A block for
+	// which Select returns a TM missing from the list fails.
 	TMs() []TM
 
 	// PreConnect is the first phase of the connection bootstrap: it
@@ -122,8 +124,7 @@ type BMM interface {
 // — the mover — and DynamicTM or StaticTM supplies the rest, so the "not
 // relevant" answers and the rule "a group is each buffer in turn" are
 // written once, here. The adapter, not the mover, is the TM identity the
-// Switch step, the BMM maps and the statistics compare: build it once,
-// with the PMM.
+// Switch step compares to number it: build it once, with the PMM.
 
 // dynamicMover is what a dynamic-buffer TM declares: its name, its cost
 // model, and how one user buffer crosses the wire in each direction.

@@ -79,12 +79,15 @@ func (n *Node) AddAdapter(network string) *Adapter {
 	if n.adapters == nil {
 		n.adapters = make(map[string][]*Adapter)
 	}
+	size := n.world.Size()
 	a := &Adapter{
 		node:    n,
 		network: network,
 		index:   len(n.adapters[network]),
 		tx:      vclock.NewResource(fmt.Sprintf("n%d/%s%d/tx", n.id, network, len(n.adapters[network]))),
 		lanes:   make(map[laneKey]*RxLane),
+		peers:   make([]atomic.Pointer[[]*Adapter], size),
+		rx:      make([]atomic.Pointer[[]*RxLane], size),
 	}
 	n.adapters[network] = append(n.adapters[network], a)
 	return a
@@ -93,13 +96,20 @@ func (n *Node) AddAdapter(network string) *Adapter {
 // Adapter returns the node's idx-th adapter on the named network, or an
 // error if it does not exist.
 func (n *Node) Adapter(network string, idx int) (*Adapter, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	as := n.adapters[network]
+	as := n.on(network)
 	if idx < 0 || idx >= len(as) {
 		return nil, fmt.Errorf("simnet: node %d has no adapter %s[%d]", n.id, network, idx)
 	}
 	return as[idx], nil
+}
+
+// on returns the node's adapters on the named network so far. AddAdapter
+// only appends, so the slice returned is never written again and may be
+// kept and read without the lock.
+func (n *Node) on(network string) []*Adapter {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.adapters[network]
 }
 
 // Networks lists the network names this node is attached to.
@@ -122,14 +132,24 @@ type laneKey struct {
 // Adapter is one simulated NIC. Its transmit engine is a serial virtual-time
 // resource; its receive side is a set of in-order lanes, one per (source
 // node, lane id) pair, mirroring per-connection NIC receive rings.
+//
+// Peers and lanes never go away once they exist, so the adapter keeps
+// what it has resolved in two tables indexed by node rank: peers[d] the
+// adapters of node d on this network, rx[s] the lanes from node s by lane
+// id. Both are read with one atomic load and replaced whole by the slow
+// path that fills them (rx under mu); a message takes no lock to find
+// either.
 type Adapter struct {
 	node    *Node
 	network string
 	index   int
 	tx      *vclock.Resource
 
+	peers []atomic.Pointer[[]*Adapter]
+	rx    []atomic.Pointer[[]*RxLane]
+
 	mu       sync.Mutex
-	lanes    map[laneKey]*RxLane
+	lanes    map[laneKey]*RxLane // every lane; rx holds those with a small id
 	segments map[uint32]*Segment
 
 	bytesOut   atomic.Int64
@@ -215,7 +235,24 @@ func (l *RxLane) buffer(n int) []byte {
 	return b[:0]
 }
 
+// laneTableMax bounds the lane ids the rx table holds; a larger id (no
+// driver uses one) is found in the lane map under the lock.
+const laneTableMax = 1 << 10
+
+// lane returns (creating) the lane from srcNode: one atomic load once it
+// exists.
 func (a *Adapter) lane(srcNode, lane int) *RxLane {
+	if srcNode >= 0 && srcNode < len(a.rx) && lane >= 0 {
+		if ls := a.rx[srcNode].Load(); ls != nil && lane < len(*ls) && (*ls)[lane] != nil {
+			return (*ls)[lane]
+		}
+	}
+	return a.newLane(srcNode, lane)
+}
+
+// newLane is lane's slow path: it finds or makes the lane in the map and
+// publishes it in the rx table.
+func (a *Adapter) newLane(srcNode, lane int) *RxLane {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	k := laneKey{srcNode, lane}
@@ -223,6 +260,16 @@ func (a *Adapter) lane(srcNode, lane int) *RxLane {
 	if l == nil {
 		l = &RxLane{q: NewQueue[Packet]()}
 		a.lanes[k] = l
+	}
+	if srcNode >= 0 && srcNode < len(a.rx) && lane >= 0 && lane < laneTableMax {
+		var old []*RxLane
+		if p := a.rx[srcNode].Load(); p != nil {
+			old = *p
+		}
+		ls := make([]*RxLane, max(len(old), lane+1))
+		copy(ls, old)
+		ls[lane] = l
+		a.rx[srcNode].Store(&ls)
 	}
 	return l
 }
@@ -274,9 +321,32 @@ func (l *RxLane) takeBack() {
 	l.held = nil
 }
 
-// Peer resolves the idx-th adapter of dstNode on this adapter's network.
+// Peer resolves the idx-th adapter of dstNode on this adapter's network:
+// one atomic load once it has been resolved. A rank outside the world or
+// an index the node lacks is an error.
 func (a *Adapter) Peer(dstNode, idx int) (*Adapter, error) {
-	return a.node.world.Node(dstNode).Adapter(a.network, idx)
+	if dstNode >= 0 && dstNode < len(a.peers) && idx >= 0 {
+		if as := a.peers[dstNode].Load(); as != nil && idx < len(*as) {
+			return (*as)[idx], nil
+		}
+	}
+	return a.resolvePeer(dstNode, idx)
+}
+
+// resolvePeer is Peer's slow path: it reads dstNode's adapters under the
+// node's lock and publishes them in the peer table.
+func (a *Adapter) resolvePeer(dstNode, idx int) (*Adapter, error) {
+	w := a.node.world
+	if dstNode < 0 || dstNode >= w.Size() {
+		return nil, fmt.Errorf("simnet: no node %d in a %d-node world", dstNode, w.Size())
+	}
+	n := w.nodes[dstNode]
+	as := n.on(a.network)
+	a.peers[dstNode].Store(&as)
+	if idx < 0 || idx >= len(as) {
+		return nil, fmt.Errorf("simnet: node %d has no adapter %s[%d]", n.id, a.network, idx)
+	}
+	return as[idx], nil
 }
 
 // Deliver pushes a packet onto the destination adapter's lane and updates

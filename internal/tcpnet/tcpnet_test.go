@@ -106,3 +106,15 @@ func TestStreamBandwidth(t *testing.T) {
 		t.Errorf("stream bandwidth = %.1f MB/s, want ≈%.1f", bw, model.TCPFE.Bandwidth)
 	}
 }
+
+// TestSendOutsideWorld: a destination rank outside the world is an error
+// from Send, not a panic.
+func TestSendOutsideWorld(t *testing.T) {
+	e0, _ := pair(t)
+	s := vclock.NewActor("s")
+	for _, dst := range []int{2, -1} {
+		if err := e0.Send(s, dst, 0, []byte{1}); err == nil {
+			t.Errorf("send to rank %d of a 2-node world must fail", dst)
+		}
+	}
+}

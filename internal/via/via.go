@@ -137,6 +137,8 @@ type VI struct {
 	dstIdx int // peer adapter index
 	posted *simnet.Queue[descriptor]
 	comps  *simnet.Queue[completion]
+
+	peer atomic.Pointer[VI] // the mirror endpoint, once resolved
 }
 
 // CreateVI creates (or returns) the local endpoint of VI id connected to
@@ -160,8 +162,12 @@ func (n *NIC) CreateVI(id, dstNode, dstIdx int) *VI {
 	return v
 }
 
-// peerVI resolves the mirror endpoint of this VI.
+// peerVI resolves the mirror endpoint of this VI. A VI is never
+// destroyed, so only the first send looks it up; later ones load it.
 func (v *VI) peerVI() (*VI, error) {
+	if pv := v.peer.Load(); pv != nil {
+		return pv, nil
+	}
 	pa, err := v.nic.adapter.Peer(v.dst, v.dstIdx)
 	if err != nil {
 		return nil, err
@@ -176,6 +182,7 @@ func (v *VI) peerVI() (*VI, error) {
 	if !ok {
 		return nil, fmt.Errorf("via: peer node %d has no VI %d", v.dst, v.id)
 	}
+	v.peer.Store(pv)
 	return pv, nil
 }
 
