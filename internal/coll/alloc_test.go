@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"madeleine2/internal/coll"
+	"madeleine2/internal/core"
 )
 
 // nopExec runs no transfer: what a call allocates is Ops' own.
@@ -98,28 +99,53 @@ func TestCollectiveCallAllocs(t *testing.T) {
 
 // TestVCCollectiveAllocs gates the whole collective message path over a
 // virtual channel: on the clean two-cluster world, an LLM-serving step
-// (4 × (MoE Alltoallv + 8-float Allreduce), then a Gather to rank 0)
-// allocates at most vcAllocsPerMsg objects per collective message once
-// warm. Every message is a Send scope and a Recv scope on the VC channel,
-// which allocate no handle; each worker reuses one actor; a payload that
-// no sink claims (every reduction arrival, every message of a call its
-// receiver has not started) lands in one of the communicator's spare
-// buffers, and every packet in one of the VC handle's kept frames. What
-// is left is a fixed handful per measured window, not a cost per message
-// (0.003 per message over 60 steps instead of 10). Measured 0.016, run
-// after run (2-vCPU box, Go 1.24, GOMAXPROCS 1); the bound adds a 15 %
+// (llmStepAllocs) allocates at most vcAllocsPerMsg objects per collective
+// message once warm. Every message is a Send scope and a Recv scope on the
+// VC channel, which allocate no handle; each worker reuses one actor; a
+// payload that no sink claims (every reduction arrival, every message of a
+// call its receiver has not started) lands in one of the communicator's
+// spare buffers, and every packet in one of the VC handle's kept frames.
+// What is left is a fixed handful per measured window, not a cost per
+// message (0.003 per message over 60 steps instead of 10). Measured 0.016,
+// run after run (2-vCPU box, Go 1.24, GOMAXPROCS 1); the bound adds a 15 %
 // margin, rounded up.
 func TestVCCollectiveAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const (
-		n              = 8
-		vcAllocsPerMsg = 0.019
-		warm, steps    = 3, 10
-	)
+	const vcAllocsPerMsg = 0.019
 	vcs := twoClusterVCs(t, "alloc-vc", nil, false)
 	cs := vcComms(t, vcs, coll.Options{Alg: coll.Auto})
 	defer closeAll(cs)
-	sess := vcs[0].Session()
+	perMsg := llmStepAllocs(t, vcs[0].Session(), cs)
+	if perMsg > vcAllocsPerMsg {
+		t.Errorf("a collective message over the VC allocates %.3f objects, want at most %.3f", perMsg, vcAllocsPerMsg)
+	}
+}
+
+// TestChannelCollectiveAllocs is TestVCCollectiveAllocs over an 8-rank tcp
+// channel, which the communicator drives with the same scoped messages on
+// worker threads. Measured 0.019, run after run (2-vCPU box, Go 1.24,
+// GOMAXPROCS 1); the bound adds a 15 % margin, rounded up.
+func TestChannelCollectiveAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const chanAllocsPerMsg = 0.022
+	sess, cs := collWorld(t, 8, core.ChannelSpec{Name: "alloc-tcp", Driver: "tcp"}, coll.Options{Alg: coll.Auto})
+	defer closeAll(cs)
+	perMsg := llmStepAllocs(t, sess, cs)
+	if perMsg > chanAllocsPerMsg {
+		t.Errorf("a collective message over a tcp channel allocates %.3f objects, want at most %.3f", perMsg, chanAllocsPerMsg)
+	}
+}
+
+// llmStepAllocs runs an LLM-serving step (4 × (MoE Alltoallv + 8-float
+// Allreduce), then a Gather to rank 0) on every rank of the 8-rank set cs,
+// warm times and then steps times, and reports the allocations per
+// collective message (sess's coll/msgs-out) of the second run.
+func llmStepAllocs(t *testing.T, sess *core.Session, cs []*coll.Comm) float64 {
+	t.Helper()
+	const (
+		n           = 8
+		warm, steps = 3, 10
+	)
 	msgsOut := func() int64 {
 		for _, nv := range sess.Metrics().Snapshot().Counters {
 			if nv.Name == "coll/msgs-out" {
@@ -179,7 +205,5 @@ func TestVCCollectiveAllocs(t *testing.T) {
 	}
 	perMsg := float64(after.Mallocs-before.Mallocs) / float64(msgs)
 	t.Logf("%d messages, %.3f allocations each", msgs, perMsg)
-	if perMsg > vcAllocsPerMsg {
-		t.Errorf("a collective message over the VC allocates %.3f objects, want at most %.3f", perMsg, vcAllocsPerMsg)
-	}
+	return perMsg
 }

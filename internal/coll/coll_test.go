@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -23,6 +24,13 @@ import (
 
 // collComms builds an n-rank communicator set over a fresh channel.
 func collComms(t *testing.T, n int, spec core.ChannelSpec, opts coll.Options) []*coll.Comm {
+	t.Helper()
+	_, cs := collWorld(t, n, spec, opts)
+	return cs
+}
+
+// collWorld is collComms with the session the channel belongs to.
+func collWorld(t *testing.T, n int, spec core.ChannelSpec, opts coll.Options) (*core.Session, []*coll.Comm) {
 	t.Helper()
 	w := simnet.NewWorld(n)
 	for i := 0; i < n; i++ {
@@ -43,7 +51,7 @@ func collComms(t *testing.T, n int, spec core.ChannelSpec, opts coll.Options) []
 		}
 		out[i] = c
 	}
-	return out
+	return sess, out
 }
 
 // parallel runs body on every rank concurrently and waits.
@@ -518,6 +526,88 @@ func runAhead(c *coll.Comm, n, iters int) error {
 		}
 	}
 	return nil
+}
+
+// TestCloseJoinsWorkers: Close joins every goroutine its communicator's
+// transport started, over a plain channel and over a virtual one, on a
+// clean communicator set and on one whose every non-root rank a SizeError
+// poisoned. Once every Close and Session.Shutdown have returned, every
+// goroutine started since the world was built is gone or on its way out,
+// read from one snapshot: a WaitGroup join returns once a worker has
+// called Done, which it does just before it returns, so a joined worker
+// may still be running, but none may wait on anything. A collective called
+// after Close fails.
+func TestCloseJoinsWorkers(t *testing.T) {
+	const blk = 64
+	worlds := []struct {
+		name  string
+		build func(opts coll.Options) (*core.Session, []*coll.Comm)
+	}{
+		{"tcp", func(opts coll.Options) (*core.Session, []*coll.Comm) {
+			return collWorld(t, 5, core.ChannelSpec{Name: "joins-tcp", Driver: "tcp"}, opts)
+		}},
+		{"vc", func(opts coll.Options) (*core.Session, []*coll.Comm) {
+			vcs := twoClusterVCs(t, "joins-vc", nil, false)
+			return vcs[0].Session(), vcComms(t, vcs, opts)
+		}},
+	}
+	for _, w := range worlds {
+		for _, poison := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/poisoned=%v", w.name, poison), func(t *testing.T) {
+				before := goroutineStates()
+				// Linear: the root sends to every rank itself, so a
+				// poisoned rank leaves no rank waiting on it.
+				sess, cs := w.build(coll.Options{Alg: coll.Linear})
+				n := len(cs)
+				errs := make([]error, n)
+				var wg sync.WaitGroup
+				for r, c := range cs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						buf := fill(0, blk, 0)
+						if poison && r == 0 {
+							buf = buf[:blk/4] // the root's block is short
+						}
+						errs[r] = c.Bcast(0, buf)
+					}()
+				}
+				wg.Wait()
+				for r, err := range errs {
+					var se *coll.SizeError
+					if poison && r != 0 && !errors.As(err, &se) {
+						t.Errorf("rank %d's error = %v, want a SizeError", r, err)
+					} else if (!poison || r == 0) && err != nil {
+						t.Errorf("rank %d: %v", r, err)
+					}
+				}
+				closeAll(cs)
+				if err := cs[0].Bcast(0, make([]byte, blk)); err == nil {
+					t.Error("a Bcast on a closed communicator succeeded")
+				}
+				sess.Shutdown()
+				for id, state := range goroutineStates() {
+					if _, old := before[id]; !old && !strings.HasPrefix(state, "running") && !strings.HasPrefix(state, "runnable") {
+						t.Errorf("goroutine %s started with the world is %s after Close", id, state)
+					}
+				}
+			})
+		}
+	}
+}
+
+// goroutineStates reads every goroutine's id and state from one snapshot
+// of their stacks.
+func goroutineStates() map[string]string {
+	buf := make([]byte, 1<<20)
+	states := map[string]string{}
+	for _, line := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n") {
+		if rest, ok := strings.CutPrefix(line, "goroutine "); ok {
+			id, state, _ := strings.Cut(rest, " [")
+			states[id], _, _ = strings.Cut(state, "]")
+		}
+	}
+	return states
 }
 
 // TestSizeMismatchPoisons makes one rank contribute short all-to-all

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"madeleine2/internal/core"
@@ -45,7 +46,7 @@ type Options struct {
 // call reports the original failure.
 type Comm struct {
 	Ops   // the collectives, run by this Comm as their executor (eventExec)
-	t     transport
+	t     *transport
 	actor *vclock.Actor
 	nodes []int // communicator rank -> node id on the underlying channel
 	name  string
@@ -103,16 +104,17 @@ func collMetrics(reg *metrics.Registry) collMet {
 	}
 }
 
-// OverChannel builds a communicator over a plain madeleine channel,
-// driving transfers through the async Submit*/CQ engine. The communicator
-// owns the channel handle: Close closes it.
+// OverChannel builds a communicator over a plain madeleine channel. Its
+// transfers are scoped messages on per-peer worker threads, as over a
+// virtual channel. The communicator owns the channel handle: Close closes
+// it.
 func OverChannel(ch *core.Channel, opts Options) (*Comm, error) {
 	c, err := newComm(ch.Members(), ch.Rank(), opts)
 	if err != nil {
 		return nil, err
 	}
 	c.bind(ch.Name(), ch.Session(), opts)
-	c.t = newChanTransport(ch, c.claim)
+	c.t = newTransport(ch, ch.Close, c.claim)
 	return c, nil
 }
 
@@ -131,7 +133,7 @@ func OverVC(vc *fwd.VC, opts Options) (*Comm, error) {
 		for _, seg := range vc.Clusters() {
 			mapped := make([]int, len(seg))
 			for i, node := range seg {
-				mapped[i] = indexOf(c.nodes, node)
+				mapped[i] = slices.Index(c.nodes, node)
 			}
 			segs = append(segs, mapped)
 		}
@@ -142,14 +144,14 @@ func OverVC(vc *fwd.VC, opts Options) (*Comm, error) {
 		c.topo = topo
 	}
 	c.bind(ch.Name(), ch.Session(), opts)
-	c.t = newVCTransport(vc, c.claim)
+	c.t = newTransport(ch, vc.Close, c.claim)
 	return c, nil
 }
 
 func newComm(members []int, self int, opts Options) (*Comm, error) {
 	nodes := append([]int(nil), members...)
-	sortInts(nodes)
-	rank := indexOf(nodes, self)
+	slices.Sort(nodes)
+	rank := slices.Index(nodes, self)
 	if rank < 0 {
 		return nil, fmt.Errorf("coll: node %d is not a channel member", self)
 	}
@@ -186,14 +188,6 @@ func (c *Comm) bind(name string, sess *core.Session, opts Options) {
 	c.traceBase = uint64(hash.Sum32()|1) << 32
 }
 
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
 // Rank reports the caller's communicator rank; Size the member count.
 func (c *Comm) Rank() int { return c.rank }
 
@@ -210,10 +204,11 @@ func (c *Comm) Now() vclock.Time { return c.actor.Now() }
 func (c *Comm) Err() error { return c.err }
 
 // Close releases the communicator and the channel it owns. Safe after
-// errors; outstanding transport work drains first.
+// errors; outstanding transport work drains first, and a collective called
+// after Close fails.
 func (c *Comm) Close() { c.t.close() }
 
-// claim is the transports' landing hook for an arriving payload of
+// claim is the transport's landing hook for an arriving payload of
 // h.length bytes. One that matches a registered expectation of the current
 // collective lands directly in the caller's buffer (claimed). Anything else
 // gets a spare buffer: a Combine arrival, which is folded, not stored; a
@@ -304,9 +299,8 @@ func (c *Comm) run(op string, p Plan) error {
 	// Register every expectation before any message can match, count the
 	// per-round receive debt, and pull messages that raced ahead of us out
 	// of the future list.
-	total := s.NumRecvs()
 	c.mu.Lock()
-	c.reset(op, len(s.Rounds), total)
+	c.reset(op, len(s.Rounds), s.NumRecvs())
 	c.curSeq = c.seq
 	next := 0
 	for ri, r := range s.Rounds {
@@ -338,7 +332,6 @@ func (c *Comm) run(op string, p Plan) error {
 	c.future = keep
 	c.mu.Unlock()
 
-	c.t.need(total - len(c.replay))
 	defer c.release()
 
 	for _, ev := range c.replay {
@@ -366,7 +359,7 @@ func (c *Comm) run(op string, p Plan) error {
 			}
 		}
 		for c.recvLeft[ri] > 0 || c.sendsOut > 0 {
-			ev, ok := c.t.events().Pop()
+			ev, ok := c.t.inbox.Pop()
 			if !ok {
 				return c.abort(fmt.Errorf("coll: %s: transport closed mid-collective", op))
 			}
@@ -430,11 +423,10 @@ func (c *Comm) handle(p *Plan, ev event) error {
 	if ev.hdr.seq != c.seq {
 		if ev.hdr.seq > c.seq {
 			// A rank already running a later collective: bank the
-			// message and replace the consumed receive slot.
+			// message until its call.
 			c.mu.Lock()
 			c.future = append(c.future, ev)
 			c.mu.Unlock()
-			c.t.need(1)
 			return nil
 		}
 		return fmt.Errorf("coll: %s: stale message seq %d during %d", c.op, ev.hdr.seq, c.seq)
@@ -474,7 +466,7 @@ func (c *Comm) handle(p *Plan, ev event) error {
 // and the caller may reuse those buffers the moment we return.
 func (c *Comm) abort(err error) error {
 	for c.sendsOut > 0 {
-		ev, ok := c.t.events().Pop()
+		ev, ok := c.t.inbox.Pop()
 		if !ok {
 			break
 		}

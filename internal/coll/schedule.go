@@ -1,6 +1,6 @@
 package coll
 
-import "sort"
+import "slices"
 
 // Algorithm selects a schedule family.
 type Algorithm int
@@ -156,23 +156,13 @@ func treeUp(s *Schedule, vs []int, vi int, payloadOf func(positions []int) []Xfe
 	}
 }
 
-// indexOf finds rank in an ordered member list (-1 when absent).
-func indexOf(vs []int, rank int) int {
-	for i, v := range vs {
-		if v == rank {
-			return i
-		}
-	}
-	return -1
-}
-
 // blkRuns merges a set of ranks into contiguous-rank runs of blk-sized
 // blocks of the canonical layout (block i at offset i*blk). Tag and Off
 // are the run's canonical byte offset, so both ends of every edge derive
 // identical transfers.
 func blkRuns(ranks []int, blk int) []Xfer {
 	rs := append([]int(nil), ranks...)
-	sort.Ints(rs)
+	slices.Sort(rs)
 	var out []Xfer
 	for i := 0; i < len(rs); {
 		j := i + 1
@@ -215,12 +205,12 @@ func BcastSched(t *Topology, rank, root, nbytes int, alg Algorithm) Schedule {
 	full := func([]int) []Xfer { return payload }
 	if t.NumClusters() > 1 {
 		vsL := t.leaderList(root)
-		if li := indexOf(vsL, rank); li >= 0 {
+		if li := slices.Index(vsL, rank); li >= 0 {
 			treeDown(&s, vsL, li, full)
 		}
 	}
 	vsC := t.clusterList(t.of[rank], root)
-	treeDown(&s, vsC, indexOf(vsC, rank), full)
+	treeDown(&s, vsC, slices.Index(vsC, rank), full)
 	return s
 }
 
@@ -243,12 +233,12 @@ func GatherSched(t *Topology, rank, root, blk int, alg Algorithm) Schedule {
 		return s
 	}
 	vsC := t.clusterList(t.of[rank], root)
-	treeUp(&s, vsC, indexOf(vsC, rank), func(pos []int) []Xfer {
+	treeUp(&s, vsC, slices.Index(vsC, rank), func(pos []int) []Xfer {
 		return blkRuns(ranksAt(vsC, pos), blk)
 	})
 	if t.NumClusters() > 1 {
 		vsL := t.leaderList(root)
-		if li := indexOf(vsL, rank); li >= 0 {
+		if li := slices.Index(vsL, rank); li >= 0 {
 			treeUp(&s, vsL, li, func(pos []int) []Xfer {
 				var rs []int
 				for _, p := range pos {
@@ -279,7 +269,7 @@ func ScatterSched(t *Topology, rank, root, blk int, alg Algorithm) Schedule {
 	}
 	if t.NumClusters() > 1 {
 		vsL := t.leaderList(root)
-		if li := indexOf(vsL, rank); li >= 0 {
+		if li := slices.Index(vsL, rank); li >= 0 {
 			treeDown(&s, vsL, li, func(pos []int) []Xfer {
 				var rs []int
 				for _, p := range pos {
@@ -290,7 +280,7 @@ func ScatterSched(t *Topology, rank, root, blk int, alg Algorithm) Schedule {
 		}
 	}
 	vsC := t.clusterList(t.of[rank], root)
-	treeDown(&s, vsC, indexOf(vsC, rank), func(pos []int) []Xfer {
+	treeDown(&s, vsC, slices.Index(vsC, rank), func(pos []int) []Xfer {
 		return blkRuns(ranksAt(vsC, pos), blk)
 	})
 	return s
@@ -471,10 +461,10 @@ func ReduceSched(t *Topology, rank, root, nbytes int, alg Algorithm) Schedule {
 		}
 	}
 	vsC := t.clusterList(t.of[rank], root)
-	up(&s, vsC, indexOf(vsC, rank))
+	up(&s, vsC, slices.Index(vsC, rank))
 	if t.NumClusters() > 1 {
 		vsL := t.leaderList(root)
-		if li := indexOf(vsL, rank); li >= 0 {
+		if li := slices.Index(vsL, rank); li >= 0 {
 			up(&s, vsL, li)
 		}
 	}

@@ -24,58 +24,61 @@ type scriptCall struct {
 }
 
 // scriptTransport stands in for every peer of rank 0, which run one call
-// ahead of it: call k's expectations, once registered, see the rest of
-// call k's messages land, and its last send (or its start, if it sends
-// nothing) the first half of call k+1's, all through the Comm's claim
-// hook as a real transport lands them. So the executor meets claimed
-// payloads, reduction arrivals, folds that arrive ahead of their round and
-// banked messages of the next call, the same way on every pass of the
-// sequence, and a spare is handed out while others wait in each of those
-// places. A send completes as it is issued.
+// ahead of it. It is the waiter on the one send queue the Comm's transport
+// hands every peer's messages to, so it runs on rank 0's goroutine at each
+// send: a call's first send, issued once the call's expectations are
+// registered, sees the rest of that call's messages land, and its last
+// send the first half of the next call's, or the whole of each next call
+// that sends nothing (nothing inside such a call would land them), all
+// through the Comm's claim hook as a real transport lands them. So the
+// executor meets claimed payloads, reduction arrivals, folds that arrive
+// ahead of their round and banked messages of a later call, the same way
+// on every pass of the sequence, and a spare is handed out while others
+// wait in each of those places. A send completes as it is issued.
 type scriptTransport struct {
 	c      *Comm
 	inbox  *simnet.Queue[event]
+	sends  *simnet.Queue[sendJob]
+	slot   simnet.Slot
 	calls  []scriptCall
-	landed int    // messages of the current call that have landed
-	seq    uint32 // the call need landed messages for last
-	sent   int    // sends of the current call so far
-	banked int    // calls that ended with a later call's message banked
+	landed map[uint32]int // per call: messages landed so far
+	seq    uint32         // the call of the last send
+	sent   int            // sends of that call so far
+	banked int            // calls that ended with a later call's message banked
 }
 
-func (t *scriptTransport) isend(token, _ int, _ wireHdr, _ []byte, _ vclock.Time) {
-	t.sent++
-	if t.sent == t.call(t.c.seq).sends {
-		t.landNext()
+// newScriptTransport installs the script as c's transport.
+func newScriptTransport(c *Comm) *scriptTransport {
+	t := &scriptTransport{c: c, inbox: simnet.NewQueue[event](), sends: simnet.NewQueue[sendJob](), landed: map[uint32]int{}}
+	c.t = &transport{inbox: t.inbox, release: func() {}, sendQs: map[int]*simnet.Queue[sendJob]{}}
+	for r := 1; r < c.Size(); r++ {
+		c.t.sendQs[c.nodes[r]] = t.sends
 	}
-	t.inbox.Push(event{send: true, token: token})
+	t.sends.PopAsync(&t.slot, t)
+	return t
+}
+
+func (t *scriptTransport) Ready(job sendJob, ok bool) {
+	if !ok {
+		return
+	}
+	if job.h.seq != t.seq {
+		t.seq, t.sent = job.h.seq, 0
+		t.land(t.seq, len(t.recvsOf(t.seq)))
+	}
+	t.sent++
+	if t.sent == t.call(t.seq).sends {
+		next := t.seq + 1
+		for ; t.call(next).sends == 0; next++ {
+			t.land(next, len(t.recvsOf(next)))
+		}
+		t.land(next, len(t.recvsOf(next))/2)
+	}
+	t.inbox.Push(event{send: true, token: job.token})
+	t.sends.PopAsync(&t.slot, t)
 }
 
 func (t *scriptTransport) call(seq uint32) *scriptCall { return &t.calls[int(seq-1)%len(t.calls)] }
-
-func (t *scriptTransport) events() *simnet.Queue[event] { return t.inbox }
-func (t *scriptTransport) close()                       { t.inbox.Close() }
-
-// need lands messages at the first call in each collective, after its
-// expectations are registered; the later ones replace a banked message's
-// receive slot, which this transport has no use for.
-func (t *scriptTransport) need(int) {
-	seq := t.c.seq
-	if seq == t.seq {
-		return
-	}
-	t.seq, t.sent = seq, 0
-	t.land(seq, t.recvsOf(seq)[t.landed:])
-	if t.call(seq).sends == 0 {
-		t.landNext()
-	}
-}
-
-// landNext lands the first half of the next call's messages.
-func (t *scriptTransport) landNext() {
-	next := t.recvsOf(t.seq + 1)
-	t.landed = len(next) / 2
-	t.land(t.seq+1, next[:t.landed])
-}
 
 // recvsOf lists the receives of the call with sequence number seq.
 func (t *scriptTransport) recvsOf(seq uint32) []Xfer {
@@ -86,7 +89,14 @@ func (t *scriptTransport) recvsOf(seq uint32) []Xfer {
 	return xs
 }
 
-func (t *scriptTransport) land(seq uint32, xs []Xfer) {
+// land lands the messages of call seq that precede its upto-th.
+func (t *scriptTransport) land(seq uint32, upto int) {
+	from := t.landed[seq]
+	if from >= upto {
+		return
+	}
+	t.landed[seq] = upto
+	xs := t.recvsOf(seq)[from:upto]
 	sc := t.call(seq)
 	for _, x := range xs {
 		h := wireHdr{seq: seq, origin: int32(x.Peer), tag: uint32(x.Tag), length: uint32(x.Len)}
@@ -146,8 +156,7 @@ func TestSpareReuseRunAhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.name, c.actor, c.met = "script", vclock.NewActor("script"), collMetrics(metrics.NewRegistry())
-	tr := &scriptTransport{c: c, inbox: simnet.NewQueue[event]()}
-	c.t = tr
+	tr := newScriptTransport(c)
 	defer c.Close()
 
 	// Payloads of 65 to 128 bytes share one size class, so a spare given

@@ -4,14 +4,14 @@
 // the world's cluster map (one cluster per forwarding segment) into a
 // per-rank program of rounds — binomial trees across clusters, a ring or
 // recursive doubling within one — and an executor drives the program
-// through the async Submit*/CQ engine (plain channels) or through
-// per-peer worker threads (virtual channels), so one rank's sends and
-// receives overlap instead of serializing.
+// through per-peer send and receive worker threads, on a plain or a
+// virtual channel alike, so one rank's sends and receives overlap instead
+// of serializing.
 package coll
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Topology is a communicator's cluster map: a partition of the dense rank
@@ -84,7 +84,7 @@ func FromClusters(n int, segs [][]int) (*Topology, error) {
 		}
 	}
 	for _, c := range clusters {
-		sort.Ints(c)
+		slices.Sort(c)
 	}
 	raw := make([][]int, len(segs))
 	for i, seg := range segs {

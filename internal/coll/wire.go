@@ -3,7 +3,6 @@ package coll
 import (
 	"encoding/binary"
 
-	"madeleine2/internal/simnet"
 	"madeleine2/internal/vclock"
 )
 
@@ -53,15 +52,4 @@ type event struct {
 	claimed bool   // payload landed directly in the expectation's sink
 	stamp   vclock.Time
 	err     error
-}
-
-// transport ships wire messages for one rank and feeds events back.
-// isend must preserve per-destination issue order (schedule order is the
-// receiver's matching order when tags repeat across collectives); need
-// tells demand-driven transports to expect n more incoming messages.
-type transport interface {
-	isend(token, node int, h wireHdr, payload []byte, at vclock.Time)
-	need(n int)
-	events() *simnet.Queue[event]
-	close()
 }

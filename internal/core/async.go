@@ -301,7 +301,7 @@ func (cn *Connection) exec(r *Request) error {
 
 // inlineOps is how many requests a conversation carries in its own
 // allocation. Every in-tree producer submits two (one block and the End)
-// or three (the collectives' envelope, payload, End) operations per
+// or three (mpi's Isend: envelope, payload, End) operations per
 // conversation; a longer one allocates its later requests one by one.
 const inlineOps = 3
 
